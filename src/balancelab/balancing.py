@@ -150,6 +150,11 @@ def balance_batch(batch: SampleBatch, spec: BalanceSpec) -> SampleBatch:
 
     if spec.mechanism in (Mechanism.IMPORTANCE_WEIGHTS, Mechanism.EXACT_REWEIGHT):
         wsum = np.bincount(codes, weights=batch.weights, minlength=ncells)
+        if np.any(wsum == 0):
+            empty = int(np.flatnonzero(wsum == 0)[0])
+            raise UnbalanceableSupport(
+                f"target cell ({_cell_label(empty, names, batch)}) has rows but zero total weight"
+            )
         total = float(batch.weights.sum())
         if isinstance(spec.target, JointTarget):
             cy = batch.variables[batch.axis(spec.target.y_var)].cardinality

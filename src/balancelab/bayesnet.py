@@ -11,7 +11,7 @@ Networks are immutable; sampling takes explicit seeds.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ArgumentError, CycleError, EdgeError, UnknownVariableError
 from .rng import spawn
 from .tables import (
-    IndependenceReport,
     JointTable,
     SampleBatch,
     Variable,
@@ -365,11 +364,6 @@ def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e
             if not rep:
                 violations.append(Violation((v,), nondesc, parents, rep.max_gap, "local-markov"))
     return FactorizationReport(not violations, tuple(violations), tol)
-
-
-def independence_in_joint(net: Cbn, a: Iterable[str], b: Iterable[str], given: Iterable[str] = (), tol: float = 1e-9) -> IndependenceReport:
-    """Convenience: exact independence check on the network's joint."""
-    return is_independent(joint(net), a, b, given, tol)
 
 
 # Graph text format: a [nodes] block of 'name cardinality' lines, an [edges]

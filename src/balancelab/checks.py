@@ -35,7 +35,7 @@ from .errors import (
 )
 from .rng import spawn
 from .tables import JointTable, Variable, is_independent, marginalize
-from .templates import GraphTemplate, random_instance
+from .templates import GraphTemplate, _random_rows, random_instance
 
 GENERIC_GAP = 1e-6  # separates structural violations from float noise
 
@@ -448,11 +448,6 @@ def check_epsilon_risk_bound(
 # -- Balanced distributions versus edge-dropped graphs -----------------------
 
 _COUNTEREXAMPLE_IDS = ("C1", "C2", "C3", "C4")
-
-
-def _random_rows(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    rows = gen.uniform(0.1, 0.9, size=shape)
-    return rows / rows.sum(axis=-1, keepdims=True)
 
 
 def _counterexample_net(example_id: str, gen: np.random.Generator) -> tuple[Cbn, tuple[str, ...], Dag]:

@@ -1,24 +1,31 @@
 """Tabular surrogate datasets for the four benchmark graphs.
 
-Feature channels are Gaussian bumps keyed to discrete latents: a core channel
-carries the label signal, an auxiliary channel carries the group factor
-(or, for the entangled graph, the OR of label and group), and graph C adds a
+Feature channels are Gaussian bumps keyed to discrete states: a core channel
+carries the label signal, an auxiliary channel carries the group factor (or,
+for the entangled graph, the OR of label and group), and graph C adds a
 channel for a second factor V.  Channel means are orthogonal one-hot blocks,
 so the causal structure of the benchmark graphs is preserved while everything
 stays learnable by a small linear or one-hidden-layer model.
 
-Latent mechanisms per graph:
+One law per graph.  For A, C and D the law is the graph's builder in
+``templates`` (``template_a``, ``template_c``, ``template_d``) with the
+spec's parameters and noise-free channel flips; label noise is the core flip
+for A and D and part of the label mechanism for C.  Every set is one
+categorical draw from an exact table over the discrete keys (Y, Z, X_core,
+X_aux or X_ent, and V with X_v for graph C), followed by one Gaussian
+channel per key: core <- X_core, aux <- X_aux, ent <- X_ent, v <- X_v.
 
-  A  (y, z) drawn from the confounded pair table; a truth bit t = y plus
-     label noise keys the core channel; the aux channel is keyed to z.
-  B  the core channel causes the label through a logistic link, with a
-     hidden confounder feeding both the label and z.
-  C  truth t and a hidden confounder u compete for the label (u wins a
-     disagreement with probability ``confounder_strength``), z is a noisy
-     copy of u, and V tracks the label with an extra pull toward z.  The
-     collider at the label couples the core channel to z given the label,
-     which is what makes regularizer interactions visible downstream.
-  D  like A, but the aux channel is keyed to OR(y, z).
+  source  the template's joint over the keys;
+  ideal   the joint of ``mutilate(net, GraphEdit(template.undesired))``: Z
+          keeps its source marginal but not its tie to Y, C's P(V=0 | z) is
+          the source P(V=0 | y, z) averaged over P(y), and D's X_ent takes
+          its source marginal, independent of Y and Z;
+  shift   ``ShiftFamily(source, grid).member(k)``: P(Z | Y) replaced by
+          grid point k, P(Y) and the keys given (Y, Z) unchanged.
+
+Graph B keeps a continuous sampler: the core channel causes the label through
+a logistic link, with a hidden confounder feeding both the label and z; its
+shifted sets reweight a source pool to the same ``ShiftFamily`` members.
 
 All generation is deterministic given the spec seed; test-set draws derive
 independent sub-streams.
@@ -26,22 +33,25 @@ independent sub-streams.
 
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from .bayesnet import Cbn, joint
+from .bayesnet import Cbn, GraphEdit, joint, mutilate
+from .checks import ShiftFamily
 from .errors import ArgumentError, SpecError
 from .rng import spawn
-from .tables import JointTable, Variable, condition, marginalize
-from .templates import GRAPH_IDS
+from .tables import JointTable, Variable, _draw_states, marginalize
+from .templates import GRAPH_IDS, GraphTemplate, graph_template, template_c
 
 _STREAM_SOURCE = 0
 _STREAM_IDEAL = 1
 _STREAM_SHIFT = 2
 _STREAM_POOL = 3
+_C_LAW = inspect.signature(template_c).parameters  # graph C's law defaults live there
 
 
 @dataclass(frozen=True)
@@ -80,14 +90,8 @@ class GenSpec:
     conf_gain: float | None = None
     conf_mix: float | None = None
 
-    _C_DEFAULTS = {
-        "dim_v": 4,
-        "sep_v": 2.0,
-        "noise_v": 1.0,
-        "v_flip": (0.2, 0.9),
-        "v_z_pull": 0.3,
-        "confounder_strength": 0.45,
-        "z_flip": 0.1,
+    _C_DEFAULTS = {"dim_v": 4, "sep_v": 2.0, "noise_v": 1.0} | {
+        name: _C_LAW[name].default for name in ("v_flip", "v_z_pull", "confounder_strength", "z_flip")
     }
     _B_DEFAULTS = {"core_gain": 2.0, "conf_gain": 1.2, "conf_mix": 0.8}
 
@@ -167,8 +171,8 @@ class Dataset:
         n = y.shape[0]
         if not (z.shape == (n,) and w.shape == (n,) and x.ndim == 2 and x.shape[0] == n):
             raise ArgumentError("column lengths disagree")
-        if np.any(w < 0):
-            raise ArgumentError("weights must be non-negative")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise ArgumentError("weights must be finite and non-negative")
         v = None if self.v is None else np.asarray(self.v, dtype=np.int64)
         if v is not None and v.shape != (n,):
             raise ArgumentError("v column length disagrees")
@@ -228,161 +232,54 @@ def _gaussian_channel(states: np.ndarray, dim: int, sep: float, noise: float, ge
     return means[states] + gen.normal(0.0, noise, size=(states.shape[0], dim))
 
 
-def _pair_table(spec: GenSpec) -> np.ndarray:
-    c0, c1 = spec.confounding
-    return np.array(
-        [
-            [spec.z_marginal * c0, (1 - spec.z_marginal) * c1],
-            [spec.z_marginal * (1 - c0), (1 - spec.z_marginal) * (1 - c1)],
-        ]
-    )  # t[y, z]
+_CHANNEL_KEYS = {"core": "X_core", "aux": "X_aux", "ent": "X_ent", "v": "X_v"}
 
 
-def _draw_pair(gen, n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    flat = t.reshape(-1)
-    idx = np.searchsorted(np.cumsum(flat) / flat.sum(), gen.random(n), side="right")
-    return idx >> 1, idx & 1
-
-
-def _draw_conditional(gen, given: np.ndarray, p_one_given: np.ndarray) -> np.ndarray:
-    """Binary draw with P(out=1 | given=g) = p_one_given[g]."""
-    return (gen.random(given.shape[0]) < p_one_given[given]).astype(np.int64)
-
-
-def latent_net_c(spec: GenSpec) -> Cbn:
-    """Exact discrete model of graph C's latents: truth T, confounder U,
-    label Y (mechanism plus label noise folded in), group Z."""
-    spec = spec.resolved()
-    m = spec.confounder_strength
-    ln = spec.label_noise
-    y_rows = np.zeros((2, 2, 2))  # (t, u, y)
-    for t in range(2):
-        for u in range(2):
-            p1 = float(t) if t == u else (1 - m) * t + m * u
-            p1 = (1 - ln) * p1 + ln * (1 - p1)
-            y_rows[t, u] = (1 - p1, p1)
-    # z copies u with probability 1 - z_flip
-    z_rows = np.array([[1 - spec.z_flip, spec.z_flip], [spec.z_flip, 1 - spec.z_flip]])
-    return Cbn(
-        (Variable("T", 2), Variable("U", 2), Variable("Y", 2), Variable("Z", 2)),
-        {"Y": ("T", "U"), "Z": ("U",)},
-        {
-            "T": np.array([0.5, 0.5]),
-            "U": np.array([0.5, 0.5]),
-            "Y": y_rows,
-            "Z": z_rows,
-        },
-    )
-
-
-def _c_posteriors(spec: GenSpec) -> tuple[JointTable, np.ndarray, np.ndarray]:
-    """Joint over (T, U, Y, Z) plus P(T=1 | y, z) and P(Z=0 | y) tables."""
-    table = joint(latent_net_c(spec))
-    t_given_yz = np.zeros((2, 2))
-    for y in range(2):
-        for z in range(2):
-            t_given_yz[y, z] = marginalize(condition(table, {"Y": y, "Z": z}), {"T"}).probs[1]
-    z0_given_y = np.zeros(2)
-    for y in range(2):
-        z0_given_y[y] = marginalize(condition(table, {"Y": y}), {"Z"}).probs[0]
-    return table, t_given_yz, z0_given_y
-
-
-def _v_conditional(spec: GenSpec, z0_given_y: np.ndarray) -> np.ndarray:
-    """P(V=0 | y, z) with mean v_flip[y] over z and a pull of size v_z_pull."""
-    out = np.zeros((2, 2))
-    for y in range(2):
-        for z in range(2):
-            p = spec.v_flip[y] + spec.v_z_pull * ((1.0 if z == 0 else 0.0) - z0_given_y[y])
-            out[y, z] = min(max(p, 0.01), 0.99)
+def _channels(spec: GenSpec) -> dict[str, tuple[int, float, float]]:
+    """(dim, sep, noise) of each feature channel, in column order."""
+    out = {"core": (spec.dim_core, spec.sep_core, spec.noise_core)}
+    out["ent" if spec.graph == "D" else "aux"] = (spec.dim_aux, spec.sep_aux, spec.noise_aux)
+    if spec.graph == "C":
+        out["v"] = (spec.dim_v, spec.sep_v, spec.noise_v)
     return out
 
 
-def _channel_layout(spec: GenSpec) -> dict[str, tuple[int, int]]:
-    slices = {"core": (0, spec.dim_core)}
-    second = "ent" if spec.graph == "D" else "aux"
-    slices[second] = (spec.dim_core, spec.dim_core + spec.dim_aux)
-    if spec.graph == "C":
-        start = spec.dim_core + spec.dim_aux
-        slices["v"] = (start, start + spec.dim_v)
-    return slices
-
-
-def _assemble(
-    spec: GenSpec,
-    gen,
-    y: np.ndarray,
-    z: np.ndarray,
-    core_key: np.ndarray,
-    second_key: np.ndarray | None,
-    v: np.ndarray | None,
-    x_core: np.ndarray | None = None,
-) -> Dataset:
-    parts = []
-    if x_core is None:
-        parts.append(_gaussian_channel(core_key, spec.dim_core, spec.sep_core, spec.noise_core, gen))
-    else:
-        parts.append(x_core)
-    if second_key is None:  # disentangled: pure noise in the second channel
-        parts.append(gen.normal(0.0, spec.noise_aux, size=(y.shape[0], spec.dim_aux)))
-    else:
-        parts.append(_gaussian_channel(second_key, spec.dim_aux, spec.sep_aux, spec.noise_aux, gen))
-    if spec.graph == "C":
-        parts.append(_gaussian_channel(v, spec.dim_v, spec.sep_v, spec.noise_v, gen))
-    x = np.concatenate(parts, axis=1)
-    return Dataset(y, z, x, np.ones(y.shape[0]), _channel_layout(spec), v, spec)
-
-
-def _generate_acd(spec: GenSpec, n: int, gen, mode: str, shift_row: np.ndarray | None) -> Dataset:
-    """Graphs A, C, D under the source law, the ideal law, or a shifted
-    group-given-label conditional (mode in {source, ideal, shift})."""
-    if spec.graph == "C":
-        table, t_given_yz, z0_given_y = _c_posteriors(spec)
-        p_y1 = float(marginalize(table, {"Y"}).probs[1])
-        if mode == "source":
-            flat = marginalize(table, {"Y", "Z"})
-            arr = np.transpose(flat.probs, flat.axes(("Y", "Z")))
-            y, z = _draw_pair(gen, n, arr)
+def _dataset(spec: GenSpec, gen, y, z, keys: dict, v=None, x_core=None) -> Dataset:
+    """Attach one Gaussian channel per ``_channels`` entry, keyed by ``keys``;
+    graph B passes its continuous core block as ``x_core`` instead."""
+    parts, slices, start = [], {}, 0
+    for name, (dim, sep, noise) in _channels(spec).items():
+        if name == "core" and x_core is not None:
+            parts.append(x_core)
         else:
-            y = (gen.random(n) < p_y1).astype(np.int64)
-            if mode == "ideal":
-                z = (gen.random(n) < 0.5).astype(np.int64)
-            else:
-                z = _draw_conditional(gen, y, 1.0 - shift_row)
-        if mode == "ideal":
-            # undesired paths cut: truth differs from the label at the source rate
-            mismatch = float(
-                sum(
-                    marginalize(condition(table, {"Y": yv}), {"T"}).probs[1 - yv]
-                    * marginalize(table, {"Y"}).probs[yv]
-                    for yv in range(2)
-                )
-            )
-            t = np.where(gen.random(n) < mismatch, 1 - y, y)
-            p_v0 = 0.5 + spec.v_z_pull * (np.where(z == 0, 1.0, 0.0) - 0.5)
-            v = (gen.random(n) >= p_v0).astype(np.int64)
-        else:
-            t = (gen.random(n) < t_given_yz[y, z]).astype(np.int64)
-            v_cond = _v_conditional(spec, z0_given_y)
-            v = (gen.random(n) >= v_cond[y, z]).astype(np.int64)
-        return _assemble(spec, gen, y, z, t, z, v)
+            parts.append(_gaussian_channel(keys[name], dim, sep, noise, gen))
+        slices[name] = (start, start + dim)
+        start += dim
+    return Dataset(y, z, np.concatenate(parts, axis=1), np.ones(y.shape[0]), slices, v, spec)
 
-    # graphs A and D share the pair-table latents
-    pair = _pair_table(spec)
-    p_y1 = float(pair[1].sum())
-    if mode == "source":
-        y, z = _draw_pair(gen, n, pair)
+
+def _law(spec: GenSpec) -> GraphTemplate:
+    """Graph A, C or D's template with the spec's parameters.  Channel flips
+    are zero because the Gaussian channels add the feature noise."""
+    if spec.graph == "C":
+        names = ("confounder_strength", "label_noise", "z_flip", "v_flip", "v_z_pull")
+        flips = {"core_flip": 0.0, "aux_flip": 0.0, "v_channel_flip": 0.0}
     else:
-        y = (gen.random(n) < p_y1).astype(np.int64)
-        if mode == "ideal":
-            z = (gen.random(n) < 0.5).astype(np.int64)
-        else:
-            z = _draw_conditional(gen, y, 1.0 - shift_row)
-    t = np.where(gen.random(n) < spec.label_noise, 1 - y, y)
-    if spec.graph == "D":
-        second = None if mode == "ideal" else np.maximum(y, z)
-        return _assemble(spec, gen, y, z, t, second, None)
-    return _assemble(spec, gen, y, z, t, z, None)
+        names = ("confounding", "z_marginal")
+        flips = {"core_flip": spec.label_noise}
+        flips |= {"aux_flip": 0.0} if spec.graph == "A" else {"ent_p": 1.0, "ent_q": 0.0}
+    return graph_template(spec.graph, **{name: getattr(spec, name) for name in names}, **flips)
+
+
+def _key_table(net: Cbn) -> JointTable:
+    """The exact joint over the label, the group and the channel keys."""
+    return marginalize(joint(net), {"Y", "Z", "V", *_CHANNEL_KEYS.values()} & set(net.names))
+
+
+def _draw(spec: GenSpec, table: JointTable, n: int, gen) -> Dataset:
+    cols = dict(zip(table.names, _draw_states(table, n, gen)))
+    keys = {name: cols[node] for name, node in _CHANNEL_KEYS.items() if node in cols}
+    return _dataset(spec, gen, cols["Y"], cols["Z"], keys, cols.get("V"))
 
 
 def _generate_b(spec: GenSpec, n: int, gen, mode: str) -> Dataset:
@@ -400,7 +297,7 @@ def _generate_b(spec: GenSpec, n: int, gen, mode: str) -> Dataset:
     else:
         keep = gen.random(n) < spec.conf_mix
         z = np.where(keep, u, (gen.random(n) < 0.5).astype(np.int64))
-    return _assemble(spec, gen, y, z, y, z, None, x_core=x_core)
+    return _dataset(spec, gen, y, z, {"aux": z}, x_core=x_core)
 
 
 def generate(spec: GenSpec) -> Dataset:
@@ -409,18 +306,19 @@ def generate(spec: GenSpec) -> Dataset:
     gen = spawn(spec.seed, _STREAM_SOURCE)
     if spec.graph == "B":
         return _generate_b(spec, spec.n, gen, "source")
-    return _generate_acd(spec, spec.n, gen, "source", None)
+    return _draw(spec, _key_table(_law(spec).net), spec.n, gen)
 
 
 def ideal_testset(spec: GenSpec, n: int, seed: int) -> Dataset:
-    """The law with the undesired dependencies absent: the group factor is a
-    fair coin independent of the label, graph C additionally decouples V from
-    the label, and graph D replaces the entangled channel with pure noise."""
+    """The law with the undesired dependencies absent: the group factor is
+    independent of the label, graph C additionally decouples V from the
+    label, and graph D's entangled channel carries neither label nor group."""
     spec = spec.resolved()
     gen = spawn(seed, _STREAM_IDEAL)
     if spec.graph == "B":
         return _generate_b(spec, n, gen, "ideal")
-    return _generate_acd(spec, n, gen, "ideal", None)
+    law = _law(spec)
+    return _draw(spec, _key_table(mutilate(law.net, GraphEdit(law.undesired))), n, gen)
 
 
 def shift_testsets(
@@ -433,51 +331,33 @@ def shift_testsets(
     array whose [y, 0] entry is P'(Z=0 | Y=y).
     """
     spec = spec.resolved()
-    if not grid:
-        raise ArgumentError("grid must be non-empty")
-    rows = []
-    for g in grid:
-        g = np.asarray(g, dtype=float)
-        if g.shape != (2, 2) or np.any(np.abs(g.sum(axis=1) - 1.0) > 1e-12):
-            raise ArgumentError("grid entries must be (2, 2) row-stochastic arrays")
-        rows.append(g[:, 0])
+    if spec.graph != "B":
+        family = ShiftFamily(_key_table(_law(spec).net), grid)
+        return [_draw(spec, family.member(k), n, spawn(seed, _STREAM_SHIFT, k)) for k in range(len(family))]
+    pool_n = min(max(25 * n, 20_000), 200_000)
+    pool = _generate_b(spec, pool_n, spawn(seed, _STREAM_POOL), "source")
+    counts = np.bincount(2 * pool.y + pool.z, minlength=4).reshape(2, 2)
+    source = JointTable((Variable("Y", 2), Variable("Z", 2)), counts / counts.sum())
+    family = ShiftFamily(source, grid)
     out = []
-    if spec.graph == "B":
-        pool_n = min(max(25 * n, 20_000), 200_000)
-        pool = _generate_b(spec, pool_n, spawn(seed, _STREAM_POOL), "source")
-        cell = np.zeros((2, 2))
-        np.add.at(cell, (pool.y, pool.z), 1.0)
-        pz0_given_y = cell[:, 0] / cell.sum(axis=1)
-        for k, row in enumerate(rows):
-            gen = spawn(seed, _STREAM_SHIFT, k)
-            target = np.where(pool.z == 0, row[pool.y], 1.0 - row[pool.y])
-            source = np.where(pool.z == 0, pz0_given_y[pool.y], 1.0 - pz0_given_y[pool.y])
-            w = target / source
-            idx = gen.choice(pool_n, size=n, replace=True, p=w / w.sum())
-            out.append(pool.take(idx, weights=np.ones(n)))
-        return out
-    for k, row in enumerate(rows):
-        gen = spawn(seed, _STREAM_SHIFT, k)
-        out.append(_generate_acd(spec, n, gen, "shift", row))
+    for k in range(len(family)):
+        w = (family.member(k).probs / source.probs)[pool.y, pool.z]
+        idx = spawn(seed, _STREAM_SHIFT, k).choice(pool_n, size=n, replace=True, p=w / w.sum())
+        out.append(pool.take(idx, weights=np.ones(n)))
     return out
 
 
 def implied_y_given_z(spec: GenSpec) -> np.ndarray:
     """Exact P(Y=y | Z=z) of the source law, as a (2, 2) array [y, z].
 
-    Graphs A/D read it off the pair table; graph C computes it from the
-    latent network.  Graph B has no closed form here and is estimated by the
-    callers that need it.
+    Graph B has no closed form here and is estimated by the callers that
+    need it.
     """
     spec = spec.resolved()
     if spec.graph == "B":
         raise ArgumentError("graph B's label-group conditional has no closed form here")
-    if spec.graph == "C":
-        table, _, _ = _c_posteriors(spec)
-        flat = marginalize(table, {"Y", "Z"})
-        arr = np.transpose(flat.probs, flat.axes(("Y", "Z")))
-    else:
-        arr = _pair_table(spec)
+    pair = marginalize(_key_table(_law(spec).net), {"Y", "Z"})
+    arr = np.transpose(pair.probs, pair.axes(("Y", "Z")))
     return arr / arr.sum(axis=0, keepdims=True)
 
 

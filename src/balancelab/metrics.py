@@ -8,7 +8,7 @@ count are excluded and flagged rather than silently averaged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ class MetricsReport:
     dp_gap: float
     pp_gap: float | None
     encoding: float | None
-    risk_gaps: dict[str, float]
     group_counts: dict[tuple[int, int], int]
     z_accuracy: dict[int, float]
     excluded_strata: tuple[str, ...]
@@ -42,7 +41,6 @@ class MetricsReport:
             "dp_gap": self.dp_gap,
             "pp_gap": self.pp_gap,
             "encoding": self.encoding,
-            "risk_gaps": dict(self.risk_gaps),
             "group_counts": {f"y={y},z={z}": c for (y, z), c in self.group_counts.items()},
             "z_accuracy": {str(z): a for z, a in self.z_accuracy.items()},
             "excluded_strata": list(self.excluded_strata),
@@ -140,7 +138,6 @@ def evaluate(
         dp_gap=dp_gap,
         pp_gap=pp_gap,
         encoding=encoding,
-        risk_gaps={},
         group_counts=counts,
         z_accuracy=z_accuracy,
         excluded_strata=tuple(excluded),

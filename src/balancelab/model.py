@@ -9,7 +9,7 @@ fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -135,6 +135,8 @@ class TrainSpec:
             raise ArgumentError("momentum must lie in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1 or self.hidden_dim < 0 or self.l2 < 0:
             raise ArgumentError("epochs/batch_size >= 1, hidden_dim/l2 >= 0 required")
+        if self.mmd is not None and self.mmd.on_representation and self.hidden_dim == 0:
+            raise ArgumentError("a representation penalty needs hidden_dim > 0")
 
 
 def mmd2(sample_a: np.ndarray, sample_b: np.ndarray, bandwidth: float) -> float:
@@ -249,16 +251,15 @@ def loss(
     mmd_value = 0.0
     skipped = 0
     drep: np.ndarray | None = None
-    if spec.mmd is not None and spec.mmd.strength >= 0:
+    if spec.mmd is not None:
         if bandwidth is None:
             bandwidth = spec.mmd.bandwidth
         if bandwidth is None:
             raise ArgumentError("no bandwidth available; train() resolves the heuristic")
         on_rep = spec.mmd.on_representation
-        rep = hidden if (on_rep and hidden is not None) else None
-        target = rep if rep is not None else scores[:, None]
-        if on_rep and rep is None:
-            target = x  # linear model: the representation is the input
+        if on_rep and hidden is None:
+            raise ArgumentError("a representation penalty needs a model with a hidden layer")
+        target = hidden if on_rep else scores[:, None]
         for ia, ib in _mmd_groups(data.y, data.z, spec.mmd.mode):
             if ia.size < 2 or ib.size < 2:
                 skipped += 1
@@ -297,10 +298,6 @@ def loss(
         dout = dlogit[:, None]
         gw1 = x.T @ dout + 2.0 * spec.l2 * params.weights[0]
         gb1 = dout.sum(axis=0)
-        if drep is not None:
-            # linear model with a representation penalty: the penalty acts on
-            # the inputs themselves, which carry no parameters
-            pass
         grad_w, grad_b = [gw1], [gb1]
     return LossReport(
         value=float(total),

@@ -259,8 +259,8 @@ class SampleBatch:
         weights = np.asarray(self.weights, dtype=float)
         if weights.shape != (rows.shape[0],):
             raise ArgumentError(f"weights must be ({rows.shape[0]},), got {weights.shape}")
-        if np.any(weights < 0):
-            raise ArgumentError("weights must be non-negative")
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise ArgumentError("weights must be finite and non-negative")
         rows = rows.copy()
         rows.setflags(write=False)
         weights = weights.copy()
@@ -301,16 +301,24 @@ class SampleBatch:
         return JointTable(self.variables, (counts / total).reshape(shape))
 
 
+def _draw_states(table: JointTable, n: int, gen: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """One categorical draw of ``n`` joint states: a state column per variable.
+
+    Only cells with positive mass enter the search; the states of each
+    variable are then read off per drawn cell.
+    """
+    cells = np.flatnonzero(table.probs)
+    cdf = np.cumsum(table.probs.ravel()[cells])
+    cdf[-1] = 1.0
+    pick = np.searchsorted(cdf, gen.random(n), side="right")
+    return tuple(states[pick] for states in np.unravel_index(cells, table.shape))
+
+
 def sample(table: JointTable, n: int, seed: int) -> SampleBatch:
     """Draw ``n`` i.i.d. rows from the table; deterministic given ``seed``."""
     if n < 1:
         raise ArgumentError(f"n must be >= 1, got {n}")
-    gen = spawn(seed)
-    flat = table.probs.ravel()
-    cdf = np.cumsum(flat)
-    cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, gen.random(n), side="right")
-    rows = np.column_stack(np.unravel_index(idx, table.shape))
+    rows = np.column_stack(_draw_states(table, n, spawn(seed)))
     return SampleBatch(table.variables, rows, np.ones(n))
 
 

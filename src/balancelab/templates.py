@@ -1,24 +1,29 @@
-"""Built-in network templates for the four benchmark data-generating graphs.
+"""Built-in network templates: the one law of each benchmark graph.
 
-Each template couples a label Y and a group factor Z through a latent
-confounder and hangs observable feature channels off the latents:
+Each builder returns the exact CBN of one graph.  The exact checks use it
+with its default parameters; ``datagen`` draws graphs A, C and D from the
+same builders with the spec's parameters and noise-free channel flips, and
+keeps a continuous sampler for graph B:
 
-  A  anti-causal, purely spurious:   Y -> X_core,  Z -> X_aux
-  B  causal, purely spurious:        X_core -> Y,  Z -> X_aux
-  C  anti-causal plus a second
-     factor V:                       Y -> X_core,  Z -> X_aux,  V -> X_v
-  D  anti-causal, entangled:         Y -> X_core,  (Y, Z) -> X_ent
+  A  ``template_a``  anti-causal, purely spurious:   Y -> X_core,  Z -> X_aux
+  B  ``template_b``  causal, purely spurious:        X_core -> Y,  Z -> X_aux
+  C  ``template_c``  collider plus a second factor:  T -> X_core,  Z -> X_aux,
+                     V -> X_v, with T -> Y <- U -> Z and (Y, Z) -> V
+  D  ``template_d``  anti-causal, entangled:         Y -> X_core,  (Y, Z) -> X_ent
 
-Confounding strength is parameterized by the conditional pair
-(P(Y=0|Z=0), P(Y=0|Z=1)); the latent pair driver U realizes exactly that
-joint over (Y, Z).  Template C merges the paper-style web of confounders
-into a single latent driver for V: the observable joint is the same and no
-spurious independence is introduced.
+A and D realize the confounded joint over (Y, Z), parameterized by
+(P(Y=0|Z=0), P(Y=0|Z=1)) and P(Z=0), with a 4-state latent pair driver U.
+In C a truth bit T and a confounder U compete for the label, Z is a noisy
+copy of U, and V tracks the label with an extra pull toward Z; the collider
+at Y couples X_core to Z given Y.
+
+Each template also lists its ``undesired`` edges: removing them with
+``bayesnet.mutilate`` gives the graph's ideal law, in which Y ⊥ Z.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import norm
@@ -44,6 +49,7 @@ class GraphTemplate:
     spurious: tuple[str, ...]
     entangled: tuple[str, ...]
     other_factor: tuple[str, ...]
+    undesired: tuple[tuple[str, str], ...]  # edges whose removal gives the ideal law
 
     @property
     def observed_names(self) -> tuple[str, ...]:
@@ -118,7 +124,7 @@ def template_a(
         {"Y": ("U",), "Z": ("U",), "X_core": ("Y",), "X_aux": ("Z",)},
         {"U": pu, "Y": y_rows, "Z": z_rows, "X_core": _flip_cpt(core_flip), "X_aux": _flip_cpt(aux_flip)},
     )
-    return GraphTemplate("A", net, ("U",), "Y", "Z", ("X_core",), ("X_aux",), (), ())
+    return GraphTemplate("A", net, ("U",), "Y", "Z", ("X_core",), ("X_aux",), (), (), (("U", "Z"),))
 
 
 def template_b(
@@ -145,41 +151,48 @@ def template_b(
             "X_aux": _flip_cpt(aux_flip),
         },
     )
-    return GraphTemplate("B", net, ("U",), "Y", "Z", ("X_core",), ("X_aux",), (), ())
+    undesired = (("U", "Y"), ("U", "Z"))
+    return GraphTemplate("B", net, ("U",), "Y", "Z", ("X_core",), ("X_aux",), (), (), undesired)
 
 
 def template_c(
-    confounding: tuple[float, float] = (0.95, 0.10),
-    z_marginal: float = 0.5,
+    confounder_strength: float = 0.45,
+    label_noise: float = 0.02,
+    z_flip: float = 0.1,
     v_flip: tuple[float, float] = (0.2, 0.9),
-    v_z_pull: float = 0.35,
+    v_z_pull: float = 0.3,
     core_flip: float = 0.1,
     aux_flip: float = 0.1,
     v_channel_flip: float = 0.1,
 ) -> GraphTemplate:
-    t = _pair_joint(confounding, z_marginal)
-    pu, y_rows, z_rows = _pair_driver_cpts(t)
-    pz0_given_y = t[:, 0] / t.sum(axis=1)
-    v_rows = np.zeros((4, 2))
-    for u in range(4):
-        y, z = u >> 1, u & 1
-        # mean of P(V=0 | Y=y, Z=·) under P(Z|Y=y) stays exactly v_flip[y]
-        p_v0 = v_flip[y] + v_z_pull * ((1 if z == 0 else 0) - pz0_given_y[y])
-        p_v0 = min(max(p_v0, 0.01), 0.99)
-        v_rows[u] = (p_v0, 1 - p_v0)
+    """T and U are fair coins.  The label copies T when T and U agree and
+    copies U with probability ``confounder_strength`` when they disagree,
+    then flips with probability ``label_noise``.  Z copies U up to ``z_flip``.
+    P(V=0 | y, z) is v_flip[y] plus ``v_z_pull`` times (1{z=0} - P(Z=0 | y)),
+    clipped to [0.01, 0.99], so before clipping its mean given Y=y is v_flip[y].
+    """
+    m, ln = confounder_strength, label_noise
+    y_rows = np.zeros((2, 2, 2))  # (t, u, y)
+    for t in range(2):
+        for u in range(2):
+            p1 = float(t) if t == u else (1 - m) * t + m * u
+            p1 = (1 - ln) * p1 + ln * (1 - p1)
+            y_rows[t, u] = (1 - p1, p1)
+    z_rows = _flip_cpt(z_flip)
+    pyz = np.einsum("tuy,uz->yz", y_rows, z_rows)  # 4 P(Y=y, Z=z)
+    pz0_given_y = pyz[:, 0] / pyz.sum(axis=1)
+    v_rows = np.zeros((2, 2, 2))  # (y, z, v)
+    for y in range(2):
+        for z in range(2):
+            p_v0 = v_flip[y] + v_z_pull * ((1 if z == 0 else 0) - pz0_given_y[y])
+            p_v0 = min(max(p_v0, 0.01), 0.99)
+            v_rows[y, z] = (p_v0, 1 - p_v0)
     net = Cbn(
-        (
-            Variable("U", 4),
-            Variable("Y", 2),
-            Variable("Z", 2),
-            Variable("V", 2),
-            Variable("X_core", 2),
-            Variable("X_aux", 2),
-            Variable("X_v", 2),
-        ),
-        {"Y": ("U",), "Z": ("U",), "V": ("U",), "X_core": ("Y",), "X_aux": ("Z",), "X_v": ("V",)},
+        tuple(Variable(name, 2) for name in ("T", "U", "Y", "Z", "V", "X_core", "X_aux", "X_v")),
+        {"Y": ("T", "U"), "Z": ("U",), "V": ("Y", "Z"), "X_core": ("T",), "X_aux": ("Z",), "X_v": ("V",)},
         {
-            "U": pu,
+            "T": np.array([0.5, 0.5]),
+            "U": np.array([0.5, 0.5]),
             "Y": y_rows,
             "Z": z_rows,
             "V": v_rows,
@@ -188,9 +201,8 @@ def template_c(
             "X_v": _flip_cpt(v_channel_flip),
         },
     )
-    return GraphTemplate(
-        "C", net, ("U", "V"), "Y", "Z", ("X_core",), ("X_aux",), (), ("X_v",)
-    )
+    undesired = (("U", "Z"), ("Y", "V"))
+    return GraphTemplate("C", net, ("T", "U", "V"), "Y", "Z", ("X_core",), ("X_aux",), (), ("X_v",), undesired)
 
 
 def template_d(
@@ -212,7 +224,8 @@ def template_d(
         {"Y": ("U",), "Z": ("U",), "X_core": ("Y",), "X_ent": ("Y", "Z")},
         {"U": pu, "Y": y_rows, "Z": z_rows, "X_core": _flip_cpt(core_flip), "X_ent": ent_rows},
     )
-    return GraphTemplate("D", net, ("U",), "Y", "Z", ("X_core",), (), ("X_ent",), ())
+    undesired = (("U", "Z"), ("Y", "X_ent"), ("Z", "X_ent"))
+    return GraphTemplate("D", net, ("U",), "Y", "Z", ("X_core",), (), ("X_ent",), (), undesired)
 
 
 def graph_template(graph_id: str, **params) -> GraphTemplate:
@@ -228,43 +241,15 @@ def _random_rows(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray
 
 
 def random_instance(graph_id: str, seed: int) -> GraphTemplate:
-    """A template-shaped network with random strictly positive parameters."""
+    """The graph's template with every CPT that is not a deterministic copy
+    replaced by random strictly positive rows."""
+    tpl = graph_template(graph_id)
     gen = spawn(seed, 41)
-    if graph_id == "A":
-        t = _random_rows(gen, (4,)).reshape(2, 2)
-        tpl = template_a()
-        cpts = dict(tpl.net.cpts)
-        cpts["U"] = t.reshape(-1)
-        cpts["X_core"] = _random_rows(gen, (2, 2))
-        cpts["X_aux"] = _random_rows(gen, (2, 2))
-        return GraphTemplate("A", Cbn(tpl.net.nodes, tpl.net.parents, cpts), ("U",), "Y", "Z", ("X_core",), ("X_aux",), (), ())
-    if graph_id == "B":
-        tpl = template_b()
-        cpts = {
-            "X_core": _random_rows(gen, (2,)),
-            "U": _random_rows(gen, (2,)),
-            "Y": _random_rows(gen, (2, 2, 2)),
-            "Z": _random_rows(gen, (2, 2)),
-            "X_aux": _random_rows(gen, (2, 2)),
-        }
-        return GraphTemplate("B", Cbn(tpl.net.nodes, tpl.net.parents, cpts), ("U",), "Y", "Z", ("X_core",), ("X_aux",), (), ())
-    if graph_id == "C":
-        tpl = template_c()
-        cpts = dict(tpl.net.cpts)
-        cpts["U"] = _random_rows(gen, (4,))
-        cpts["V"] = _random_rows(gen, (4, 2))
-        cpts["X_core"] = _random_rows(gen, (2, 2))
-        cpts["X_aux"] = _random_rows(gen, (2, 2))
-        cpts["X_v"] = _random_rows(gen, (2, 2))
-        return GraphTemplate("C", Cbn(tpl.net.nodes, tpl.net.parents, cpts), ("U", "V"), "Y", "Z", ("X_core",), ("X_aux",), (), ("X_v",))
-    if graph_id == "D":
-        tpl = template_d()
-        cpts = dict(tpl.net.cpts)
-        cpts["U"] = _random_rows(gen, (4,))
-        cpts["X_core"] = _random_rows(gen, (2, 2))
-        cpts["X_ent"] = _random_rows(gen, (2, 2, 2))
-        return GraphTemplate("D", Cbn(tpl.net.nodes, tpl.net.parents, cpts), ("U",), "Y", "Z", ("X_core",), (), ("X_ent",), ())
-    raise ArgumentError(f"unknown graph id {graph_id!r}; expected one of {GRAPH_IDS}")
+    cpts = {
+        name: cpt if np.all((cpt == 0) | (cpt == 1)) else _random_rows(gen, cpt.shape)
+        for name, cpt in tpl.net.cpts.items()
+    }
+    return replace(tpl, net=Cbn(tpl.net.nodes, tpl.net.parents, cpts))
 
 
 def causal_collider_net() -> Cbn:

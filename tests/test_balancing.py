@@ -176,6 +176,13 @@ class TestBalanceBatch:
         with pytest.raises(UnbalanceableSupport, match="Y=1, Z=1"):
             balance_batch(batch, BalanceSpec(JointTarget("Y", "Z"), Mechanism.IMPORTANCE_WEIGHTS))
 
+    def test_zero_weight_cell_rejected(self):
+        batch = counts_batch({(0, 0): 5, (0, 1): 5, (1, 0): 5, (1, 1): 5})
+        cell = (batch.column("Y") == 1) & (batch.column("Z") == 1)
+        batch = batch.with_rows(batch.rows, np.where(cell, 0.0, 1.0))
+        with pytest.raises(UnbalanceableSupport, match="Y=1, Z=1"):
+            balance_batch(batch, JOINT_YZ)
+
     def test_seed_contract(self):
         with pytest.raises(ArgumentError, match="seed"):
             BalanceSpec(JointTarget("Y", "Z"), Mechanism.SUBSAMPLE_MAJORITY)

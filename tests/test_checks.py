@@ -57,6 +57,11 @@ class TestInvarianceConditions:
         assert not rep.holds
         assert rep.cond1_gap < 1e-12
         assert rep.cond2_gap > 1e-6
+        # C's collider T -> Y <- U -> Z couples X_core to Z given Y; its
+        # V channel tracks the label, so cond1 fails there too
+        tpl = graph_template("C")
+        rep = check_invariance_conditions(tpl.observed(), labels_for(tpl))
+        assert rep.cond1_gap > 1e-6 and rep.cond2_gap > 1e-6
 
     def test_template_d_fails_first_condition(self):
         tpl = graph_template("D")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from balancelab.bayesnet import joint
 from balancelab.checks import correlation_grid
 from balancelab.datagen import (
     Dataset,
@@ -16,7 +17,9 @@ from balancelab.datagen import (
     save_dataset,
     shift_testsets,
 )
-from balancelab.errors import SpecError
+from balancelab.errors import ArgumentError, SpecError
+from balancelab.tables import marginalize
+from balancelab.templates import graph_template
 
 
 def three_se(p: float, n: int) -> float:
@@ -169,6 +172,64 @@ class TestShifts:
         src_cells = np.bincount(src.y * 2 + src.z, minlength=4) / len(src)
         new_cells = np.bincount(shifted.y * 2 + shifted.z, minlength=4) / len(shifted)
         assert np.abs(src_cells - new_cells).max() < 0.01
+
+
+class TestDataset:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_weight(self, bad):
+        with pytest.raises(ArgumentError, match="weights"):
+            Dataset(np.zeros(3), np.zeros(3), np.zeros((3, 1)), np.array([1.0, bad, 1.0]), {"x": (0, 1)})
+
+
+# non-default laws, so a default wired in anywhere shows; each entry pairs the
+# spec with the template parameters that fix its (Y, Z) marginal
+EXACT_CASES = {
+    "A": (
+        GenSpec(graph="A", n=40_000, seed=30, confounding=(0.8, 0.3), z_marginal=0.4),
+        {"confounding": (0.8, 0.3), "z_marginal": 0.4},
+    ),
+    "C": (
+        GenSpec(graph="C", n=40_000, seed=31, confounder_strength=0.6, z_flip=0.2, label_noise=0.05),
+        {"confounder_strength": 0.6, "z_flip": 0.2, "label_noise": 0.05},
+    ),
+    "D": (
+        GenSpec(graph="D", n=40_000, seed=32, confounding=(0.9, 0.25), z_marginal=0.6),
+        {"confounding": (0.9, 0.25), "z_marginal": 0.6},
+    ),
+}
+
+
+def yz_table(gid: str) -> np.ndarray:
+    spec, params = EXACT_CASES[gid]
+    pair = marginalize(joint(graph_template(gid, **params).net), {"Y", "Z"})
+    return np.transpose(pair.probs, pair.axes(("Y", "Z")))
+
+
+def assert_cells_within_3se(ds: Dataset, exact: np.ndarray) -> None:
+    freq = np.bincount(2 * ds.y + ds.z, minlength=4).reshape(2, 2) / len(ds)
+    for cell in np.ndindex(2, 2):
+        assert abs(freq[cell] - exact[cell]) < three_se(exact[cell], len(ds)), (cell, freq, exact)
+
+
+class TestExactLaw:
+    """The sets are drawn from the exact tables of the template law."""
+
+    @pytest.mark.parametrize("gid", ["A", "C", "D"])
+    def test_source_ideal_and_shift_cells_match_exact(self, gid):
+        spec = EXACT_CASES[gid][0]
+        source = yz_table(gid)
+        assert_cells_within_3se(generate(spec), source)
+        py, pz = source.sum(axis=1), source.sum(axis=0)
+        assert_cells_within_3se(ideal_testset(spec, 40_000, seed=33), np.outer(py, pz))
+        grid = correlation_grid(3)
+        for g, ds in zip(grid, shift_testsets(spec, grid, 40_000, seed=34)):
+            assert_cells_within_3se(ds, py[:, None] * g)
+
+    @pytest.mark.parametrize("gid", ["A", "C", "D"])
+    def test_implied_conditional_is_template_marginal(self, gid):
+        source = yz_table(gid)
+        implied = implied_y_given_z(EXACT_CASES[gid][0])
+        np.testing.assert_allclose(implied, source / source.sum(axis=0), rtol=0, atol=1e-15)
 
 
 class TestSerialization:

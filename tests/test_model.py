@@ -135,7 +135,7 @@ class TestGradients:
         ],
     )
     def test_matches_central_differences(self, mmd, hidden):
-        spec = TrainSpec(l2=1e-3, mmd=mmd)
+        spec = TrainSpec(l2=1e-3, hidden_dim=hidden, mmd=mmd)
         for seed in range(3):
             # relative tolerance 1e-4 with an absolute floor of 1e-8
             assert central_difference_worst_error(spec, hidden, seed) < 1e-4
@@ -163,6 +163,13 @@ class TestTraining:
         ds = two_cluster_dataset(3)
         result = train(ds, TrainSpec(epochs=30, seed=1))
         assert result.log[-1]["loss"] <= result.log[0]["loss"]
+
+    def test_representation_penalty_needs_hidden_layer(self):
+        penalty = MmdPenalty("conditional", 1.0, 0.3, on_representation=True)
+        with pytest.raises(ArgumentError, match="hidden"):
+            TrainSpec(hidden_dim=0, mmd=penalty)
+        with pytest.raises(ArgumentError, match="hidden"):  # linear params
+            loss(random_params(0), toy_dataset(0), TrainSpec(hidden_dim=3, mmd=penalty))
 
     def test_tiny_learning_rate_keeps_params_near_init(self):
         ds = two_cluster_dataset(4)

@@ -160,6 +160,11 @@ class TestIsIndependent:
 
 
 class TestSample:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_batch_rejects_bad_weight(self, bad):
+        with pytest.raises(ArgumentError, match="weights"):
+            SampleBatch((Y, Z), np.zeros((3, 2)), np.array([1.0, bad, 1.0]))
+
     def test_point_mass_rows_constant(self):
         t = JointTable((Y, Z), np.array([[0.0, 0.0], [1.0, 0.0]]))
         batch = sample(t, 50, seed=1)
