@@ -173,6 +173,8 @@ class Dataset:
             raise ArgumentError("column lengths disagree")
         if not np.all(np.isfinite(w) & (w >= 0)):
             raise ArgumentError("weights must be finite and non-negative")
+        if not np.all((y == 0) | (y == 1)):
+            raise ArgumentError("labels y must be 0 or 1")
         v = None if self.v is None else np.asarray(self.v, dtype=np.int64)
         if v is not None and v.shape != (n,):
             raise ArgumentError("v column length disagrees")
@@ -200,15 +202,21 @@ class Dataset:
         return self.x[:, start:stop]
 
     def take(self, idx: np.ndarray, weights: np.ndarray | None = None) -> "Dataset":
-        return Dataset(
-            self.y[idx],
-            self.z[idx],
-            self.x[idx],
-            self.weights[idx] if weights is None else weights,
-            self.channel_slices,
-            None if self.v is None else self.v[idx],
-            self.spec,
-        )
+        """The rows ``idx`` (a 1-D index array or slice).  New ``weights`` are
+        validated; without them the rows of this validated set are kept as is."""
+        v = None if self.v is None else self.v[idx]
+        cols = {"y": self.y[idx], "z": self.z[idx], "x": self.x[idx], "v": v}
+        if weights is not None:
+            return Dataset(weights=weights, channel_slices=self.channel_slices, spec=self.spec, **cols)
+        if cols["y"].ndim != 1:
+            raise ArgumentError("row index must be one-dimensional")
+        out = object.__new__(Dataset)
+        cols |= {"weights": self.weights[idx], "channel_slices": dict(self.channel_slices), "spec": self.spec}
+        for name, value in cols.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(out, name, value)
+        return out
 
     def with_weights(self, weights: np.ndarray) -> "Dataset":
         return Dataset(self.y, self.z, self.x, weights, self.channel_slices, self.v, self.spec)

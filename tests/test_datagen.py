@@ -180,6 +180,32 @@ class TestDataset:
         with pytest.raises(ArgumentError, match="weights"):
             Dataset(np.zeros(3), np.zeros(3), np.zeros((3, 1)), np.array([1.0, bad, 1.0]), {"x": (0, 1)})
 
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_rejects_non_binary_label(self, bad):
+        with pytest.raises(ArgumentError, match="labels"):
+            Dataset(np.array([0, bad, 1]), np.zeros(3), np.zeros((3, 1)), np.ones(3), {"x": (0, 1)})
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_take_validates_new_weights(self, bad):
+        ds = generate(GenSpec(graph="A", n=20, seed=1))
+        with pytest.raises(ArgumentError, match="weights"):
+            ds.take(np.arange(3), weights=np.array([1.0, bad, 1.0]))
+
+    def test_take_slices_read_only_columns(self):
+        ds = generate(GenSpec(graph="C", n=50, seed=2))
+        idx = np.array([4, 0, 4, 17])
+        part = ds.take(idx)
+        for name in ("y", "z", "x", "weights", "v"):
+            col = getattr(part, name)
+            assert np.array_equal(col, getattr(ds, name)[idx])
+            assert not col.flags.writeable
+        assert part.channel_slices == ds.channel_slices
+        assert part.channel_slices is not ds.channel_slices
+        assert part.spec is ds.spec
+        assert len(ds.take(slice(10, 20))) == 10
+        with pytest.raises(ArgumentError, match="one-dimensional"):
+            ds.take(idx[:, None])
+
 
 # non-default laws, so a default wired in anywhere shows; each entry pairs the
 # spec with the template parameters that fix its (Y, Z) marginal

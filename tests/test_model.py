@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from balancelab import model
 from balancelab.datagen import Dataset, GenSpec, generate, ideal_testset
 from balancelab.errors import ArgumentError, DegenerateTarget, SampleSizeError
 from balancelab.model import (
@@ -81,6 +84,15 @@ class TestMmd2:
         with pytest.raises(SampleSizeError):
             mmd2(np.array([0.1]), np.array([0.2, 0.3]), 0.3)
 
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_bad_bandwidth_rejected(self, bad):
+        a = np.array([0.1, 0.4, 0.9])
+        with pytest.raises(ArgumentError, match="bandwidth"):
+            mmd2(a, a, bad)
+        spec = TrainSpec(mmd=MmdPenalty("marginal", 1.0))
+        with pytest.raises(ArgumentError, match="bandwidth"):
+            loss(random_params(0), toy_dataset(0), spec, bandwidth=bad)
+
     def test_median_bandwidth(self):
         values = np.array([0.0, 1.0, 2.0])
         assert median_bandwidth(values) == pytest.approx(1.0)
@@ -152,6 +164,107 @@ class TestGradients:
         assert abs(report.mmd) < 1e-12
 
 
+def brute_penalty(target: np.ndarray, y: np.ndarray, z: np.ndarray, mode: str, h: float):
+    """Per-stratum unbiased squared MMD of the target rows and its gradient,
+    by double loops over the textbook U-statistic."""
+
+    def k(u, v):
+        return np.exp(-((u - v) ** 2).sum() / (2 * h * h))
+
+    strata = [np.ones(len(y), dtype=bool)] if mode == "marginal" else [y == 0, y == 1]
+    value, grad, skipped = 0.0, np.zeros_like(target), 0
+    for stratum in strata:
+        sides = [np.flatnonzero(stratum & (z == 0)), np.flatnonzero(stratum & (z == 1))]
+        m, n = len(sides[0]), len(sides[1])
+        if m < 2 or n < 2:
+            skipped += 1
+            continue
+        for side in sides:
+            size = len(side)
+            for i in side:
+                for j in side:
+                    if i != j:
+                        kij = k(target[i], target[j])
+                        value += kij / (size * (size - 1))
+                        # the ordered pair (j, i) adds the same derivative
+                        grad[i] -= 2 * kij * (target[i] - target[j]) / (h * h * size * (size - 1))
+        for i in sides[0]:
+            for j in sides[1]:
+                kij = k(target[i], target[j])
+                value -= 2 * kij / (m * n)
+                dk = -(target[i] - target[j]) / (h * h) * kij  # d k / d t_i = -(d k / d t_j)
+                grad[i] -= 2 * dk / (m * n)
+                grad[j] += 2 * dk / (m * n)
+    return value, grad, skipped
+
+
+def backprop(params: ModelParams, x: np.ndarray, dtarget: np.ndarray, on_rep: bool):
+    """Parameter gradients of sum(dtarget * target) for a one-hidden-layer
+    relu model, the target being the scores or the hidden representation."""
+    (w1, w2), (b1, _) = params.weights, params.biases
+    pre = x @ w1 + b1
+    if on_rep:
+        dout = np.zeros((len(x), 1))
+        dhidden = dtarget
+    else:
+        s = predict_scores(params, x)
+        dout = dtarget * (s * (1 - s))[:, None]
+        dhidden = dout @ w2.T
+    dpre = dhidden * (pre > 0)
+    return [x.T @ dpre, np.maximum(pre, 0.0).T @ dout], [dpre.sum(axis=0), dout.sum(axis=0)]
+
+
+def one_row_side_dataset() -> Dataset:
+    # y = 0 has a single z = 1 row, so the conditional penalty skips that
+    # stratum; the z = 2 rows belong to no stratum
+    y = np.array([0] * 6 + [1] * 9 + [0, 0, 1])
+    z = np.array([0, 0, 1, 0, 0, 0] + [0, 1, 0, 1, 1, 0, 0, 1, 1] + [2, 2, 2])
+    x = spawn(7, 56).normal(size=(len(y), 4))
+    return Dataset(y, z, x, np.ones(len(y)), {"all": (0, 4)})
+
+
+class TestFusedPenalty:
+    @pytest.mark.parametrize("mode", ["marginal", "conditional"])
+    @pytest.mark.parametrize("on_rep", [False, True])
+    @pytest.mark.parametrize("data", ["random", "one_row_side"])
+    def test_loss_matches_double_loop(self, mode, on_rep, data):
+        ds = toy_dataset(8, n=30) if data == "random" else one_row_side_dataset()
+        params = random_params(9, hidden=3)
+        h, strength = 0.7, 1.5
+        spec = TrainSpec(l2=1e-3, hidden_dim=3, mmd=MmdPenalty(mode, strength, h, on_representation=on_rep))
+        report = loss(params, ds, spec)
+
+        scores = predict_scores(params, ds.x)
+        target = representation(params, ds.x) if on_rep else scores[:, None]
+        value, grad, skipped = brute_penalty(target, ds.y, ds.z, mode, h)
+        plain = loss(params, ds, TrainSpec(l2=1e-3, hidden_dim=3))
+        gw, gb = backprop(params, ds.x, strength * grad, on_rep)
+
+        assert report.skipped_strata == skipped
+        assert skipped == (1 if data == "one_row_side" and mode == "conditional" else 0)
+        assert report.mmd == pytest.approx(value, rel=1e-12)
+        assert report.value == pytest.approx(plain.value + strength * value, rel=1e-12)
+        got = report.grad_weights + report.grad_biases
+        base = plain.grad_weights + plain.grad_biases
+        for g, b, extra in zip(got, base, gw + gb):
+            np.testing.assert_allclose(g, b + extra, rtol=1e-12, atol=0)
+
+
+class TestKnobs:
+    @pytest.mark.parametrize("field", ["learning_rate", "l2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_train_spec_rejects_non_finite(self, field, bad):
+        with pytest.raises(ArgumentError, match=field):
+            TrainSpec(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["strength", "bandwidth"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_penalty_rejects_non_finite(self, field, bad):
+        knobs = {"strength": 1.0, "bandwidth": 0.3} | {field: bad}
+        with pytest.raises(ArgumentError, match=field):
+            MmdPenalty("marginal", **knobs)
+
+
 class TestTraining:
     def test_separable_clusters_reach_high_accuracy(self):
         ds = two_cluster_dataset(1)
@@ -211,6 +324,52 @@ class TestTraining:
         )
         result = train(ds, TrainSpec(epochs=2, mmd=MmdPenalty("conditional", 1.0, 0.3)))
         assert result.log[-1]["skipped_strata"] > 0
+
+
+def validating_take(self: Dataset, idx: np.ndarray, weights: np.ndarray | None = None) -> Dataset:
+    """``Dataset.take`` through the validating constructor on every call."""
+    return Dataset(
+        self.y[idx],
+        self.z[idx],
+        self.x[idx],
+        self.weights[idx] if weights is None else weights,
+        self.channel_slices,
+        None if self.v is None else self.v[idx],
+        self.spec,
+    )
+
+
+class TestTrainContract:
+    def test_loss_called_through_module_global(self, monkeypatch):
+        ds = two_cluster_dataset(11, n=300)
+        spec = TrainSpec(epochs=3, batch_size=64)
+        seen = []
+        real = model.loss
+
+        def counting(*args, **kwargs):
+            seen.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, "loss", counting)
+        train(ds, spec)
+        assert len(seen) == spec.epochs * math.ceil(len(ds) / spec.batch_size)
+        assert all(s is spec for s in seen)
+
+    def test_trusted_take_is_bit_identical(self, monkeypatch):
+        ds = generate(GenSpec(graph="C", n=700, seed=12))
+        spec = TrainSpec(epochs=3, hidden_dim=4, seed=3)
+
+        def run():
+            result = train(ds, spec)
+            return result, probe_encoding(result.params, ds, "v", seed=4)
+
+        fast, fast_acc = run()
+        monkeypatch.setattr(Dataset, "take", validating_take)
+        slow, slow_acc = run()
+        for a, b in zip(fast.params.weights + fast.params.biases, slow.params.weights + slow.params.biases):
+            assert np.array_equal(a, b)
+        assert fast.log == slow.log
+        assert fast_acc == slow_acc
 
 
 class TestProbe:
