@@ -30,20 +30,26 @@ from .tables import (
 CPT_ROW_TOL = 1e-12
 
 
-def _toposort(nodes: Sequence[str], parents: Mapping[str, tuple[str, ...]]) -> tuple[str, ...]:
-    order_index = {n: i for i, n in enumerate(nodes)}
-    indeg = {n: len(parents[n]) for n in nodes}
+def _children(nodes: Sequence[str], parents: Mapping[str, tuple[str, ...]]) -> dict[str, tuple[str, ...]]:
+    """Each node's children, in node order."""
     children: dict[str, list[str]] = {n: [] for n in nodes}
-    for child, ps in parents.items():
-        for p in ps:
-            children[p].append(child)
-    ready = sorted((n for n in nodes if indeg[n] == 0), key=order_index.__getitem__)
-    queue = deque(ready)
+    for c in nodes:
+        for p in parents[c]:
+            children[p].append(c)
+    return {n: tuple(cs) for n, cs in children.items()}
+
+
+def _toposort(nodes: Sequence[str], children: Mapping[str, tuple[str, ...]]) -> tuple[str, ...]:
+    indeg = {n: 0 for n in nodes}
+    for cs in children.values():
+        for c in cs:
+            indeg[c] += 1
+    queue = deque(n for n in nodes if indeg[n] == 0)
     out: list[str] = []
     while queue:
         n = queue.popleft()
         out.append(n)
-        for c in sorted(children[n], key=order_index.__getitem__):
+        for c in children[n]:
             indeg[c] -= 1
             if indeg[c] == 0:
                 queue.append(c)
@@ -70,9 +76,11 @@ class Dag:
                     raise UnknownVariableError(f"parent {p!r} of {child!r} is not a node")
             if len(set(ps)) != len(ps):
                 raise ArgumentError(f"duplicate parents for {child!r}: {ps}")
+        children = _children(nodes, parents)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "parents", parents)
-        object.__setattr__(self, "_topo", _toposort(nodes, parents))
+        object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "_topo", _toposort(nodes, children))
 
     @property
     def topo_order(self) -> tuple[str, ...]:
@@ -85,7 +93,7 @@ class Dag:
     def children(self, node: str) -> tuple[str, ...]:
         if node not in self.parents:
             raise UnknownVariableError(f"unknown node {node!r}")
-        return tuple(c for c in self.nodes if node in self.parents[c])
+        return self._children[node]  # type: ignore[attr-defined]
 
     def ancestors(self, targets: Iterable[str]) -> set[str]:
         """Targets plus all their ancestors."""
@@ -102,14 +110,15 @@ class Dag:
     def descendants(self, node: str) -> set[str]:
         """Strict descendants of ``node``."""
         self._require([node])
+        children = self._children  # type: ignore[attr-defined]
         seen: set[str] = set()
-        queue = deque(self.children(node))
+        queue = deque(children[node])
         while queue:
             n = queue.popleft()
             if n in seen:
                 continue
             seen.add(n)
-            queue.extend(self.children(n))
+            queue.extend(children[n])
         return seen
 
     def _require(self, names: Iterable[str]) -> tuple[str, ...]:
@@ -320,6 +329,14 @@ class Violation:
 
 @dataclass(frozen=True)
 class FactorizationReport:
+    """Whether a table factorizes according to a DAG, and if not, why.
+
+    The verdict comes from the local Markov statements alone.  ``violations``
+    is empty when the table factorizes; otherwise it lists every failing
+    pairwise statement (``kind="pairwise"``) followed by every failing local
+    Markov statement (``kind="local-markov"``).
+    """
+
     factorizes: bool
     violations: tuple[Violation, ...]
     tol: float
@@ -332,20 +349,34 @@ class FactorizationReport:
 
 
 def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e-9) -> FactorizationReport:
-    """Check that every conditional independence implied by the DAG holds in the table.
+    """Check that the table factorizes according to the DAG.
 
-    Two families of statements are tested: all pairwise statements
-    x ⊥ y | S over subsets S of the remaining nodes (fine-grained reports),
-    and the local Markov statements node ⊥ nondescendants | parents (which
-    make the check complete: a table satisfying all of them factorizes).
+    The verdict comes from the local Markov statements
+    node ⊥ nondescendants | parents, one per node: a table satisfying all of
+    them factorizes, and then every other statement the DAG implies holds
+    too.  Only when one of them fails are the pairwise statements
+    x ⊥ y | S, over every d-separating subset S of the remaining nodes,
+    tested as well, to say which finer independences break.  That sweep is
+    exponential in the number of nodes.
     """
     dag = graph.dag if isinstance(graph, Cbn) else graph
     if set(dag.nodes) != set(table.names):
         raise UnknownVariableError(
             f"graph nodes {sorted(dag.nodes)} do not match table variables {sorted(table.names)}"
         )
-    violations: list[Violation] = []
     names = list(dag.nodes)
+    local: list[Violation] = []
+    for v in names:
+        parents = dag.parents[v]
+        excluded = dag.descendants(v) | set(parents) | {v}
+        nondesc = tuple(n for n in names if n not in excluded)
+        if nondesc:
+            rep = is_independent(table, (v,), nondesc, parents, tol)
+            if not rep:
+                local.append(Violation((v,), nondesc, parents, rep.max_gap, "local-markov"))
+    if not local:
+        return FactorizationReport(True, (), tol)
+    violations: list[Violation] = []
     for x, y in combinations(names, 2):
         rest = [n for n in names if n not in (x, y)]
         for mask in range(1 << len(rest)):
@@ -354,16 +385,7 @@ def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e
                 rep = is_independent(table, (x,), (y,), cond, tol)
                 if not rep:
                     violations.append(Violation((x,), (y,), cond, rep.max_gap, "pairwise"))
-    for v in names:
-        parents = dag.parents[v]
-        nondesc = tuple(
-            n for n in names if n != v and n not in parents and n not in dag.descendants(v)
-        )
-        if nondesc:
-            rep = is_independent(table, (v,), nondesc, parents, tol)
-            if not rep:
-                violations.append(Violation((v,), nondesc, parents, rep.max_gap, "local-markov"))
-    return FactorizationReport(not violations, tuple(violations), tol)
+    return FactorizationReport(False, tuple(violations + local), tol)
 
 
 # Graph text format: a [nodes] block of 'name cardinality' lines, an [edges]

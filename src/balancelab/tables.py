@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -197,40 +198,32 @@ def is_independent(
         raise ArgumentError(f"a, b, given must be disjoint, got {a}, {b}, {given}")
 
     sub = marginalize(table, set(a) | set(b) | set(given))
-    order = sub.axes(a) + sub.axes(b) + sub.axes(given)
-    arr = np.transpose(sub.probs, order)
-    na = int(np.prod(arr.shape[: len(a)]))
-    nb = int(np.prod(arr.shape[len(a) : len(a) + len(b)]))
-    ng = int(np.prod(arr.shape[len(a) + len(b) :])) if given else 1
-    flat = arr.reshape(na, nb, ng)
+    arr = np.transpose(sub.probs, sub.axes(a) + sub.axes(b) + sub.axes(given))
+    shape_a = arr.shape[: len(a)]
+    shape_b = arr.shape[len(a) : len(a) + len(b)]
+    shape_g = arr.shape[len(a) + len(b) :]
+    flat = arr.reshape(prod(shape_a), prod(shape_b), -1)
 
-    max_gap = 0.0
-    argmax: tuple[int, int, int] | None = None
-    for g in range(ng):
-        mass = float(flat[:, :, g].sum())
-        if mass == 0.0:
-            continue
-        pab = flat[:, :, g] / mass
-        diff = np.abs(pab - pab.sum(axis=1, keepdims=True) * pab.sum(axis=0, keepdims=True))
-        i, j = np.unravel_index(int(diff.argmax()), diff.shape)
-        if float(diff[i, j]) >= max_gap:
-            max_gap = float(diff[i, j])
-            argmax = (int(i), int(j), g)
+    # Each conditioning state's mass is summed from its own slice: numpy's
+    # summation order follows the slice's memory layout, and a one-ulp change
+    # in the mass moves the gaps and can change which of several exactly tied
+    # cells attains the maximum.  The rest is one broadcast over the states
+    # with positive mass; the last of them attaining the largest gap wins, and
+    # within a state the first (a, b) cell in row-major order.
+    mass = np.array([flat[:, :, g].sum() for g in range(flat.shape[2])])
+    live = np.flatnonzero(mass)
+    pab = flat.transpose(2, 0, 1)[live] / mass[live, None, None]
+    diff = np.abs(pab - pab.sum(axis=2, keepdims=True) * pab.sum(axis=1, keepdims=True))
+    diff = diff.reshape(len(live), -1)
+    gaps = diff.max(axis=1)
+    k = len(live) - 1 - int(gaps[::-1].argmax())
+    max_gap = float(gaps[k])
 
-    argmax_state: dict[str, int] | None = None
-    if argmax is not None:
-        ai, bi, gi = argmax
-        shape_a = arr.shape[: len(a)]
-        shape_b = arr.shape[len(a) : len(a) + len(b)]
-        shape_g = arr.shape[len(a) + len(b) :]
-        argmax_state = {}
-        for name, state in zip(a, np.unravel_index(ai, shape_a) if a else ()):
+    ai, bi = np.unravel_index(int(diff[k].argmax()), flat.shape[:2])
+    argmax_state: dict[str, int] = {}
+    for names, shape, index in ((a, shape_a, ai), (b, shape_b, bi), (given, shape_g, live[k])):
+        for name, state in zip(names, np.unravel_index(int(index), shape)):
             argmax_state[name] = int(state)
-        for name, state in zip(b, np.unravel_index(bi, shape_b) if b else ()):
-            argmax_state[name] = int(state)
-        if given:
-            for name, state in zip(given, np.unravel_index(gi, shape_g)):
-                argmax_state[name] = int(state)
     return IndependenceReport(max_gap <= tol, max_gap, argmax_state, tol)
 
 

@@ -7,10 +7,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from balancelab import bayesnet
 from balancelab.bayesnet import (
     Cbn,
     Dag,
+    FactorizationReport,
     GraphEdit,
+    Violation,
     d_separated,
     dumps_cbn,
     factorizes_according_to,
@@ -19,9 +25,10 @@ from balancelab.bayesnet import (
     mutilate,
     sample_cbn,
 )
+from balancelab.checks import find_nonfactorizing_balance
 from balancelab.errors import ArgumentError, CycleError, EdgeError
 from balancelab.rng import spawn
-from balancelab.tables import Variable, is_independent, marginalize
+from balancelab.tables import JointTable, Variable, is_independent, marginalize
 from balancelab.templates import causal_collider_net, graph_template
 
 
@@ -54,6 +61,40 @@ def random_net(seed: int, n_nodes: int) -> Cbn:
         rows = gen.uniform(0.1, 0.9, size=shape)
         cpts[name] = rows / rows.sum(axis=-1, keepdims=True)
     return Cbn(tuple(Variable(n, 2) for n in names), parents, cpts)
+
+
+def random_dag(seed: int, names: tuple[str, ...]) -> Dag:
+    """Random DAG over ``names``: a random order, up to two earlier parents each."""
+    gen = spawn(seed, 6)
+    order = [names[i] for i in gen.permutation(len(names))]
+    parents = {}
+    for i, name in enumerate(order):
+        k = int(gen.integers(0, min(i, 2) + 1))
+        parents[name] = tuple(order[j] for j in sorted(gen.choice(i, size=k, replace=False))) if k else ()
+    return Dag(names, parents)
+
+
+def full_sweep(table: JointTable, dag: Dag, tol: float = 1e-9) -> FactorizationReport:
+    """Reference: test every d-separated pair under every conditioning set,
+    then every local Markov statement, whatever the verdict."""
+    violations = []
+    names = list(dag.nodes)
+    for x, y in combinations(names, 2):
+        rest = [n for n in names if n not in (x, y)]
+        for mask in range(1 << len(rest)):
+            cond = tuple(r for i, r in enumerate(rest) if mask >> i & 1)
+            if d_separated(dag, {x}, {y}, cond):
+                rep = is_independent(table, (x,), (y,), cond, tol)
+                if not rep:
+                    violations.append(Violation((x,), (y,), cond, rep.max_gap, "pairwise"))
+    for v in names:
+        parents = dag.parents[v]
+        nondesc = tuple(n for n in names if n != v and n not in parents and n not in dag.descendants(v))
+        if nondesc:
+            rep = is_independent(table, (v,), nondesc, parents, tol)
+            if not rep:
+                violations.append(Violation((v,), nondesc, parents, rep.max_gap, "local-markov"))
+    return FactorizationReport(not violations, tuple(violations), tol)
 
 
 class TestConstruction:
@@ -168,12 +209,79 @@ class TestFactorization:
         for seed in range(20):
             net = random_net(seed, 4)
             report = factorizes_according_to(joint(net), net)
-            assert report.factorizes, report.violations
+            assert report == FactorizationReport(True, (), 1e-9), report.violations
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**16), st.integers(0, 2**16), st.integers(2, 5))
+    def test_report_matches_full_sweep(self, net_seed, dag_seed, n_nodes):
+        net = random_net(net_seed, n_nodes)
+        table = joint(net)
+        assert factorizes_according_to(table, net) == FactorizationReport(True, (), 1e-9)
+        other = random_dag(dag_seed, net.names)
+        assert factorizes_according_to(table, other) == full_sweep(table, other)
+
+    def test_counterexample_reports_match_full_sweep(self):
+        for example_id in ("C1", "C2", "C3"):
+            for seed in range(10):
+                found = find_nonfactorizing_balance(example_id, seed)
+                report = factorizes_according_to(found.balanced, found.skeleton)
+                assert report == full_sweep(found.balanced, found.skeleton), (example_id, seed)
+                assert not report.factorizes
+
+    def test_factorizing_chain_runs_no_pairwise_sweep(self, monkeypatch):
+        calls = {"d_separated": 0, "is_independent": 0}
+
+        def counted(name):
+            inner = getattr(bayesnet, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        names = tuple(f"N{i}" for i in range(8))
+        gen = spawn(3, 7)
+        cpts = {n: gen.uniform(0.1, 0.9, size=(2, 2) if i else (2,)) for i, n in enumerate(names)}
+        chain = Cbn(
+            tuple(Variable(n, 2) for n in names),
+            {n: (names[i - 1],) for i, n in enumerate(names) if i},
+            {n: c / c.sum(axis=-1, keepdims=True) for n, c in cpts.items()},
+        )
+        table = joint(chain)
+        for name in calls:
+            monkeypatch.setattr(bayesnet, name, counted(name))
+        assert factorizes_according_to(table, chain).factorizes
+        assert calls["d_separated"] == 0
+        assert calls["is_independent"] <= 8
+
+    def test_own_joint_within_rounding_of_tolerance_factorizes(self):
+        # Three independent nodes, C almost always 0.  Moving 1e-11 of mass
+        # between two cells leaves every local Markov gap near 1e-11, but
+        # A _||_ B | C=1 divides by P(C=1) = 1e-5 and magnifies the noise
+        # past tol.  The verdict follows local Markov, so the table factorizes.
+        names = ("A", "B", "C")
+        net = Cbn(
+            tuple(Variable(n, 2) for n in names),
+            {},
+            {"A": np.array([0.4, 0.6]), "B": np.array([0.7, 0.3]), "C": np.array([1 - 1e-5, 1e-5])},
+        )
+        probs = joint(net).probs.copy()
+        probs[0, 0, 1] += 1e-11
+        probs[1, 1, 0] -= 1e-11
+        table = JointTable(net.nodes, probs)
+        sweep = full_sweep(table, net.dag)
+        assert not sweep.factorizes
+        assert {v.kind for v in sweep.violations} == {"pairwise"}
+        assert all("C" in v.given for v in sweep.violations)
+        assert 1e-9 < sweep.max_gap() < 1e-5
+        assert factorizes_according_to(table, net) == FactorizationReport(True, (), 1e-9)
 
     def test_dependent_table_fails_isolated_node_skeleton(self):
         net = collider_net()
         skeleton = Dag(("X", "Z", "Y"), {"Y": ("X",)})  # drops Z -> Y
         report = factorizes_according_to(joint(net), skeleton)
+        assert report == full_sweep(joint(net), skeleton)
         assert not report.factorizes
         assert report.max_gap() > 1e-6
         assert any("Z" in v.a + v.b for v in report.violations)

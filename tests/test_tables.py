@@ -128,7 +128,76 @@ class TestCondition:
         assert c.names == ("A",)
 
 
+def loop_is_independent(table: JointTable, a, b, given=(), tol: float = 1e-9):
+    """Reference: one conditioning state at a time, as a plain loop.
+
+    Returns (independent, max_gap, argmax_state).  Zero-mass states are
+    skipped, the last state attaining the largest gap wins (``>=``), and
+    within a state the first flat argmax wins.
+    """
+    a, b, given = tuple(a), tuple(b), tuple(given)
+    sub = marginalize(table, set(a) | set(b) | set(given))
+    arr = np.transpose(sub.probs, sub.axes(a) + sub.axes(b) + sub.axes(given))
+    shape_a = arr.shape[: len(a)]
+    shape_b = arr.shape[len(a) : len(a) + len(b)]
+    shape_g = arr.shape[len(a) + len(b) :]
+    flat = arr.reshape(int(np.prod(shape_a)), int(np.prod(shape_b)), -1)
+    max_gap, argmax = 0.0, None
+    for g in range(flat.shape[2]):
+        mass = float(flat[:, :, g].sum())
+        if mass == 0.0:
+            continue
+        pab = flat[:, :, g] / mass
+        diff = np.abs(pab - pab.sum(axis=1, keepdims=True) * pab.sum(axis=0, keepdims=True))
+        i, j = np.unravel_index(int(diff.argmax()), diff.shape)
+        if float(diff[i, j]) >= max_gap:
+            max_gap, argmax = float(diff[i, j]), (i, j, g)
+    state = {}
+    for names, shape, index in zip((a, b, given), (shape_a, shape_b, shape_g), argmax):
+        state.update(zip(names, (int(s) for s in np.unravel_index(index, shape))))
+    return max_gap <= tol, max_gap, state
+
+
+def sweep_table(seed: int) -> tuple[JointTable, tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """A random table with zero cells or tied gaps, and a random (a, b, given) split."""
+    gen = spawn(seed, 98)
+    k = int(gen.integers(2, 6))
+    cards = tuple(int(c) for c in gen.integers(2, 4, size=k))
+    probs = gen.random(cards)
+    if seed % 3 == 1:
+        probs[probs < 0.4] = 0.0  # zero-mass conditioning states
+    elif seed % 3 == 2:
+        probs = np.round(probs * 3) + 1  # few distinct values: tied gaps
+    names = tuple(f"V{i}" for i in range(k))
+    table = JointTable(tuple(Variable(n, c) for n, c in zip(names, cards)), probs / probs.sum())
+    order = [names[i] for i in gen.permutation(k)]
+    na = int(gen.integers(1, k))
+    nb = int(gen.integers(1, k - na + 1))
+    ng = int(gen.integers(0, k - na - nb + 1))
+    return table, tuple(order[:na]), tuple(order[na : na + nb]), tuple(order[na + nb : na + nb + ng])
+
+
 class TestIsIndependent:
+    def test_matches_state_loop(self):
+        for seed in range(300):
+            table, a, b, given = sweep_table(seed)
+            rep = is_independent(table, a, b, given)
+            independent, max_gap, state = loop_is_independent(table, a, b, given)
+            assert rep.independent == independent, seed
+            assert rep.argmax_state == state, seed
+            assert abs(rep.max_gap - max_gap) <= 1e-15, seed
+
+    def test_tie_goes_to_last_live_state_and_first_cell(self):
+        # Y and Z are independent within every state of G, and every cell is
+        # a dyadic fraction, so each gap is exactly 0; G=2 has zero mass.
+        probs = np.zeros((2, 2, 3))
+        probs[:, :, 0] = np.outer([0.25, 0.75], [0.5, 0.5]) / 2
+        probs[:, :, 1] = np.outer([0.5, 0.5], [0.25, 0.75]) / 2
+        t = JointTable((Y, Z, Variable("G", 3)), probs)
+        rep = is_independent(t, {"Y"}, {"Z"}, {"G"})
+        assert rep.max_gap == 0.0
+        assert rep.argmax_state == {"Y": 0, "Z": 0, "G": 1}
+
     def test_product_table_gap_is_tiny(self):
         for seed in range(10):
             a = random_table(seed, (3,), ("A",))
