@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, CycleError, EdgeError, UnknownVariableError
+from .errors import ArgumentError, CycleError, EdgeError, UnknownVariableError, text_line
 from .rng import spawn
 from .tables import (
     JointTable,
@@ -208,8 +208,8 @@ class Cbn:
                 raise ArgumentError(
                     f"CPT for {v.name!r} has shape {cpt.shape}, expected {expected}"
                 )
-            if np.any(cpt < 0):
-                raise ArgumentError(f"CPT for {v.name!r} has negative entries")
+            if not np.all(cpt >= 0):  # also catches NaN
+                raise ArgumentError(f"CPT for {v.name!r} has negative or NaN entries")
             rows = cpt.sum(axis=-1)
             if np.any(np.abs(rows - 1.0) > CPT_ROW_TOL):
                 raise ArgumentError(f"CPT rows for {v.name!r} must sum to 1 within {CPT_ROW_TOL}")
@@ -411,6 +411,8 @@ def loads_cbn(text: str) -> Cbn:
     variables: list[Variable] = []
     parents: dict[str, list[str]] = {}
     rows: dict[str, list[list[float]]] = {}
+    opened: dict[str, int] = {}  # the line of each node's [cpt] header
+    edges: list[tuple[int, str, str]] = []
     cpt_node: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -425,29 +427,38 @@ def loads_cbn(text: str) -> Cbn:
                 section = "cpt"
                 cpt_node = line[len("[cpt ") : -1].strip()
                 rows.setdefault(cpt_node, [])
+                opened.setdefault(cpt_node, lineno)
             else:
                 raise ArgumentError(f"line {lineno}: unknown section {line!r}")
             continue
         if section == "nodes":
-            name, card = line.split()
-            variables.append(Variable(name, int(card)))
+            with text_line(lineno):
+                name, card = line.split()
+                variables.append(Variable(name, int(card)))
             parents.setdefault(name, [])
         elif section == "edges":
-            src, arrow, dst = line.split()
+            with text_line(lineno):
+                src, arrow, dst = line.split()
             if arrow != "->":
                 raise ArgumentError(f"line {lineno}: expected 'parent -> child'")
+            edges.append((lineno, src, dst))
             parents.setdefault(dst, []).append(src)
         elif section == "cpt" and cpt_node is not None:
-            rows[cpt_node].append([float(x) for x in line.split()])
+            with text_line(lineno):
+                rows[cpt_node].append([float(x) for x in line.split()])
         else:
             raise ArgumentError(f"line {lineno}: content outside any section")
     card = {v.name: v.cardinality for v in variables}
+    for lineno, src, dst in edges:
+        if src not in card or dst not in card:
+            raise ArgumentError(f"line {lineno}: edge {src} -> {dst} names a node missing from [nodes]")
     cpts: dict[str, np.ndarray] = {}
     for v in variables:
         shape = tuple(card[p] for p in parents[v.name]) + (v.cardinality,)
         if v.name not in rows:
             raise ArgumentError(f"missing [cpt {v.name}] block")
-        cpts[v.name] = np.asarray(rows[v.name]).reshape(shape)
+        with text_line(opened[v.name]):
+            cpts[v.name] = np.asarray(rows[v.name]).reshape(shape)
     return Cbn(tuple(variables), {n: tuple(ps) for n, ps in parents.items()}, cpts)
 
 

@@ -7,25 +7,23 @@ channel for a second factor V.  Channel means are orthogonal one-hot blocks,
 so the causal structure of the benchmark graphs is preserved while everything
 stays learnable by a small linear or one-hidden-layer model.
 
-One law per graph.  For A, C and D the law is the graph's builder in
-``templates`` (``template_a``, ``template_c``, ``template_d``) with the
-spec's parameters and noise-free channel flips; label noise is the core flip
-for A and D and part of the label mechanism for C.  Every set is one
+One law per graph: the graph's builder in ``templates`` (``template_a`` to
+``template_d``) with the spec's parameters and noise-free channel flips;
+``label_noise`` is the core flip for A and D and part of the label
+mechanism for C; B's label mechanism is ``x_effect`` and
+``confounder_effect`` alone.  Every set is one
 categorical draw from an exact table over the discrete keys (Y, Z, X_core,
 X_aux or X_ent, and V with X_v for graph C), followed by one Gaussian
 channel per key: core <- X_core, aux <- X_aux, ent <- X_ent, v <- X_v.
 
   source  the template's joint over the keys;
   ideal   the joint of ``mutilate(net, GraphEdit(template.undesired))``: Z
-          keeps its source marginal but not its tie to Y, C's P(V=0 | z) is
-          the source P(V=0 | y, z) averaged over P(y), and D's X_ent takes
-          its source marginal, independent of Y and Z;
+          keeps its source marginal but not its tie to Y, B's label keeps
+          only its X_core mechanism (the confounder averaged out), C's
+          P(V=0 | z) is the source P(V=0 | y, z) averaged over P(y), and D's
+          X_ent takes its source marginal, independent of Y and Z;
   shift   ``ShiftFamily(source, grid).member(k)``: P(Z | Y) replaced by
           grid point k, P(Y) and the keys given (Y, Z) unchanged.
-
-Graph B keeps a continuous sampler: the core channel causes the label through
-a logistic link, with a hidden confounder feeding both the label and z; its
-shifted sets reweight a source pool to the same ``ShiftFamily`` members.
 
 All generation is deterministic given the spec seed; test-set draws derive
 independent sub-streams.
@@ -44,39 +42,42 @@ from .bayesnet import Cbn, GraphEdit, joint, mutilate
 from .checks import ShiftFamily
 from .errors import ArgumentError, SpecError
 from .rng import spawn
-from .tables import JointTable, Variable, _draw_states, marginalize
-from .templates import GRAPH_IDS, GraphTemplate, graph_template, template_c
+from .tables import JointTable, _draw_states, marginalize
+from .templates import GRAPH_IDS, GraphTemplate, graph_template, template_a, template_b, template_c
 
 _STREAM_SOURCE = 0
 _STREAM_IDEAL = 1
 _STREAM_SHIFT = 2
-_STREAM_POOL = 3
-_C_LAW = inspect.signature(template_c).parameters  # graph C's law defaults live there
+# the law defaults live in the template builders' signatures
+_A_LAW = inspect.signature(template_a).parameters
+_B_LAW = inspect.signature(template_b).parameters
+_C_LAW = inspect.signature(template_c).parameters
 
 
 @dataclass(frozen=True)
 class GenSpec:
     """Parameters of one synthetic data-generating process.
 
-    ``confounding`` is (P(Y=0|Z=0), P(Y=0|Z=1)) and applies to graphs A and
-    D; graph C derives its label-group coupling from ``confounder_strength``
-    and ``z_flip``; graph B from ``core_gain``/``conf_gain``/``conf_mix``.
-    Fields that only apply to one graph default to None and are filled with
-    per-graph defaults by ``resolved()``.
+    ``confounding`` is (P(Y=0|Z=0), P(Y=0|Z=1)) and applies, with
+    ``z_marginal``, to graphs A and D; graph B derives its label-group
+    coupling from ``x_effect``, ``confounder_effect`` and ``z_flip``, graph C
+    from ``confounder_strength`` and ``z_flip``.  Fields that only apply to
+    some graphs default to None and are filled with per-graph defaults by
+    ``resolved()``.
     """
 
     graph: str
     n: int
     seed: int = 0
-    confounding: tuple[float, float] = (0.95, 0.10)
-    z_marginal: float = 0.5
+    confounding: tuple[float, float] = _A_LAW["confounding"].default
+    z_marginal: float = _A_LAW["z_marginal"].default
     dim_core: int = 6
     dim_aux: int = 6
     sep_core: float = 2.0
     sep_aux: float = 2.0
     noise_core: float = 1.0
     noise_aux: float = 1.0
-    label_noise: float = 0.02
+    label_noise: float = _C_LAW["label_noise"].default
     # graph C
     dim_v: int | None = None
     sep_v: float | None = None
@@ -84,22 +85,25 @@ class GenSpec:
     v_flip: tuple[float, float] | None = None
     v_z_pull: float | None = None
     confounder_strength: float | None = None
+    # graphs B and C
     z_flip: float | None = None
     # graph B
-    core_gain: float | None = None
-    conf_gain: float | None = None
-    conf_mix: float | None = None
+    x_effect: float | None = None
+    confounder_effect: float | None = None
 
-    _C_DEFAULTS = {"dim_v": 4, "sep_v": 2.0, "noise_v": 1.0} | {
-        name: _C_LAW[name].default for name in ("v_flip", "v_z_pull", "confounder_strength", "z_flip")
+    _GRAPH_DEFAULTS = {
+        "B": {name: _B_LAW[name].default for name in ("x_effect", "confounder_effect", "z_flip")},
+        "C": {"dim_v": 4, "sep_v": 2.0, "noise_v": 1.0}
+        | {name: _C_LAW[name].default for name in ("v_flip", "v_z_pull", "confounder_strength", "z_flip")},
     }
-    _B_DEFAULTS = {"core_gain": 2.0, "conf_gain": 1.2, "conf_mix": 0.8}
 
     def __post_init__(self) -> None:
         if self.graph not in GRAPH_IDS:
             raise SpecError(f"unknown graph {self.graph!r}; expected one of {GRAPH_IDS}")
         if self.n < 1:
             raise SpecError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise SpecError(f"seed must be non-negative, got {self.seed}")
         if self.dim_core < 1 or self.dim_aux < 1:
             raise SpecError("channel dimensions must be >= 1")
         for name in ("label_noise", "z_marginal"):
@@ -110,28 +114,15 @@ class GenSpec:
             a, b = getattr(self, name)
             if not (lo < a < hi and lo < b < hi):
                 raise SpecError(f"{name} entries must lie in ({lo}, {hi})")
-        c_fields = set(self._C_DEFAULTS)
-        b_fields = set(self._B_DEFAULTS)
-        for name in sorted(c_fields | b_fields):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if name in c_fields and self.graph != "C":
-                raise SpecError(f"{name} only applies to graph C, not {self.graph}")
-            if name in b_fields and self.graph != "B":
-                raise SpecError(f"{name} only applies to graph B, not {self.graph}")
+        for name in sorted(set().union(*self._GRAPH_DEFAULTS.values())):
+            graphs = [g for g, defaults in self._GRAPH_DEFAULTS.items() if name in defaults]
+            if getattr(self, name) is not None and self.graph not in graphs:
+                raise SpecError(f"{name} only applies to graph {' or '.join(graphs)}, not {self.graph}")
 
     def resolved(self) -> "GenSpec":
         """Fill per-graph defaults for the fields that apply."""
-        updates: dict[str, object] = {}
-        if self.graph == "C":
-            for name, default in self._C_DEFAULTS.items():
-                if getattr(self, name) is None:
-                    updates[name] = default
-        if self.graph == "B":
-            for name, default in self._B_DEFAULTS.items():
-                if getattr(self, name) is None:
-                    updates[name] = default
+        defaults = self._GRAPH_DEFAULTS.get(self.graph, {})
+        updates = {name: value for name, value in defaults.items() if getattr(self, name) is None}
         return replace(self, **updates) if updates else self
 
     def to_dict(self) -> dict:
@@ -143,6 +134,9 @@ class GenSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenSpec":
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise SpecError(f"unknown GenSpec fields {sorted(unknown)}")
         data = dict(data)
         data["confounding"] = tuple(data["confounding"])
         if data.get("v_flip") is not None:
@@ -252,24 +246,23 @@ def _channels(spec: GenSpec) -> dict[str, tuple[int, float, float]]:
     return out
 
 
-def _dataset(spec: GenSpec, gen, y, z, keys: dict, v=None, x_core=None) -> Dataset:
-    """Attach one Gaussian channel per ``_channels`` entry, keyed by ``keys``;
-    graph B passes its continuous core block as ``x_core`` instead."""
+def _dataset(spec: GenSpec, gen, y, z, keys: dict, v=None) -> Dataset:
+    """Attach one Gaussian channel per ``_channels`` entry, keyed by ``keys``."""
     parts, slices, start = [], {}, 0
     for name, (dim, sep, noise) in _channels(spec).items():
-        if name == "core" and x_core is not None:
-            parts.append(x_core)
-        else:
-            parts.append(_gaussian_channel(keys[name], dim, sep, noise, gen))
+        parts.append(_gaussian_channel(keys[name], dim, sep, noise, gen))
         slices[name] = (start, start + dim)
         start += dim
     return Dataset(y, z, np.concatenate(parts, axis=1), np.ones(y.shape[0]), slices, v, spec)
 
 
 def _law(spec: GenSpec) -> GraphTemplate:
-    """Graph A, C or D's template with the spec's parameters.  Channel flips
-    are zero because the Gaussian channels add the feature noise."""
-    if spec.graph == "C":
+    """The graph's template with the spec's parameters.  Channel flips are
+    zero because the Gaussian channels add the feature noise."""
+    if spec.graph == "B":
+        names = ("x_effect", "confounder_effect", "z_flip")
+        flips = {"aux_flip": 0.0}
+    elif spec.graph == "C":
         names = ("confounder_strength", "label_noise", "z_flip", "v_flip", "v_z_pull")
         flips = {"core_flip": 0.0, "aux_flip": 0.0, "v_channel_flip": 0.0}
     else:
@@ -290,31 +283,10 @@ def _draw(spec: GenSpec, table: JointTable, n: int, gen) -> Dataset:
     return _dataset(spec, gen, cols["Y"], cols["Z"], keys, cols.get("V"))
 
 
-def _generate_b(spec: GenSpec, n: int, gen, mode: str) -> Dataset:
-    """Graph B: the core channel causes the label; a hidden confounder links
-    the label and z unless the ideal law cuts it."""
-    x_core = gen.normal(0.0, spec.noise_core, size=(n, spec.dim_core))
-    s = x_core[:, 0] / spec.noise_core
-    u = (gen.random(n) < 0.5).astype(np.int64)
-    logits = spec.core_gain * s
-    if mode != "ideal":
-        logits = logits + spec.conf_gain * (2 * u - 1)
-    y = (gen.random(n) < 1.0 / (1.0 + np.exp(-logits))).astype(np.int64)
-    if mode == "ideal":
-        z = (gen.random(n) < 0.5).astype(np.int64)
-    else:
-        keep = gen.random(n) < spec.conf_mix
-        z = np.where(keep, u, (gen.random(n) < 0.5).astype(np.int64))
-    return _dataset(spec, gen, y, z, {"aux": z}, x_core=x_core)
-
-
 def generate(spec: GenSpec) -> Dataset:
     """Draw the training distribution of the spec's graph."""
     spec = spec.resolved()
-    gen = spawn(spec.seed, _STREAM_SOURCE)
-    if spec.graph == "B":
-        return _generate_b(spec, spec.n, gen, "source")
-    return _draw(spec, _key_table(_law(spec).net), spec.n, gen)
+    return _draw(spec, _key_table(_law(spec).net), spec.n, spawn(spec.seed, _STREAM_SOURCE))
 
 
 def ideal_testset(spec: GenSpec, n: int, seed: int) -> Dataset:
@@ -322,11 +294,8 @@ def ideal_testset(spec: GenSpec, n: int, seed: int) -> Dataset:
     independent of the label, graph C additionally decouples V from the
     label, and graph D's entangled channel carries neither label nor group."""
     spec = spec.resolved()
-    gen = spawn(seed, _STREAM_IDEAL)
-    if spec.graph == "B":
-        return _generate_b(spec, n, gen, "ideal")
     law = _law(spec)
-    return _draw(spec, _key_table(mutilate(law.net, GraphEdit(law.undesired))), n, gen)
+    return _draw(spec, _key_table(mutilate(law.net, GraphEdit(law.undesired))), n, spawn(seed, _STREAM_IDEAL))
 
 
 def shift_testsets(
@@ -339,32 +308,13 @@ def shift_testsets(
     array whose [y, 0] entry is P'(Z=0 | Y=y).
     """
     spec = spec.resolved()
-    if spec.graph != "B":
-        family = ShiftFamily(_key_table(_law(spec).net), grid)
-        return [_draw(spec, family.member(k), n, spawn(seed, _STREAM_SHIFT, k)) for k in range(len(family))]
-    pool_n = min(max(25 * n, 20_000), 200_000)
-    pool = _generate_b(spec, pool_n, spawn(seed, _STREAM_POOL), "source")
-    counts = np.bincount(2 * pool.y + pool.z, minlength=4).reshape(2, 2)
-    source = JointTable((Variable("Y", 2), Variable("Z", 2)), counts / counts.sum())
-    family = ShiftFamily(source, grid)
-    out = []
-    for k in range(len(family)):
-        w = (family.member(k).probs / source.probs)[pool.y, pool.z]
-        idx = spawn(seed, _STREAM_SHIFT, k).choice(pool_n, size=n, replace=True, p=w / w.sum())
-        out.append(pool.take(idx, weights=np.ones(n)))
-    return out
+    family = ShiftFamily(_key_table(_law(spec).net), grid)
+    return [_draw(spec, family.member(k), n, spawn(seed, _STREAM_SHIFT, k)) for k in range(len(family))]
 
 
 def implied_y_given_z(spec: GenSpec) -> np.ndarray:
-    """Exact P(Y=y | Z=z) of the source law, as a (2, 2) array [y, z].
-
-    Graph B has no closed form here and is estimated by the callers that
-    need it.
-    """
-    spec = spec.resolved()
-    if spec.graph == "B":
-        raise ArgumentError("graph B's label-group conditional has no closed form here")
-    pair = marginalize(_key_table(_law(spec).net), {"Y", "Z"})
+    """Exact P(Y=y | Z=z) of the source law, as a (2, 2) array [y, z]."""
+    pair = marginalize(_key_table(_law(spec.resolved()).net), {"Y", "Z"})
     arr = np.transpose(pair.probs, pair.axes(("Y", "Z")))
     return arr / arr.sum(axis=0, keepdims=True)
 

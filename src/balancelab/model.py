@@ -20,6 +20,7 @@ from .errors import (
     DegenerateTarget,
     NumericsError,
     SampleSizeError,
+    text_line,
 )
 from .rng import spawn
 
@@ -431,28 +432,35 @@ def dumps_params(params: ModelParams) -> str:
 
 
 def loads_params(text: str) -> ModelParams:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("activation "):
-        raise ArgumentError("expected an 'activation' header")
-    activation = lines[0].split()[1]
-    n_layers = int(lines[1].split()[1])
+    lines = iter([(no, ln.split()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()])
+    last = 0
+
+    def record(tag: str | None, size: int, convert=int) -> list:
+        """The next line's ``size`` values after its ``tag`` word, if any."""
+        nonlocal last
+        no, words = next(lines, (None, None))
+        what = f"a '{tag}' line" if tag else "a line"
+        if words is None:
+            raise ArgumentError(f"line {last + 1}: expected {what}, got the end of the text")
+        last = no
+        head = [tag] if tag else []
+        if words[: len(head)] != head or len(words) != len(head) + size:
+            raise ArgumentError(f"line {no}: expected {what} with {size} values")
+        with text_line(no):
+            return [convert(w) for w in words[len(head) :]]
+
+    (activation,) = record("activation", 1, str)
+    (n_layers,) = record("layers", 1)
     weights: list[np.ndarray] = []
     biases: list[np.ndarray] = []
-    i = 2
     for _ in range(n_layers):
-        _, _, rows, cols = lines[i].split()
-        rows, cols = int(rows), int(cols)
-        mat = np.array([[float(v) for v in lines[i + 1 + r].split()] for r in range(rows)])
+        _, rows, cols = record("weight", 3)
+        mat = np.array([record(None, cols, float) for _ in range(rows)])
         if mat.shape != (rows, cols):
             raise ArgumentError(f"weight block has shape {mat.shape}, expected {(rows, cols)}")
-        i += 1 + rows
-        _, _, blen = lines[i].split()
-        bias = np.array([float(v) for v in lines[i + 1].split()])
-        if bias.shape != (int(blen),):
-            raise ArgumentError("bias block length mismatch")
-        i += 2
+        _, size = record("bias", 2)
         weights.append(mat)
-        biases.append(bias)
+        biases.append(np.array(record(None, size, float)))
     return ModelParams(weights, biases, activation)
 
 

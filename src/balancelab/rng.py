@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ArgumentError
+
 
 def spawn(seed: int, *path: int) -> np.random.Generator:
     """Return the Philox generator for ``seed`` at sub-stream ``path``.
@@ -22,6 +24,6 @@ def spawn(seed: int, *path: int) -> np.random.Generator:
     paths yield statistically independent streams.
     """
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise ArgumentError(f"seed must be non-negative, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))

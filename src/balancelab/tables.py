@@ -22,6 +22,7 @@ from .errors import (
     DegenerateContingency,
     DegenerateEvidence,
     UnknownVariableError,
+    text_line,
 )
 from .rng import spawn
 
@@ -51,8 +52,23 @@ def _check_unique(variables: Sequence[Variable]) -> None:
         raise ArgumentError(f"duplicate variable names: {names}")
 
 
+class _Named:
+    """Name lookup for a value whose ``__post_init__`` stores the tuple of its
+    variables' names as ``_names``."""
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self._names  # type: ignore[attr-defined]
+
+    def axis(self, name: str) -> int:
+        try:
+            return self._names.index(name)  # type: ignore[attr-defined]
+        except ValueError:
+            raise UnknownVariableError(f"unknown variable {name!r}; have {self.names}") from None
+
+
 @dataclass(frozen=True)
-class JointTable:
+class JointTable(_Named):
     """An exact joint distribution over an ordered tuple of variables."""
 
     variables: tuple[Variable, ...]
@@ -69,8 +85,8 @@ class JointTable:
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != shape:
             raise ArgumentError(f"probs shape {probs.shape} does not match variables {shape}")
-        if np.any(probs < 0):
-            raise ArgumentError("probabilities must be non-negative")
+        if not np.all(probs >= 0):  # also catches NaN, which every comparison fails
+            raise ArgumentError("probabilities must be non-negative numbers")
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_TOL:
             raise ArgumentError(f"cells must sum to 1 within {PROB_TOL}, got {total!r}")
@@ -78,20 +94,11 @@ class JointTable:
         probs.setflags(write=False)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "probs", probs)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
+        object.__setattr__(self, "_names", tuple(v.name for v in variables))
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.probs.shape
-
-    def axis(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownVariableError(f"unknown variable {name!r}; have {self.names}") from None
 
     def axes(self, names: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.axis(n) for n in names)
@@ -228,7 +235,7 @@ def is_independent(
 
 
 @dataclass(frozen=True)
-class SampleBatch:
+class SampleBatch(_Named):
     """Finite weighted samples of a joint distribution.
 
     ``rows`` holds one joint state per row as integer state indices in the
@@ -261,19 +268,10 @@ class SampleBatch:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_names", tuple(v.name for v in variables))
 
     def __len__(self) -> int:
         return self.rows.shape[0]
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
-
-    def axis(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownVariableError(f"unknown variable {name!r}; have {self.names}") from None
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.axis(name)]
@@ -365,16 +363,18 @@ def loads_table(text: str) -> JointTable:
                 raise ArgumentError(f"line {lineno}: var line after cell lines")
             if len(parts) != 3:
                 raise ArgumentError(f"line {lineno}: expected 'var <name> <cardinality>'")
-            variables.append(Variable(parts[1], int(parts[2])))
+            with text_line(lineno):
+                variables.append(Variable(parts[1], int(parts[2])))
         elif parts[0] == "cell":
             if len(parts) != len(variables) + 2:
                 raise ArgumentError(f"line {lineno}: expected {len(variables)} indices and a value")
             shape = tuple(v.cardinality for v in variables)
-            state = tuple(int(s) for s in parts[1:-1])
-            if int(np.ravel_multi_index(state, shape)) != expected_state:
+            with text_line(lineno):
+                state = int(np.ravel_multi_index(tuple(int(s) for s in parts[1:-1]), shape))
+                cells.append(float(parts[-1]))
+            if state != expected_state:
                 raise ArgumentError(f"line {lineno}: cells must appear in row-major order")
             expected_state += 1
-            cells.append(float(parts[-1]))
         else:
             raise ArgumentError(f"line {lineno}: unknown record {parts[0]!r}")
     if not variables:

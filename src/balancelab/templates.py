@@ -1,9 +1,8 @@
 """Built-in network templates: the one law of each benchmark graph.
 
 Each builder returns the exact CBN of one graph.  The exact checks use it
-with its default parameters; ``datagen`` draws graphs A, C and D from the
-same builders with the spec's parameters and noise-free channel flips, and
-keeps a continuous sampler for graph B:
+with its default parameters; ``datagen`` draws every graph from the same
+builders with the spec's parameters and noise-free channel flips:
 
   A  ``template_a``  anti-causal, purely spurious:   Y -> X_core,  Z -> X_aux
   B  ``template_b``  causal, purely spurious:        X_core -> Y,  Z -> X_aux

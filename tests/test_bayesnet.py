@@ -114,6 +114,10 @@ class TestConstruction:
         with pytest.raises(ArgumentError, match="sum to 1"):
             Cbn((Variable("A", 2),), {}, {"A": np.array([0.6, 0.6])})
 
+    def test_nan_cpt_rejected(self):
+        with pytest.raises(ArgumentError, match="NaN"):
+            Cbn((Variable("A", 2),), {}, {"A": np.array([np.nan, np.nan])})
+
 
 class TestJoint:
     def test_single_node_marginal(self):
@@ -316,6 +320,22 @@ class TestSampling:
 
 
 class TestCbnSerialization:
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("[nodes]\nA\n", 2),
+            ("[nodes]\nA two\n", 2),
+            ("[nodes]\nA 2\n[edges]\nA B\n", 4),
+            ("[nodes]\nA 2\n[edges]\nB -> A\n[cpt A]\n0.5 0.5\n", 4),
+            ("[nodes]\nA 2\n[cpt A]\n0.5 x\n", 4),
+            ("[nodes]\nA 2\n[cpt A]\n0.2 0.3 0.5\n", 3),
+            ("[nodes]\nA 2\n[cpt A]\n0.5\n0.5 0.5\n", 3),
+        ],
+    )
+    def test_malformed_line_is_argument_error(self, text, line):
+        with pytest.raises(ArgumentError, match=f"line {line}:"):
+            loads_cbn(text)
+
     def test_round_trip(self):
         net = graph_template("C").net
         again = loads_cbn(dumps_cbn(net))

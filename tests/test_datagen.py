@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from balancelab.datagen import (
 )
 from balancelab.errors import ArgumentError, SpecError
 from balancelab.tables import marginalize
-from balancelab.templates import graph_template
+from balancelab.templates import GRAPH_IDS, graph_template, template_a, template_b, template_c, template_d
+
+BUILDERS = {"A": template_a, "B": template_b, "C": template_c, "D": template_d}
 
 
 def three_se(p: float, n: int) -> float:
@@ -35,17 +39,48 @@ class TestGenSpec:
         with pytest.raises(SpecError, match="graph C"):
             GenSpec(graph="A", n=10, dim_v=4)
         with pytest.raises(SpecError, match="graph B"):
-            GenSpec(graph="A", n=10, conf_mix=0.5)
+            GenSpec(graph="A", n=10, x_effect=0.5)
+        with pytest.raises(SpecError, match="graph B"):
+            GenSpec(graph="C", n=10, confounder_effect=0.2)
+        with pytest.raises(SpecError, match="graph B or C"):
+            GenSpec(graph="D", n=10, z_flip=0.2)
 
     def test_resolution_fills_graph_defaults(self):
         spec = GenSpec(graph="C", n=10).resolved()
         assert spec.dim_v == 4 and spec.v_flip == (0.2, 0.9)
         spec_b = GenSpec(graph="B", n=10).resolved()
-        assert spec_b.conf_mix == 0.8
+        assert (spec_b.x_effect, spec_b.confounder_effect, spec_b.z_flip) == (0.6, 0.3, 0.1)
+
+    @pytest.mark.parametrize("gid", GRAPH_IDS)
+    def test_law_defaults_are_template_defaults(self, gid):
+        spec = GenSpec(graph=gid, n=10).resolved()
+        params = inspect.signature(BUILDERS[gid]).parameters
+        shared = set(params) & set(GenSpec.__dataclass_fields__)
+        assert shared, gid
+        for name in shared:
+            assert getattr(spec, name) == params[name].default, (gid, name)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(SpecError, match="seed"):
+            GenSpec(graph="A", n=10, seed=-1)
+        spec = GenSpec(graph="A", n=10)
+        with pytest.raises(ArgumentError, match="seed"):
+            ideal_testset(spec, 10, seed=-1)
+        with pytest.raises(ArgumentError, match="seed"):
+            shift_testsets(spec, correlation_grid(3), 10, seed=-1)
+
+    @pytest.mark.parametrize("field", ["x_effect", "confounder_effect", "z_flip"])
+    def test_nan_law_parameter_rejected(self, field):
+        with pytest.raises(ArgumentError):
+            generate(GenSpec(graph="B", n=10, **{field: np.nan}))
 
     def test_dict_round_trip(self):
         spec = GenSpec(graph="C", n=100, seed=4).resolved()
         assert GenSpec.from_dict(spec.to_dict()) == spec
+
+    def test_from_dict_rejects_unknown_fields(self):
+        with pytest.raises(SpecError, match="unknown_knob"):
+            GenSpec.from_dict(GenSpec(graph="B", n=10).to_dict() | {"unknown_knob": 0.8})
 
 
 class TestGenerate:
@@ -214,6 +249,10 @@ EXACT_CASES = {
         GenSpec(graph="A", n=40_000, seed=30, confounding=(0.8, 0.3), z_marginal=0.4),
         {"confounding": (0.8, 0.3), "z_marginal": 0.4},
     ),
+    "B": (
+        GenSpec(graph="B", n=40_000, seed=35, x_effect=0.5, confounder_effect=0.4, z_flip=0.2),
+        {"x_effect": 0.5, "confounder_effect": 0.4, "z_flip": 0.2},
+    ),
     "C": (
         GenSpec(graph="C", n=40_000, seed=31, confounder_strength=0.6, z_flip=0.2, label_noise=0.05),
         {"confounder_strength": 0.6, "z_flip": 0.2, "label_noise": 0.05},
@@ -240,7 +279,7 @@ def assert_cells_within_3se(ds: Dataset, exact: np.ndarray) -> None:
 class TestExactLaw:
     """The sets are drawn from the exact tables of the template law."""
 
-    @pytest.mark.parametrize("gid", ["A", "C", "D"])
+    @pytest.mark.parametrize("gid", GRAPH_IDS)
     def test_source_ideal_and_shift_cells_match_exact(self, gid):
         spec = EXACT_CASES[gid][0]
         source = yz_table(gid)
@@ -251,7 +290,7 @@ class TestExactLaw:
         for g, ds in zip(grid, shift_testsets(spec, grid, 40_000, seed=34)):
             assert_cells_within_3se(ds, py[:, None] * g)
 
-    @pytest.mark.parametrize("gid", ["A", "C", "D"])
+    @pytest.mark.parametrize("gid", GRAPH_IDS)
     def test_implied_conditional_is_template_marginal(self, gid):
         source = yz_table(gid)
         implied = implied_y_given_z(EXACT_CASES[gid][0])

@@ -407,6 +407,22 @@ class TestProbe:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("", 1),
+            ("activation relu\n", 2),
+            ("activation\nlayers 1\n", 1),
+            ("activation relu\nlayers one\n", 2),
+            ("activation relu\nlayers 1\nweight 0 2\n", 3),
+            ("activation relu\nlayers 1\nweight 0 2 1\n1.0\n2.0 3.0\n", 5),
+            ("activation relu\n\nlayers 1\nweight 0 1 1\n1.0\nbias 0 1\nnan?\n", 7),
+        ],
+    )
+    def test_malformed_line_is_argument_error(self, text, line):
+        with pytest.raises(ArgumentError, match=f"line {line}:"):
+            loads_params(text)
+
     def test_round_trip_bitwise(self):
         params = random_params(3, d=5, hidden=4)
         again = loads_params(dumps_params(params))

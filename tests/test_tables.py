@@ -48,6 +48,10 @@ class TestJointTable:
         with pytest.raises(ArgumentError, match="non-negative"):
             JointTable((Y,), np.array([1.2, -0.2]))
 
+    def test_rejects_nan_cells(self):
+        with pytest.raises(ArgumentError, match="non-negative"):
+            JointTable((Y,), np.array([np.nan, np.nan]))
+
     def test_rejects_bad_total(self):
         with pytest.raises(ArgumentError, match="sum to 1"):
             JointTable((Y,), np.array([0.6, 0.5]))
@@ -234,6 +238,12 @@ class TestSample:
         with pytest.raises(ArgumentError, match="weights"):
             SampleBatch((Y, Z), np.zeros((3, 2)), np.array([1.0, bad, 1.0]))
 
+    def test_negative_seed_is_argument_error(self):
+        for draw in (lambda: spawn(-1), lambda: spawn(-3, 2), lambda: sample(skewed_yz(), 5, seed=-1)):
+            with pytest.raises(ArgumentError, match="seed"):
+                draw()
+        assert issubclass(ArgumentError, ValueError)
+
     def test_point_mass_rows_constant(self):
         t = JointTable((Y, Z), np.array([[0.0, 0.0], [1.0, 0.0]]))
         batch = sample(t, 50, seed=1)
@@ -295,6 +305,19 @@ class TestSerialization:
         path = tmp_path / "table.txt"
         save_table(t, str(path))
         assert np.array_equal(load_table(str(path)).probs, t.probs)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("var A x\n", 1),
+            ("var A 2\ncell 0 0.5\ncell 1 half\n", 3),
+            ("var A 2\n\ncell 0 0.5\ncell 2 0.5\n", 4),
+            ("# header\ncell\n", 2),
+        ],
+    )
+    def test_malformed_line_is_argument_error(self, text, line):
+        with pytest.raises(ArgumentError, match=f"line {line}:"):
+            loads_table(text)
 
     def test_rejects_out_of_order_cells(self):
         text = "var Y 2\ncell 1 0.5\ncell 0 0.5\n"
