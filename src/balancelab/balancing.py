@@ -1,22 +1,26 @@
 """Balancing operators on exact tables and on finite samples.
 
-Joint balancing reweights a distribution by P(y)P(z)/P(y,z) so the two target
-variables become independent while every conditional given (y, z) is
-preserved.  Single-variable balancing uniformizes one marginal.  On finite
-samples the same targets are reached by importance weights, subsampling the
-majority cells, or upsampling the minority cells.
+Every exact operator is one reweight, ``reweight_marginal``: the marginal of
+some variables is replaced by a target while every conditional given them is
+kept, Q = P · target / P(names).  Joint balancing targets P(y)P(z), so the
+two target variables become independent; single-variable balancing targets a
+uniform marginal; ``checks.ShiftFamily`` targets P(y) times a grid of
+P(z | y).  On finite samples the balancing targets are reached by importance
+weights, subsampling the majority cells, or upsampling the minority cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
+from .bayesnet import broadcast_axes
 from .errors import ArgumentError, UnbalanceableSupport
 from .rng import spawn
-from .tables import JointTable, SampleBatch, marginalize
+from .tables import JointTable, SampleBatch, marginal_probs
 
 
 class Mechanism(str, Enum):
@@ -63,8 +67,38 @@ class BalanceSpec:
             raise ArgumentError(f"mechanism {mechanism.value} is deterministic; seed must be None")
 
 
+def reweight_marginal(table: JointTable, names: Sequence[str], target: np.ndarray) -> JointTable:
+    """Replace the marginal of ``names`` by ``target`` and keep every
+    conditional given them: Q = P · target / P(names), cellwise.
+
+    ``target`` is an array over ``names``, one axis per name in the given
+    order.  A cell of ``names`` empty in the table and in the target stays
+    empty; one that is empty in the table only makes the reweight undefined
+    and raises UnbalanceableSupport naming the cell.
+    """
+    names = tuple(names)
+    axes = table.axes(names)
+    target = np.asarray(target, dtype=float)
+    cards = tuple(table.variables[a].cardinality for a in axes)
+    if target.shape != cards or not (target >= 0).all():
+        raise ArgumentError(f"target must be a non-negative {cards} array over {names}")
+    drop = tuple(i for i in range(table.probs.ndim) if i not in axes)
+    current = table.probs.sum(axis=drop, keepdims=True)
+    wanted = broadcast_axes(target, axes, table.probs.ndim)
+    if not current.all():  # a cell empty in the table must stay empty in the target
+        bad = (current == 0) & (wanted > 0)
+        if bad.any():
+            cell = np.argwhere(bad)[0]
+            raise UnbalanceableSupport(
+                f"cell ({', '.join(f'{n}={cell[a]}' for n, a in zip(names, axes))}) has zero "
+                "probability but target mass; the reweight is undefined"
+            )
+    ratio = np.divide(wanted, current, out=np.zeros(current.shape), where=current > 0)
+    return JointTable(table.variables, table.probs * ratio)
+
+
 def balance_exact(table: JointTable, spec: BalanceSpec) -> JointTable:
-    """Exact joint balancing: Q = P · P(y)P(z) / P(y,z), cellwise.
+    """Exact joint balancing: the (y, z) marginal becomes P(y)P(z).
 
     Marginals of the targets are preserved, the targets become independent,
     and conditionals given the target pair are untouched.  A zero-probability
@@ -75,21 +109,9 @@ def balance_exact(table: JointTable, spec: BalanceSpec) -> JointTable:
         raise ArgumentError("balance_exact needs a JointTarget spec")
     if spec.mechanism is not Mechanism.EXACT_REWEIGHT:
         raise ArgumentError("exact tables only support the exact_reweight mechanism")
-    ay, az = table.axis(spec.target.y_var), table.axis(spec.target.z_var)
-    other = tuple(i for i in range(len(table.variables)) if i not in (ay, az))
-    pyz = table.probs.sum(axis=other, keepdims=True) if other else table.probs
-    py = pyz.sum(axis=az, keepdims=True)
-    pz = pyz.sum(axis=ay, keepdims=True)
-    target_mass = py * pz
-    bad = (pyz == 0) & (target_mass > 0)
-    if np.any(bad):
-        cell = np.argwhere(bad)[0]
-        raise UnbalanceableSupport(
-            f"cell ({spec.target.y_var}={cell[ay]}, {spec.target.z_var}={cell[az]}) has zero "
-            "probability but positive marginals; the joint reweight is undefined"
-        )
-    ratio = np.divide(target_mass, pyz, out=np.zeros_like(pyz), where=pyz > 0)
-    return JointTable(table.variables, table.probs * ratio)
+    names = (spec.target.y_var, spec.target.z_var)
+    pyz = marginal_probs(table, names)
+    return reweight_marginal(table, names, pyz.sum(axis=1, keepdims=True) * pyz.sum(axis=0, keepdims=True))
 
 
 def balance_single_exact(table: JointTable, spec: BalanceSpec) -> JointTable:
@@ -98,16 +120,8 @@ def balance_single_exact(table: JointTable, spec: BalanceSpec) -> JointTable:
         raise ArgumentError("balance_single_exact needs a SingleTarget spec")
     if spec.mechanism is not Mechanism.EXACT_REWEIGHT:
         raise ArgumentError("exact tables only support the exact_reweight mechanism")
-    ax = table.axis(spec.target.var)
-    card = table.variables[ax].cardinality
-    other = tuple(i for i in range(len(table.variables)) if i != ax)
-    pv = table.probs.sum(axis=other, keepdims=True) if other else table.probs
-    if np.any(pv == 0):
-        state = int(np.flatnonzero(pv.reshape(-1) == 0)[0])
-        raise UnbalanceableSupport(
-            f"state {spec.target.var}={state} has zero probability; cannot uniformize"
-        )
-    return JointTable(table.variables, table.probs * (1.0 / card) / pv)
+    card = table.variable(spec.target.var).cardinality
+    return reweight_marginal(table, (spec.target.var,), np.full(card, 1.0 / card))
 
 
 def _target_codes(batch: SampleBatch, spec: BalanceSpec) -> tuple[np.ndarray, int, list[str]]:
@@ -223,6 +237,5 @@ def bias_shift_single(p_y1, e_z_given_y1, e_z_given_y0) -> BiasShift:
 
 def balanced_pair_gap(table: JointTable, y_var: str, z_var: str) -> float:
     """Max deviation of the (y, z) marginal from the product of its marginals."""
-    pair = marginalize(table, {y_var, z_var})
-    arr = np.transpose(pair.probs, pair.axes((y_var, z_var)))
+    arr = marginal_probs(table, (y_var, z_var))
     return float(np.abs(arr - arr.sum(1, keepdims=True) * arr.sum(0, keepdims=True)).max())

@@ -24,7 +24,7 @@ from .tables import (
     SampleBatch,
     Variable,
     is_independent,
-    marginalize,
+    marginal_probs,
 )
 
 CPT_ROW_TOL = 1e-12
@@ -238,7 +238,7 @@ class Cbn:
 
 def broadcast_axes(arr: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
     """Place arr's dimensions at ``axes`` of an ndim-dim view, ones elsewhere."""
-    order = np.argsort(axes)
+    order = sorted(range(len(axes)), key=axes.__getitem__)
     arr_sorted = np.transpose(arr, order)
     shape = [1] * ndim
     for ax, size in zip(sorted(axes), arr_sorted.shape):
@@ -280,12 +280,20 @@ def mutilate(net: Cbn, edit: GraphEdit) -> Cbn:
         cpt = net.cpts[v.name]
         if rem_idx:
             rem_names = [plist[i] for i in rem_idx]
-            marg = marginalize(full, rem_names)
-            weights = np.transpose(marg.probs, marg.axes(rem_names))
+            weights = marginal_probs(full, rem_names)
             moved = np.moveaxis(cpt, rem_idx, range(len(rem_idx)))
             cpt = np.tensordot(weights, moved, axes=(tuple(range(len(rem_idx))),) * 2)
         cpts[v.name] = cpt
     return Cbn(net.nodes, parents, cpts)
+
+
+def observed_dag(net: Cbn, latents: Iterable[str], dropped: Iterable[tuple[str, str]] = ()) -> Dag:
+    """The DAG over the observed nodes: each keeps its observed parents,
+    minus the ``dropped`` edges."""
+    hidden, dropped = set(latents), set(dropped)
+    observed = tuple(n for n in net.names if n not in hidden)
+    parents = {c: tuple(p for p in net.parents[c] if p not in hidden and (p, c) not in dropped) for c in observed}
+    return Dag(observed, parents)
 
 
 def sample_cbn(net: Cbn, n: int, seed: int) -> SampleBatch:
@@ -460,13 +468,3 @@ def loads_cbn(text: str) -> Cbn:
         with text_line(opened[v.name]):
             cpts[v.name] = np.asarray(rows[v.name]).reshape(shape)
     return Cbn(tuple(variables), {n: tuple(ps) for n, ps in parents.items()}, cpts)
-
-
-def save_cbn(net: Cbn, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_cbn(net))
-
-
-def load_cbn(path: str) -> Cbn:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_cbn(fh.read())

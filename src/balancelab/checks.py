@@ -6,6 +6,15 @@ training to yield an invariant model, risk invariance of predictors across a
 correlation-shift family, the closed form for entangled channels, fairness
 implications of balancing, and seeded searches for balanced distributions
 that violate the independencies of an edge-dropped graph.
+
+A shift-family member is the same reweight as balancing
+(``balancing.reweight_marginal``, with target P(y) · P'(z | y)).  The risk
+checks stack every member's P(covariates..., y) into one array, read the
+predictor's scores once over the reachable input states, and take every
+risk and E[Y | core] by array operations.  The counterexample networks C1-C4
+are rows of one table: nodes, parents, latents and the observed edges the
+edge-dropped skeleton loses, with that skeleton built by
+``bayesnet.observed_dag``.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .balancing import BalanceSpec, JointTarget, balance_exact
+from .balancing import BalanceSpec, JointTarget, balance_exact, reweight_marginal
 from .bayesnet import (
     Cbn,
     Dag,
@@ -26,6 +35,7 @@ from .bayesnet import (
     broadcast_axes,
     factorizes_according_to,
     joint,
+    observed_dag,
 )
 from .errors import (
     ArgumentError,
@@ -34,7 +44,7 @@ from .errors import (
     LabelError,
 )
 from .rng import spawn
-from .tables import JointTable, Variable, is_independent, marginalize
+from .tables import JointTable, Variable, is_independent, marginal_probs, marginalize
 from .templates import GraphTemplate, _random_rows, random_instance
 
 GENERIC_GAP = 1e-6  # separates structural violations from float noise
@@ -186,8 +196,7 @@ def bayes_predictor(table: JointTable, inputs: Iterable[str], y: str = "Y") -> T
         raise ArgumentError("inputs must be non-empty")
     if y in inputs:
         raise ArgumentError(f"label {y!r} cannot be one of the inputs")
-    sub = marginalize(table, set(inputs) | {y})
-    arr = np.transpose(sub.probs, sub.axes(inputs) + (sub.axis(y),))
+    arr = marginal_probs(table, inputs + (y,))
     y_card = arr.shape[-1]
     flat = arr.reshape(-1, y_card)
     cards = arr.shape[:-1]
@@ -265,20 +274,9 @@ class ShiftFamily:
         return len(self.grid)
 
     def member(self, i: int) -> JointTable:
-        base = self.base
-        ay, az = base.axis(self.y), base.axis(self.z)
-        other = tuple(k for k in range(len(base.variables)) if k not in (ay, az))
-        pyz = base.probs.sum(axis=other, keepdims=True) if other else base.probs
-        cond = np.divide(base.probs, pyz, out=np.zeros_like(base.probs), where=pyz > 0)
-        py = pyz.sum(axis=az, keepdims=True)
-        shift = broadcast_axes(self.grid[i], (ay, az), len(base.variables))
-        lost = (pyz == 0) & (py * shift > 0)
-        if np.any(lost):
-            raise ArgumentError(
-                "the shifted conditional puts mass on a (label, group) cell the base "
-                "distribution cannot condition on"
-            )
-        return JointTable(base.variables, cond * py * shift)
+        names = (self.y, self.z)
+        py = marginal_probs(self.base, names).sum(axis=1, keepdims=True)
+        return reweight_marginal(self.base, names, py * self.grid[i])
 
     def members(self) -> Iterable[JointTable]:
         return (self.member(i) for i in range(len(self.grid)))
@@ -297,37 +295,54 @@ def correlation_grid(n_points: int = 7, lo: float = 0.05, hi: float = 0.95) -> t
     return tuple(out)
 
 
-LOSSES = ("squared", "zero_one", "logloss")
+# each loss as (loss if y = 0, loss if y = 1), elementwise in the score
+_LOSS_PAIRS = {
+    "squared": lambda s: (s**2, (s - 1.0) ** 2),
+    "zero_one": lambda s: ((s >= 0.5).astype(float), (s < 0.5).astype(float)),
+    "logloss": lambda s: (
+        -np.log(1.0 - np.clip(s, 1e-12, 1.0 - 1e-12)),
+        -np.log(np.clip(s, 1e-12, 1.0 - 1e-12)),
+    ),
+}
+LOSSES = tuple(_LOSS_PAIRS)
 
 
-def _loss_value(score: float, y_value: int, loss: str) -> float:
-    if loss == "squared":
-        return (score - y_value) ** 2
-    if loss == "zero_one":
-        return float((score >= 0.5) != bool(y_value))
-    if loss == "logloss":
-        s = min(max(score, 1e-12), 1.0 - 1e-12)
-        return -(y_value * np.log(s) + (1 - y_value) * np.log(1.0 - s))
-    raise ArgumentError(f"unknown loss {loss!r}; expected one of {LOSSES}")
+def _covariate_axes(family: ShiftFamily, names: Sequence[str]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The family's covariates in table order, and the position of each of ``names`` among them."""
+    covariates = tuple(n for n in family.base.names if n not in (family.y, family.z))
+    if len(set(names)) != len(names):
+        raise ArgumentError(f"{tuple(names)} names a variable twice")
+    for name in names:
+        if name not in covariates:
+            raise ArgumentError(f"{name!r} is not a covariate of the table")
+    return covariates, tuple(covariates.index(n) for n in names)
 
 
-def _covariate_layout(table: JointTable, y: str, z: str, predictor: TablePredictor):
-    cov_names = tuple(n for n in table.names if n not in (y, z))
-    for name in predictor.inputs:
-        if name not in cov_names:
-            raise ArgumentError(f"predictor input {name!r} is not a covariate of the table")
-    input_pos = tuple(cov_names.index(n) for n in predictor.inputs)
-    return cov_names, input_pos
+def _scored_members(predictor: TablePredictor, family: ShiftFamily) -> tuple[np.ndarray, np.ndarray]:
+    """P(covariates..., y) of every family member, stacked on a leading axis,
+    and the predictor's score on every covariate state (0 on input states
+    that no member reaches), both in table order."""
+    covariates, axes = _covariate_axes(family, predictor.inputs)
+    probs = np.stack([marginal_probs(m, covariates + (family.y,)) for m in family.members()])
+    others = tuple(i for i in range(len(covariates)) if i not in axes)
+    reached = np.transpose(probs.sum(axis=-1).any(axis=0), axes + others)
+    reached = reached.reshape(reached.shape[: len(axes)] + (-1,)).any(axis=-1)
+    scores = np.zeros(reached.shape)
+    for state in zip(*np.nonzero(reached)):
+        key = tuple(int(s) for s in state)
+        if not predictor.covers(key):
+            raise CoverageError(
+                f"predictor undefined on reachable state {dict(zip(predictor.inputs, key))}"
+            )
+        scores[state] = predictor.score(key)
+    return probs, broadcast_axes(scores, axes, len(covariates))
 
 
-def _xy_array(
-    table: JointTable, cov_names: tuple[str, ...], y: str
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """P(covariates..., y) flattened to (n_cov_states, y_card), plus the
-    covariate state shape."""
-    sub = marginalize(table, set(cov_names) | {y})
-    arr = np.transpose(sub.probs, sub.axes(cov_names) + (sub.axis(y),))
-    return arr.reshape(-1, arr.shape[-1]), arr.shape[:-1]
+def _sum_in_order(arr: np.ndarray, lead: int) -> np.ndarray:
+    """Sum over every axis after the first ``lead`` as one running total over
+    the cells in row-major order, the order of a state-by-state sweep
+    (numpy's pairwise ``sum`` rounds differently)."""
+    return np.cumsum(arr.reshape(arr.shape[:lead] + (-1,)), axis=-1)[..., -1]
 
 
 @dataclass(frozen=True)
@@ -348,36 +363,20 @@ def risk_invariance_gap(
     predictor: TablePredictor, family: ShiftFamily, loss: str = "squared"
 ) -> RiskInvarianceResult:
     """Exact risk of the predictor on every family member and the largest
-    pairwise risk difference."""
+    pairwise risk difference (the first pair attaining it)."""
     if loss not in LOSSES:
         raise ArgumentError(f"unknown loss {loss!r}; expected one of {LOSSES}")
     if family.base.variable(family.y).cardinality != 2:
         raise ArgumentError("risk computations assume a binary label")
-    cov_names, input_pos = _covariate_layout(family.base, family.y, family.z, predictor)
-    risks = []
-    for member in family.members():
-        flat, cards = _xy_array(member, cov_names, family.y)
-        risk = 0.0
-        for idx, row in enumerate(flat):
-            mass = row.sum()
-            if mass == 0.0:
-                continue
-            state = tuple(int(s) for s in np.unravel_index(idx, cards))
-            key = tuple(state[p] for p in input_pos)
-            if not predictor.covers(key):
-                raise CoverageError(
-                    f"predictor undefined on reachable state {dict(zip(predictor.inputs, key))}"
-                )
-            s = predictor.score(key)
-            risk += sum(row[yv] * _loss_value(s, yv, loss) for yv in range(len(row)))
-        risks.append(float(risk))
-    sup_gap, argmax = 0.0, (0, 0)
-    for i in range(len(risks)):
-        for j in range(i + 1, len(risks)):
-            d = abs(risks[i] - risks[j])
-            if d > sup_gap:
-                sup_gap, argmax = d, (i, j)
-    return RiskInvarianceResult(tuple(risks), sup_gap, argmax)
+    probs, scores = _scored_members(predictor, family)
+    loss_y0, loss_y1 = _LOSS_PAIRS[loss](scores)
+    risks = _sum_in_order(probs[..., 0] * loss_y0 + probs[..., 1] * loss_y1, 1)
+    first, second = np.triu_indices(len(risks), 1)
+    gaps = np.abs(risks[first] - risks[second])
+    k = int(gaps.argmax()) if gaps.size else 0
+    if not gaps.size or gaps[k] == 0.0:
+        return RiskInvarianceResult(tuple(map(float, risks)), 0.0, (0, 0))
+    return RiskInvarianceResult(tuple(map(float, risks)), float(gaps[k]), (int(first[k]), int(second[k])))
 
 
 @dataclass(frozen=True)
@@ -414,103 +413,43 @@ def check_epsilon_risk_bound(
     core = tuple(core)
     if loss == "zero_one":
         raise ArgumentError("the risk bound does not apply to the zero_one loss")
-    cov_names, input_pos = _covariate_layout(family.base, family.y, family.z, fitted)
-    core_pos = tuple(cov_names.index(n) for n in core)
-    half_eps = 0.0
-    for member in family.members():
-        flat, cards = _xy_array(member, cov_names, family.y)
-        masses = flat.sum(axis=1)
-        reachable = np.flatnonzero(masses > 0)
-        core_mass: dict[tuple[int, ...], float] = {}
-        core_ymass: dict[tuple[int, ...], float] = {}
-        scores: dict[int, float] = {}
-        core_keys: dict[int, tuple[int, ...]] = {}
-        for idx in reachable:
-            state = tuple(int(s) for s in np.unravel_index(idx, cards))
-            key = tuple(state[p] for p in input_pos)
-            if not fitted.covers(key):
-                raise CoverageError(
-                    f"predictor undefined on reachable state {dict(zip(fitted.inputs, key))}"
-                )
-            scores[idx] = fitted.score(key)
-            ck = tuple(state[p] for p in core_pos)
-            core_keys[idx] = ck
-            core_mass[ck] = core_mass.get(ck, 0.0) + masses[idx]
-            core_ymass[ck] = core_ymass.get(ck, 0.0) + flat[idx, 1]
-        for idx in reachable:
-            e_core = core_ymass[core_keys[idx]] / core_mass[core_keys[idx]]
-            half_eps = max(half_eps, abs(scores[idx] - e_core))
-    epsilon = 2.0 * half_eps
+    _, axes = _covariate_axes(family, core)
+    probs, scores = _scored_members(fitted, family)
+    mass = probs.sum(axis=-1)
+    core_first = ([1 + a for a in axes], list(range(1, 1 + len(core))))  # member axis, core axes, the rest
+    core_mass = _sum_in_order(np.moveaxis(mass, *core_first), 1 + len(core))
+    core_ymass = _sum_in_order(np.moveaxis(probs[..., 1], *core_first), 1 + len(core))
+    e_core = np.divide(core_ymass, core_mass, out=np.zeros_like(core_mass), where=core_mass > 0)
+    e_core = broadcast_axes(e_core, (0,) + tuple(1 + a for a in axes), mass.ndim)
+    deviation = np.where(mass > 0, np.abs(scores - e_core), 0.0)
+    epsilon = 2.0 * float(deviation.max())
     gap = risk_invariance_gap(fitted, family, loss).sup_gap
     return EpsilonBoundReport(epsilon, gap, gap <= epsilon + slack, loss)
 
 
 # -- Balanced distributions versus edge-dropped graphs -----------------------
 
-_COUNTEREXAMPLE_IDS = ("C1", "C2", "C3", "C4")
+# id: (binary nodes in CPT draw order, parents, latents, dropped observed edges)
+_COUNTEREXAMPLES = {
+    # Z -> X -> Y with a hidden common cause of (Y, Z)
+    "C1": (("U", "Z", "X", "Y"), {"Z": ("U",), "X": ("Z",), "Y": ("X", "U")}, ("U",), ()),
+    # X -> Y with a hidden common cause of (Y, Z); Z ends up isolated
+    "C2": (("U", "X", "Y", "Z"), {"Y": ("X", "U"), "Z": ("U",)}, ("U",), ()),
+    # pure causal chain Z -> X -> Y; dropping Z -> X isolates Z
+    "C3": (("Z", "X", "Y"), {"X": ("Z",), "Y": ("X",)}, (), (("Z", "X"),)),
+    # anti-causal with an observed mediator W between Z and X
+    "C4": (("U", "Y", "Z", "W", "X"), {"Y": ("U",), "Z": ("U",), "W": ("Z",), "X": ("Y", "W")}, ("U",), ()),
+}
+_COUNTEREXAMPLE_IDS = tuple(_COUNTEREXAMPLES)
 
 
 def _counterexample_net(example_id: str, gen: np.random.Generator) -> tuple[Cbn, tuple[str, ...], Dag]:
-    """Random positive network plus the skeleton left after dropping the
-    confounder path, over the observed nodes."""
-    b = lambda name: Variable(name, 2)  # noqa: E731
-    if example_id == "C1":
-        # Z -> X -> Y with a hidden common cause of (Y, Z)
-        net = Cbn(
-            (b("U"), b("Z"), b("X"), b("Y")),
-            {"Z": ("U",), "X": ("Z",), "Y": ("X", "U")},
-            {
-                "U": _random_rows(gen, (2,)),
-                "Z": _random_rows(gen, (2, 2)),
-                "X": _random_rows(gen, (2, 2)),
-                "Y": _random_rows(gen, (2, 2, 2)),
-            },
-        )
-        skeleton = Dag(("Z", "X", "Y"), {"X": ("Z",), "Y": ("X",)})
-        return net, ("U",), skeleton
-    if example_id == "C2":
-        # X -> Y with a hidden common cause of (Y, Z); Z ends up isolated
-        net = Cbn(
-            (b("U"), b("X"), b("Y"), b("Z")),
-            {"Y": ("X", "U"), "Z": ("U",)},
-            {
-                "U": _random_rows(gen, (2,)),
-                "X": _random_rows(gen, (2,)),
-                "Y": _random_rows(gen, (2, 2, 2)),
-                "Z": _random_rows(gen, (2, 2)),
-            },
-        )
-        skeleton = Dag(("X", "Y", "Z"), {"Y": ("X",)})
-        return net, ("U",), skeleton
-    if example_id == "C3":
-        # pure causal chain Z -> X -> Y; dropping Z -> X isolates Z
-        net = Cbn(
-            (b("Z"), b("X"), b("Y")),
-            {"X": ("Z",), "Y": ("X",)},
-            {
-                "Z": _random_rows(gen, (2,)),
-                "X": _random_rows(gen, (2, 2)),
-                "Y": _random_rows(gen, (2, 2)),
-            },
-        )
-        skeleton = Dag(("Z", "X", "Y"), {"Y": ("X",)})
-        return net, (), skeleton
-    if example_id == "C4":
-        # anti-causal with an observed mediator W between Z and X
-        net = Cbn(
-            (b("U"), b("Y"), b("Z"), b("W"), b("X")),
-            {"Y": ("U",), "Z": ("U",), "W": ("Z",), "X": ("Y", "W")},
-            {
-                "U": _random_rows(gen, (2,)),
-                "Y": _random_rows(gen, (2, 2)),
-                "Z": _random_rows(gen, (2, 2)),
-                "W": _random_rows(gen, (2, 2)),
-                "X": _random_rows(gen, (2, 2, 2)),
-            },
-        )
-        skeleton = Dag(("Y", "Z", "W", "X"), {"W": ("Z",), "X": ("Y", "W")})
-        return net, ("U",), skeleton
-    raise ArgumentError(f"unknown example id {example_id!r}; expected one of {_COUNTEREXAMPLE_IDS}")
+    """Random positive network of the named construction, its latents, and
+    its edge-dropped skeleton over the observed nodes."""
+    nodes, parents, latents, dropped = _COUNTEREXAMPLES[example_id]
+    cpts = {n: _random_rows(gen, (2,) * (len(parents.get(n, ())) + 1)) for n in nodes}
+    net = Cbn(tuple(Variable(n, 2) for n in nodes), parents, cpts)
+    return net, latents, observed_dag(net, latents, dropped)
 
 
 @dataclass(frozen=True)

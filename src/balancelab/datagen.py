@@ -11,7 +11,9 @@ One law per graph: the graph's builder in ``templates`` (``template_a`` to
 ``template_d``) with the spec's parameters and noise-free channel flips;
 ``label_noise`` is the core flip for A and D and part of the label
 mechanism for C; B's label mechanism is ``x_effect`` and
-``confounder_effect`` alone.  Every set is one
+``confounder_effect`` alone, so a B spec rejects ``label_noise``.  Every
+``GenSpec`` builds its law once when constructed, so a law parameter out of
+the template's range raises SpecError there.  Every set is one
 categorical draw from an exact table over the discrete keys (Y, Z, X_core,
 X_aux or X_ent, and V with X_v for graph C), followed by one Gaussian
 channel per key: core <- X_core, aux <- X_aux, ent <- X_ent, v <- X_v.
@@ -42,7 +44,7 @@ from .bayesnet import Cbn, GraphEdit, joint, mutilate
 from .checks import ShiftFamily
 from .errors import ArgumentError, SpecError
 from .rng import spawn
-from .tables import JointTable, _draw_states, marginalize
+from .tables import JointTable, _draw_states, marginal_probs, marginalize
 from .templates import GRAPH_IDS, GraphTemplate, graph_template, template_a, template_b, template_c
 
 _STREAM_SOURCE = 0
@@ -77,7 +79,7 @@ class GenSpec:
     sep_aux: float = 2.0
     noise_core: float = 1.0
     noise_aux: float = 1.0
-    label_noise: float = _C_LAW["label_noise"].default
+    label_noise: float | None = None  # graphs A, C and D
     # graph C
     dim_v: int | None = None
     sep_v: float | None = None
@@ -91,10 +93,13 @@ class GenSpec:
     x_effect: float | None = None
     confounder_effect: float | None = None
 
+    # A and D flip X_core with C's default label noise
     _GRAPH_DEFAULTS = {
+        "A": {"label_noise": _C_LAW["label_noise"].default},
         "B": {name: _B_LAW[name].default for name in ("x_effect", "confounder_effect", "z_flip")},
         "C": {"dim_v": 4, "sep_v": 2.0, "noise_v": 1.0}
-        | {name: _C_LAW[name].default for name in ("v_flip", "v_z_pull", "confounder_strength", "z_flip")},
+        | {n: _C_LAW[n].default for n in ("label_noise", "v_flip", "v_z_pull", "confounder_strength", "z_flip")},
+        "D": {"label_noise": _C_LAW["label_noise"].default},
     }
 
     def __post_init__(self) -> None:
@@ -108,7 +113,7 @@ class GenSpec:
             raise SpecError("channel dimensions must be >= 1")
         for name in ("label_noise", "z_marginal"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if v is not None and not 0.0 <= v <= 1.0:
                 raise SpecError(f"{name} must lie in [0, 1], got {v}")
         for name, lo, hi in (("confounding", 0.0, 1.0),):
             a, b = getattr(self, name)
@@ -118,6 +123,11 @@ class GenSpec:
             graphs = [g for g, defaults in self._GRAPH_DEFAULTS.items() if name in defaults]
             if getattr(self, name) is not None and self.graph not in graphs:
                 raise SpecError(f"{name} only applies to graph {' or '.join(graphs)}, not {self.graph}")
+        if self.resolved() is self:  # an unresolved spec is checked as its resolved copy
+            try:
+                _law(self)
+            except ArgumentError as exc:
+                raise SpecError(f"graph {self.graph} law: {exc}") from exc
 
     def resolved(self) -> "GenSpec":
         """Fill per-graph defaults for the fields that apply."""
@@ -314,8 +324,7 @@ def shift_testsets(
 
 def implied_y_given_z(spec: GenSpec) -> np.ndarray:
     """Exact P(Y=y | Z=z) of the source law, as a (2, 2) array [y, z]."""
-    pair = marginalize(_key_table(_law(spec.resolved()).net), {"Y", "Z"})
-    arr = np.transpose(pair.probs, pair.axes(("Y", "Z")))
+    arr = marginal_probs(_key_table(_law(spec.resolved()).net), ("Y", "Z"))
     return arr / arr.sum(axis=0, keepdims=True)
 
 

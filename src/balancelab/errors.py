@@ -66,12 +66,8 @@ class NumericsError(BalanceLabError, FloatingPointError):
     """A numeric quantity became non-finite during optimization."""
 
 
-class SpecError(BalanceLabError, ValueError):
+class SpecError(ArgumentError):
     """A generation or experiment specification is internally inconsistent."""
-
-
-class ConfigError(BalanceLabError, ValueError):
-    """A configuration file has unknown keys or unparsable values."""
 
 
 @contextmanager

@@ -308,9 +308,6 @@ class TrainResult:
     log: tuple[dict, ...]
     bandwidth: float | None
 
-    def final(self, key: str) -> float:
-        return float(self.log[-1][key])
-
 
 def _init_params(dim: int, spec: TrainSpec) -> ModelParams:
     gen = spawn(spec.seed, _STREAM_INIT)
@@ -462,16 +459,6 @@ def loads_params(text: str) -> ModelParams:
         weights.append(mat)
         biases.append(np.array(record(None, size, float)))
     return ModelParams(weights, biases, activation)
-
-
-def save_params(params: ModelParams, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_params(params))
-
-
-def load_params(path: str) -> ModelParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_params(fh.read())
 
 
 def log_to_csv(log: Sequence[Mapping]) -> str:

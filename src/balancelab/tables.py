@@ -138,6 +138,18 @@ def marginalize(table: JointTable, keep: Iterable[str]) -> JointTable:
     return JointTable(variables, probs)
 
 
+def marginal_probs(table: JointTable, names: Sequence[str]) -> np.ndarray:
+    """P(names) as a bare array with one axis per name, in the given order."""
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise ArgumentError(f"duplicate variable names: {names}")
+    axes = table.axes(names)
+    drop = tuple(i for i in range(len(table.variables)) if i not in axes)
+    probs = table.probs.sum(axis=drop) if drop else table.probs
+    kept = sorted(axes)
+    return np.transpose(probs, [kept.index(a) for a in axes])
+
+
 def condition(table: JointTable, evidence: Mapping[str, int]) -> JointTable:
     """Condition on ``evidence`` and return the table over the remaining variables.
 
@@ -204,8 +216,7 @@ def is_independent(
     if (groups[0] & groups[1]) or (groups[0] & groups[2]) or (groups[1] & groups[2]):
         raise ArgumentError(f"a, b, given must be disjoint, got {a}, {b}, {given}")
 
-    sub = marginalize(table, set(a) | set(b) | set(given))
-    arr = np.transpose(sub.probs, sub.axes(a) + sub.axes(b) + sub.axes(given))
+    arr = marginal_probs(table, a + b + given)
     shape_a = arr.shape[: len(a)]
     shape_b = arr.shape[len(a) : len(a) + len(b)]
     shape_g = arr.shape[len(a) + len(b) :]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import norm
 
-from .bayesnet import Cbn, Dag, joint
+from .bayesnet import Cbn, Dag, joint, observed_dag
 from .errors import ArgumentError
 from .rng import spawn
 from .tables import JointTable, Variable, marginalize
@@ -64,13 +64,7 @@ class GraphTemplate:
         For these templates every undesired path runs through a latent
         confounder, so the observed skeleton simply keeps the channel edges.
         """
-        parents: dict[str, tuple[str, ...]] = {n: () for n in self.observed_names}
-        for child in self.observed_names:
-            kept = tuple(
-                p for p in self.net.parents[child] if p in self.observed_names
-            )
-            parents[child] = kept
-        return Dag(self.observed_names, parents)
+        return observed_dag(self.net, self.latents)
 
 
 def _pair_joint(confounding: tuple[float, float], z_marginal: float) -> np.ndarray:

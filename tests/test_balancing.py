@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from balancelab.balancing import (
     BalanceSpec,
@@ -17,9 +21,10 @@ from balancelab.balancing import (
     bias_shift_single,
 )
 from balancelab.bayesnet import joint, sample_cbn
+from balancelab.checks import ShiftFamily
 from balancelab.errors import ArgumentError, UnbalanceableSupport
 from balancelab.rng import spawn
-from balancelab.tables import JointTable, SampleBatch, Variable, condition, marginalize
+from balancelab.tables import JointTable, SampleBatch, Variable, condition, marginal_probs, marginalize
 from balancelab.templates import graph_template
 
 Y = Variable("Y", 2)
@@ -84,6 +89,73 @@ class TestBalanceExact:
         t = JointTable((Y, Z), np.array([[0.5, 0.0], [0.2, 0.3]]))
         with pytest.raises(UnbalanceableSupport, match="Y=0, Z=1"):
             balance_exact(t, JOINT_YZ)
+
+
+@st.composite
+def positive_tables(draw):
+    """A strictly positive table over 3-5 variables of cardinality 2-3, with
+    Y and Z at random positions."""
+    cards = draw(st.lists(st.integers(2, 3), min_size=3, max_size=5))
+    cells = draw(st.lists(st.floats(0.01, 1.0), min_size=prod(cards), max_size=prod(cards)))
+    order = draw(st.permutations(["Y", "Z", "A", "B", "C"][: len(cards)]))
+    probs = np.array(cells).reshape(cards)
+    return JointTable(tuple(Variable(n, c) for n, c in zip(order, cards)), probs / probs.sum())
+
+
+def rest_given_pair(table: JointTable) -> np.ndarray:
+    """P(rest | y, z) with Y and Z as the first two axes."""
+    rest = tuple(n for n in table.names if n not in ("Y", "Z"))
+    arr = marginal_probs(table, ("Y", "Z") + rest)
+    return arr / arr.sum(axis=tuple(range(2, arr.ndim)), keepdims=True)
+
+
+@st.composite
+def conditional_grids(draw, table: JointTable):
+    """A strictly positive P(Z | Y) shaped like the table's (Y, Z) pair."""
+    cy, cz = table.variable("Y").cardinality, table.variable("Z").cardinality
+    rows = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=cy * cz, max_size=cy * cz))).reshape(cy, cz)
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+class TestExactInvariants:
+    @given(positive_tables())
+    def test_balance_keeps_marginals_and_conditionals(self, table):
+        q = balance_exact(table, JOINT_YZ)
+        for var in ("Y", "Z"):
+            assert np.abs(marginal_probs(q, (var,)) - marginal_probs(table, (var,))).max() < 1e-12
+        assert np.abs(rest_given_pair(q) - rest_given_pair(table)).max() < 1e-12
+        assert balanced_pair_gap(q, "Y", "Z") < 1e-12
+
+    @given(st.data())
+    def test_shift_member_sets_group_given_label(self, data):
+        table = data.draw(positive_tables())
+        grid = data.draw(conditional_grids(table))
+        member = ShiftFamily(table, (grid,)).member(0)
+        assert np.abs(marginal_probs(member, ("Y",)) - marginal_probs(table, ("Y",))).max() < 1e-12
+        assert np.abs(rest_given_pair(member) - rest_given_pair(table)).max() < 1e-12
+        pair = marginal_probs(member, ("Y", "Z"))
+        assert np.abs(pair / pair.sum(axis=1, keepdims=True) - grid).max() < 1e-12
+
+    @given(positive_tables(), st.integers(0, 2**16))
+    def test_importance_weights_equal_exact_balance_of_empirical(self, table, seed):
+        gen = spawn(seed, 5)
+        states = np.array(list(np.ndindex(*table.shape)))  # every cell has a row
+        rows = np.concatenate([states, states[gen.integers(0, len(states), size=50)]])
+        batch = SampleBatch(table.variables, rows, gen.uniform(0.1, 2.0, size=len(rows)))
+        out = balance_batch(batch, BalanceSpec(JointTarget("Y", "Z"), Mechanism.IMPORTANCE_WEIGHTS))
+        exact = balance_exact(batch.empirical_table(), JOINT_YZ)
+        assert np.abs(out.empirical_table().probs - exact.probs).max() < 1e-12
+
+    def test_shift_member_on_empty_pair_cell_rejected(self):
+        t = JointTable((Y, Z), np.array([[0.5, 0.2], [0.3, 0.0]]))
+        family = ShiftFamily(t, (np.array([[0.5, 0.5], [0.5, 0.5]]),))
+        with pytest.raises(UnbalanceableSupport, match="Y=1, Z=1"):
+            family.member(0)
+
+    def test_shift_member_may_keep_an_empty_cell_empty(self):
+        t = JointTable((Y, Z), np.array([[0.5, 0.2], [0.3, 0.0]]))
+        member = ShiftFamily(t, (np.array([[0.4, 0.6], [1.0, 0.0]]),)).member(0)
+        assert np.allclose(member.probs, [[0.7 * 0.4, 0.7 * 0.6], [0.3, 0.0]], atol=1e-15)
 
 
 class TestBalanceSingleExact:

@@ -166,6 +166,121 @@ class TestRiskInvariance:
             risk_invariance_gap(pred, fam)
 
 
+def loop_loss(score: float, y_value: int, loss: str) -> float:
+    if loss == "squared":
+        return (score - y_value) ** 2
+    if loss == "zero_one":
+        return float((score >= 0.5) != bool(y_value))
+    s = min(max(score, 1e-12), 1.0 - 1e-12)
+    return -(y_value * np.log(s) + (1 - y_value) * np.log(1.0 - s))
+
+
+def loop_flat(member, cov_names, y):
+    sub = marginalize(member, set(cov_names) | {y})
+    arr = np.transpose(sub.probs, sub.axes(cov_names) + (sub.axis(y),))
+    return arr.reshape(-1, arr.shape[-1]), arr.shape[:-1]
+
+
+def loop_risk_invariance_gap(predictor, family, loss):
+    """State-by-state reference: the risk of every member, then the largest pairwise gap."""
+    cov_names = tuple(n for n in family.base.names if n not in (family.y, family.z))
+    input_pos = tuple(cov_names.index(n) for n in predictor.inputs)
+    risks = []
+    for member in family.members():
+        flat, cards = loop_flat(member, cov_names, family.y)
+        risk = 0.0
+        for idx, row in enumerate(flat):
+            if row.sum() == 0.0:
+                continue
+            state = tuple(int(s) for s in np.unravel_index(idx, cards))
+            key = tuple(state[p] for p in input_pos)
+            if not predictor.covers(key):
+                raise CoverageError(f"undefined on {key}")
+            score = predictor.score(key)
+            risk += sum(row[yv] * loop_loss(score, yv, loss) for yv in range(len(row)))
+        risks.append(float(risk))
+    sup_gap, argmax = 0.0, (0, 0)
+    for i in range(len(risks)):
+        for j in range(i + 1, len(risks)):
+            if abs(risks[i] - risks[j]) > sup_gap:
+                sup_gap, argmax = abs(risks[i] - risks[j]), (i, j)
+    return tuple(risks), sup_gap, argmax
+
+
+def loop_epsilon(fitted, family, core):
+    """State-by-state reference: twice the largest |score - E[Y | core]| over
+    members and reachable states."""
+    cov_names = tuple(n for n in family.base.names if n not in (family.y, family.z))
+    input_pos = tuple(cov_names.index(n) for n in fitted.inputs)
+    core_pos = tuple(cov_names.index(n) for n in core)
+    half_eps = 0.0
+    for member in family.members():
+        flat, cards = loop_flat(member, cov_names, family.y)
+        masses = flat.sum(axis=1)
+        reachable = np.flatnonzero(masses > 0)
+        core_mass, core_ymass, scores, core_keys = {}, {}, {}, {}
+        for idx in reachable:
+            state = tuple(int(s) for s in np.unravel_index(idx, cards))
+            scores[idx] = fitted.score(tuple(state[p] for p in input_pos))
+            ck = core_keys[idx] = tuple(state[p] for p in core_pos)
+            core_mass[ck] = core_mass.get(ck, 0.0) + masses[idx]
+            core_ymass[ck] = core_ymass.get(ck, 0.0) + flat[idx, 1]
+        for idx in reachable:
+            half_eps = max(half_eps, abs(scores[idx] - core_ymass[core_keys[idx]] / core_mass[core_keys[idx]]))
+    return 2.0 * half_eps
+
+
+class TestLoopReference:
+    """The array risk checks against a state-by-state loop on the same family."""
+
+    @pytest.mark.parametrize("gid", ["A", "B", "C", "D"])
+    def test_risks_and_epsilon_match_loop(self, gid):
+        for seed in range(6):
+            tpl = random_instance(gid, seed)
+            for base in (tpl.observed(), balanced(tpl.observed())):
+                fam = ShiftFamily(base, correlation_grid(5 + seed % 3))
+                covs = tuple(n for n in base.names if n not in ("Y", "Z"))
+                full = bayes_predictor(base, covs[::-1])
+                gen = spawn(seed, 7)
+                pert = full.perturbed(
+                    {s: float(d) for s, d in zip(full.posterior, gen.uniform(-0.05, 0.05, len(full.posterior)))}
+                )
+                for pred in (bayes_predictor(base, tpl.core), full, pert):
+                    for loss in ("squared", "zero_one", "logloss"):
+                        res = risk_invariance_gap(pred, fam, loss)
+                        risks, sup_gap, argmax = loop_risk_invariance_gap(pred, fam, loss)
+                        rel = max(abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(res.risks, risks))
+                        assert rel <= 1e-15, (gid, seed, loss, rel)
+                        assert res.argmax_pair == argmax and abs(res.sup_gap - sup_gap) <= 1e-15
+                        if loss == "zero_one":
+                            continue
+                        for core in (tpl.core, covs[::-1]):
+                            rep = check_epsilon_risk_bound(pred, fam, core, loss)
+                            epsilon = loop_epsilon(pred, fam, core)
+                            assert abs(rep.epsilon - epsilon) <= 1e-15, (gid, seed, loss, core)
+                            assert rep.bound_holds == (sup_gap <= epsilon + 1e-9)
+
+    def test_repeated_names_rejected(self):
+        tpl = random_instance("A", 1)
+        q = balanced(tpl.observed())
+        fam = ShiftFamily(q, correlation_grid(3))
+        with pytest.raises(ArgumentError, match="twice"):
+            check_epsilon_risk_bound(bayes_predictor(q, tpl.core), fam, ("X_core", "X_core"))
+        twice = TablePredictor.from_scores(("X_core", "X_core"), {(0, 0): 0.3, (1, 1): 0.6})
+        with pytest.raises(ArgumentError, match="twice"):
+            risk_invariance_gap(twice, fam)
+
+    def test_uncovered_state_raises_like_loop(self):
+        tpl = random_instance("C", 2)
+        q = balanced(tpl.observed())
+        fam = ShiftFamily(q, correlation_grid(3))
+        pred = bayes_predictor(q, ("X_aux", "X_core"))
+        partial = TablePredictor(pred.inputs, {k: v for k, v in pred.posterior.items() if k != (1, 0)})
+        for check in (risk_invariance_gap, loop_risk_invariance_gap):
+            with pytest.raises(CoverageError):
+                check(partial, fam, "squared")
+
+
 class TestEpsilonBound:
     def test_core_bayes_has_zero_epsilon_and_gap(self):
         tpl = random_instance("A", 3)

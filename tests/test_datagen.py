@@ -74,6 +74,21 @@ class TestGenSpec:
         with pytest.raises(ArgumentError):
             generate(GenSpec(graph="B", n=10, **{field: np.nan}))
 
+    def test_label_noise_rejected_for_b(self):
+        with pytest.raises(SpecError, match="label_noise only applies to graph A or C or D, not B"):
+            GenSpec(graph="B", n=10, label_noise=0.3)
+        for gid in ("A", "C", "D"):
+            assert GenSpec(graph=gid, n=10).resolved().label_noise == 0.02
+        assert GenSpec(graph="B", n=10).resolved().label_noise is None
+
+    def test_out_of_range_b_law_rejected_at_construction(self):
+        with pytest.raises(SpecError, match="x_effect"):
+            GenSpec(graph="B", n=10, x_effect=7.0)
+
+    def test_out_of_range_c_law_rejected_at_construction(self):
+        with pytest.raises(SpecError, match="graph C law"):
+            GenSpec(graph="C", n=10, confounder_strength=2.0)
+
     def test_dict_round_trip(self):
         spec = GenSpec(graph="C", n=100, seed=4).resolved()
         assert GenSpec.from_dict(spec.to_dict()) == spec
