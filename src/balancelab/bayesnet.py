@@ -330,10 +330,6 @@ class Violation:
     gap: float
     kind: str  # "pairwise" or "local-markov"
 
-    def describe(self) -> str:
-        cond = f" | {','.join(self.given)}" if self.given else ""
-        return f"{','.join(self.a)} _||_ {','.join(self.b)}{cond} fails with gap {self.gap:.3g}"
-
 
 @dataclass(frozen=True)
 class FactorizationReport:

@@ -364,11 +364,15 @@ def risk_invariance_gap(
 ) -> RiskInvarianceResult:
     """Exact risk of the predictor on every family member and the largest
     pairwise risk difference (the first pair attaining it)."""
+    return _risk_gap(family, *_scored_members(predictor, family), loss)
+
+
+def _risk_gap(family: ShiftFamily, probs: np.ndarray, scores: np.ndarray, loss: str) -> RiskInvarianceResult:
+    """``risk_invariance_gap`` from the members and scores of ``_scored_members``."""
     if loss not in LOSSES:
         raise ArgumentError(f"unknown loss {loss!r}; expected one of {LOSSES}")
     if family.base.variable(family.y).cardinality != 2:
         raise ArgumentError("risk computations assume a binary label")
-    probs, scores = _scored_members(predictor, family)
     loss_y0, loss_y1 = _LOSS_PAIRS[loss](scores)
     risks = _sum_in_order(probs[..., 0] * loss_y0 + probs[..., 1] * loss_y1, 1)
     first, second = np.triu_indices(len(risks), 1)
@@ -423,7 +427,7 @@ def check_epsilon_risk_bound(
     e_core = broadcast_axes(e_core, (0,) + tuple(1 + a for a in axes), mass.ndim)
     deviation = np.where(mass > 0, np.abs(scores - e_core), 0.0)
     epsilon = 2.0 * float(deviation.max())
-    gap = risk_invariance_gap(fitted, family, loss).sup_gap
+    gap = _risk_gap(family, probs, scores, loss).sup_gap
     return EpsilonBoundReport(epsilon, gap, gap <= epsilon + slack, loss)
 
 

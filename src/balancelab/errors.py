@@ -63,7 +63,7 @@ class SampleSizeError(BalanceLabError, ValueError):
 
 
 class NumericsError(BalanceLabError, FloatingPointError):
-    """A numeric quantity became non-finite during optimization."""
+    """A numeric quantity became non-finite, or an optimization failed to converge."""
 
 
 class SpecError(ArgumentError):

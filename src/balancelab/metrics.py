@@ -62,10 +62,11 @@ def evaluate(
 ) -> MetricsReport:
     """Score the model on one dataset.
 
-    ``probe_seed`` additionally runs the encoding probe for the group factor
-    (it trains a small classifier, hence the explicit seed).  A single-class
-    label makes the score-bin parity gap undefined; it is reported as None
-    and flagged.
+    ``probe_seed`` additionally runs the encoding probe for the group factor;
+    the seed picks the probe's train/test split, and the probe's fit is a
+    deterministic Newton solve gated on convergence.  A single-class label
+    makes the score-bin parity gap undefined; it is reported as None and
+    flagged.
     """
     if len(data) == 0:
         raise ArgumentError("dataset is empty")
@@ -127,9 +128,7 @@ def evaluate(
         for z_value in np.unique(data.z):
             counts[(int(y_value), int(z_value))] = int(((data.y == y_value) & (data.z == z_value)).sum())
 
-    encoding = None
-    if probe_seed is not None:
-        encoding = probe_encoding(params, data, "z", seed=probe_seed)
+    encoding = None if probe_seed is None else probe_encoding(params, data, "z", seed=probe_seed)
 
     return MetricsReport(
         accuracy=accuracy,

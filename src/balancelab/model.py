@@ -5,6 +5,8 @@ marginal or conditional MMD regularization of the scores (or of the hidden
 representation), computed from one RBF kernel per mini-batch.  All gradients
 are analytic; finite differences and a double-loop reference in the tests pin
 them.  Training is single-threaded and bit-reproducible for a fixed seed.
+The encoding probe fits its logistic regression by full-batch Newton steps
+to a gradient-norm tolerance, not by training.
 """
 
 from __future__ import annotations
@@ -55,9 +57,6 @@ class ModelParams:
     @property
     def has_hidden(self) -> bool:
         return len(self.weights) == 2
-
-    def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.weights], [b.copy() for b in self.biases], self.activation)
 
 
 def _act(values: np.ndarray, kind: str) -> np.ndarray:
@@ -273,33 +272,20 @@ def loss(
     if not np.isfinite(total):
         raise NumericsError(f"non-finite loss: ce={ce}, l2={l2_value}, mmd={mmd_value}")
 
-    grad_w: list[np.ndarray] = []
-    grad_b: list[np.ndarray] = []
+    dout = dlogit[:, None]
     if params.has_hidden:
-        dout = dlogit[:, None]
         gw2 = hidden.T @ dout + 2.0 * spec.l2 * params.weights[1]
         gb2 = dout.sum(axis=0)
         dhidden = dout @ params.weights[1].T
         if drep is not None:
             dhidden = dhidden + drep
         dpre = dhidden * _act_grad(pre, params.activation)
-        gw1 = x.T @ dpre + 2.0 * spec.l2 * params.weights[0]
-        gb1 = dpre.sum(axis=0)
-        grad_w, grad_b = [gw1, gw2], [gb1, gb2]
+        grad_w = (x.T @ dpre + 2.0 * spec.l2 * params.weights[0], gw2)
+        grad_b = (dpre.sum(axis=0), gb2)
     else:
-        dout = dlogit[:, None]
-        gw1 = x.T @ dout + 2.0 * spec.l2 * params.weights[0]
-        gb1 = dout.sum(axis=0)
-        grad_w, grad_b = [gw1], [gb1]
-    return LossReport(
-        value=float(total),
-        ce=ce,
-        l2=float(l2_value),
-        mmd=float(mmd_value),
-        grad_weights=tuple(grad_w),
-        grad_biases=tuple(grad_b),
-        skipped_strata=skipped,
-    )
+        grad_w = (x.T @ dout + 2.0 * spec.l2 * params.weights[0],)
+        grad_b = (dout.sum(axis=0),)
+    return LossReport(float(total), ce, float(l2_value), float(mmd_value), grad_w, grad_b, skipped)
 
 
 @dataclass(frozen=True)
@@ -355,64 +341,78 @@ def train(data: Dataset, spec: TrainSpec) -> TrainResult:
                 velocity_b[k] = mu * velocity_b[k] + report.grad_biases[k]
                 params.weights[k] -= lr * (report.grad_weights[k] + mu * velocity_w[k])
                 params.biases[k] -= lr * (report.grad_biases[k] + mu * velocity_b[k])
-            totals["loss"] += report.value
-            totals["ce"] += report.ce
-            totals["l2"] += report.l2
-            totals["mmd"] += report.mmd
+            for key, value in zip(totals, (report.value, report.ce, report.l2, report.mmd)):
+                totals[key] += value
             skipped += report.skipped_strata
             batches += 1
-        entry = {k: v / batches for k, v in totals.items()}
-        entry["epoch"] = epoch
-        entry["skipped_strata"] = skipped
+        entry = {k: v / batches for k, v in totals.items()} | {"epoch": epoch, "skipped_strata": skipped}
         log.append(entry)
         if not np.isfinite(entry["loss"]):
             raise NumericsError(f"training diverged at epoch {epoch}")
     return TrainResult(params, tuple(log), bandwidth)
 
 
-def probe_encoding(
-    params: ModelParams,
-    data: Dataset,
-    target: str = "z",
-    seed: int = 0,
-    epochs: int = 40,
-    learning_rate: float = 0.2,
-) -> float:
-    """Held-out accuracy of a fresh linear classifier trained to read the
-    target column off the frozen representation; near 0.5 means the
-    representation does not encode it."""
-    if target == "z":
-        labels = data.z
-    elif target == "v":
-        if data.v is None:
-            raise ArgumentError("dataset has no v column")
-        labels = data.v
-    else:
+_PROBE_L2, _PROBE_GTOL, _PROBE_MAX_STEPS = 1e-4, 1e-8, 30
+
+
+def _fit_probe(a: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Weights minimizing mean cross-entropy + 1e-4 * ||w||^2 of a logistic
+    regression on ``a``, whose last column is the constant 1 and whose bias
+    is not penalized: damped Newton steps of one (d, d) solve each, halved
+    until the Armijo condition holds.  Raises NumericsError unless the
+    gradient norm reaches 1e-8 within ``_PROBE_MAX_STEPS`` steps."""
+    n, d = a.shape
+    t = labels.astype(float)
+    pen = np.append(np.full(d - 1, _PROBE_L2), 0.0)
+
+    def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
+        logit = a @ w
+        return float(np.mean(np.logaddexp(0.0, logit) - t * logit) + pen @ (w * w)), logit
+
+    w = np.zeros(d)
+    value, logit = objective(w)
+    for _ in range(_PROBE_MAX_STEPS):
+        p = _sigmoid(logit)
+        grad = a.T @ (p - t) / n + 2.0 * pen * w
+        if np.linalg.norm(grad) <= _PROBE_GTOL:
+            return w
+        try:
+            step = np.linalg.solve((a.T * (p * (1.0 - p))) @ a / n + np.diag(2.0 * pen), grad)
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError(f"probe Hessian is singular: {exc}") from exc
+        decrease, scale = float(grad @ step), 1.0  # the squared Newton decrement
+        while (trial := objective(w - scale * step))[0] > value - 1e-4 * scale * decrease:
+            scale *= 0.5
+            if scale < 1e-10:
+                raise NumericsError("probe line search found no descent")
+        w, (value, logit) = w - scale * step, trial
+    raise NumericsError(f"probe fit did not reach gradient norm {_PROBE_GTOL} in {_PROBE_MAX_STEPS} steps")
+
+
+def probe_encoding(params: ModelParams, data: Dataset, target: str = "z", seed: int = 0) -> float:
+    """Held-out accuracy of a logistic regression that reads the 0/1 target
+    column off the frozen representation; near the majority rate means the
+    representation does not encode it.
+
+    The seed picks only the 70/30 train/test split; the fit is the
+    deterministic, convergence-gated Newton solve of ``_fit_probe``.  An
+    empty split or a single-class training split raises DegenerateTarget.
+    """
+    if target not in ("z", "v"):
         raise ArgumentError(f"target must be 'z' or 'v', got {target!r}")
-    if len(np.unique(labels)) < 2:
-        raise DegenerateTarget(f"target {target!r} has a single class")
-    rep = representation(params, data.x)
+    labels = data.z if target == "z" else data.v
+    if labels is None:
+        raise ArgumentError("dataset has no v column")
+    if not set(np.unique(labels).tolist()) <= {0, 1}:
+        raise ArgumentError(f"target {target!r} must take only the values 0 and 1")
     perm = spawn(seed, _STREAM_PROBE).permutation(len(data))
     cut = int(0.7 * len(data))
     train_idx, test_idx = perm[:cut], perm[cut:]
-    probe_data = Dataset(
-        labels[train_idx],
-        np.zeros(cut, dtype=np.int64),
-        rep[train_idx],
-        np.ones(cut),
-        {"rep": (0, rep.shape[1])},
-    )
-    probe_spec = TrainSpec(
-        epochs=epochs,
-        batch_size=128,
-        learning_rate=learning_rate,
-        momentum=0.9,
-        l2=1e-4,
-        hidden_dim=0,
-        seed=seed,
-    )
-    result = train(probe_data, probe_spec)
-    preds = predict_scores(result.params, rep[test_idx]) >= 0.5
+    if len(test_idx) == 0 or len(np.unique(labels[train_idx])) < 2:
+        raise DegenerateTarget(f"target {target!r} needs both classes in the probe's training split and a test row")
+    a = np.column_stack([representation(params, data.x), np.ones(len(data))])
+    w = _fit_probe(a[train_idx], labels[train_idx])
+    preds = a[test_idx] @ w >= 0.0
     return float(np.mean(preds == labels[test_idx].astype(bool)))
 
 

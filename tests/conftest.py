@@ -2,12 +2,19 @@
 
 Hypothesis runs derandomized, with no deadline and no example database, so
 every property test draws the same examples on every run, does not fail on a
-slow or loaded host, and writes no example database into the checkout.
+slow or loaded host, and writes no example database into the checkout.  Its
+remaining storage (the constants cache) goes to a temporary directory, so a
+test run leaves no ``.hypothesis/`` behind.
 """
 
+import tempfile
 import warnings
 
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")  # removed at exit
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
 settings.load_profile("deterministic")

@@ -324,6 +324,24 @@ class TestEpsilonBound:
         with pytest.raises(ArgumentError, match="zero_one"):
             check_epsilon_risk_bound(bayes_predictor(q, tpl.core), fam, tpl.core, "zero_one")
 
+    def test_builds_each_member_once(self, monkeypatch):
+        tpl = random_instance("D", 4)
+        q = balanced(tpl.observed())
+        fam = ShiftFamily(q, correlation_grid(5))
+        pred = bayes_predictor(q, tpl.core + tpl.entangled)
+        expected = risk_invariance_gap(pred, fam, "logloss").sup_gap
+        calls = []
+        real = ShiftFamily.member
+
+        def counting(self, k):
+            calls.append(k)
+            return real(self, k)
+
+        monkeypatch.setattr(ShiftFamily, "member", counting)
+        rep = check_epsilon_risk_bound(pred, fam, tpl.core, "logloss")
+        assert len(calls) == len(fam.grid)
+        assert rep.gap == expected
+
 
 class TestNonfactorization:
     @pytest.mark.parametrize("example_id", ["C1", "C2", "C3"])

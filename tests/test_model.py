@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from balancelab import model
+from balancelab import metrics, model
 from balancelab.datagen import Dataset, GenSpec, generate, ideal_testset
-from balancelab.errors import ArgumentError, DegenerateTarget, SampleSizeError
+from balancelab.errors import ArgumentError, DegenerateTarget, NumericsError, SampleSizeError
 from balancelab.model import (
     MmdPenalty,
     ModelParams,
@@ -55,6 +56,21 @@ def two_cluster_dataset(seed: int, n: int = 400) -> Dataset:
     y = gen.integers(0, 2, n)
     x = gen.normal(size=(n, 3)) * 0.5 + np.where(y[:, None] == 1, 2.0, -2.0)
     return Dataset(y, np.zeros(n, dtype=np.int64), x, np.ones(n), {"all": (0, 3)})
+
+
+def probe_problem(seed: int, n: int = 700, d: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """A probe design ``[rep, 1]`` with noisy logistic 0/1 labels."""
+    gen = spawn(seed, 55)
+    rep = np.maximum(gen.normal(size=(n, d)), 0.0)
+    logit = rep @ gen.normal(size=d) - 1.0
+    labels = (gen.uniform(size=n) < 1.0 / (1.0 + np.exp(-logit))).astype(np.int64)
+    return np.column_stack([rep, np.ones(n)]), labels
+
+
+def probe_gradient(a: np.ndarray, labels: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gradient of the probe objective: mean cross-entropy + 1e-4 ||w||^2, bias unpenalized."""
+    p = 1.0 / (1.0 + np.exp(-(a @ w)))
+    return a.T @ (p - labels) / len(a) + 2e-4 * np.append(w[:-1], 0.0)
 
 
 class TestMmd2:
@@ -404,6 +420,89 @@ class TestProbe:
         params = ModelParams([np.zeros((3, 1))], [np.zeros(1)])
         with pytest.raises(ArgumentError):
             probe_encoding(params, ds, "v", seed=0)
+
+    def test_gradient_vanishes_at_returned_weights(self):
+        a, labels = probe_problem(13)
+        w = model._fit_probe(a, labels)
+        assert np.linalg.norm(probe_gradient(a, labels, w)) <= 1e-8
+
+    def test_unconverged_fit_raises(self, monkeypatch):
+        a, labels = probe_problem(13)
+        monkeypatch.setattr(model, "_PROBE_MAX_STEPS", 1)
+        with pytest.raises(NumericsError, match="gradient norm"):
+            model._fit_probe(a, labels)
+
+    def test_weights_match_scipy_reference(self):
+        a, labels = probe_problem(14)
+        pen = np.append(np.full(a.shape[1] - 1, 1e-4), 0.0)
+
+        def objective(w):
+            logit = a @ w
+            return np.mean(np.logaddexp(0.0, logit) - labels * logit) + pen @ (w * w)
+
+        def hessian(w):
+            p = 1.0 / (1.0 + np.exp(-(a @ w)))
+            return (a.T * (p * (1 - p))) @ a / len(a) + np.diag(2.0 * pen)
+
+        ref = minimize(
+            objective,
+            np.zeros(a.shape[1]),
+            jac=lambda w: probe_gradient(a, labels, w),
+            hess=hessian,
+            method="trust-exact",
+            options={"gtol": 1e-12},
+        )
+        assert ref.success
+        assert np.max(np.abs(model._fit_probe(a, labels) - ref.x)) <= 1e-6
+
+    def test_separable_representation_is_read_exactly(self):
+        gen = spawn(15, 53)
+        x = gen.normal(size=(500, 3))
+        z = (x[:, 0] > 0).astype(np.int64)
+        x[:, 0] += np.where(z == 1, 0.5, -0.5)
+        ds = Dataset(np.zeros(500, dtype=np.int64), z, x, np.ones(500), {"all": (0, 3)})
+        linear = ModelParams([np.zeros((3, 1))], [np.zeros(1)])
+        assert probe_encoding(linear, ds, "z", seed=5) == 1.0
+
+    def test_same_seed_is_bit_identical(self):
+        ds = generate(GenSpec(graph="C", n=1500, seed=16))
+        params = random_params(17, d=ds.x.shape[1], hidden=8)
+        assert probe_encoding(params, ds, "z", seed=6) == probe_encoding(params, ds, "z", seed=6)
+        a, labels = probe_problem(18)
+        assert np.array_equal(model._fit_probe(a, labels), model._fit_probe(a, labels))
+
+    def test_evaluate_runs_no_training(self, monkeypatch):
+        ds = generate(GenSpec(graph="A", n=800, seed=19))
+        params = random_params(20, d=ds.x.shape[1], hidden=6)
+        calls = []
+        for name in ("loss", "train"):
+            monkeypatch.setattr(model, name, lambda *args, name=name, **kwargs: calls.append(name))
+        report = metrics.evaluate(params, ds, probe_seed=7)
+        assert report.encoding is not None
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_data_is_degenerate(self, n):
+        ds = Dataset(np.zeros(n, dtype=np.int64), np.arange(n) % 2, np.ones((n, 3)), np.ones(n), {"all": (0, 3)})
+        params = ModelParams([np.zeros((3, 1))], [np.zeros(1)])
+        with pytest.raises(DegenerateTarget):
+            probe_encoding(params, ds, "z", seed=0)
+
+    def test_lone_minority_row_in_test_split_is_degenerate(self):
+        n, seed = 50, 8
+        z = np.zeros(n, dtype=np.int64)
+        z[spawn(seed, model._STREAM_PROBE).permutation(n)[-1]] = 1
+        ds = Dataset(np.zeros(n, dtype=np.int64), z, spawn(21, 54).normal(size=(n, 3)), np.ones(n), {"all": (0, 3)})
+        params = ModelParams([np.zeros((3, 1))], [np.zeros(1)])
+        with pytest.raises(DegenerateTarget, match="training split"):
+            probe_encoding(params, ds, "z", seed=seed)
+
+    def test_non_binary_target_names_it(self):
+        ds = toy_dataset(22, n=30)
+        ds = Dataset(ds.y, np.arange(30) % 3, ds.x, ds.weights, ds.channel_slices)
+        params = ModelParams([np.zeros((4, 1))], [np.zeros(1)])
+        with pytest.raises(ArgumentError, match="target 'z'"):
+            probe_encoding(params, ds, "z", seed=0)
 
 
 class TestSerialization:
