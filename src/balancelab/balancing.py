@@ -98,30 +98,23 @@ def reweight_marginal(table: JointTable, names: Sequence[str], target: np.ndarra
 
 
 def balance_exact(table: JointTable, spec: BalanceSpec) -> JointTable:
-    """Exact joint balancing: the (y, z) marginal becomes P(y)P(z).
+    """Exact balancing by one ``reweight_marginal``.
 
-    Marginals of the targets are preserved, the targets become independent,
-    and conditionals given the target pair are untouched.  A zero-probability
-    (y, z) cell with positive marginals makes the reweight undefined and
-    raises UnbalanceableSupport.
+    A JointTarget makes the (y, z) marginal P(y)P(z): marginals of the
+    targets are preserved, the targets become independent, and conditionals
+    given the target pair are untouched.  A SingleTarget makes the marginal
+    of its variable uniform and keeps every conditional given it.  A target
+    cell with zero probability but target mass makes the reweight undefined
+    and raises UnbalanceableSupport.
     """
-    if not isinstance(spec.target, JointTarget):
-        raise ArgumentError("balance_exact needs a JointTarget spec")
     if spec.mechanism is not Mechanism.EXACT_REWEIGHT:
         raise ArgumentError("exact tables only support the exact_reweight mechanism")
+    if isinstance(spec.target, SingleTarget):
+        card = table.variable(spec.target.var).cardinality
+        return reweight_marginal(table, (spec.target.var,), np.full(card, 1.0 / card))
     names = (spec.target.y_var, spec.target.z_var)
     pyz = marginal_probs(table, names)
     return reweight_marginal(table, names, pyz.sum(axis=1, keepdims=True) * pyz.sum(axis=0, keepdims=True))
-
-
-def balance_single_exact(table: JointTable, spec: BalanceSpec) -> JointTable:
-    """Uniformize the marginal of one variable, preserving conditionals given it."""
-    if not isinstance(spec.target, SingleTarget):
-        raise ArgumentError("balance_single_exact needs a SingleTarget spec")
-    if spec.mechanism is not Mechanism.EXACT_REWEIGHT:
-        raise ArgumentError("exact tables only support the exact_reweight mechanism")
-    card = table.variable(spec.target.var).cardinality
-    return reweight_marginal(table, (spec.target.var,), np.full(card, 1.0 / card))
 
 
 def _target_codes(batch: SampleBatch, spec: BalanceSpec) -> tuple[np.ndarray, int, list[str]]:
@@ -150,10 +143,17 @@ def balance_batch(batch: SampleBatch, spec: BalanceSpec) -> SampleBatch:
     marginals.  subsample_majority keeps each target cell at the minimum cell
     row count, drawing uniformly without replacement.  upsample_minority
     keeps all rows and pads each cell to the maximum cell row count with
-    replacement.  Any empty target cell raises UnbalanceableSupport.
+    replacement.  Any empty target cell raises UnbalanceableSupport.  The
+    resampling mechanisms balance row counts and keep each row's weight, so
+    they need a batch whose weights are all equal.
     """
     if len(batch) == 0:
         raise ArgumentError("batch is empty")
+    if spec.mechanism in _RESAMPLING and np.any(batch.weights != batch.weights[0]):
+        raise ArgumentError(
+            f"{spec.mechanism.value} balances row counts and keeps row weights, so the batch "
+            "weights must all be equal; use importance_weights for a weighted batch"
+        )
     codes, ncells, names = _target_codes(batch, spec)
     counts = np.bincount(codes, minlength=ncells)
     if np.any(counts == 0):

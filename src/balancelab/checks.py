@@ -123,14 +123,6 @@ class ConditionReport:
     cond2_gap: float
     tol: float
 
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "cond1_gap": self.cond1_gap,
-            "cond2_gap": self.cond2_gap,
-            "tol": self.tol,
-        }
-
 
 def check_invariance_conditions(
     table: JointTable,
@@ -351,13 +343,6 @@ class RiskInvarianceResult:
     sup_gap: float
     argmax_pair: tuple[int, int]
 
-    def to_dict(self) -> dict:
-        return {
-            "risks": list(self.risks),
-            "sup_gap": self.sup_gap,
-            "argmax_pair": list(self.argmax_pair),
-        }
-
 
 def risk_invariance_gap(
     predictor: TablePredictor, family: ShiftFamily, loss: str = "squared"
@@ -389,14 +374,6 @@ class EpsilonBoundReport:
     gap: float
     bound_holds: bool
     loss: str
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "gap": self.gap,
-            "bound_holds": self.bound_holds,
-            "loss": self.loss,
-        }
 
 
 def check_epsilon_risk_bound(
@@ -464,16 +441,6 @@ class NonfactorizationResult:
     violations: tuple[Violation, ...]
     seed_used: int
 
-    def to_dict(self) -> dict:
-        return {
-            "example_id": self.example_id,
-            "seed_used": self.seed_used,
-            "violations": [
-                {"a": list(v.a), "b": list(v.b), "given": list(v.given), "gap": v.gap}
-                for v in self.violations
-            ],
-        }
-
 
 def find_nonfactorizing_balance(
     example_id: str, seed: int, retries: int = 16, min_gap: float = GENERIC_GAP
@@ -506,9 +473,6 @@ class ControlResult:
     max_gap: float
     report: FactorizationReport = field(repr=False)
 
-    def to_dict(self) -> dict:
-        return {"factorizes": self.factorizes, "max_gap": self.max_gap}
-
 
 def anticausal_control(seed: int, tol: float = 1e-9) -> ControlResult:
     """Balance a random purely spurious anti-causal instance and confirm the
@@ -535,16 +499,6 @@ class FairnessReport:
     conclusion_gap: float
     conclusion_holds: bool
     tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion.value,
-            "premise_gap": self.premise_gap,
-            "premise_holds": self.premise_holds,
-            "conclusion_gap": self.conclusion_gap,
-            "conclusion_holds": self.conclusion_holds,
-            "tol": self.tol,
-        }
 
 
 def _criterion_gap(
@@ -608,18 +562,6 @@ class RegularizedFairnessReport:
     conclusion_holds: bool
     tol: float
 
-    def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion.value,
-            "mode": self.mode,
-            "balanced_gap": self.balanced_gap,
-            "regularizer_gap": self.regularizer_gap,
-            "premise_holds": self.premise_holds,
-            "conclusion_gap": self.conclusion_gap,
-            "conclusion_holds": self.conclusion_holds,
-            "tol": self.tol,
-        }
-
 
 def check_fairness_with_regularizer(
     balanced_table: JointTable,
@@ -674,9 +616,6 @@ class DependenceShift:
 
     gap_before: float
     gap_after: float
-
-    def to_dict(self) -> dict:
-        return {"gap_before": self.gap_before, "gap_after": self.gap_after}
 
 
 def causal_task_dependence(

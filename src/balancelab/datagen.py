@@ -11,9 +11,10 @@ One law per graph: the graph's builder in ``templates`` (``template_a`` to
 ``template_d``) with the spec's parameters and noise-free channel flips;
 ``label_noise`` is the core flip for A and D and part of the label
 mechanism for C; B's label mechanism is ``x_effect`` and
-``confounder_effect`` alone, so a B spec rejects ``label_noise``.  Every
-``GenSpec`` builds its law once when constructed, so a law parameter out of
-the template's range raises SpecError there.  Every set is one
+``confounder_effect`` alone, so a B spec rejects ``label_noise``.  A
+``GenSpec`` fills its graph's defaults and builds its law once when
+constructed, so a law parameter out of the template's range raises SpecError
+there, and every set below is drawn from ``spec.law``.  Every set is one
 categorical draw from an exact table over the discrete keys (Y, Z, X_core,
 X_aux or X_ent, and V with X_v for graph C), followed by one Gaussian
 channel per key: core <- X_core, aux <- X_aux, ent <- X_ent, v <- X_v.
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -64,8 +65,9 @@ class GenSpec:
     ``z_marginal``, to graphs A and D; graph B derives its label-group
     coupling from ``x_effect``, ``confounder_effect`` and ``z_flip``, graph C
     from ``confounder_strength`` and ``z_flip``.  Fields that only apply to
-    some graphs default to None and are filled with per-graph defaults by
-    ``resolved()``.
+    some graphs default to None; construction fills those that apply to
+    ``graph`` with its defaults, and the others stay None.  ``law`` is the
+    graph's template with these parameters, built once at construction.
     """
 
     graph: str
@@ -123,17 +125,18 @@ class GenSpec:
             graphs = [g for g, defaults in self._GRAPH_DEFAULTS.items() if name in defaults]
             if getattr(self, name) is not None and self.graph not in graphs:
                 raise SpecError(f"{name} only applies to graph {' or '.join(graphs)}, not {self.graph}")
-        if self.resolved() is self:  # an unresolved spec is checked as its resolved copy
-            try:
-                _law(self)
-            except ArgumentError as exc:
-                raise SpecError(f"graph {self.graph} law: {exc}") from exc
+        for name, value in self._GRAPH_DEFAULTS[self.graph].items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        try:
+            object.__setattr__(self, "_law", _build_law(self))
+        except ArgumentError as exc:
+            raise SpecError(f"graph {self.graph} law: {exc}") from exc
 
-    def resolved(self) -> "GenSpec":
-        """Fill per-graph defaults for the fields that apply."""
-        defaults = self._GRAPH_DEFAULTS.get(self.graph, {})
-        updates = {name: value for name, value in defaults.items() if getattr(self, name) is None}
-        return replace(self, **updates) if updates else self
+    @property
+    def law(self) -> GraphTemplate:
+        """The graph's template with this spec's parameters."""
+        return self._law
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -171,12 +174,10 @@ class Dataset:
         y = np.asarray(self.y, dtype=np.int64)
         z = np.asarray(self.z, dtype=np.int64)
         x = np.asarray(self.x, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
         n = y.shape[0]
-        if not (z.shape == (n,) and w.shape == (n,) and x.ndim == 2 and x.shape[0] == n):
+        if not (z.shape == (n,) and x.ndim == 2 and x.shape[0] == n):
             raise ArgumentError("column lengths disagree")
-        if not np.all(np.isfinite(w) & (w >= 0)):
-            raise ArgumentError("weights must be finite and non-negative")
+        w = _checked_weights(self.weights, n)
         if not np.all((y == 0) | (y == 1)):
             raise ArgumentError("labels y must be 0 or 1")
         v = None if self.v is None else np.asarray(self.v, dtype=np.int64)
@@ -206,16 +207,16 @@ class Dataset:
         return self.x[:, start:stop]
 
     def take(self, idx: np.ndarray, weights: np.ndarray | None = None) -> "Dataset":
-        """The rows ``idx`` (a 1-D index array or slice).  New ``weights`` are
-        validated; without them the rows of this validated set are kept as is."""
-        v = None if self.v is None else self.v[idx]
-        cols = {"y": self.y[idx], "z": self.z[idx], "x": self.x[idx], "v": v}
-        if weights is not None:
-            return Dataset(weights=weights, channel_slices=self.channel_slices, spec=self.spec, **cols)
-        if cols["y"].ndim != 1:
+        """The rows ``idx`` (a 1-D index array or slice) of this validated
+        set, with their own weights or new ``weights``, which are checked."""
+        y = self.y[idx]
+        if y.ndim != 1:
             raise ArgumentError("row index must be one-dimensional")
+        w = self.weights[idx] if weights is None else _checked_weights(weights, y.shape[0])
+        v = None if self.v is None else self.v[idx]
         out = object.__new__(Dataset)
-        cols |= {"weights": self.weights[idx], "channel_slices": dict(self.channel_slices), "spec": self.spec}
+        cols = {"y": y, "z": self.z[idx], "x": self.x[idx], "weights": w, "v": v}
+        cols |= {"channel_slices": dict(self.channel_slices), "spec": self.spec}
         for name, value in cols.items():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -223,7 +224,17 @@ class Dataset:
         return out
 
     def with_weights(self, weights: np.ndarray) -> "Dataset":
-        return Dataset(self.y, self.z, self.x, weights, self.channel_slices, self.v, self.spec)
+        return self.take(slice(None), weights)
+
+
+def _checked_weights(weights, n: int) -> np.ndarray:
+    """``weights`` as a float array of one finite, non-negative value per row."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise ArgumentError(f"weights must have shape ({n},), got {w.shape}")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ArgumentError("weights must be finite and non-negative")
+    return w
 
 
 def _block_means(dim: int, sep: float) -> np.ndarray:
@@ -266,7 +277,7 @@ def _dataset(spec: GenSpec, gen, y, z, keys: dict, v=None) -> Dataset:
     return Dataset(y, z, np.concatenate(parts, axis=1), np.ones(y.shape[0]), slices, v, spec)
 
 
-def _law(spec: GenSpec) -> GraphTemplate:
+def _build_law(spec: GenSpec) -> GraphTemplate:
     """The graph's template with the spec's parameters.  Channel flips are
     zero because the Gaussian channels add the feature noise."""
     if spec.graph == "B":
@@ -295,16 +306,14 @@ def _draw(spec: GenSpec, table: JointTable, n: int, gen) -> Dataset:
 
 def generate(spec: GenSpec) -> Dataset:
     """Draw the training distribution of the spec's graph."""
-    spec = spec.resolved()
-    return _draw(spec, _key_table(_law(spec).net), spec.n, spawn(spec.seed, _STREAM_SOURCE))
+    return _draw(spec, _key_table(spec.law.net), spec.n, spawn(spec.seed, _STREAM_SOURCE))
 
 
 def ideal_testset(spec: GenSpec, n: int, seed: int) -> Dataset:
     """The law with the undesired dependencies absent: the group factor is
     independent of the label, graph C additionally decouples V from the
     label, and graph D's entangled channel carries neither label nor group."""
-    spec = spec.resolved()
-    law = _law(spec)
+    law = spec.law
     return _draw(spec, _key_table(mutilate(law.net, GraphEdit(law.undesired))), n, spawn(seed, _STREAM_IDEAL))
 
 
@@ -317,14 +326,13 @@ def shift_testsets(
     Grid entries follow the exact-table convention: a (2, 2) row-stochastic
     array whose [y, 0] entry is P'(Z=0 | Y=y).
     """
-    spec = spec.resolved()
-    family = ShiftFamily(_key_table(_law(spec).net), grid)
+    family = ShiftFamily(_key_table(spec.law.net), grid)
     return [_draw(spec, family.member(k), n, spawn(seed, _STREAM_SHIFT, k)) for k in range(len(family))]
 
 
 def implied_y_given_z(spec: GenSpec) -> np.ndarray:
     """Exact P(Y=y | Z=z) of the source law, as a (2, 2) array [y, z]."""
-    arr = marginal_probs(_key_table(_law(spec.resolved()).net), ("Y", "Z"))
+    arr = marginal_probs(_key_table(spec.law.net), ("Y", "Z"))
     return arr / arr.sum(axis=0, keepdims=True)
 
 

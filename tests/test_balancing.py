@@ -16,7 +16,6 @@ from balancelab.balancing import (
     SingleTarget,
     balance_batch,
     balance_exact,
-    balance_single_exact,
     balanced_pair_gap,
     bias_shift_single,
 )
@@ -161,28 +160,28 @@ class TestExactInvariants:
 class TestBalanceSingleExact:
     def test_uniform_target_is_identity(self):
         t = random_positive_joint(1)
-        q = balance_single_exact(balance_single_exact(t, BalanceSpec(SingleTarget("Y"))), BalanceSpec(SingleTarget("Y")))
-        q2 = balance_single_exact(q, BalanceSpec(SingleTarget("Y")))
+        q = balance_exact(balance_exact(t, BalanceSpec(SingleTarget("Y"))), BalanceSpec(SingleTarget("Y")))
+        q2 = balance_exact(q, BalanceSpec(SingleTarget("Y")))
         assert np.abs(q.probs - q2.probs).max() < 1e-14
 
     def test_worked_binary_example(self):
         # P(Y=1)=1/4, E[Z|Y=1]=1, E[Z|Y=0]=1/3: uniformizing Y moves E[Z] to 2/3
         probs = np.array([[0.5, 0.25], [0.0, 0.25]])  # [y, z]
         t = JointTable((Y, Z), probs)
-        q = balance_single_exact(t, BalanceSpec(SingleTarget("Y")))
+        q = balance_exact(t, BalanceSpec(SingleTarget("Y")))
         assert np.allclose(marginalize(q, {"Y"}).probs, [0.5, 0.5], atol=1e-15)
         e_z = float(marginalize(q, {"Z"}).probs[1])
         assert e_z == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_independent_leaves_other_marginal(self):
         t = JointTable((Y, Z), np.outer([0.25, 0.75], [0.4, 0.6]))
-        q = balance_single_exact(t, BalanceSpec(SingleTarget("Y")))
+        q = balance_exact(t, BalanceSpec(SingleTarget("Y")))
         assert np.allclose(marginalize(q, {"Z"}).probs, [0.4, 0.6], atol=1e-12)
 
     def test_zero_state_rejected(self):
         t = JointTable((Y, Z), np.array([[0.5, 0.5], [0.0, 0.0]]))
         with pytest.raises(UnbalanceableSupport):
-            balance_single_exact(t, BalanceSpec(SingleTarget("Y")))
+            balance_exact(t, BalanceSpec(SingleTarget("Y")))
 
 
 def counts_batch(counts: dict[tuple[int, int], int]) -> SampleBatch:
@@ -233,6 +232,20 @@ class TestBalanceBatch:
             out = balance_batch(batch, BalanceSpec(JointTarget("Y", "Z"), mechanism, seed=seed))
             gap = balanced_pair_gap(out.empirical_table(), "Y", "Z")
             assert gap <= 1.0 / len(out) + 1e-9, (mechanism, gap)
+
+    def test_resampling_rejects_unequal_weights(self):
+        # resampling balances row counts only; with unequal weights the
+        # weighted pair table would stay dependent (gaps of 1e-3 to 1e-2)
+        batch = sample_cbn(graph_template("A").net, 4000, seed=3)
+        batch = batch.with_rows(batch.rows, spawn(3, 5).uniform(0.1, 2.0, len(batch)))
+        for mechanism in (Mechanism.SUBSAMPLE_MAJORITY, Mechanism.UPSAMPLE_MINORITY):
+            with pytest.raises(ArgumentError, match="weights must all be equal"):
+                balance_batch(batch, BalanceSpec(JointTarget("Y", "Z"), mechanism, seed=4))
+        out = balance_batch(batch, BalanceSpec(JointTarget("Y", "Z"), Mechanism.IMPORTANCE_WEIGHTS))
+        assert balanced_pair_gap(out.empirical_table(), "Y", "Z") < 1e-12
+        scaled = batch.with_rows(batch.rows, np.full(len(batch), 0.5))  # equal weights need not be 1
+        out = balance_batch(scaled, BalanceSpec(JointTarget("Y", "Z"), Mechanism.UPSAMPLE_MINORITY, seed=4))
+        assert np.all(out.weights == 0.5)
 
     def test_importance_weights_match_exact_balance_of_empirical(self):
         tpl = graph_template("A")

@@ -7,6 +7,7 @@ import inspect
 import numpy as np
 import pytest
 
+from balancelab import datagen
 from balancelab.bayesnet import joint
 from balancelab.checks import correlation_grid
 from balancelab.datagen import (
@@ -24,6 +25,24 @@ from balancelab.tables import marginalize
 from balancelab.templates import GRAPH_IDS, graph_template, template_a, template_b, template_c, template_d
 
 BUILDERS = {"A": template_a, "B": template_b, "C": template_c, "D": template_d}
+# the law fields that apply to each graph beyond confounding and z_marginal,
+# with their defaults
+SPELLED_DEFAULTS = {
+    "A": {"label_noise": 0.02},
+    "B": {"x_effect": 0.6, "confounder_effect": 0.3, "z_flip": 0.1},
+    "C": {
+        "label_noise": 0.02,
+        "dim_v": 4,
+        "sep_v": 2.0,
+        "noise_v": 1.0,
+        "v_flip": (0.2, 0.9),
+        "v_z_pull": 0.3,
+        "confounder_strength": 0.45,
+        "z_flip": 0.1,
+    },
+    "D": {"label_noise": 0.02},
+}
+LAW_ONLY_FIELDS = set().union(*SPELLED_DEFAULTS.values())
 
 
 def three_se(p: float, n: int) -> float:
@@ -45,15 +64,33 @@ class TestGenSpec:
         with pytest.raises(SpecError, match="graph B or C"):
             GenSpec(graph="D", n=10, z_flip=0.2)
 
-    def test_resolution_fills_graph_defaults(self):
-        spec = GenSpec(graph="C", n=10).resolved()
-        assert spec.dim_v == 4 and spec.v_flip == (0.2, 0.9)
-        spec_b = GenSpec(graph="B", n=10).resolved()
-        assert (spec_b.x_effect, spec_b.confounder_effect, spec_b.z_flip) == (0.6, 0.3, 0.1)
+    @pytest.mark.parametrize("gid", GRAPH_IDS)
+    def test_defaults_spelled_out(self, gid):
+        spec = GenSpec(graph=gid, n=10)
+        out = spec.to_dict()
+        for name in ("confounding", "z_marginal", *SPELLED_DEFAULTS[gid]):
+            assert out[name] is not None, (gid, name)
+        assert all(out[name] is None for name in LAW_ONLY_FIELDS - set(SPELLED_DEFAULTS[gid])), out
+        assert spec == GenSpec(graph=gid, n=10, **SPELLED_DEFAULTS[gid])
+        assert GenSpec.from_dict(out | dict.fromkeys(SPELLED_DEFAULTS[gid])) == spec
+
+    def test_law_built_once(self, monkeypatch):
+        built = []
+        real = datagen.graph_template
+        monkeypatch.setattr(datagen, "graph_template", lambda *a, **k: built.append(a) or real(*a, **k))
+        spec = GenSpec(graph="C", n=50, seed=3)
+        generate(spec)
+        ideal_testset(spec, 20, seed=4)
+        shift_testsets(spec, correlation_grid(3), 20, seed=5)
+        implied_y_given_z(spec)
+        assert built == [("C",)]
+        assert spec.law.graph_id == "C"
+        with pytest.raises(AttributeError):
+            spec.law = graph_template("C")
 
     @pytest.mark.parametrize("gid", GRAPH_IDS)
     def test_law_defaults_are_template_defaults(self, gid):
-        spec = GenSpec(graph=gid, n=10).resolved()
+        spec = GenSpec(graph=gid, n=10)
         params = inspect.signature(BUILDERS[gid]).parameters
         shared = set(params) & set(GenSpec.__dataclass_fields__)
         assert shared, gid
@@ -78,8 +115,8 @@ class TestGenSpec:
         with pytest.raises(SpecError, match="label_noise only applies to graph A or C or D, not B"):
             GenSpec(graph="B", n=10, label_noise=0.3)
         for gid in ("A", "C", "D"):
-            assert GenSpec(graph=gid, n=10).resolved().label_noise == 0.02
-        assert GenSpec(graph="B", n=10).resolved().label_noise is None
+            assert GenSpec(graph=gid, n=10).label_noise == 0.02
+        assert GenSpec(graph="B", n=10).label_noise is None
 
     def test_out_of_range_b_law_rejected_at_construction(self):
         with pytest.raises(SpecError, match="x_effect"):
@@ -90,7 +127,7 @@ class TestGenSpec:
             GenSpec(graph="C", n=10, confounder_strength=2.0)
 
     def test_dict_round_trip(self):
-        spec = GenSpec(graph="C", n=100, seed=4).resolved()
+        spec = GenSpec(graph="C", n=100, seed=4)
         assert GenSpec.from_dict(spec.to_dict()) == spec
 
     def test_from_dict_rejects_unknown_fields(self):
@@ -240,6 +277,12 @@ class TestDataset:
         ds = generate(GenSpec(graph="A", n=20, seed=1))
         with pytest.raises(ArgumentError, match="weights"):
             ds.take(np.arange(3), weights=np.array([1.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("weights", [np.ones(2), np.ones((3, 1))])
+    def test_take_needs_one_weight_per_row(self, weights):
+        ds = generate(GenSpec(graph="A", n=20, seed=1))
+        with pytest.raises(ArgumentError, match="weights must have shape"):
+            ds.take(np.arange(3), weights=weights)
 
     def test_take_slices_read_only_columns(self):
         ds = generate(GenSpec(graph="C", n=50, seed=2))

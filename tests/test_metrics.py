@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from balancelab.datagen import Dataset
 from balancelab.errors import ArgumentError
-from balancelab.metrics import evaluate, risk_invariance_report
+from balancelab.metrics import MetricsReport, evaluate, risk_invariance_report
 from balancelab.model import ModelParams
 
 
@@ -105,6 +108,19 @@ class TestEvaluate:
             rep = evaluate(passthrough_params(), dataset(y, z, x))
             assert rep.worst_group <= rep.accuracy + 1e-12
 
+    def test_to_dict_is_json_with_every_field(self):
+        gen = np.random.default_rng(3)
+        y, z = gen.integers(0, 2, 200), gen.integers(0, 2, 200)
+        rep = evaluate(passthrough_params(), dataset(y, z, gen.uniform(0, 1, 200)), probe_seed=0, min_stratum=60)
+        assert rep.encoding is not None and rep.excluded_strata
+        back = json.loads(json.dumps(rep.to_dict()))
+        assert set(back) == {f.name for f in fields(MetricsReport)}
+        for name in ("accuracy", "worst_group", "equalized_odds", "dp_gap", "pp_gap", "encoding", "threshold"):
+            assert back[name] == getattr(rep, name), name
+        assert back["group_counts"] == {f"y={a},z={b}": c for (a, b), c in rep.group_counts.items()}
+        assert back["z_accuracy"] == {str(k): v for k, v in rep.z_accuracy.items()}
+        assert tuple(back["excluded_strata"]) == rep.excluded_strata
+
 
 class TestRiskReport:
     def test_constant_predictor_same_marginal(self):
@@ -126,6 +142,17 @@ class TestRiskReport:
         assert rep.risks[0] == pytest.approx(0.0)
         assert rep.risks[1] == pytest.approx(1.0)
         assert rep.max_gap == pytest.approx(1.0)
+
+    def test_to_dict_is_json_with_every_field(self):
+        gen = np.random.default_rng(4)
+        sets = [
+            (f"s{k}", dataset(gen.integers(0, 2, 50), gen.integers(0, 2, 50), gen.uniform(0, 1, 50)))
+            for k in range(3)
+        ]
+        rep = risk_invariance_report(passthrough_params(), sets, "logloss")
+        back = json.loads(json.dumps(rep.to_dict()))
+        assert back == {"risks": dict(zip(rep.labels, rep.risks)), "max_gap": rep.max_gap, "loss": "logloss"}
+        assert tuple(back["risks"]) == rep.labels
 
     def test_needs_two_sets(self):
         with pytest.raises(ArgumentError):
