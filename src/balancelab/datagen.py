@@ -48,6 +48,13 @@ from .rng import spawn
 from .tables import JointTable, _draw_states, marginal_probs, marginalize
 from .templates import GRAPH_IDS, GraphTemplate, graph_template, template_a, template_b, template_c
 
+# each channel's dim_*, sep_* and noise_* knob: a test and the rule it states
+_CHANNEL_RULES = {
+    "dim": (lambda v: v >= 1, ">= 1"),
+    "sep": (np.isfinite, "finite"),
+    "noise": (lambda v: np.isfinite(v) and v >= 0, "finite and >= 0"),
+}
+
 _STREAM_SOURCE = 0
 _STREAM_IDEAL = 1
 _STREAM_SHIFT = 2
@@ -111,8 +118,11 @@ class GenSpec:
             raise SpecError(f"n must be >= 1, got {self.n}")
         if self.seed < 0:
             raise SpecError(f"seed must be non-negative, got {self.seed}")
-        if self.dim_core < 1 or self.dim_aux < 1:
-            raise SpecError("channel dimensions must be >= 1")
+        for part in ("core", "aux", "v"):
+            for knob, (valid, rule) in _CHANNEL_RULES.items():
+                value = getattr(self, f"{knob}_{part}")
+                if value is not None and not valid(value):
+                    raise SpecError(f"{knob}_{part} must be {rule}, got {value}")
         for name in ("label_noise", "z_marginal"):
             v = getattr(self, name)
             if v is not None and not 0.0 <= v <= 1.0:
@@ -190,13 +200,10 @@ class Dataset:
             raise ArgumentError(
                 f"channel slices {self.channel_slices} do not partition {x.shape[1]} columns"
             )
-        for arr in (y, z, x, w) + ((v,) if v is not None else ()):
-            arr.setflags(write=False)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "v", v)
+        for name, arr in {"y": y, "z": z, "x": x, "weights": w, "v": v}.items():
+            if arr is not None:
+                arr = _frozen(arr)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "channel_slices", dict(self.channel_slices))
 
     def __len__(self) -> int:
@@ -212,7 +219,7 @@ class Dataset:
         y = self.y[idx]
         if y.ndim != 1:
             raise ArgumentError("row index must be one-dimensional")
-        w = self.weights[idx] if weights is None else _checked_weights(weights, y.shape[0])
+        w = self.weights[idx] if weights is None else _frozen(_checked_weights(weights, y.shape[0]))
         v = None if self.v is None else self.v[idx]
         out = object.__new__(Dataset)
         cols = {"y": y, "z": self.z[idx], "x": self.x[idx], "weights": w, "v": v}
@@ -225,6 +232,14 @@ class Dataset:
 
     def with_weights(self, weights: np.ndarray) -> "Dataset":
         return self.take(slice(None), weights)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``; ``arr`` itself, which may be the
+    caller's own array, stays as it was."""
+    view = arr.view()
+    view.setflags(write=False)
+    return view
 
 
 def _checked_weights(weights, n: int) -> np.ndarray:

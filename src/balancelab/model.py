@@ -2,9 +2,11 @@
 
 Linear or one-hidden-layer logistic models on weighted rows, with optional
 marginal or conditional MMD regularization of the scores (or of the hidden
-representation), computed from one RBF kernel per mini-batch.  All gradients
-are analytic; finite differences and a double-loop reference in the tests pin
-them.  Training is single-threaded and bit-reproducible for a fixed seed.
+representation), computed from one RBF kernel block per stratum of each
+mini-batch, so a conditional penalty never touches pairs across strata.
+All gradients are analytic; finite differences and a double-loop reference
+in the tests pin them.  Training is single-threaded and bit-reproducible for
+a fixed seed.
 The encoding probe fits its logistic regression by full-batch Newton steps
 to a gradient-norm tolerance, not by training.
 """
@@ -79,12 +81,9 @@ def _forward(params: ModelParams, x: np.ndarray):
 
 
 def _sigmoid(logit: np.ndarray) -> np.ndarray:
-    out = np.empty_like(logit, dtype=float)
-    pos = logit >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-logit[pos]))
-    expv = np.exp(logit[~pos])
-    out[~pos] = expv / (1.0 + expv)
-    return out
+    # exp of -|logit| never overflows; both branches divide by 1 + e
+    e = np.exp(-np.abs(logit))
+    return np.where(logit >= 0, 1.0, e) / (1.0 + e)
 
 
 def predict_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -162,42 +161,56 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(aa + bb.T - 2.0 * (a @ b.T), 0.0)
 
 
+def _own_side(a: np.ndarray, m: int) -> np.ndarray:
+    """Column 0 of the first m rows of ``a`` and column 1 of the rest."""
+    return np.concatenate((a[:m, 0], a[m:, 1]))
+
+
 def _mmd_penalty(target: np.ndarray, y: np.ndarray, z: np.ndarray, mode: str, bandwidth: float):
     """Summed unbiased squared MMD of a batch's strata, its gradient with
     respect to the (B, d) target, and the number of strata skipped.
 
     Groups are z (marginal) or 2y + z (conditional); groups 2s and 2s + 1 are
     the sides of stratum s, and rows with z other than 0 or 1 are in none.
-    The kernel K over the whole batch times C holds every U-statistic: C is
-    1/(m(m-1)) between distinct rows of a group of m, -1/(mn) across a
-    stratum's sides, 0 elsewhere and for a skipped stratum (fewer than 2 rows
-    on a side)."""
+    After a stable sort by group, each stratum with 2 or more rows on both
+    sides builds only its own RBF block K (side 0 first) and reduces it
+    against W, whose row j holds j's U-statistic coefficients toward side 0
+    and side 1 (1/(m(m-1)) within side 0, 1/(n(n-1)) within side 1, -1/(mn)
+    across): row i's weighted sum is entry side(i) of K @ W, and the
+    diagonal, where K is 1, adds 1/(m-1) + 1/(n-1) to their total."""
     if not (np.isfinite(bandwidth) and bandwidth > 0):
         raise ArgumentError(f"bandwidth must be finite and positive, got {bandwidth}")
     groups = 2 if mode == "marginal" else 4
     code = z if mode == "marginal" else 2 * y + z
     code = np.where((z == 0) | (z == 1), code, groups)
-    size = np.bincount(code, minlength=groups + 1).astype(float)
-    m, n = size[0:groups:2], size[1:groups:2]
-    live = (m >= 2) & (n >= 2)
-    table = np.zeros((groups + 1, groups + 1))
-    for s in np.flatnonzero(live):
-        a, b = 2 * s, 2 * s + 1
-        table[a, a] = 1.0 / (m[s] * (m[s] - 1))
-        table[b, b] = 1.0 / (n[s] * (n[s] - 1))
-        table[a, b] = table[b, a] = -1.0 / (m[s] * n[s])
-    coef = table[code][:, code]
-    np.fill_diagonal(coef, 0.0)
+    order = np.argsort(code, kind="stable")
+    bounds = [0] + np.cumsum(np.bincount(code, minlength=groups + 1)).tolist()
     h2 = bandwidth * bandwidth
-    # d k(u, v) / du = -(u - v) / h^2 * k(u, v); C's symmetry doubles each pair.
-    if target.shape[1] == 1:
-        diff = target - target.T
-        gram = coef * np.exp(diff * diff * (-0.5 / h2))
-        grad = (gram * diff).sum(axis=1, keepdims=True)
-    else:
-        gram = coef * np.exp(_sq_dists(target, target) * (-0.5 / h2))
-        grad = target * gram.sum(axis=1, keepdims=True) - gram @ target
-    return float(gram.sum()), grad * (-2.0 / h2), int((~live).sum())
+    value, grad, skipped = 0.0, np.zeros_like(target), 0
+    for lo, mid, hi in zip(bounds[0:groups:2], bounds[1:groups:2], bounds[2 : groups + 1 : 2]):
+        m, n = mid - lo, hi - mid
+        if m < 2 or n < 2:
+            skipped += 1
+            continue
+        rows, cross = order[lo:hi], -1.0 / (m * n)
+        coef = np.repeat([[1.0 / (m * (m - 1)), cross], [cross, 1.0 / (n * (n - 1))]], (m, n), axis=0)
+        t = target[rows]
+        # d k(u, v) / du = -(u - v) / h^2 * k(u, v); symmetric coefficients double each pair.
+        if t.shape[1] == 1:
+            diff = t - t.T
+            kern = np.exp(diff * diff * (-0.5 / h2))
+            rowsum = _own_side(kern @ coef, m)
+            grad[rows, 0] = _own_side((kern * diff) @ coef, m)
+        else:
+            inner = t @ np.ascontiguousarray(t.T)  # NumPy's t @ t.T path is slower at this size
+            sq = inner.diagonal()  # zero distance on the diagonal, so K there is exactly 1
+            kern = np.exp(np.maximum(sq[:, None] + sq - 2.0 * inner, 0.0) * (-0.5 / h2))
+            rowsum = _own_side(kern @ coef, m)
+            grad[rows] = t * rowsum[:, None] - np.concatenate(
+                (kern[:m] @ (coef[:, :1] * t), kern[m:] @ (coef[:, 1:] * t))
+            )
+        value += rowsum.sum() - 1.0 / (m - 1) - 1.0 / (n - 1)
+    return float(value), grad * (-2.0 / h2), skipped
 
 
 def median_bandwidth(scores: np.ndarray, floor: float = 1e-3) -> float:
@@ -324,23 +337,28 @@ def train(data: Dataset, spec: TrainSpec) -> TrainResult:
             else:
                 probe = predict_scores(params, data.x[:first])
             bandwidth = median_bandwidth(probe)
-    velocity_w = [np.zeros_like(w) for w in params.weights]
-    velocity_b = [np.zeros_like(b) for b in params.biases]
+    # every layer's weights and biases are views of one flat vector, so the
+    # Nesterov step is two array statements
+    arrays = params.weights + params.biases
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
+    views = [v.reshape(a.shape) for v, a in zip(views, arrays)]
+    layers = len(params.weights)
+    params = ModelParams(views[:layers], views[layers:], params.activation)
+    velocity = np.zeros_like(flat)
+    mu, lr = spec.momentum, spec.learning_rate
     log: list[dict] = []
     for epoch in range(spec.epochs):
         perm = spawn(spec.seed, _STREAM_SHUFFLE, epoch).permutation(len(data))
+        shuffled = data.take(perm)
         totals = {"loss": 0.0, "ce": 0.0, "l2": 0.0, "mmd": 0.0}
         skipped = 0
         batches = 0
         for start in range(0, len(data), spec.batch_size):
-            idx = perm[start : start + spec.batch_size]
-            report = loss(params, data.take(idx), spec, bandwidth)
-            mu, lr = spec.momentum, spec.learning_rate
-            for k in range(len(params.weights)):
-                velocity_w[k] = mu * velocity_w[k] + report.grad_weights[k]
-                velocity_b[k] = mu * velocity_b[k] + report.grad_biases[k]
-                params.weights[k] -= lr * (report.grad_weights[k] + mu * velocity_w[k])
-                params.biases[k] -= lr * (report.grad_biases[k] + mu * velocity_b[k])
+            report = loss(params, shuffled.take(slice(start, start + spec.batch_size)), spec, bandwidth)
+            grad = np.concatenate([g.ravel() for g in report.grad_weights + report.grad_biases])
+            velocity = mu * velocity + grad
+            flat -= lr * (grad + mu * velocity)
             for key, value in zip(totals, (report.value, report.ce, report.l2, report.mmd)):
                 totals[key] += value
             skipped += report.skipped_strata

@@ -126,6 +126,23 @@ class TestGenSpec:
         with pytest.raises(SpecError, match="graph C law"):
             GenSpec(graph="C", n=10, confounder_strength=2.0)
 
+    @pytest.mark.parametrize(
+        "graph, name, value",
+        [
+            ("A", "noise_core", -1.0),
+            ("D", "noise_aux", np.inf),
+            ("A", "sep_aux", np.nan),
+            ("B", "sep_core", -np.inf),
+            ("A", "dim_core", 0),
+            ("C", "dim_v", 0),
+            ("C", "sep_v", np.nan),
+            ("C", "noise_v", -0.5),
+        ],
+    )
+    def test_bad_channel_knob_rejected_at_construction(self, graph, name, value):
+        with pytest.raises(SpecError, match=name):
+            GenSpec(graph, 5, **{name: value})
+
     def test_dict_round_trip(self):
         spec = GenSpec(graph="C", n=100, seed=4)
         assert GenSpec.from_dict(spec.to_dict()) == spec
@@ -283,6 +300,19 @@ class TestDataset:
         ds = generate(GenSpec(graph="A", n=20, seed=1))
         with pytest.raises(ArgumentError, match="weights must have shape"):
             ds.take(np.arange(3), weights=weights)
+
+    def test_caller_arrays_stay_writable(self):
+        # every column already has its dtype, so np.asarray hands back the caller's array
+        y, z, v = np.zeros(4, dtype=np.int64), np.ones(4, dtype=np.int64), np.zeros(4, dtype=np.int64)
+        x, w = np.zeros((4, 2)), np.ones(4)
+        ds = Dataset(y, z, x, w, {"all": (0, 2)}, v)
+        new_w = np.full(3, 2.0)
+        part = ds.take(np.arange(3), new_w)
+        for arr in (y, z, x, w, v, new_w):
+            assert arr.flags.writeable
+        for col in (ds.y, ds.z, ds.x, ds.weights, ds.v, part.weights):
+            assert not col.flags.writeable
+        assert np.shares_memory(ds.x, x) and np.shares_memory(part.weights, new_w)  # views, not copies
 
     def test_take_slices_read_only_columns(self):
         ds = generate(GenSpec(graph="C", n=50, seed=2))

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from balancelab import metrics, model
@@ -239,6 +242,21 @@ def one_row_side_dataset() -> Dataset:
     return Dataset(y, z, x, np.ones(len(y)), {"all": (0, 4)})
 
 
+def benchmark_batch(kind: str) -> Dataset:
+    """A 128-row batch, the benchmark's batch size, with uneven z sides; or
+    with the y = 0 stratum cut to one z = 1 row; or with ten rows whose z is 2."""
+    gen = spawn(23, 57)
+    n = 128
+    y = gen.integers(0, 2, n)
+    z = (gen.uniform(size=n) < 0.25).astype(np.int64)
+    if kind == "one_row_side":
+        z[y == 0] = 0
+        z[np.flatnonzero(y == 0)[0]] = 1
+    elif kind == "z_two":
+        z[gen.choice(n, 10, replace=False)] = 2
+    return Dataset(y, z, gen.normal(size=(n, 6)), gen.uniform(0.5, 1.5, n), {"all": (0, 6)})
+
+
 class TestFusedPenalty:
     @pytest.mark.parametrize("mode", ["marginal", "conditional"])
     @pytest.mark.parametrize("on_rep", [False, True])
@@ -263,6 +281,29 @@ class TestFusedPenalty:
         got = report.grad_weights + report.grad_biases
         base = plain.grad_weights + plain.grad_biases
         for g, b, extra in zip(got, base, gw + gb):
+            np.testing.assert_allclose(g, b + extra, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mode", ["marginal", "conditional"])
+    @pytest.mark.parametrize("on_rep", [False, True])
+    @pytest.mark.parametrize("kind", ["uneven", "one_row_side", "z_two"])
+    def test_batch_shape_matches_double_loop(self, mode, on_rep, kind):
+        """128 rows, a 16-unit representation and the median-heuristic
+        bandwidth that training uses."""
+        ds = benchmark_batch(kind)
+        params = model._init_params(6, TrainSpec(hidden_dim=16, seed=24))
+        target = representation(params, ds.x) if on_rep else predict_scores(params, ds.x)[:, None]
+        h, strength = median_bandwidth(target), 1.0
+        spec = TrainSpec(hidden_dim=16, mmd=MmdPenalty(mode, strength, h, on_representation=on_rep))
+        report = loss(params, ds, spec)
+
+        value, grad, skipped = brute_penalty(target, ds.y, ds.z, mode, h)
+        plain = loss(params, ds, TrainSpec(hidden_dim=16))
+        gw, gb = backprop(params, ds.x, strength * grad, on_rep)
+
+        assert report.skipped_strata == skipped == (kind == "one_row_side" and mode == "conditional")
+        assert report.mmd == pytest.approx(value, rel=1e-12)
+        got = report.grad_weights + report.grad_biases
+        for g, b, extra in zip(got, plain.grad_weights + plain.grad_biases, gw + gb):
             np.testing.assert_allclose(g, b + extra, rtol=1e-12, atol=0)
 
 
@@ -386,6 +427,78 @@ class TestTrainContract:
             assert np.array_equal(a, b)
         assert fast.log == slow.log
         assert fast_acc == slow_acc
+
+
+def masked_sigmoid(logit: np.ndarray) -> np.ndarray:
+    """The logistic function by a boolean mask: 1 / (1 + exp(-l)) where l >= 0,
+    exp(l) / (1 + exp(l)) elsewhere."""
+    out = np.empty_like(logit, dtype=float)
+    pos = logit >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-logit[pos]))
+    expv = np.exp(logit[~pos])
+    out[~pos] = expv / (1.0 + expv)
+    return out
+
+
+def per_layer_train(data: Dataset, spec: TrainSpec) -> tuple[ModelParams, list[dict]]:
+    """Unregularized training as a loop of per-batch gathers and a Nesterov
+    update per layer array."""
+    params = model._init_params(data.x.shape[1], spec)
+    velocity_w = [np.zeros_like(w) for w in params.weights]
+    velocity_b = [np.zeros_like(b) for b in params.biases]
+    mu, lr = spec.momentum, spec.learning_rate
+    log = []
+    for epoch in range(spec.epochs):
+        perm = spawn(spec.seed, model._STREAM_SHUFFLE, epoch).permutation(len(data))
+        totals = {"loss": 0.0, "ce": 0.0, "l2": 0.0, "mmd": 0.0}
+        skipped = batches = 0
+        for start in range(0, len(data), spec.batch_size):
+            report = loss(params, data.take(perm[start : start + spec.batch_size]), spec)
+            for k in range(len(params.weights)):
+                velocity_w[k] = mu * velocity_w[k] + report.grad_weights[k]
+                velocity_b[k] = mu * velocity_b[k] + report.grad_biases[k]
+                params.weights[k] -= lr * (report.grad_weights[k] + mu * velocity_w[k])
+                params.biases[k] -= lr * (report.grad_biases[k] + mu * velocity_b[k])
+            for key, value in zip(totals, (report.value, report.ce, report.l2, report.mmd)):
+                totals[key] += value
+            skipped += report.skipped_strata
+            batches += 1
+        log.append({k: v / batches for k, v in totals.items()} | {"epoch": epoch, "skipped_strata": skipped})
+    return params, log
+
+
+class TestLeanStep:
+    @pytest.mark.parametrize("hidden", [0, 8])
+    def test_flat_step_matches_per_layer_loop(self, monkeypatch, hidden):
+        data = generate(GenSpec(graph="D", n=700, seed=25))
+        data = data.take(np.arange(len(data)), spawn(26, 58).uniform(0.5, 1.5, len(data)))
+        spec = TrainSpec(epochs=4, hidden_dim=hidden, seed=27)
+        fast = train(data, spec)
+        monkeypatch.setattr(model, "_sigmoid", masked_sigmoid)
+        params, log = per_layer_train(data, spec)
+        for a, b in zip(fast.params.weights + fast.params.biases, params.weights + params.biases):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+        assert list(fast.log) == log
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 745.0, -745.0, np.inf, -np.inf, np.nan]),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            max_size=12,
+        )
+    )
+    def test_sigmoid_matches_masked_form(self, values):
+        logit = np.array(values, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model._sigmoid(logit)
+            want = masked_sigmoid(logit)
+        assert np.array_equal(got, want, equal_nan=True)
+        number = ~np.isnan(want)  # a NaN's sign bit carries no value
+        assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
 
 
 class TestProbe:
