@@ -179,7 +179,7 @@ def balance_batch(batch: SampleBatch, spec: BalanceSpec) -> SampleBatch:
             ).reshape(-1)
         else:
             ratio = total / (ncells * wsum)
-        return batch.with_rows(batch.rows, batch.weights * ratio[codes])
+        return batch.with_rows(batch.rows, batch.weights * ratio.take(codes))
 
     gen = spawn(int(spec.seed), 17)
     picked: list[np.ndarray] = []
@@ -195,7 +195,7 @@ def balance_batch(batch: SampleBatch, spec: BalanceSpec) -> SampleBatch:
             extra = m - len(idx)
             picked.append(np.concatenate([idx, gen.choice(idx, size=extra, replace=True)]) if extra else idx)
     sel = np.concatenate(picked)
-    return batch.with_rows(batch.rows[sel], batch.weights[sel])
+    return batch.with_rows(np.take(batch.rows, sel, axis=0), batch.weights.take(sel))
 
 
 @dataclass(frozen=True)

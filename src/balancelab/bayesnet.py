@@ -297,27 +297,25 @@ def observed_dag(net: Cbn, latents: Iterable[str], dropped: Iterable[tuple[str, 
 
 
 def sample_cbn(net: Cbn, n: int, seed: int) -> SampleBatch:
-    """Ancestral sampling; deterministic given ``seed``."""
+    """Ancestral sampling; deterministic given ``seed``.
+
+    Each node's CDF is built once per parent state, as the running sums of its
+    CPT rows; a row picks its CDF by the flat index of its parents' states and
+    draws the state as the number of CDF entries below ``u``, one uniform
+    scaled by that CDF's total.  Columns stay 1-D until the final stack.
+    """
     if n < 1:
         raise ArgumentError(f"n must be >= 1, got {n}")
     gen = spawn(seed)
-    pos = {v.name: i for i, v in enumerate(net.nodes)}
-    rows = np.zeros((n, len(net.nodes)), dtype=np.int64)
+    cols: dict[str, np.ndarray] = {}
     for name in net.dag.topo_order:
-        card = net.variable(name).cardinality
         cpt = net.cpts[name]
+        cdf = np.cumsum(cpt.reshape(-1, cpt.shape[-1]), axis=1)
         ps = net.parents[name]
-        if ps:
-            parent_cols = tuple(rows[:, pos[p]] for p in ps)
-            row_probs = cpt.reshape(-1, card)[
-                np.ravel_multi_index(parent_cols, cpt.shape[:-1])
-            ]
-        else:
-            row_probs = np.broadcast_to(cpt, (n, card))
-        cdf = np.cumsum(row_probs, axis=1)
-        u = gen.random(n) * cdf[:, -1]
-        rows[:, pos[name]] = (u[:, None] >= cdf[:, :-1]).sum(axis=1)
-    return SampleBatch(net.nodes, rows, np.ones(n))
+        pick = np.ravel_multi_index(tuple(cols[p] for p in ps), cpt.shape[:-1]) if ps else 0
+        u = gen.random(n) * cdf[:, -1].take(pick)
+        cols[name] = sum(u >= cdf[:, k].take(pick) for k in range(cdf.shape[1] - 1))
+    return SampleBatch(net.nodes, np.column_stack([cols[v.name] for v in net.nodes]), np.ones(n))
 
 
 @dataclass(frozen=True)

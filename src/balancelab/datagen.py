@@ -221,8 +221,11 @@ class Dataset:
             raise ArgumentError("row index must be one-dimensional")
         w = self.weights[idx] if weights is None else _frozen(_checked_weights(weights, y.shape[0]))
         v = None if self.v is None else self.v[idx]
+        # np.take gathers whole rows faster than x[idx], but would read a mask's True/False as rows 1/0
+        plain = isinstance(idx, slice) or np.asarray(idx).dtype == bool
+        x = self.x[idx] if plain else np.take(self.x, idx, axis=0)
         out = object.__new__(Dataset)
-        cols = {"y": y, "z": self.z[idx], "x": self.x[idx], "weights": w, "v": v}
+        cols = {"y": y, "z": self.z[idx], "x": x, "weights": w, "v": v}
         cols |= {"channel_slices": dict(self.channel_slices), "spec": self.spec}
         for name, value in cols.items():
             if isinstance(value, np.ndarray):
@@ -265,9 +268,10 @@ def _block_means(dim: int, sep: float) -> np.ndarray:
     return means
 
 
-def _gaussian_channel(states: np.ndarray, dim: int, sep: float, noise: float, gen) -> np.ndarray:
-    means = _block_means(dim, sep)
-    return means[states] + gen.normal(0.0, noise, size=(states.shape[0], dim))
+def _gaussian_channel(out: np.ndarray, states: np.ndarray, sep: float, noise: float, gen) -> None:
+    """Write each row's state mean plus Gaussian noise into the block ``out``."""
+    means = _block_means(out.shape[1], sep)
+    np.add(means.take(states, axis=0), gen.normal(0.0, noise, size=out.shape), out=out)
 
 
 _CHANNEL_KEYS = {"core": "X_core", "aux": "X_aux", "ent": "X_ent", "v": "X_v"}
@@ -283,13 +287,17 @@ def _channels(spec: GenSpec) -> dict[str, tuple[int, float, float]]:
 
 
 def _dataset(spec: GenSpec, gen, y, z, keys: dict, v=None) -> Dataset:
-    """Attach one Gaussian channel per ``_channels`` entry, keyed by ``keys``."""
-    parts, slices, start = [], {}, 0
-    for name, (dim, sep, noise) in _channels(spec).items():
-        parts.append(_gaussian_channel(keys[name], dim, sep, noise, gen))
+    """Attach one Gaussian channel per ``_channels`` entry, keyed by ``keys``:
+    ``x`` is allocated once and each channel is written into its own block of
+    columns, in ``_channels`` order."""
+    channels = _channels(spec)
+    x = np.empty((y.shape[0], sum(dim for dim, _, _ in channels.values())))
+    slices, start = {}, 0
+    for name, (dim, sep, noise) in channels.items():
         slices[name] = (start, start + dim)
+        _gaussian_channel(x[:, start : start + dim], keys[name], sep, noise, gen)
         start += dim
-    return Dataset(y, z, np.concatenate(parts, axis=1), np.ones(y.shape[0]), slices, v, spec)
+    return Dataset(y, z, x, np.ones(y.shape[0]), slices, v, spec)
 
 
 def _build_law(spec: GenSpec) -> GraphTemplate:

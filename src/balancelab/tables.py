@@ -46,6 +46,14 @@ class Variable:
             )
 
 
+def _dense_shape(variables: Sequence[Variable]) -> tuple[int, ...]:
+    """The variables' cardinalities, checked against the dense cap."""
+    shape = tuple(v.cardinality for v in variables)
+    if prod(shape) > MAX_CELLS:
+        raise ArgumentError(f"joint size {prod(shape)} exceeds the dense cap of {MAX_CELLS} cells")
+    return shape
+
+
 def _check_unique(variables: Sequence[Variable]) -> None:
     names = [v.name for v in variables]
     if len(set(names)) != len(names):
@@ -77,11 +85,7 @@ class JointTable(_Named):
     def __post_init__(self) -> None:
         variables = tuple(self.variables)
         _check_unique(variables)
-        shape = tuple(v.cardinality for v in variables)
-        if int(np.prod(shape)) > MAX_CELLS:
-            raise ArgumentError(
-                f"joint size {int(np.prod(shape))} exceeds the dense cap of {MAX_CELLS} cells"
-            )
+        shape = _dense_shape(variables)
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != shape:
             raise ArgumentError(f"probs shape {probs.shape} does not match variables {shape}")
@@ -261,20 +265,22 @@ class SampleBatch(_Named):
     def __post_init__(self) -> None:
         variables = tuple(self.variables)
         _check_unique(variables)
-        rows = np.asarray(self.rows, dtype=np.int64)
+        rows = np.array(self.rows, dtype=np.int64, order="C")
         if rows.ndim != 2 or rows.shape[1] != len(variables):
             raise ArgumentError(f"rows must be (n, {len(variables)}), got {rows.shape}")
-        for j, v in enumerate(variables):
-            if rows.shape[0] and (rows[:, j].min() < 0 or rows[:, j].max() >= v.cardinality):
-                raise ArgumentError(f"state index out of range for variable {v.name!r}")
-        weights = np.asarray(self.weights, dtype=float)
+        # one pass over every state, a column at a time (a long inner loop against
+        # one cardinality); a negative state wraps to a huge unsigned one
+        cards = np.array([v.cardinality for v in variables], dtype=np.uint64)
+        inside = np.less(rows.view(np.uint64).T, cards[:, None], order="C")
+        if not inside.all():
+            bad = variables[int(np.flatnonzero(~inside.all(axis=1))[0])]
+            raise ArgumentError(f"state index out of range for variable {bad.name!r}")
+        weights = np.array(self.weights, dtype=float)
         if weights.shape != (rows.shape[0],):
             raise ArgumentError(f"weights must be ({rows.shape[0]},), got {weights.shape}")
         if not np.all(np.isfinite(weights) & (weights >= 0)):
             raise ArgumentError("weights must be finite and non-negative")
-        rows = rows.copy()
         rows.setflags(write=False)
-        weights = weights.copy()
         weights.setflags(write=False)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "rows", rows)
@@ -294,9 +300,9 @@ class SampleBatch(_Named):
         """Weighted empirical frequencies as an exact table."""
         if len(self) == 0:
             raise ArgumentError("cannot build an empirical table from an empty batch")
-        shape = tuple(v.cardinality for v in self.variables)
+        shape = _dense_shape(self.variables)
         flat = np.ravel_multi_index(tuple(self.rows.T), shape)
-        counts = np.bincount(flat, weights=self.weights, minlength=int(np.prod(shape)))
+        counts = np.bincount(flat, weights=self.weights, minlength=prod(shape))
         total = counts.sum()
         if total == 0:
             raise ArgumentError("total weight is zero")
@@ -334,8 +340,11 @@ def chi2_independence(batch: SampleBatch, a: str, b: str) -> tuple[float, float]
         raise ArgumentError("batch is empty")
     ca = batch.variables[batch.axis(a)].cardinality
     cb = batch.variables[batch.axis(b)].cardinality
-    table = np.zeros((ca, cb))
-    np.add.at(table, (batch.column(a), batch.column(b)), batch.weights)
+    if a == b:
+        raise ArgumentError(f"cannot test {a!r} against itself")
+    # bincount sums each cell's weights in row order
+    cells = batch.column(a) * cb + batch.column(b)
+    table = np.bincount(cells, weights=batch.weights, minlength=ca * cb).reshape(ca, cb)
     rows = table.sum(axis=1)
     cols = table.sum(axis=0)
     if np.any(rows == 0) or np.any(cols == 0):

@@ -328,6 +328,62 @@ class TestSampling:
         assert abs(rate - 0.95) < 0.01
 
 
+def loop_sample_cbn(net: Cbn, n: int, seed: int) -> np.ndarray:
+    """Reference: the former ancestral sampler, which built an (n, card) CDF
+    per node by gathering every row's CPT row."""
+    gen = spawn(seed)
+    pos = {v.name: i for i, v in enumerate(net.nodes)}
+    rows = np.zeros((n, len(net.nodes)), dtype=np.int64)
+    for name in net.dag.topo_order:
+        card = net.variable(name).cardinality
+        cpt = net.cpts[name]
+        ps = net.parents[name]
+        if ps:
+            parent_cols = tuple(rows[:, pos[p]] for p in ps)
+            row_probs = cpt.reshape(-1, card)[np.ravel_multi_index(parent_cols, cpt.shape[:-1])]
+        else:
+            row_probs = np.broadcast_to(cpt, (n, card))
+        cdf = np.cumsum(row_probs, axis=1)
+        u = gen.random(n) * cdf[:, -1]
+        rows[:, pos[name]] = (u[:, None] >= cdf[:, :-1]).sum(axis=1)
+    return rows
+
+
+@st.composite
+def mixed_cardinality_nets(draw) -> Cbn:
+    """A root of cardinality 4, a node with two parents, then up to three more
+    nodes with up to two earlier parents each; cardinalities 2-4, CPT rows
+    with zero cells, nodes listed in a shuffled order."""
+    cards = [4] + draw(st.lists(st.integers(2, 4), min_size=2, max_size=5))
+    names = [f"N{i}" for i in range(len(cards))]
+    parents = {names[0]: (), names[1]: (), names[2]: (names[0], names[1])}
+    for i in range(3, len(names)):
+        parents[names[i]] = tuple(draw(st.lists(st.sampled_from(names[:i]), max_size=2, unique=True)))
+    gen = spawn(draw(st.integers(0, 2**16)), 7)
+    cpts = {}
+    for name, card in zip(names, cards):
+        shape = tuple(cards[names.index(p)] for p in parents[name]) + (card,)
+        raw = gen.uniform(0.0, 1.0, size=shape) * (gen.random(shape) > 0.3)
+        raw[..., -1] += raw.sum(axis=-1) == 0
+        cpts[name] = raw / raw.sum(axis=-1, keepdims=True)
+    order = draw(st.permutations(range(len(names))))
+    return Cbn(tuple(Variable(names[i], cards[i]) for i in order), parents, cpts)
+
+
+class TestSamplingParity:
+    @given(mixed_cardinality_nets(), st.integers(1, 400), st.integers(0, 2**16))
+    def test_matches_per_row_cdf_loop(self, net, n, seed):
+        batch = sample_cbn(net, n, seed)
+        expected = loop_sample_cbn(net, n, seed)
+        assert batch.rows.dtype == expected.dtype
+        assert np.array_equal(batch.rows, expected)
+
+    def test_templates_match_per_row_cdf_loop(self):
+        for g in ("A", "B", "C", "D"):
+            net = graph_template(g).net
+            assert np.array_equal(sample_cbn(net, 5000, 4).rows, loop_sample_cbn(net, 5000, 4))
+
+
 class TestCbnSerialization:
     @pytest.mark.parametrize(
         "text, line",

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from balancelab import datagen
 from balancelab.bayesnet import joint
@@ -328,6 +331,49 @@ class TestDataset:
         assert len(ds.take(slice(10, 20))) == 10
         with pytest.raises(ArgumentError, match="one-dimensional"):
             ds.take(idx[:, None])
+
+
+    def test_take_with_boolean_mask_selects_rows(self):
+        # np.take would read True/False as the row numbers 1/0
+        ds = generate(GenSpec(graph="C", n=40, seed=3))
+        mask = ds.y == 1
+        part = ds.take(mask)
+        for name in ("y", "z", "x", "weights", "v"):
+            assert np.array_equal(getattr(part, name), getattr(ds, name)[mask])
+        assert part.x.shape == (int(mask.sum()), ds.x.shape[1])
+
+
+def concatenated_dataset(spec: GenSpec, gen, y, z, keys: dict, v=None) -> Dataset:
+    """Reference: the former ``_dataset``, which drew each channel into its own
+    array and concatenated them."""
+    parts, slices, start = [], {}, 0
+    for name, (dim, sep, noise) in datagen._channels(spec).items():
+        means = datagen._block_means(dim, sep)
+        parts.append(means[keys[name]] + gen.normal(0.0, noise, size=(keys[name].shape[0], dim)))
+        slices[name] = (start, start + dim)
+        start += dim
+    return Dataset(y, z, np.concatenate(parts, axis=1), np.ones(y.shape[0]), slices, v, spec)
+
+
+class TestPreallocatedChannels:
+    @given(
+        st.sampled_from(GRAPH_IDS),
+        st.integers(1, 300),
+        st.integers(0, 2**16),
+        st.integers(1, 4),
+        st.sampled_from([-1.5, 0.0, 2.0]),
+        st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_matches_concatenated_channels(self, graph, n, seed, dim, sep, noise):
+        spec = GenSpec(graph=graph, n=n, seed=seed, dim_core=dim, sep_aux=sep, noise_core=noise)
+        new = [generate(spec), ideal_testset(spec, n, seed + 1)]
+        with mock.patch.object(datagen, "_dataset", concatenated_dataset):
+            old = [generate(spec), ideal_testset(spec, n, seed + 1)]
+        for a, b in zip(new, old):
+            assert a.channel_slices == b.channel_slices
+            for name in ("y", "z", "x", "weights", "v"):
+                got, want = getattr(a, name), getattr(b, name)
+                assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
 # non-default laws, so a default wired in anywhere shows; each entry pairs the

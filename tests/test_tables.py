@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import stats
 
 from balancelab.errors import (
     ArgumentError,
@@ -12,6 +17,7 @@ from balancelab.errors import (
 )
 from balancelab.rng import spawn
 from balancelab.tables import (
+    MAX_CELLS,
     JointTable,
     SampleBatch,
     Variable,
@@ -275,7 +281,93 @@ class TestSample:
             assert exact.independent == sampled.independent == expect
 
 
+ABC = (Variable("A", 2), Variable("B", 3), Variable("C", 4))
+
+
+class TestSampleBatchRange:
+    @pytest.mark.parametrize("col", [0, 1, 2])
+    @pytest.mark.parametrize("bad", ["negative", "cardinality"])
+    def test_out_of_range_state_names_its_variable(self, col, bad):
+        rows = np.array([[1, 2, 3], [0, 0, 0], [1, 1, 2]])
+        rows[1, col] = -1 if bad == "negative" else ABC[col].cardinality
+        with pytest.raises(ArgumentError, match=f"variable {ABC[col].name!r}"):
+            SampleBatch(ABC, rows, np.ones(3))
+
+    def test_message_names_first_offending_variable(self):
+        rows = np.array([[0, 0, 4], [0, 3, 0], [1, 2, 3]])
+        with pytest.raises(ArgumentError, match="variable 'B'"):
+            SampleBatch(ABC, rows, np.ones(3))
+
+    @pytest.mark.parametrize("layout", ["transposed", "int32"])
+    def test_layout_and_dtype_handled_alike(self, layout):
+        good = np.array([[1, 2, 3], [0, 0, 0], [1, 1, 2]])
+        bad = good.copy()
+        bad[2, 1] = -1
+        convert = (lambda r: np.ascontiguousarray(r.T).T) if layout == "transposed" else (lambda r: r.astype(np.int32))
+        batch = SampleBatch(ABC, convert(good), np.ones(3))
+        assert batch.rows.dtype == np.int64 and batch.rows.flags.c_contiguous
+        assert np.array_equal(batch.rows, good)
+        with pytest.raises(ArgumentError, match="variable 'B'"):
+            SampleBatch(ABC, convert(bad), np.ones(3))
+
+    def test_empty_batch_passes(self):
+        assert len(SampleBatch(ABC, np.zeros((0, 3), dtype=np.int64), np.ones(0))) == 0
+
+
+class TestDenseCap:
+    def test_empirical_table_checks_cap_before_counting(self):
+        variables = tuple(Variable(f"V{i}", 2) for i in range(24))
+        assert 2**24 > MAX_CELLS
+        batch = SampleBatch(variables, np.zeros((3, 24), dtype=np.int64), np.ones(3))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArgumentError, match="dense cap"):
+                batch.empirical_table()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_joint_table_shares_the_cap(self):
+        with pytest.raises(ArgumentError, match="dense cap"):
+            JointTable(tuple(Variable(f"V{i}", 2) for i in range(24)), np.zeros(1))
+
+
+def add_at_chi2(batch: SampleBatch, a: str, b: str) -> tuple[float, float]:
+    """Reference: the former chi-squared, which scattered the weights with np.add.at."""
+    ca = batch.variables[batch.axis(a)].cardinality
+    cb = batch.variables[batch.axis(b)].cardinality
+    table = np.zeros((ca, cb))
+    np.add.at(table, (batch.column(a), batch.column(b)), batch.weights)
+    rows = table.sum(axis=1)
+    cols = table.sum(axis=0)
+    if np.any(rows == 0) or np.any(cols == 0):
+        raise DegenerateContingency("zero-total row/column")
+    expected = np.outer(rows, cols) / table.sum()
+    statistic = float(((table - expected) ** 2 / expected).sum())
+    return statistic, float(stats.chi2.sf(statistic, (ca - 1) * (cb - 1)))
+
+
 class TestChi2:
+    @given(st.integers(2, 4), st.integers(2, 4), st.integers(1, 300), st.integers(0, 2**16))
+    def test_matches_add_at_on_weighted_batches(self, ca, cb, n, seed):
+        gen = spawn(seed, 3)
+        variables = (Variable("Y", ca), Variable("W", 3), Variable("Z", cb))
+        rows = np.column_stack([gen.integers(0, c, n) for c in (ca, 3, cb)])
+        batch = SampleBatch(variables, rows, gen.uniform(0.0, 5.0, n) * (gen.random(n) > 0.1))
+        try:
+            expected = add_at_chi2(batch, "Z", "Y")
+        except DegenerateContingency:
+            with pytest.raises(DegenerateContingency):
+                chi2_independence(batch, "Z", "Y")
+            return
+        assert chi2_independence(batch, "Z", "Y") == expected
+
+    def test_variable_against_itself(self):
+        batch = sample(skewed_yz(), 50, seed=2)
+        with pytest.raises(ArgumentError, match="itself"):
+            chi2_independence(batch, "Y", "Y")
+
     def test_perfect_correlation(self):
         rows = np.repeat([[0, 0], [1, 1]], 500, axis=0)
         batch = SampleBatch((Y, Z), rows, np.ones(1000))
