@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, CycleError, EdgeError, UnknownVariableError, text_line
+from .errors import ArgumentError, CycleError, EdgeError, UnknownVariableError
 from .rng import spawn
 from .tables import (
     JointTable,
@@ -388,77 +388,3 @@ def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e
                 if not rep:
                     violations.append(Violation((x,), (y,), cond, rep.max_gap, "pairwise"))
     return FactorizationReport(False, tuple(violations + local), tol)
-
-
-# Graph text format: a [nodes] block of 'name cardinality' lines, an [edges]
-# block of 'parent -> child' lines (per child, in CPT parent order), and one
-# [cpt <node>] block per node listing 'p0 p1 ...' rows in row-major parent
-# order (roots have a single row).
-
-def dumps_cbn(net: Cbn) -> str:
-    lines = ["[nodes]"]
-    lines += [f"{v.name} {v.cardinality}" for v in net.nodes]
-    lines.append("[edges]")
-    for v in net.nodes:
-        lines += [f"{p} -> {v.name}" for p in net.parents[v.name]]
-    for v in net.nodes:
-        lines.append(f"[cpt {v.name}]")
-        rows = net.cpts[v.name].reshape(-1, v.cardinality)
-        lines += [" ".join(repr(float(x)) for x in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def loads_cbn(text: str) -> Cbn:
-    section: str | None = None
-    variables: list[Variable] = []
-    parents: dict[str, list[str]] = {}
-    rows: dict[str, list[list[float]]] = {}
-    opened: dict[str, int] = {}  # the line of each node's [cpt] header
-    edges: list[tuple[int, str, str]] = []
-    cpt_node: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if line == "[nodes]":
-                section = "nodes"
-            elif line == "[edges]":
-                section = "edges"
-            elif line.startswith("[cpt ") and line.endswith("]"):
-                section = "cpt"
-                cpt_node = line[len("[cpt ") : -1].strip()
-                rows.setdefault(cpt_node, [])
-                opened.setdefault(cpt_node, lineno)
-            else:
-                raise ArgumentError(f"line {lineno}: unknown section {line!r}")
-            continue
-        if section == "nodes":
-            with text_line(lineno):
-                name, card = line.split()
-                variables.append(Variable(name, int(card)))
-            parents.setdefault(name, [])
-        elif section == "edges":
-            with text_line(lineno):
-                src, arrow, dst = line.split()
-            if arrow != "->":
-                raise ArgumentError(f"line {lineno}: expected 'parent -> child'")
-            edges.append((lineno, src, dst))
-            parents.setdefault(dst, []).append(src)
-        elif section == "cpt" and cpt_node is not None:
-            with text_line(lineno):
-                rows[cpt_node].append([float(x) for x in line.split()])
-        else:
-            raise ArgumentError(f"line {lineno}: content outside any section")
-    card = {v.name: v.cardinality for v in variables}
-    for lineno, src, dst in edges:
-        if src not in card or dst not in card:
-            raise ArgumentError(f"line {lineno}: edge {src} -> {dst} names a node missing from [nodes]")
-    cpts: dict[str, np.ndarray] = {}
-    for v in variables:
-        shape = tuple(card[p] for p in parents[v.name]) + (v.cardinality,)
-        if v.name not in rows:
-            raise ArgumentError(f"missing [cpt {v.name}] block")
-        with text_line(opened[v.name]):
-            cpts[v.name] = np.asarray(rows[v.name]).reshape(shape)
-    return Cbn(tuple(variables), {n: tuple(ps) for n, ps in parents.items()}, cpts)

@@ -35,7 +35,6 @@ independent sub-streams.
 from __future__ import annotations
 
 import inspect
-import json
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -45,7 +44,7 @@ from .bayesnet import Cbn, GraphEdit, joint, mutilate
 from .checks import ShiftFamily
 from .errors import ArgumentError, SpecError
 from .rng import spawn
-from .tables import JointTable, _draw_states, marginal_probs, marginalize
+from .tables import JointTable, _checked_weights, _draw_states, _frozen, marginal_probs, marginalize
 from .templates import GRAPH_IDS, GraphTemplate, graph_template, template_a, template_b, template_c
 
 # each channel's dim_*, sep_* and noise_* knob: a test and the rule it states
@@ -149,11 +148,7 @@ class GenSpec:
         return self._law
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["confounding"] = list(self.confounding)
-        if self.v_flip is not None:
-            out["v_flip"] = list(self.v_flip)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenSpec":
@@ -235,24 +230,6 @@ class Dataset:
 
     def with_weights(self, weights: np.ndarray) -> "Dataset":
         return self.take(slice(None), weights)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A read-only view of ``arr``; ``arr`` itself, which may be the
-    caller's own array, stays as it was."""
-    view = arr.view()
-    view.setflags(write=False)
-    return view
-
-
-def _checked_weights(weights, n: int) -> np.ndarray:
-    """``weights`` as a float array of one finite, non-negative value per row."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise ArgumentError(f"weights must have shape ({n},), got {w.shape}")
-    if not np.all(np.isfinite(w) & (w >= 0)):
-        raise ArgumentError("weights must be finite and non-negative")
-    return w
 
 
 def _block_means(dim: int, sep: float) -> np.ndarray:
@@ -357,56 +334,3 @@ def implied_y_given_z(spec: GenSpec) -> np.ndarray:
     """Exact P(Y=y | Z=z) of the source law, as a (2, 2) array [y, z]."""
     arr = marginal_probs(_key_table(spec.law.net), ("Y", "Z"))
     return arr / arr.sum(axis=0, keepdims=True)
-
-
-# -- Serialization -------------------------------------------------------------
-# Delimited text with a header row; floats use repr() so numeric columns
-# round-trip exactly.  A JSON sidecar carries the GenSpec and channel slices.
-
-def _meta_path(path: str) -> str:
-    return path + ".meta.json"
-
-
-def save_dataset(dataset: Dataset, path: str) -> None:
-    dim = dataset.x.shape[1]
-    cols = ["y", "z"] + (["v"] if dataset.v is not None else []) + ["weight"]
-    cols += [f"x{i}" for i in range(dim)]
-    lines = [",".join(cols)]
-    for i in range(len(dataset)):
-        row = [str(int(dataset.y[i])), str(int(dataset.z[i]))]
-        if dataset.v is not None:
-            row.append(str(int(dataset.v[i])))
-        row.append(repr(float(dataset.weights[i])))
-        row.extend(repr(float(val)) for val in dataset.x[i])
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    meta = {
-        "columns": cols,
-        "channel_slices": {k: list(vs) for k, vs in dataset.channel_slices.items()},
-        "genspec": None if dataset.spec is None else dataset.spec.to_dict(),
-    }
-    with open(_meta_path(path), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_dataset(path: str) -> Dataset:
-    with open(_meta_path(path), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != meta["columns"]:
-            raise ArgumentError(f"header {header} does not match metadata columns")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    has_v = "v" in header
-    arr = np.array(rows, dtype=object)
-    y = arr[:, 0].astype(np.int64)
-    z = arr[:, 1].astype(np.int64)
-    off = 3 if has_v else 2
-    v = arr[:, 2].astype(np.int64) if has_v else None
-    weights = arr[:, off].astype(float)
-    x = arr[:, off + 1 :].astype(float)
-    spec = None if meta["genspec"] is None else GenSpec.from_dict(meta["genspec"])
-    slices = {k: tuple(vs) for k, vs in meta["channel_slices"].items()}
-    return Dataset(y, z, x, weights, slices, v, spec)

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
 
 class BalanceLabError(Exception):
     """Base class for all errors raised by this package."""
@@ -68,15 +65,3 @@ class NumericsError(BalanceLabError, FloatingPointError):
 
 class SpecError(ArgumentError):
     """A generation or experiment specification is internally inconsistent."""
-
-
-@contextmanager
-def text_line(lineno: int) -> Iterator[None]:
-    """Re-raise an IndexError or ValueError from parsing text line ``lineno``
-    as an ArgumentError that names the line; package errors pass through."""
-    try:
-        yield
-    except BalanceLabError:
-        raise
-    except (IndexError, ValueError) as exc:
-        raise ArgumentError(f"line {lineno}: malformed line ({exc})") from exc

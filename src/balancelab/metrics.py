@@ -64,23 +64,31 @@ def evaluate(
 
     ``probe_seed`` additionally runs the encoding probe for the group factor;
     the seed picks the probe's train/test split, and the probe's fit is a
-    deterministic Newton solve gated on convergence.  A single-class label
-    makes the score-bin parity gap undefined; it is reported as None and
-    flagged.
+    deterministic Newton solve gated on convergence.  A stratum with fewer
+    than ``min_stratum`` rows or with zero total weight is left out and
+    flagged.  A single-class label makes the score-bin parity gap undefined;
+    it is reported as None and flagged.
     """
     if len(data) == 0:
         raise ArgumentError("dataset is empty")
+    if min_stratum < 1 or pp_bins < 1:
+        raise ArgumentError(f"min_stratum and pp_bins must be >= 1, got {min_stratum} and {pp_bins}")
+    w = data.weights
+    if not w.sum() > 0:
+        raise ArgumentError("dataset has zero total weight")
     scores = predict_scores(params, data.x)
     preds = scores >= threshold
     correct = (preds == data.y.astype(bool)).astype(float)
-    w = data.weights
     accuracy = _weighted_mean(correct, w)
+
+    def too_small(idx: np.ndarray) -> bool:
+        return int(idx.sum()) < min_stratum or not w[idx].sum() > 0
 
     excluded: list[str] = []
     z_accuracy: dict[int, float] = {}
     for z_value in np.unique(data.z):
         idx = data.z == z_value
-        if int(idx.sum()) < min_stratum:
+        if too_small(idx):
             excluded.append(f"z={int(z_value)}")
             continue
         z_accuracy[int(z_value)] = _weighted_mean(correct[idx], w[idx])
@@ -92,7 +100,7 @@ def evaluate(
         means = []
         for z_value in np.unique(data.z):
             idx = (data.y == y_value) & (data.z == z_value)
-            if int(idx.sum()) < min_stratum:
+            if too_small(idx):
                 excluded.append(f"y={int(y_value)},z={int(z_value)}")
                 continue
             means.append(_weighted_mean(scores[idx], w[idx]))
@@ -117,7 +125,7 @@ def evaluate(
             rates = []
             for z_value in np.unique(data.z):
                 idx = (bins == b) & (data.z == z_value)
-                if int(idx.sum()) < min_stratum:
+                if too_small(idx):
                     continue
                 rates.append(_weighted_mean(data.y[idx].astype(float), w[idx]))
             if len(rates) >= 2:
@@ -177,6 +185,8 @@ def risk_invariance_report(
     for label, ds in named:
         if len(ds) == 0:
             raise ArgumentError(f"test set {label!r} is empty")
+        if not ds.weights.sum() > 0:
+            raise ArgumentError(f"test set {label!r} has zero total weight")
         scores = predict_scores(params, ds.x)
         if loss == "zero_one":
             values = ((scores >= 0.5) != ds.y.astype(bool)).astype(float)

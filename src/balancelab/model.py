@@ -14,7 +14,6 @@ to a gradient-norm tolerance, not by training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .errors import (
     DegenerateTarget,
     NumericsError,
     SampleSizeError,
-    text_line,
 )
 from .rng import spawn
 
@@ -432,56 +430,3 @@ def probe_encoding(params: ModelParams, data: Dataset, target: str = "z", seed: 
     w = _fit_probe(a[train_idx], labels[train_idx])
     preds = a[test_idx] @ w >= 0.0
     return float(np.mean(preds == labels[test_idx].astype(bool)))
-
-
-# -- Serialization -------------------------------------------------------------
-
-def dumps_params(params: ModelParams) -> str:
-    lines = [f"activation {params.activation}", f"layers {len(params.weights)}"]
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        lines.append(f"weight {k} {w.shape[0]} {w.shape[1]}")
-        lines.extend(" ".join(repr(float(v)) for v in row) for row in w)
-        lines.append(f"bias {k} {b.shape[0]}")
-        lines.append(" ".join(repr(float(v)) for v in b))
-    return "\n".join(lines) + "\n"
-
-
-def loads_params(text: str) -> ModelParams:
-    lines = iter([(no, ln.split()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()])
-    last = 0
-
-    def record(tag: str | None, size: int, convert=int) -> list:
-        """The next line's ``size`` values after its ``tag`` word, if any."""
-        nonlocal last
-        no, words = next(lines, (None, None))
-        what = f"a '{tag}' line" if tag else "a line"
-        if words is None:
-            raise ArgumentError(f"line {last + 1}: expected {what}, got the end of the text")
-        last = no
-        head = [tag] if tag else []
-        if words[: len(head)] != head or len(words) != len(head) + size:
-            raise ArgumentError(f"line {no}: expected {what} with {size} values")
-        with text_line(no):
-            return [convert(w) for w in words[len(head) :]]
-
-    (activation,) = record("activation", 1, str)
-    (n_layers,) = record("layers", 1)
-    weights: list[np.ndarray] = []
-    biases: list[np.ndarray] = []
-    for _ in range(n_layers):
-        _, rows, cols = record("weight", 3)
-        mat = np.array([record(None, cols, float) for _ in range(rows)])
-        if mat.shape != (rows, cols):
-            raise ArgumentError(f"weight block has shape {mat.shape}, expected {(rows, cols)}")
-        _, size = record("bias", 2)
-        weights.append(mat)
-        biases.append(np.array(record(None, size, float)))
-    return ModelParams(weights, biases, activation)
-
-
-def log_to_csv(log: Sequence[Mapping]) -> str:
-    header = ["epoch", "loss", "ce", "l2", "mmd", "skipped_strata"]
-    lines = [",".join(header)]
-    for entry in log:
-        lines.append(",".join(repr(float(entry[k])) if k != "epoch" and k != "skipped_strata" else str(int(entry[k])) for k in header))
-    return "\n".join(lines) + "\n"

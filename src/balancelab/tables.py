@@ -10,7 +10,6 @@ Values are immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
@@ -22,7 +21,6 @@ from .errors import (
     DegenerateContingency,
     DegenerateEvidence,
     UnknownVariableError,
-    text_line,
 )
 from .rng import spawn
 
@@ -40,6 +38,8 @@ class Variable:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ArgumentError(f"variable name must be a non-empty string, got {self.name!r}")
+        if isinstance(self.cardinality, bool) or not isinstance(self.cardinality, (int, np.integer)):
+            raise ArgumentError(f"variable {self.name!r} needs an integer cardinality, got {self.cardinality!r}")
         if self.cardinality < 2:
             raise ArgumentError(
                 f"variable {self.name!r} needs cardinality >= 2, got {self.cardinality}"
@@ -109,10 +109,6 @@ class JointTable(_Named):
 
     def variable(self, name: str) -> Variable:
         return self.variables[self.axis(name)]
-
-    def states(self) -> Iterable[tuple[int, ...]]:
-        """All joint states in row-major order."""
-        return product(*(range(c) for c in self.shape))
 
 
 def uniform_table(variables: Sequence[Variable]) -> JointTable:
@@ -249,6 +245,24 @@ def is_independent(
     return IndependenceReport(max_gap <= tol, max_gap, argmax_state, tol)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``; ``arr`` itself, which may be the
+    caller's own array, stays as it was."""
+    view = arr.view()
+    view.setflags(write=False)
+    return view
+
+
+def _checked_weights(weights, n: int) -> np.ndarray:
+    """``weights`` as a float array of one finite, non-negative value per row."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise ArgumentError(f"weights must have shape ({n},), got {w.shape}")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ArgumentError("weights must be finite and non-negative")
+    return w
+
+
 @dataclass(frozen=True)
 class SampleBatch(_Named):
     """Finite weighted samples of a joint distribution.
@@ -275,11 +289,7 @@ class SampleBatch(_Named):
         if not inside.all():
             bad = variables[int(np.flatnonzero(~inside.all(axis=1))[0])]
             raise ArgumentError(f"state index out of range for variable {bad.name!r}")
-        weights = np.array(self.weights, dtype=float)
-        if weights.shape != (rows.shape[0],):
-            raise ArgumentError(f"weights must be ({rows.shape[0]},), got {weights.shape}")
-        if not np.all(np.isfinite(weights) & (weights >= 0)):
-            raise ArgumentError("weights must be finite and non-negative")
+        weights = _checked_weights(np.array(self.weights, dtype=float), rows.shape[0])
         rows.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "variables", variables)
@@ -294,7 +304,14 @@ class SampleBatch(_Named):
         return self.rows[:, self.axis(name)]
 
     def with_rows(self, rows: np.ndarray, weights: np.ndarray) -> "SampleBatch":
-        return SampleBatch(self.variables, rows, weights)
+        """A batch of ``rows`` taken from this validated batch, kept as they
+        are (no copy, no range check), with new ``weights``, which are checked."""
+        out = object.__new__(SampleBatch)
+        object.__setattr__(out, "variables", self.variables)
+        object.__setattr__(out, "rows", _frozen(rows))
+        object.__setattr__(out, "weights", _frozen(_checked_weights(weights, rows.shape[0])))
+        object.__setattr__(out, "_names", self._names)
+        return out
 
     def empirical_table(self) -> JointTable:
         """Weighted empirical frequencies as an exact table."""
@@ -356,60 +373,3 @@ def chi2_independence(batch: SampleBatch, a: str, b: str) -> tuple[float, float]
     dof = (ca - 1) * (cb - 1)
     p_value = float(stats.chi2.sf(statistic, dof))
     return statistic, p_value
-
-
-# Text serialization: 'var <name> <cardinality>' lines followed by one
-# 'cell <i0> ... <ik> <prob>' line per cell in row-major order.  repr() round
-# trips Python floats exactly, which covers the 17-significant-digit contract.
-
-def dumps_table(table: JointTable) -> str:
-    lines = [f"var {v.name} {v.cardinality}" for v in table.variables]
-    for state, p in zip(table.states(), table.probs.ravel()):
-        lines.append("cell " + " ".join(str(s) for s in state) + f" {float(p)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def loads_table(text: str) -> JointTable:
-    variables: list[Variable] = []
-    cells: list[float] = []
-    expected_state = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "var":
-            if cells:
-                raise ArgumentError(f"line {lineno}: var line after cell lines")
-            if len(parts) != 3:
-                raise ArgumentError(f"line {lineno}: expected 'var <name> <cardinality>'")
-            with text_line(lineno):
-                variables.append(Variable(parts[1], int(parts[2])))
-        elif parts[0] == "cell":
-            if len(parts) != len(variables) + 2:
-                raise ArgumentError(f"line {lineno}: expected {len(variables)} indices and a value")
-            shape = tuple(v.cardinality for v in variables)
-            with text_line(lineno):
-                state = int(np.ravel_multi_index(tuple(int(s) for s in parts[1:-1]), shape))
-                cells.append(float(parts[-1]))
-            if state != expected_state:
-                raise ArgumentError(f"line {lineno}: cells must appear in row-major order")
-            expected_state += 1
-        else:
-            raise ArgumentError(f"line {lineno}: unknown record {parts[0]!r}")
-    if not variables:
-        raise ArgumentError("no variables found")
-    shape = tuple(v.cardinality for v in variables)
-    if len(cells) != int(np.prod(shape)):
-        raise ArgumentError(f"expected {int(np.prod(shape))} cells, got {len(cells)}")
-    return JointTable(tuple(variables), np.asarray(cells).reshape(shape))
-
-
-def save_table(table: JointTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_table(table))
-
-
-def load_table(path: str) -> JointTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_table(fh.read())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from math import prod
 
 import numpy as np
@@ -267,6 +268,38 @@ class TestBalanceBatch:
         batch = batch.with_rows(batch.rows, np.where(cell, 0.0, 1.0))
         with pytest.raises(UnbalanceableSupport, match="Y=1, Z=1"):
             balance_batch(batch, JOINT_YZ)
+
+    def test_outputs_pinned_bit_for_bit(self):
+        # SHA-256 of every output's rows and weights, as produced when each
+        # result was copied and range-checked again; with_rows keeps the bits
+        digest = hashlib.sha256()
+        for g in ("A", "B", "C", "D"):
+            batch = sample_cbn(graph_template(g).net, 3000, seed=3)
+            for target in (JointTarget("Y", "Z"), SingleTarget("Y")):
+                for mechanism, seed in [
+                    (Mechanism.IMPORTANCE_WEIGHTS, None),
+                    (Mechanism.SUBSAMPLE_MAJORITY, 4),
+                    (Mechanism.UPSAMPLE_MINORITY, 4),
+                ]:
+                    out = balance_batch(batch, BalanceSpec(target, mechanism, seed=seed))
+                    assert out.rows.dtype == np.int64 and out.rows.flags.c_contiguous
+                    assert not out.rows.flags.writeable and not out.weights.flags.writeable
+                    digest.update(out.rows.tobytes())
+                    digest.update(out.weights.tobytes())
+        assert digest.hexdigest() == "592c3c401323b7d009bbb9204672f92ceaaf16727411546523fabbc65ed8687e"
+
+    def test_reweighting_shares_rows(self):
+        batch = sample_cbn(graph_template("A").net, 1000, seed=3)
+        out = balance_batch(batch, JOINT_YZ)
+        assert np.shares_memory(out.rows, batch.rows)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_with_rows_checks_new_weights(self, bad):
+        batch = counts_batch({(0, 0): 2, (0, 1): 2, (1, 0): 2, (1, 1): 2})
+        with pytest.raises(ArgumentError, match="finite and non-negative"):
+            batch.with_rows(batch.rows, np.where(np.arange(8) == 3, bad, 1.0))
+        with pytest.raises(ArgumentError, match="shape"):
+            batch.with_rows(batch.rows, np.ones(7))
 
     def test_seed_contract(self):
         with pytest.raises(ArgumentError, match="seed"):

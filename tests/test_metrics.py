@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from balancelab.datagen import Dataset
+from balancelab.datagen import Dataset, GenSpec, generate
 from balancelab.errors import ArgumentError
 from balancelab.metrics import MetricsReport, evaluate, risk_invariance_report
 from balancelab.model import ModelParams
@@ -89,6 +89,27 @@ class TestEvaluate:
         assert "z=2" in rep.excluded_strata
         assert 2 not in rep.z_accuracy
 
+    def test_zero_weight_stratum_excluded(self):
+        ds = generate(GenSpec("A", 200, 1))
+        ds = ds.take(slice(None), np.where(ds.z == 1, 0.0, 1.0))
+        params = ModelParams([np.zeros((ds.x.shape[1], 1))], [np.zeros(1)])
+        rep = evaluate(params, ds)
+        assert {"z=1", "y=0,z=1", "y=1,z=1"} <= set(rep.excluded_strata)
+        assert set(rep.z_accuracy) == {0}
+        for value in (rep.accuracy, rep.worst_group, rep.equalized_odds, rep.dp_gap, rep.pp_gap):
+            assert np.isfinite(value)
+
+    def test_zero_total_weight_rejected(self):
+        ds = dataset([0, 1] * 10, [0, 1] * 10, np.linspace(0, 1, 20), np.zeros(20))
+        with pytest.raises(ArgumentError, match="zero total weight"):
+            evaluate(passthrough_params(), ds)
+
+    @pytest.mark.parametrize("knob", [{"pp_bins": 0}, {"pp_bins": -1}, {"min_stratum": 0}])
+    def test_knob_below_one_rejected(self, knob):
+        ds = dataset([0, 1] * 10, [0, 1] * 10, np.linspace(0, 1, 20))
+        with pytest.raises(ArgumentError, match=">= 1"):
+            evaluate(passthrough_params(), ds, **knob)
+
     def test_eo_invariant_to_group_relabeling(self):
         gen = np.random.default_rng(0)
         y = gen.integers(0, 2, 200)
@@ -153,6 +174,12 @@ class TestRiskReport:
         back = json.loads(json.dumps(rep.to_dict()))
         assert back == {"risks": dict(zip(rep.labels, rep.risks)), "max_gap": rep.max_gap, "loss": "logloss"}
         assert tuple(back["risks"]) == rep.labels
+
+    def test_zero_weight_set_rejected(self):
+        y = np.array([0, 1] * 5)
+        sets = [("a", dataset(y, y, y)), ("b", dataset(y, y, y, np.zeros(10)))]
+        with pytest.raises(ArgumentError, match="'b' has zero total weight"):
+            risk_invariance_report(passthrough_params(), sets)
 
     def test_needs_two_sets(self):
         with pytest.raises(ArgumentError):

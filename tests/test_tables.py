@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from balancelab import artifacts
 from balancelab.errors import (
     ArgumentError,
     DegenerateContingency,
@@ -23,14 +24,10 @@ from balancelab.tables import (
     Variable,
     chi2_independence,
     condition,
-    dumps_table,
     is_independent,
-    load_table,
-    loads_table,
     marginalize,
     product_table,
     sample,
-    save_table,
     uniform_table,
 )
 
@@ -65,6 +62,14 @@ class TestJointTable:
     def test_rejects_duplicate_names(self):
         with pytest.raises(ArgumentError, match="duplicate"):
             JointTable((Y, Variable("Y", 2)), np.full((2, 2), 0.25))
+
+    @pytest.mark.parametrize("card", [2.5, "3", True])
+    def test_rejects_non_integer_cardinality(self, card):
+        with pytest.raises(ArgumentError, match="integer cardinality"):
+            Variable("A", card)
+
+    def test_accepts_numpy_integer_cardinality(self):
+        assert Variable("A", np.int64(3)).cardinality == 3
 
     def test_rejects_small_cardinality(self):
         with pytest.raises(ArgumentError, match="cardinality"):
@@ -391,30 +396,11 @@ class TestChi2:
 class TestSerialization:
     def test_round_trip_is_bitwise(self, tmp_path):
         t = random_table(13, (2, 3, 2), ("A", "B", "C"))
-        again = loads_table(dumps_table(t))
-        assert again.names == t.names
-        assert np.array_equal(again.probs, t.probs)
-        path = tmp_path / "table.txt"
-        save_table(t, str(path))
-        assert np.array_equal(load_table(str(path)).probs, t.probs)
-
-    @pytest.mark.parametrize(
-        "text, line",
-        [
-            ("var A x\n", 1),
-            ("var A 2\ncell 0 0.5\ncell 1 half\n", 3),
-            ("var A 2\n\ncell 0 0.5\ncell 2 0.5\n", 4),
-            ("# header\ncell\n", 2),
-        ],
-    )
-    def test_malformed_line_is_argument_error(self, text, line):
-        with pytest.raises(ArgumentError, match=f"line {line}:"):
-            loads_table(text)
-
-    def test_rejects_out_of_order_cells(self):
-        text = "var Y 2\ncell 1 0.5\ncell 0 0.5\n"
-        with pytest.raises(ArgumentError, match="row-major"):
-            loads_table(text)
+        path = str(tmp_path / "table")
+        artifacts.save(t, path)
+        again = artifacts.load(path)
+        assert again.variables == t.variables
+        assert again.probs.tobytes() == t.probs.tobytes()
 
     def test_total_renormalizes_within_tolerance(self):
         # every operation returns tables whose cells sum to 1 within 1e-12
