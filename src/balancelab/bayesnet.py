@@ -2,8 +2,8 @@
 
 A ``Cbn`` couples a DAG with one conditional probability table per node and
 supports exact joint computation, ancestral sampling, d-separation, edge
-removal, and checking whether an exact table obeys every conditional
-independence a DAG implies.
+removal (``mutilate(net, [(parent, child), ...])``), and checking whether an
+exact table obeys every conditional independence a DAG implies.
 
 Networks are immutable; sampling takes explicit seeds.
 """
@@ -169,16 +169,6 @@ def d_separated(graph: "Dag | Cbn", a: Iterable[str], b: Iterable[str], given: I
 
 
 @dataclass(frozen=True)
-class GraphEdit:
-    """A set of directed edges to remove from a network."""
-
-    removed_edges: frozenset[tuple[str, str]]
-
-    def __init__(self, removed_edges: Iterable[tuple[str, str]]) -> None:
-        object.__setattr__(self, "removed_edges", frozenset(tuple(e) for e in removed_edges))
-
-
-@dataclass(frozen=True)
 class Cbn:
     """A causal Bayesian network: DAG plus per-node CPTs.
 
@@ -257,14 +247,14 @@ def joint(net: Cbn) -> JointTable:
     return JointTable(net.nodes, probs / probs.sum())
 
 
-def mutilate(net: Cbn, edit: GraphEdit) -> Cbn:
-    """Remove the listed edges, averaging each affected CPT over the removed
-    parents under their current joint marginal.
+def mutilate(net: Cbn, removed: Iterable[tuple[str, str]]) -> Cbn:
+    """Remove the listed (parent, child) edges, averaging each affected CPT
+    over the removed parents under their current joint marginal.
 
     This replaces the severed mechanisms with their prior mixtures, so the
     result is a concrete network whose skeleton is the mutilated graph.
     """
-    removed = set(edit.removed_edges)
+    removed = {tuple(e) for e in removed}
     for p, c in removed:
         if c not in net.parents or p not in net.parents.get(c, ()):
             raise EdgeError(f"edge {p!r} -> {c!r} does not exist")

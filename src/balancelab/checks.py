@@ -9,10 +9,11 @@ that violate the independencies of an edge-dropped graph.
 
 A shift-family member is the same reweight as balancing
 (``balancing.reweight_marginal``, with target P(y) · P'(z | y)).  The risk
-checks stack every member's P(covariates..., y) into one array, read the
-predictor's scores once over the reachable input states, and take every
-risk and E[Y | core] by array operations.  The counterexample networks C1-C4
-are rows of one table: nodes, parents, latents and the observed edges the
+checks stack every member's P(covariates..., y) into one array, check that
+the predictor is defined on every reachable input state, and take every risk
+and E[Y | core] by array operations.  A predictor is two arrays with one
+axis per input: the score P(Y=1 | state) and where that score is defined.
+The counterexample networks C1-C4 are rows of one table: nodes, parents, latents and the observed edges the
 edge-dropped skeleton loses, with that skeleton built by
 ``bayesnet.observed_dag``.
 """
@@ -44,7 +45,7 @@ from .errors import (
     LabelError,
 )
 from .rng import spawn
-from .tables import JointTable, Variable, is_independent, marginal_probs, marginalize
+from .tables import JointTable, Variable, _frozen, is_independent, marginal_probs, marginalize
 from .templates import GraphTemplate, _random_rows, random_instance
 
 GENERIC_GAP = 1e-6  # separates structural violations from float noise
@@ -153,55 +154,46 @@ def check_invariance_conditions(
 class TablePredictor:
     """A score function on discrete covariate states.
 
-    ``posterior`` maps each input state tuple to the distribution of the
-    label; ``score`` is its positive-class mass.  States that carry zero
-    probability in the source table are listed in ``unreachable``.
+    ``scores`` holds P(Y=1 | state) with one axis per input, in input order;
+    ``defined`` is False on the states that carry zero probability in the
+    source table, where the score means nothing.
     """
 
     inputs: tuple[str, ...]
-    posterior: Mapping[tuple[int, ...], tuple[float, ...]]
-    unreachable: frozenset[tuple[int, ...]] = frozenset()
+    scores: np.ndarray
+    defined: np.ndarray
 
-    def covers(self, state: tuple[int, ...]) -> bool:
-        return state in self.posterior
+    def __post_init__(self) -> None:
+        scores = np.asarray(self.scores, dtype=float)
+        defined = np.asarray(self.defined, dtype=bool)
+        inputs = tuple(self.inputs)
+        if scores.shape != defined.shape or scores.ndim != len(inputs):
+            raise ArgumentError(f"scores {scores.shape} and defined {defined.shape} need one axis per input {inputs}")
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):  # also catches NaN
+            raise ArgumentError("scores must lie in [0, 1]")
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "scores", _frozen(scores))
+        object.__setattr__(self, "defined", _frozen(defined))
 
-    def score(self, state: tuple[int, ...]) -> float:
-        return self.posterior[state][1]
-
-    @classmethod
-    def from_scores(cls, inputs: Sequence[str], scores: Mapping[tuple[int, ...], float]) -> "TablePredictor":
-        posterior = {s: (1.0 - v, float(v)) for s, v in scores.items()}
-        return cls(tuple(inputs), posterior)
-
-    def perturbed(self, delta: Mapping[tuple[int, ...], float]) -> "TablePredictor":
-        scores = {
-            s: float(np.clip(p[1] + delta.get(s, 0.0), 0.0, 1.0))
-            for s, p in self.posterior.items()
-        }
-        return TablePredictor.from_scores(self.inputs, scores)
+    def perturbed(self, delta: np.ndarray) -> "TablePredictor":
+        """The scores moved by ``delta`` (one entry per state) and clipped to [0, 1]."""
+        delta = np.asarray(delta, dtype=float)
+        if delta.shape != self.scores.shape:
+            raise ArgumentError(f"delta must have shape {self.scores.shape}, got {delta.shape}")
+        return TablePredictor(self.inputs, np.clip(self.scores + delta, 0.0, 1.0), self.defined)
 
 
 def bayes_predictor(table: JointTable, inputs: Iterable[str], y: str = "Y") -> TablePredictor:
-    """Exact conditional distribution of the label given the input state."""
+    """Exact P(label = 1 | input state), defined wherever the state has mass."""
     inputs = tuple(inputs)
     if not inputs:
         raise ArgumentError("inputs must be non-empty")
     if y in inputs:
         raise ArgumentError(f"label {y!r} cannot be one of the inputs")
     arr = marginal_probs(table, inputs + (y,))
-    y_card = arr.shape[-1]
-    flat = arr.reshape(-1, y_card)
-    cards = arr.shape[:-1]
-    posterior: dict[tuple[int, ...], tuple[float, ...]] = {}
-    unreachable: set[tuple[int, ...]] = set()
-    for idx, row in enumerate(flat):
-        state = tuple(int(s) for s in np.unravel_index(idx, cards))
-        mass = row.sum()
-        if mass == 0.0:
-            unreachable.add(state)
-        else:
-            posterior[state] = tuple(float(v) for v in row / mass)
-    return TablePredictor(inputs, posterior, frozenset(unreachable))
+    mass = arr.sum(axis=-1)
+    scores = np.divide(arr[..., 1], mass, out=np.zeros_like(mass), where=mass > 0)
+    return TablePredictor(inputs, scores, mass > 0)
 
 
 def entangled_joint(p: float, q: float) -> JointTable:
@@ -315,18 +307,18 @@ def _scored_members(predictor: TablePredictor, family: ShiftFamily) -> tuple[np.
     and the predictor's score on every covariate state (0 on input states
     that no member reaches), both in table order."""
     covariates, axes = _covariate_axes(family, predictor.inputs)
+    cards = tuple(family.base.variable(n).cardinality for n in predictor.inputs)
+    if predictor.scores.shape != cards:
+        raise ArgumentError(f"predictor scores have shape {predictor.scores.shape}, its inputs take {cards} states")
     probs = np.stack([marginal_probs(m, covariates + (family.y,)) for m in family.members()])
     others = tuple(i for i in range(len(covariates)) if i not in axes)
     reached = np.transpose(probs.sum(axis=-1).any(axis=0), axes + others)
-    reached = reached.reshape(reached.shape[: len(axes)] + (-1,)).any(axis=-1)
-    scores = np.zeros(reached.shape)
-    for state in zip(*np.nonzero(reached)):
-        key = tuple(int(s) for s in state)
-        if not predictor.covers(key):
-            raise CoverageError(
-                f"predictor undefined on reachable state {dict(zip(predictor.inputs, key))}"
-            )
-        scores[state] = predictor.score(key)
+    reached = reached.reshape(cards + (-1,)).any(axis=-1)
+    undefined = np.argwhere(reached & ~predictor.defined)
+    if undefined.size:
+        state = tuple(int(s) for s in undefined[0])
+        raise CoverageError(f"predictor undefined on reachable state {dict(zip(predictor.inputs, state))}")
+    scores = np.where(reached, predictor.scores, 0.0)
     return probs, broadcast_axes(scores, axes, len(covariates))
 
 
@@ -539,19 +531,6 @@ def check_fairness_implication(
 
 
 @dataclass(frozen=True)
-class RegularizerSurrogate:
-    """A representation variable assumed regularized toward independence of
-    the group factor, either marginally or conditionally on the label."""
-
-    w: str
-    mode: str  # "marginal" or "conditional"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("marginal", "conditional"):
-            raise ArgumentError(f"mode must be 'marginal' or 'conditional', got {self.mode!r}")
-
-
-@dataclass(frozen=True)
 class RegularizedFairnessReport:
     criterion: FairnessCriterion
     mode: str
@@ -565,7 +544,8 @@ class RegularizedFairnessReport:
 
 def check_fairness_with_regularizer(
     balanced_table: JointTable,
-    surrogate: RegularizerSurrogate,
+    w: str,
+    mode: str,
     criterion: FairnessCriterion,
     y: str = "Y",
     z: str = "Z",
@@ -573,20 +553,23 @@ def check_fairness_with_regularizer(
 ) -> RegularizedFairnessReport:
     """Fairness of a regularized representation in an already-balanced table.
 
-    Premise: the table is balanced (label ⊥ group) and the representation
-    satisfies its regularization target.  The conditional mode is sufficient
-    for all three criteria; the marginal mode is not (predictive parity and
-    equalized odds can fail; see the parity-of-three construction)."""
+    ``w`` is a representation variable assumed regularized toward
+    independence of the group factor, marginally (``mode="marginal"``) or
+    given the label (``mode="conditional"``).  Premise: the table is balanced
+    (label ⊥ group) and ``w`` satisfies its regularization target.  The
+    conditional mode is sufficient for all three criteria; the marginal mode
+    is not (predictive parity and equalized odds can fail; see the
+    parity-of-three construction)."""
+    if mode not in ("marginal", "conditional"):
+        raise ArgumentError(f"mode must be 'marginal' or 'conditional', got {mode!r}")
     criterion = FairnessCriterion(criterion)
     balanced_gap = is_independent(balanced_table, (y,), (z,), (), tol=1.0).max_gap
-    if surrogate.mode == "conditional":
-        reg_gap = is_independent(balanced_table, (surrogate.w,), (z,), (y,), tol=1.0).max_gap
-    else:
-        reg_gap = is_independent(balanced_table, (surrogate.w,), (z,), (), tol=1.0).max_gap
-    conclusion_gap = _criterion_gap(balanced_table, criterion, (surrogate.w,), y, z)
+    given = (y,) if mode == "conditional" else ()
+    reg_gap = is_independent(balanced_table, (w,), (z,), given, tol=1.0).max_gap
+    conclusion_gap = _criterion_gap(balanced_table, criterion, (w,), y, z)
     return RegularizedFairnessReport(
         criterion=criterion,
-        mode=surrogate.mode,
+        mode=mode,
         balanced_gap=balanced_gap,
         regularizer_gap=reg_gap,
         premise_holds=balanced_gap <= tol and reg_gap <= tol,

@@ -20,7 +20,7 @@ X_aux or X_ent, and V with X_v for graph C), followed by one Gaussian
 channel per key: core <- X_core, aux <- X_aux, ent <- X_ent, v <- X_v.
 
   source  the template's joint over the keys;
-  ideal   the joint of ``mutilate(net, GraphEdit(template.undesired))``: Z
+  ideal   the joint of ``mutilate(net, template.undesired)``: Z
           keeps its source marginal but not its tie to Y, B's label keeps
           only its X_core mechanism (the confounder averaged out), C's
           P(V=0 | z) is the source P(V=0 | y, z) averaged over P(y), and D's
@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayesnet import Cbn, GraphEdit, joint, mutilate
+from .bayesnet import Cbn, joint, mutilate
 from .checks import ShiftFamily
 from .errors import ArgumentError, SpecError
 from .rng import spawn
@@ -61,6 +61,16 @@ _STREAM_SHIFT = 2
 _A_LAW = inspect.signature(template_a).parameters
 _B_LAW = inspect.signature(template_b).parameters
 _C_LAW = inspect.signature(template_c).parameters
+_V_CHANNEL = {"dim_v": 4, "sep_v": 2.0, "noise_v": 1.0}  # C's v feature channel, not part of its law
+# A and D share the confounded (Y, Z) law and flip X_core with C's default label noise
+_PAIR_LAW = {n: _A_LAW[n].default for n in ("confounding", "z_marginal")} | {"label_noise": _C_LAW["label_noise"].default}
+# the channel settings each law gets: noise-free, since the Gaussian channels add the feature noise
+_CLEAN_CHANNELS = {
+    "A": {"aux_flip": 0.0},
+    "B": {"aux_flip": 0.0},
+    "C": {"core_flip": 0.0, "aux_flip": 0.0, "v_channel_flip": 0.0},
+    "D": {"ent_p": 1.0, "ent_q": 0.0},
+}
 
 
 @dataclass(frozen=True)
@@ -79,8 +89,8 @@ class GenSpec:
     graph: str
     n: int
     seed: int = 0
-    confounding: tuple[float, float] = _A_LAW["confounding"].default
-    z_marginal: float = _A_LAW["z_marginal"].default
+    confounding: tuple[float, float] | None = None  # graphs A and D
+    z_marginal: float | None = None  # graphs A and D
     dim_core: int = 6
     dim_aux: int = 6
     sep_core: float = 2.0
@@ -101,13 +111,13 @@ class GenSpec:
     x_effect: float | None = None
     confounder_effect: float | None = None
 
-    # A and D flip X_core with C's default label noise
+    # each graph's own fields and their defaults; all but C's v channel are law parameters
     _GRAPH_DEFAULTS = {
-        "A": {"label_noise": _C_LAW["label_noise"].default},
+        "A": _PAIR_LAW,
         "B": {name: _B_LAW[name].default for name in ("x_effect", "confounder_effect", "z_flip")},
-        "C": {"dim_v": 4, "sep_v": 2.0, "noise_v": 1.0}
+        "C": _V_CHANNEL
         | {n: _C_LAW[n].default for n in ("label_noise", "v_flip", "v_z_pull", "confounder_strength", "z_flip")},
-        "D": {"label_noise": _C_LAW["label_noise"].default},
+        "D": _PAIR_LAW,
     }
 
     def __post_init__(self) -> None:
@@ -126,10 +136,9 @@ class GenSpec:
             v = getattr(self, name)
             if v is not None and not 0.0 <= v <= 1.0:
                 raise SpecError(f"{name} must lie in [0, 1], got {v}")
-        for name, lo, hi in (("confounding", 0.0, 1.0),):
-            a, b = getattr(self, name)
-            if not (lo < a < hi and lo < b < hi):
-                raise SpecError(f"{name} entries must lie in ({lo}, {hi})")
+        pair = self.confounding
+        if pair is not None and not (np.shape(pair) == (2,) and all(0.0 < p < 1.0 for p in pair)):
+            raise SpecError(f"confounding must be two entries in (0.0, 1.0), got {pair!r}")
         for name in sorted(set().union(*self._GRAPH_DEFAULTS.values())):
             graphs = [g for g, defaults in self._GRAPH_DEFAULTS.items() if name in defaults]
             if getattr(self, name) is not None and self.graph not in graphs:
@@ -156,10 +165,20 @@ class GenSpec:
         if unknown:
             raise SpecError(f"unknown GenSpec fields {sorted(unknown)}")
         data = dict(data)
-        data["confounding"] = tuple(data["confounding"])
-        if data.get("v_flip") is not None:
-            data["v_flip"] = tuple(data["v_flip"])
+        for name in ("confounding", "v_flip"):
+            if data.get(name) is not None:
+                data[name] = tuple(data[name])
         return cls(**data)
+
+
+def _int_column(values, name: str) -> np.ndarray:
+    """``values`` as int64, refusing any value that the cast would change."""
+    arr = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and inf are caught below
+        out = arr.astype(np.int64, copy=False)
+    if out is not arr and not np.array_equal(out, arr):
+        raise ArgumentError(f"{name} must hold whole numbers; a {arr.dtype} value would change as int64")
+    return out
 
 
 @dataclass(frozen=True)
@@ -176,8 +195,7 @@ class Dataset:
     spec: GenSpec | None = None
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=np.int64)
-        z = np.asarray(self.z, dtype=np.int64)
+        y, z = _int_column(self.y, "y"), _int_column(self.z, "z")
         x = np.asarray(self.x, dtype=float)
         n = y.shape[0]
         if not (z.shape == (n,) and x.ndim == 2 and x.shape[0] == n):
@@ -185,7 +203,7 @@ class Dataset:
         w = _checked_weights(self.weights, n)
         if not np.all((y == 0) | (y == 1)):
             raise ArgumentError("labels y must be 0 or 1")
-        v = None if self.v is None else np.asarray(self.v, dtype=np.int64)
+        v = None if self.v is None else _int_column(self.v, "v")
         if v is not None and v.shape != (n,):
             raise ArgumentError("v column length disagrees")
         covered = sorted(self.channel_slices.values())
@@ -278,19 +296,11 @@ def _dataset(spec: GenSpec, gen, y, z, keys: dict, v=None) -> Dataset:
 
 
 def _build_law(spec: GenSpec) -> GraphTemplate:
-    """The graph's template with the spec's parameters.  Channel flips are
-    zero because the Gaussian channels add the feature noise."""
-    if spec.graph == "B":
-        names = ("x_effect", "confounder_effect", "z_flip")
-        flips = {"aux_flip": 0.0}
-    elif spec.graph == "C":
-        names = ("confounder_strength", "label_noise", "z_flip", "v_flip", "v_z_pull")
-        flips = {"core_flip": 0.0, "aux_flip": 0.0, "v_channel_flip": 0.0}
-    else:
-        names = ("confounding", "z_marginal")
-        flips = {"core_flip": spec.label_noise}
-        flips |= {"aux_flip": 0.0} if spec.graph == "A" else {"ent_p": 1.0, "ent_q": 0.0}
-    return graph_template(spec.graph, **{name: getattr(spec, name) for name in names}, **flips)
+    """The graph's template with the spec's law fields and clean channels;
+    A's and D's ``label_noise`` is their core flip."""
+    rename = {"label_noise": "core_flip"} if spec.graph in ("A", "D") else {}
+    law = {rename.get(n, n): getattr(spec, n) for n in spec._GRAPH_DEFAULTS[spec.graph] if n not in _V_CHANNEL}
+    return graph_template(spec.graph, **law, **_CLEAN_CHANNELS[spec.graph])
 
 
 def _key_table(net: Cbn) -> JointTable:
@@ -314,7 +324,7 @@ def ideal_testset(spec: GenSpec, n: int, seed: int) -> Dataset:
     independent of the label, graph C additionally decouples V from the
     label, and graph D's entangled channel carries neither label nor group."""
     law = spec.law
-    return _draw(spec, _key_table(mutilate(law.net, GraphEdit(law.undesired))), n, spawn(seed, _STREAM_IDEAL))
+    return _draw(spec, _key_table(mutilate(law.net, law.undesired)), n, spawn(seed, _STREAM_IDEAL))
 
 
 def shift_testsets(

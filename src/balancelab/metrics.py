@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import _LOSS_PAIRS
 from .datagen import Dataset
 from .errors import ArgumentError
 from .model import ModelParams, predict_scores, probe_encoding
@@ -175,6 +176,8 @@ def risk_invariance_report(
     """Risk of one model across several test sets plus the largest pairwise gap."""
     if len(testsets) < 2:
         raise ArgumentError("need at least two test sets")
+    if loss not in ("zero_one", "logloss"):
+        raise ArgumentError(f"loss must be 'zero_one' or 'logloss', got {loss!r}")
     named: list[tuple[str, Dataset]] = []
     for i, entry in enumerate(testsets):
         if isinstance(entry, Dataset):
@@ -187,14 +190,7 @@ def risk_invariance_report(
             raise ArgumentError(f"test set {label!r} is empty")
         if not ds.weights.sum() > 0:
             raise ArgumentError(f"test set {label!r} has zero total weight")
-        scores = predict_scores(params, ds.x)
-        if loss == "zero_one":
-            values = ((scores >= 0.5) != ds.y.astype(bool)).astype(float)
-        elif loss == "logloss":
-            s = np.clip(scores, 1e-12, 1.0 - 1e-12)
-            values = -(ds.y * np.log(s) + (1 - ds.y) * np.log(1.0 - s))
-        else:
-            raise ArgumentError(f"loss must be 'zero_one' or 'logloss', got {loss!r}")
-        risks.append(_weighted_mean(values, ds.weights))
+        loss_y0, loss_y1 = _LOSS_PAIRS[loss](predict_scores(params, ds.x))
+        risks.append(_weighted_mean(np.where(ds.y == 1, loss_y1, loss_y0), ds.weights))
     max_gap = max(abs(a - b) for a in risks for b in risks)
     return RiskReport(tuple(k for k, _ in named), tuple(risks), float(max_gap), loss)

@@ -47,6 +47,10 @@ class ModelParams:
         if self.activation not in ("relu", "identity"):
             raise ArgumentError(f"activation must be 'relu' or 'identity', got {self.activation!r}")
         for w, b in zip(self.weights, self.biases):
+            if np.ndim(w) != 2 or np.ndim(b) != 1:
+                raise ArgumentError(f"each weight must be 2-D and each bias 1-D, got {np.shape(w)} and {np.shape(b)}")
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise ArgumentError("weights and biases must be finite")
             if w.shape[1] != b.shape[0]:
                 raise ArgumentError(f"bias shape {b.shape} does not chain with weight {w.shape}")
         if self.weights[-1].shape[1] != 1:

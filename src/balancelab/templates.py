@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
 
 from .bayesnet import Cbn, Dag, joint, observed_dag
 from .errors import ArgumentError
@@ -243,32 +242,3 @@ def random_instance(graph_id: str, seed: int) -> GraphTemplate:
         for name, cpt in tpl.net.cpts.items()
     }
     return replace(tpl, net=Cbn(tpl.net.nodes, tpl.net.parents, cpts))
-
-
-def causal_collider_net() -> Cbn:
-    """Binary surrogate of the thresholded-Gaussian model X -> Y <- U -> Z.
-
-    CPT entries discretize the continuous mechanisms
-    X = 1{g > 0},  U = 1{g > 0.3},  Y = 1{X - U + 0.5 g > 0.5},
-    Z = 1{U - 0.5 g > 0.1} with independent standard normal g's.
-    """
-    p_u1 = float(norm.sf(0.3))
-    y_rows = np.zeros((2, 2, 2))  # (x, u, y)
-    for x in range(2):
-        for u in range(2):
-            p1 = float(norm.sf(2.0 * (0.5 - x + u)))
-            y_rows[x, u] = (1 - p1, p1)
-    z_rows = np.zeros((2, 2))
-    for u in range(2):
-        p1 = float(norm.cdf(2.0 * (u - 0.1)))
-        z_rows[u] = (1 - p1, p1)
-    return Cbn(
-        (Variable("X", 2), Variable("U", 2), Variable("Y", 2), Variable("Z", 2)),
-        {"Y": ("X", "U"), "Z": ("U",)},
-        {
-            "X": np.array([0.5, 0.5]),
-            "U": np.array([1 - p_u1, p_u1]),
-            "Y": y_rows,
-            "Z": z_rows,
-        },
-    )

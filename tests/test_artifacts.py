@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from balancelab import artifacts
+from balancelab.datagen import GenSpec, generate
 from balancelab.errors import ArgumentError
 from balancelab.tables import JointTable, Variable
 
@@ -73,6 +74,20 @@ def test_unsupported_value_is_argument_error(tmp_path):
     with pytest.raises(ArgumentError, match="cannot save"):
         artifacts.save({"probs": TABLE.probs}, str(tmp_path / "dict"))
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("column", ["y", "z", "v"])
+def test_fractional_dataset_labels_are_argument_error(tmp_path, column):
+    ds = generate(GenSpec("C", 4, seed=1))
+    path = tmp_path / "dataset"
+    artifacts.save(ds, str(path))
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays[column] = np.array([0.0, 1.0, 0.7, 1.0])
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ArgumentError, match=f"{column} must hold whole numbers"):
+        artifacts.load(str(path))
 
 
 def test_no_other_module_reads_or_writes_files():

@@ -3,6 +3,8 @@ non-factorization searches, fairness implications."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from balancelab.balancing import BalanceSpec, JointTarget, balance_exact
 from balancelab.checks import (
     DecompositionLabel,
     FairnessCriterion,
-    RegularizerSurrogate,
     Role,
     ShiftFamily,
     TablePredictor,
@@ -21,6 +22,7 @@ from balancelab.checks import (
     check_fairness_implication,
     check_fairness_with_regularizer,
     check_invariance_conditions,
+    LOSSES,
     correlation_grid,
     entangled_gap,
     entangled_joint,
@@ -89,21 +91,43 @@ class TestBayesPredictor:
         # exact conditional instead
         for state in range(2):
             expected = condition(aux_then_y, {"X_aux": state}).probs[1]
-            assert pred.score((state,)) == pytest.approx(expected, abs=1e-12)
-        # tower property: averaging the posterior recovers the label marginal
-        assert abs(sum(pred.score((s,)) * marginalize(obs, {"X_aux"}).probs[s] for s in range(2)) - marginal) < 1e-12
+            assert pred.scores[state] == pytest.approx(expected, abs=1e-12)
+        # tower property: averaging the scores recovers the label marginal
+        assert abs(sum(pred.scores[s] * marginalize(obs, {"X_aux"}).probs[s] for s in range(2)) - marginal) < 1e-12
 
     def test_deterministic_entangled_channel(self):
         t = entangled_joint(1.0, 0.0)
         pred = bayes_predictor(t, ("X",))
-        assert pred.score((1,)) == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert pred.score((0,)) == pytest.approx(0.0, abs=1e-15)
+        assert pred.scores[1] == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert pred.scores[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_unreachable_states_flagged(self):
         t = entangled_joint(1.0, 1.0)  # X ends up constant 1
         pred = bayes_predictor(t, ("X",))
-        assert (0,) in pred.unreachable
-        assert (0,) not in pred.posterior
+        assert pred.defined.tolist() == [False, True]
+        assert pred.scores.tolist() == [0.0, 0.5]
+
+    @pytest.mark.parametrize(
+        "scores, defined",
+        [
+            (np.zeros(2), np.ones(3, dtype=bool)),
+            (np.zeros((2, 2)), np.ones((2, 2), dtype=bool)),
+            (np.array([0.5, 1.5]), np.ones(2, dtype=bool)),
+            (np.array([-0.1, 0.5]), np.ones(2, dtype=bool)),
+            (np.array([np.nan, 0.5]), np.ones(2, dtype=bool)),
+        ],
+    )
+    def test_constructor_rejects_bad_arrays(self, scores, defined):
+        with pytest.raises(ArgumentError):
+            TablePredictor(("X",), scores, defined)
+
+    def test_perturbed_clips_and_keeps_defined(self):
+        pred = TablePredictor(("X",), np.array([0.0, 0.5, 0.98]), np.array([False, True, True]))
+        moved = pred.perturbed(np.array([0.3, -0.1, 0.05]))
+        assert moved.scores.tolist() == [0.3, 0.4, 1.0]
+        assert moved.defined.tolist() == [False, True, True]
+        with pytest.raises(ArgumentError, match="shape"):
+            pred.perturbed(np.zeros(2))
 
 
 class TestEntangledGap:
@@ -122,7 +146,7 @@ class TestEntangledGap:
                 pred = bayes_predictor(t, ("X",))
                 for z_state, closed in ((1, e1), (0, e0)):
                     px = marginalize(condition(t, {"Z": z_state}), {"X"}).probs
-                    brute = sum(px[x] * pred.score((x,)) for x in range(2) if px[x] > 0)
+                    brute = sum(px[x] * pred.scores[x] for x in range(2) if px[x] > 0)
                     assert abs(brute - closed) <= 1e-12
 
 
@@ -142,8 +166,7 @@ class TestRiskInvariance:
         q = balanced(tpl.observed())
         fam = ShiftFamily(q, correlation_grid(5))
         covs = tuple(n for n in q.names if n not in ("Y", "Z"))
-        states = [s for s in np.ndindex(2, 2)]
-        pred = TablePredictor.from_scores(covs, {s: 0.37 for s in states})
+        pred = TablePredictor(covs, np.full((2, 2), 0.37), np.ones((2, 2), dtype=bool))
         res = risk_invariance_gap(pred, fam, "squared")
         assert res.sup_gap < 1e-12
 
@@ -161,8 +184,16 @@ class TestRiskInvariance:
         tpl = random_instance("A", 1)
         q = balanced(tpl.observed())
         fam = ShiftFamily(q, correlation_grid(3))
-        pred = TablePredictor.from_scores(("X_core",), {(0,): 0.5})
-        with pytest.raises(CoverageError):
+        pred = TablePredictor(("X_core",), np.array([0.5, 0.0]), np.array([True, False]))
+        with pytest.raises(CoverageError, match="'X_core': 1"):
+            risk_invariance_gap(pred, fam)
+
+    def test_shape_disagreeing_with_inputs_raises(self):
+        tpl = random_instance("A", 1)
+        q = balanced(tpl.observed())
+        fam = ShiftFamily(q, correlation_grid(3))
+        pred = TablePredictor(("X_core",), np.full(3, 0.5), np.ones(3, dtype=bool))
+        with pytest.raises(ArgumentError, match="shape"):
             risk_invariance_gap(pred, fam)
 
 
@@ -194,9 +225,9 @@ def loop_risk_invariance_gap(predictor, family, loss):
                 continue
             state = tuple(int(s) for s in np.unravel_index(idx, cards))
             key = tuple(state[p] for p in input_pos)
-            if not predictor.covers(key):
+            if not predictor.defined[key]:
                 raise CoverageError(f"undefined on {key}")
-            score = predictor.score(key)
+            score = predictor.scores[key]
             risk += sum(row[yv] * loop_loss(score, yv, loss) for yv in range(len(row)))
         risks.append(float(risk))
     sup_gap, argmax = 0.0, (0, 0)
@@ -221,7 +252,7 @@ def loop_epsilon(fitted, family, core):
         core_mass, core_ymass, scores, core_keys = {}, {}, {}, {}
         for idx in reachable:
             state = tuple(int(s) for s in np.unravel_index(idx, cards))
-            scores[idx] = fitted.score(tuple(state[p] for p in input_pos))
+            scores[idx] = fitted.scores[tuple(state[p] for p in input_pos)]
             ck = core_keys[idx] = tuple(state[p] for p in core_pos)
             core_mass[ck] = core_mass.get(ck, 0.0) + masses[idx]
             core_ymass[ck] = core_ymass.get(ck, 0.0) + flat[idx, 1]
@@ -242,9 +273,7 @@ class TestLoopReference:
                 covs = tuple(n for n in base.names if n not in ("Y", "Z"))
                 full = bayes_predictor(base, covs[::-1])
                 gen = spawn(seed, 7)
-                pert = full.perturbed(
-                    {s: float(d) for s, d in zip(full.posterior, gen.uniform(-0.05, 0.05, len(full.posterior)))}
-                )
+                pert = full.perturbed(gen.uniform(-0.05, 0.05, full.scores.shape))
                 for pred in (bayes_predictor(base, tpl.core), full, pert):
                     for loss in ("squared", "zero_one", "logloss"):
                         res = risk_invariance_gap(pred, fam, loss)
@@ -260,13 +289,37 @@ class TestLoopReference:
                             assert abs(rep.epsilon - epsilon) <= 1e-15, (gid, seed, loss, core)
                             assert rep.bound_holds == (sup_gap <= epsilon + 1e-9)
 
+    def test_outputs_pinned_bit_for_bit(self):
+        # SHA-256 of the risks, gap and pair of every risk check and of the
+        # epsilon, gap and verdict of every bound check on A-D instances, for
+        # core, all and reversed inputs and a perturbed predictor
+        digest = hashlib.sha256()
+        for gid in "ABCD":
+            for seed in range(6):
+                tpl = random_instance(gid, seed)
+                for base in (tpl.observed(), balanced(tpl.observed())):
+                    fam = ShiftFamily(base, correlation_grid(5 + seed % 3))
+                    covs = tuple(n for n in base.names if n not in ("Y", "Z"))
+                    preds = [bayes_predictor(base, inputs) for inputs in (tpl.core, covs, covs[::-1])]
+                    preds.append(preds[2].perturbed(spawn(seed, 7).uniform(-0.05, 0.05, preds[2].scores.shape)))
+                    for pred in preds:
+                        for loss in LOSSES:
+                            res = risk_invariance_gap(pred, fam, loss)
+                            digest.update(np.array(res.risks + (res.sup_gap,)).tobytes())
+                            digest.update(np.array(res.argmax_pair).tobytes())
+                            if loss == "zero_one":
+                                continue
+                            rep = check_epsilon_risk_bound(pred, fam, tpl.core, loss)
+                            digest.update(np.array([rep.epsilon, rep.gap, float(rep.bound_holds)]).tobytes())
+        assert digest.hexdigest() == "2aabb6dc54557224c47bef396f48eca85271a99edb093ab47b71b0f3dd8c4d2a"
+
     def test_repeated_names_rejected(self):
         tpl = random_instance("A", 1)
         q = balanced(tpl.observed())
         fam = ShiftFamily(q, correlation_grid(3))
         with pytest.raises(ArgumentError, match="twice"):
             check_epsilon_risk_bound(bayes_predictor(q, tpl.core), fam, ("X_core", "X_core"))
-        twice = TablePredictor.from_scores(("X_core", "X_core"), {(0, 0): 0.3, (1, 1): 0.6})
+        twice = TablePredictor(("X_core", "X_core"), np.diag([0.3, 0.6]), np.eye(2, dtype=bool))
         with pytest.raises(ArgumentError, match="twice"):
             risk_invariance_gap(twice, fam)
 
@@ -275,7 +328,9 @@ class TestLoopReference:
         q = balanced(tpl.observed())
         fam = ShiftFamily(q, correlation_grid(3))
         pred = bayes_predictor(q, ("X_aux", "X_core"))
-        partial = TablePredictor(pred.inputs, {k: v for k, v in pred.posterior.items() if k != (1, 0)})
+        defined = pred.defined.copy()
+        defined[1, 0] = False
+        partial = TablePredictor(pred.inputs, pred.scores, defined)
         for check in (risk_invariance_gap, loop_risk_invariance_gap):
             with pytest.raises(CoverageError):
                 check(partial, fam, "squared")
@@ -302,9 +357,7 @@ class TestEpsilonBound:
             core_pred = bayes_predictor(q, tpl.core)
             full_pred = bayes_predictor(q, covs)
             gen = spawn(seed, 7)
-            pert = full_pred.perturbed(
-                {s: float(d) for s, d in zip(full_pred.posterior, gen.uniform(-0.05, 0.05, len(full_pred.posterior)))}
-            )
+            pert = full_pred.perturbed(gen.uniform(-0.05, 0.05, full_pred.scores.shape))
             for pred in (core_pred, full_pred, pert):
                 rep = check_epsilon_risk_bound(pred, fam, tpl.core, loss)
                 assert rep.bound_holds, (gid, seed, loss, rep.epsilon, rep.gap)
@@ -410,15 +463,19 @@ class TestFairnessImplications:
         assert is_independent(q, {"W"}, {"Z"}).max_gap < 1e-15
         assert is_independent(q, {"Y"}, {"Z"}).max_gap < 1e-15
         rep_pp = check_fairness_with_regularizer(
-            q, RegularizerSurrogate("W", "marginal"), FairnessCriterion.PREDICTIVE_PARITY
+            q, "W", "marginal", FairnessCriterion.PREDICTIVE_PARITY
         )
         assert rep_pp.premise_holds
         assert not rep_pp.conclusion_holds
         assert rep_pp.conclusion_gap == pytest.approx(0.25, abs=1e-12)
         rep_eo = check_fairness_with_regularizer(
-            q, RegularizerSurrogate("W", "marginal"), FairnessCriterion.EQUALIZED_ODDS
+            q, "W", "marginal", FairnessCriterion.EQUALIZED_ODDS
         )
         assert not rep_eo.conclusion_holds
+
+    def test_unknown_regularizer_mode_rejected(self):
+        with pytest.raises(ArgumentError, match="mode"):
+            check_fairness_with_regularizer(xor_representation_table(), "W", "joint", FairnessCriterion.EQUALIZED_ODDS)
 
     def test_conditional_regularizer_is_sufficient(self):
         # any balanced table where W satisfies the conditional constraint
@@ -429,7 +486,7 @@ class TestFairnessImplications:
             renamed = sub  # X_core plays the representation role
             for criterion in FairnessCriterion:
                 rep = check_fairness_with_regularizer(
-                    renamed, RegularizerSurrogate("X_core", "conditional"), criterion, tol=1e-9
+                    renamed, "X_core", "conditional", criterion, tol=1e-9
                 )
                 assert rep.premise_holds
                 assert rep.conclusion_holds, (seed, criterion, rep.conclusion_gap)

@@ -26,10 +26,9 @@ from balancelab.tables import marginalize
 from balancelab.templates import GRAPH_IDS, graph_template, template_a, template_b, template_c, template_d
 
 BUILDERS = {"A": template_a, "B": template_b, "C": template_c, "D": template_d}
-# the law fields that apply to each graph beyond confounding and z_marginal,
-# with their defaults
+# the fields that apply to some graphs only, with each graph's defaults
 SPELLED_DEFAULTS = {
-    "A": {"label_noise": 0.02},
+    "A": {"confounding": (0.95, 0.10), "z_marginal": 0.5, "label_noise": 0.02},
     "B": {"x_effect": 0.6, "confounder_effect": 0.3, "z_flip": 0.1},
     "C": {
         "label_noise": 0.02,
@@ -41,7 +40,7 @@ SPELLED_DEFAULTS = {
         "confounder_strength": 0.45,
         "z_flip": 0.1,
     },
-    "D": {"label_noise": 0.02},
+    "D": {"confounding": (0.95, 0.10), "z_marginal": 0.5, "label_noise": 0.02},
 }
 LAW_ONLY_FIELDS = set().union(*SPELLED_DEFAULTS.values())
 
@@ -69,7 +68,7 @@ class TestGenSpec:
     def test_defaults_spelled_out(self, gid):
         spec = GenSpec(graph=gid, n=10)
         out = spec.to_dict()
-        for name in ("confounding", "z_marginal", *SPELLED_DEFAULTS[gid]):
+        for name in SPELLED_DEFAULTS[gid]:
             assert out[name] is not None, (gid, name)
         assert all(out[name] is None for name in LAW_ONLY_FIELDS - set(SPELLED_DEFAULTS[gid])), out
         assert spec == GenSpec(graph=gid, n=10, **SPELLED_DEFAULTS[gid])
@@ -144,9 +143,21 @@ class TestGenSpec:
         with pytest.raises(SpecError, match=name):
             GenSpec(graph, 5, **{name: value})
 
+    @pytest.mark.parametrize("bad", [(0.5, 0.5, 0.5), (0.5,), 0.5, (0.0, 0.5), (0.5, np.nan)])
+    def test_malformed_confounding_rejected(self, bad):
+        with pytest.raises(SpecError, match="confounding must be two entries"):
+            GenSpec(graph="A", n=10, confounding=bad)
+
+    @pytest.mark.parametrize("gid", ["B", "C"])
+    @pytest.mark.parametrize("field, value", [("confounding", (0.9, 0.2)), ("z_marginal", 0.3)])
+    def test_pair_law_rejected_for_b_and_c(self, gid, field, value):
+        with pytest.raises(SpecError, match=f"{field} only applies to graph A or D, not {gid}"):
+            GenSpec(graph=gid, n=10, **{field: value})
+
     def test_dict_round_trip(self):
-        spec = GenSpec(graph="C", n=100, seed=4)
-        assert GenSpec.from_dict(spec.to_dict()) == spec
+        for gid in GRAPH_IDS:
+            spec = GenSpec(graph=gid, n=100, seed=4)
+            assert GenSpec.from_dict(spec.to_dict()) == spec
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(SpecError, match="unknown_knob"):
@@ -280,6 +291,17 @@ class TestShifts:
 
 
 class TestDataset:
+    @pytest.mark.parametrize("column", ["y", "z", "v"])
+    @pytest.mark.parametrize("bad", [0.7, 1.9, np.nan, np.inf])
+    def test_rejects_values_the_integer_cast_would_change(self, column, bad):
+        cols = {"y": np.array([0.0, 1.0, 1.0]), "z": np.zeros(3), "v": np.array([1.0, 0.0, 1.0])}
+        cols[column] = np.array([0.0, bad, 1.0])
+        with pytest.raises(ArgumentError, match=f"{column} must hold whole numbers"):
+            Dataset(cols["y"], cols["z"], np.zeros((3, 1)), np.ones(3), {"x": (0, 1)}, cols["v"])
+        cols[column] = np.array([0.0, 1.0, 1.0])  # whole-valued floats are accepted
+        whole = Dataset(cols["y"], cols["z"], np.zeros((3, 1)), np.ones(3), {"x": (0, 1)}, cols["v"])
+        assert whole.y.dtype == whole.z.dtype == whole.v.dtype == np.int64
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_rejects_bad_weight(self, bad):
         with pytest.raises(ArgumentError, match="weights"):

@@ -8,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from balancelab.checks import _LOSS_PAIRS
 from balancelab.datagen import Dataset, GenSpec, generate
 from balancelab.errors import ArgumentError
 from balancelab.metrics import MetricsReport, evaluate, risk_invariance_report
@@ -180,6 +181,26 @@ class TestRiskReport:
         sets = [("a", dataset(y, y, y)), ("b", dataset(y, y, y, np.zeros(10)))]
         with pytest.raises(ArgumentError, match="'b' has zero total weight"):
             risk_invariance_report(passthrough_params(), sets)
+
+    def test_losses_match_inline_formulas(self):
+        # the shared (loss if y = 0, loss if y = 1) pairs give the bits of the
+        # per-row formulas for finite scores and y in {0, 1}
+        gen = np.random.default_rng(6)
+        scores = np.concatenate([gen.uniform(0, 1, 2000), [0.0, 0.5, 1.0, 1e-13, 1.0 - 1e-13]])
+        y = gen.integers(0, 2, scores.size)
+        s = np.clip(scores, 1e-12, 1.0 - 1e-12)
+        inline = {
+            "zero_one": ((scores >= 0.5) != y.astype(bool)).astype(float),
+            "logloss": -(y * np.log(s) + (1 - y) * np.log(1.0 - s)),
+        }
+        for name, expected in inline.items():
+            loss_y0, loss_y1 = _LOSS_PAIRS[name](scores)
+            assert np.where(y == 1, loss_y1, loss_y0).tobytes() == expected.tobytes(), name
+
+    def test_unknown_loss_rejected(self):
+        y = np.array([0, 1] * 5)
+        with pytest.raises(ArgumentError, match="loss"):
+            risk_invariance_report(passthrough_params(), [dataset(y, y, y), dataset(y, y, y)], "squared")
 
     def test_needs_two_sets(self):
         with pytest.raises(ArgumentError):

@@ -616,6 +616,25 @@ class TestProbe:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize(
+        "weight, bias",
+        [
+            (np.zeros(3), np.zeros(1)),
+            (np.zeros((3, 1)), np.zeros((1, 1))),
+            (np.full((3, 1), np.nan), np.zeros(1)),
+            (np.zeros((3, 1)), np.array([np.inf])),
+        ],
+    )
+    def test_bad_layer_is_argument_error(self, tmp_path, weight, bias):
+        with pytest.raises(ArgumentError):
+            ModelParams([weight], [bias])
+        path = tmp_path / "params"
+        with open(path, "wb") as fh:
+            meta = {"kind": "ModelParams", "activation": "relu", "layers": 1}
+            np.savez(fh, meta=np.array(json.dumps(meta)), weight0=weight, bias0=bias)
+        with pytest.raises(ArgumentError):
+            artifacts.load(str(path))
+
     def test_round_trip_bitwise(self, tmp_path):
         params = random_params(3, d=5, hidden=4)
         path = str(tmp_path / "params")

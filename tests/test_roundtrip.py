@@ -62,7 +62,7 @@ def tables(draw) -> JointTable:
 
 UNIT = st.floats(0.05, 0.95)
 GRAPH_FIELDS = {
-    "A": {"label_noise": st.floats(0.0, 0.5)},
+    "A": {"confounding": st.tuples(UNIT, UNIT), "z_marginal": UNIT, "label_noise": st.floats(0.0, 0.5)},
     "B": {"x_effect": st.floats(0.1, 0.5), "confounder_effect": st.floats(0.05, 0.4), "z_flip": st.floats(0.0, 0.5)},
     "C": {
         "label_noise": st.floats(0.0, 0.5),
@@ -74,7 +74,7 @@ GRAPH_FIELDS = {
         "confounder_strength": st.floats(0.0, 1.0),
         "z_flip": st.floats(0.0, 0.5),
     },
-    "D": {"label_noise": st.floats(0.0, 0.5)},
+    "D": {"confounding": st.tuples(UNIT, UNIT), "z_marginal": UNIT, "label_noise": st.floats(0.0, 0.5)},
 }
 
 
@@ -86,8 +86,6 @@ def gen_specs(draw) -> GenSpec:
         graph,
         draw(st.integers(1, 10**6)),
         draw(st.integers(0, 2**32)),
-        confounding=draw(st.tuples(UNIT, UNIT)),
-        z_marginal=draw(UNIT),
         dim_core=draw(st.integers(1, 8)),
         dim_aux=draw(st.integers(1, 8)),
         sep_core=draw(st.floats(0.0, 5.0)),
