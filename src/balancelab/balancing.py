@@ -20,7 +20,7 @@ import numpy as np
 from .bayesnet import broadcast_axes
 from .errors import ArgumentError, UnbalanceableSupport
 from .rng import spawn
-from .tables import JointTable, SampleBatch, marginal_probs
+from .tables import PROB_TOL, JointTable, SampleBatch, _derived, marginal_probs
 
 
 class Mechanism(str, Enum):
@@ -72,9 +72,10 @@ def reweight_marginal(table: JointTable, names: Sequence[str], target: np.ndarra
     conditional given them: Q = P · target / P(names), cellwise.
 
     ``target`` is an array over ``names``, one axis per name in the given
-    order.  A cell of ``names`` empty in the table and in the target stays
-    empty; one that is empty in the table only makes the reweight undefined
-    and raises UnbalanceableSupport naming the cell.
+    order, that sums to 1.  A cell of ``names`` empty in the table and in the
+    target stays empty; one that is empty in the table only makes the reweight
+    undefined and raises UnbalanceableSupport naming the cell.  The result is
+    not re-validated: the checks here cover it.
     """
     names = tuple(names)
     axes = table.axes(names)
@@ -82,6 +83,9 @@ def reweight_marginal(table: JointTable, names: Sequence[str], target: np.ndarra
     cards = tuple(table.variables[a].cardinality for a in axes)
     if target.shape != cards or not (target >= 0).all():
         raise ArgumentError(f"target must be a non-negative {cards} array over {names}")
+    total = float(target.sum())
+    if abs(total - 1.0) > PROB_TOL:
+        raise ArgumentError(f"cells must sum to 1 within {PROB_TOL}, got {total!r}")
     drop = tuple(i for i in range(table.probs.ndim) if i not in axes)
     current = table.probs.sum(axis=drop, keepdims=True)
     wanted = broadcast_axes(target, axes, table.probs.ndim)
@@ -93,8 +97,11 @@ def reweight_marginal(table: JointTable, names: Sequence[str], target: np.ndarra
                 f"cell ({', '.join(f'{n}={cell[a]}' for n, a in zip(names, axes))}) has zero "
                 "probability but target mass; the reweight is undefined"
             )
-    ratio = np.divide(wanted, current, out=np.zeros(current.shape), where=current > 0)
-    return JointTable(table.variables, table.probs * ratio)
+    with np.errstate(over="ignore"):  # a cell too small for its target mass overflows
+        ratio = np.divide(wanted, current, out=np.zeros(current.shape), where=current > 0)
+    if not np.isfinite(ratio).all():
+        raise ArgumentError(f"reweighting {names} overflows: a cell's probability is too small for its target")
+    return _derived(table.variables, table.probs * ratio)
 
 
 def balance_exact(table: JointTable, spec: BalanceSpec) -> JointTable:

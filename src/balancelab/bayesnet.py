@@ -13,19 +13,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from math import isfinite
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ArgumentError, CycleError, EdgeError, UnknownVariableError
 from .rng import spawn
-from .tables import (
-    JointTable,
-    SampleBatch,
-    Variable,
-    is_independent,
-    marginal_probs,
-)
+from .tables import JointTable, SampleBatch, Variable, _state_gaps, marginal_probs
 
 CPT_ROW_TOL = 1e-12
 
@@ -340,6 +335,11 @@ class FactorizationReport:
         return max((v.gap for v in self.violations), default=0.0)
 
 
+def _gap(table: JointTable, a: tuple[str, ...], b: tuple[str, ...], given: tuple[str, ...]) -> float:
+    """The largest gap of a ⊥ b | given, as ``is_independent`` reports it."""
+    return float(_state_gaps(marginal_probs(table, a + b + given), len(a), len(b))[1].max())
+
+
 def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e-9) -> FactorizationReport:
     """Check that the table factorizes according to the DAG.
 
@@ -349,8 +349,11 @@ def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e
     too.  Only when one of them fails are the pairwise statements
     x ⊥ y | S, over every d-separating subset S of the remaining nodes,
     tested as well, to say which finer independences break.  That sweep is
-    exponential in the number of nodes.
+    exponential in the number of nodes.  Each gap is ``is_independent``'s
+    ``max_gap``, bit for bit, from its kernel; ``tol`` must be finite and > 0.
     """
+    if not (isfinite(tol) and tol > 0):
+        raise ArgumentError(f"tol must be finite and positive, got {tol}")
     dag = graph.dag if isinstance(graph, Cbn) else graph
     if set(dag.nodes) != set(table.names):
         raise UnknownVariableError(
@@ -362,10 +365,8 @@ def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e
         parents = dag.parents[v]
         excluded = dag.descendants(v) | set(parents) | {v}
         nondesc = tuple(n for n in names if n not in excluded)
-        if nondesc:
-            rep = is_independent(table, (v,), nondesc, parents, tol)
-            if not rep:
-                local.append(Violation((v,), nondesc, parents, rep.max_gap, "local-markov"))
+        if nondesc and (gap := _gap(table, (v,), nondesc, parents)) > tol:
+            local.append(Violation((v,), nondesc, parents, gap, "local-markov"))
     if not local:
         return FactorizationReport(True, (), tol)
     violations: list[Violation] = []
@@ -373,8 +374,6 @@ def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e
         rest = [n for n in names if n not in (x, y)]
         for mask in range(1 << len(rest)):
             cond = tuple(r for i, r in enumerate(rest) if mask >> i & 1)
-            if d_separated(dag, {x}, {y}, cond):
-                rep = is_independent(table, (x,), (y,), cond, tol)
-                if not rep:
-                    violations.append(Violation((x,), (y,), cond, rep.max_gap, "pairwise"))
+            if d_separated(dag, {x}, {y}, cond) and (gap := _gap(table, (x,), (y,), cond)) > tol:
+                violations.append(Violation((x,), (y,), cond, gap, "pairwise"))
     return FactorizationReport(False, tuple(violations + local), tol)

@@ -47,8 +47,9 @@ class ModelParams:
         if self.activation not in ("relu", "identity"):
             raise ArgumentError(f"activation must be 'relu' or 'identity', got {self.activation!r}")
         for w, b in zip(self.weights, self.biases):
-            if np.ndim(w) != 2 or np.ndim(b) != 1:
-                raise ArgumentError(f"each weight must be 2-D and each bias 1-D, got {np.shape(w)} and {np.shape(b)}")
+            if not (isinstance(w, np.ndarray) and isinstance(b, np.ndarray)) or w.ndim != 2 or b.ndim != 1:
+                got = [getattr(v, "shape", type(v).__name__) for v in (w, b)]
+                raise ArgumentError(f"each weight must be a 2-D array and each bias a 1-D array, got {got}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ArgumentError("weights and biases must be finite")
             if w.shape[1] != b.shape[0]:

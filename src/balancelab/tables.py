@@ -2,7 +2,9 @@
 
 A ``JointTable`` is a dense probability tensor over named discrete variables.
 All proposition checking in this package reduces to exact arithmetic on these
-tables: marginalization, conditioning, independence gaps, and sampling.
+tables: marginalization, conditioning, independence gaps (one kernel, shared
+with ``bayesnet``), and sampling.  Tables derived from valid ones skip
+re-validation.
 
 Values are immutable after construction and safe for concurrent reads.
 """
@@ -10,7 +12,7 @@ Values are immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import isfinite, prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -111,6 +113,16 @@ class JointTable(_Named):
         return self.variables[self.axis(name)]
 
 
+def _derived(variables: tuple[Variable, ...], probs: np.ndarray) -> JointTable:
+    """A table whose ``probs`` come from a valid table: made C-contiguous
+    and read-only, not re-validated."""
+    out = object.__new__(JointTable)
+    object.__setattr__(out, "variables", variables)
+    object.__setattr__(out, "probs", _frozen(np.ascontiguousarray(probs)))
+    object.__setattr__(out, "_names", tuple(v.name for v in variables))
+    return out
+
+
 def uniform_table(variables: Sequence[Variable]) -> JointTable:
     shape = tuple(v.cardinality for v in variables)
     return JointTable(tuple(variables), np.full(shape, 1.0 / float(np.prod(shape))))
@@ -128,14 +140,10 @@ def product_table(*marginals: JointTable) -> JointTable:
 
 def marginalize(table: JointTable, keep: Iterable[str]) -> JointTable:
     """Sum out every variable not in ``keep``, preserving variable order."""
-    keep = set(keep)
-    if not keep:
+    if not (keep := set(keep)):
         raise ArgumentError("keep must be non-empty")
-    axes_keep = table.axes(keep)
-    drop = tuple(i for i in range(len(table.variables)) if i not in axes_keep)
-    probs = table.probs.sum(axis=drop) if drop else table.probs
-    variables = tuple(v for i, v in enumerate(table.variables) if i not in drop)
-    return JointTable(variables, probs)
+    axes = sorted(table.axes(keep))
+    return _derived(tuple(table.variables[i] for i in axes), marginal_probs(table, [table.names[i] for i in axes]))
 
 
 def marginal_probs(table: JointTable, names: Sequence[str]) -> np.ndarray:
@@ -147,7 +155,7 @@ def marginal_probs(table: JointTable, names: Sequence[str]) -> np.ndarray:
     drop = tuple(i for i in range(len(table.variables)) if i not in axes)
     probs = table.probs.sum(axis=drop) if drop else table.probs
     kept = sorted(axes)
-    return np.transpose(probs, [kept.index(a) for a in axes])
+    return probs.transpose([kept.index(a) for a in axes])
 
 
 def condition(table: JointTable, evidence: Mapping[str, int]) -> JointTable:
@@ -163,8 +171,8 @@ def condition(table: JointTable, evidence: Mapping[str, int]) -> JointTable:
     for name, state in evidence.items():
         ax = table.axis(name)
         card = table.variables[ax].cardinality
-        if not 0 <= int(state) < card:
-            raise ArgumentError(f"state {state} out of range for {name!r} (cardinality {card})")
+        if isinstance(state, bool) or not isinstance(state, (int, np.integer)) or not 0 <= state < card:
+            raise ArgumentError(f"state {state!r} of {name!r} is not an integer in [0, {card})")
         index[ax] = int(state)
     sliced = table.probs[tuple(index)]
     mass = float(sliced.sum())
@@ -173,7 +181,7 @@ def condition(table: JointTable, evidence: Mapping[str, int]) -> JointTable:
     remaining = tuple(v for v in table.variables if v.name not in evidence)
     if not remaining:
         raise ArgumentError("conditioning on every variable leaves an empty table")
-    return JointTable(remaining, np.asarray(sliced) / mass)
+    return _derived(remaining, sliced / mass)
 
 
 @dataclass(frozen=True)
@@ -204,12 +212,13 @@ def is_independent(
     """Check a ⊥ b | given on an exact table.
 
     Conditioning states with zero probability are skipped.  ``tol`` must be
-    positive; exact tables usually use the 1e-9 default while empirical
-    tables pass something wider.
+    finite and positive; exact tables usually use the 1e-9 default while
+    empirical tables pass something wider.  Of several states attaining the
+    largest gap the last wins, and within it the first (a, b) cell.
     """
     a, b, given = tuple(a), tuple(b), tuple(given)
-    if tol <= 0:
-        raise ArgumentError(f"tol must be positive, got {tol}")
+    if not (isfinite(tol) and tol > 0):
+        raise ArgumentError(f"tol must be finite and positive, got {tol}")
     if not a or not b:
         raise ArgumentError("a and b must be non-empty")
     groups = (set(a), set(b), set(given))
@@ -217,32 +226,35 @@ def is_independent(
         raise ArgumentError(f"a, b, given must be disjoint, got {a}, {b}, {given}")
 
     arr = marginal_probs(table, a + b + given)
-    shape_a = arr.shape[: len(a)]
-    shape_b = arr.shape[len(a) : len(a) + len(b)]
-    shape_g = arr.shape[len(a) + len(b) :]
-    flat = arr.reshape(prod(shape_a), prod(shape_b), -1)
-
-    # Each conditioning state's mass is summed from its own slice: numpy's
-    # summation order follows the slice's memory layout, and a one-ulp change
-    # in the mass moves the gaps and can change which of several exactly tied
-    # cells attains the maximum.  The rest is one broadcast over the states
-    # with positive mass; the last of them attaining the largest gap wins, and
-    # within a state the first (a, b) cell in row-major order.
-    mass = np.array([flat[:, :, g].sum() for g in range(flat.shape[2])])
-    live = np.flatnonzero(mass)
-    pab = flat.transpose(2, 0, 1)[live] / mass[live, None, None]
-    diff = np.abs(pab - pab.sum(axis=2, keepdims=True) * pab.sum(axis=1, keepdims=True))
-    diff = diff.reshape(len(live), -1)
+    live, diff = _state_gaps(arr, len(a), len(b))
     gaps = diff.max(axis=1)
     k = len(live) - 1 - int(gaps[::-1].argmax())
     max_gap = float(gaps[k])
 
-    ai, bi = np.unravel_index(int(diff[k].argmax()), flat.shape[:2])
+    shapes = (arr.shape[: len(a)], arr.shape[len(a) : len(a) + len(b)], arr.shape[len(a) + len(b) :])
+    ai, bi = np.unravel_index(int(diff[k].argmax()), (prod(shapes[0]), prod(shapes[1])))
     argmax_state: dict[str, int] = {}
-    for names, shape, index in ((a, shape_a, ai), (b, shape_b, bi), (given, shape_g, live[k])):
+    for names, shape, index in zip((a, b, given), shapes, (ai, bi, live[k])):
         for name, state in zip(names, np.unravel_index(int(index), shape)):
             argmax_state[name] = int(state)
     return IndependenceReport(max_gap <= tol, max_gap, argmax_state, tol)
+
+
+def _state_gaps(arr: np.ndarray, na: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gap kernel.  ``arr`` is P(a, b, given), ``na`` axes of a then ``nb``
+    of b.  Returns the flat given states g with positive mass and, per g,
+    |P(a, b | g) - P(a | g) P(b | g)| of every (a, b) cell in row-major order.
+    Each mass sums its (a, b) slice in memory order, as numpy's sum of the
+    slice does: one ulp off moves the gaps and can break exact ties."""
+    flat = arr.reshape(prod(arr.shape[:na]), prod(arr.shape[na : na + nb]), -1)
+    gab = flat.transpose(2, 0, 1)
+    lead = flat.strides[0] >= flat.strides[1]  # a's axis is the outer one in memory
+    slices = np.ascontiguousarray(gab if lead else flat.transpose(2, 1, 0))
+    mass = np.add.reduce(slices.reshape(len(slices), -1), axis=1)
+    live = np.flatnonzero(mass)
+    pab = (slices if lead and len(live) == len(mass) else gab[live]) / mass[live, None, None]
+    diff = np.abs(pab - np.add.reduce(pab, axis=2, keepdims=True) * np.add.reduce(pab, axis=1, keepdims=True))
+    return live, diff.reshape(len(live), -1)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from balancelab.balancing import (
     balance_exact,
     balanced_pair_gap,
     bias_shift_single,
+    reweight_marginal,
 )
 from balancelab.bayesnet import joint, sample_cbn
 from balancelab.checks import ShiftFamily
@@ -151,6 +152,18 @@ class TestExactInvariants:
         family = ShiftFamily(t, (np.array([[0.5, 0.5], [0.5, 0.5]]),))
         with pytest.raises(UnbalanceableSupport, match="Y=1, Z=1"):
             family.member(0)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0 + 1e-11, np.inf])
+    def test_reweight_target_must_sum_to_one(self, scale):
+        t = JointTable((Y, Z), np.array([[0.5, 0.2], [0.3, 0.0]]))
+        with pytest.raises(ArgumentError, match="sum to 1"):
+            reweight_marginal(t, ("Y",), np.array([0.4, 0.6]) * scale)
+
+    def test_reweight_overflow_rejected(self):
+        # a cell of 5e-324 asked to carry mass 0.25 overflows the ratio
+        t = JointTable((Y, Z), np.array([[5e-324, 0.5], [0.25, 0.25 - 5e-324]]))
+        with pytest.raises(ArgumentError, match="overflows"):
+            reweight_marginal(t, ("Y", "Z"), np.full((2, 2), 0.25))
 
     def test_shift_member_may_keep_an_empty_cell_empty(self):
         t = JointTable((Y, Z), np.array([[0.5, 0.2], [0.3, 0.0]]))

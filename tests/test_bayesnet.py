@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -23,11 +24,13 @@ from balancelab.bayesnet import (
     observed_dag,
     sample_cbn,
 )
-from balancelab.checks import find_nonfactorizing_balance
+from balancelab.balancing import BalanceSpec, JointTarget, balance_exact
+from balancelab.checks import anticausal_control, find_nonfactorizing_balance
 from balancelab.errors import ArgumentError, CycleError, EdgeError
 from balancelab.rng import spawn
 from balancelab.tables import JointTable, Variable, is_independent, marginalize
-from balancelab.templates import graph_template
+from balancelab.templates import graph_template, random_instance
+from test_tables import sweep_table
 
 
 def collider_net() -> Cbn:
@@ -239,7 +242,7 @@ class TestFactorization:
                 assert not report.factorizes
 
     def test_factorizing_chain_runs_no_pairwise_sweep(self, monkeypatch):
-        calls = {"d_separated": 0, "is_independent": 0}
+        calls = {"d_separated": 0, "_state_gaps": 0}  # _state_gaps: the gap kernel
 
         def counted(name):
             inner = getattr(bayesnet, name)
@@ -263,7 +266,36 @@ class TestFactorization:
             monkeypatch.setattr(bayesnet, name, counted(name))
         assert factorizes_according_to(table, chain).factorizes
         assert calls["d_separated"] == 0
-        assert calls["is_independent"] <= 8
+        assert 0 < calls["_state_gaps"] <= 8  # one per local Markov statement
+
+    def test_exact_outputs_pinned_bit_for_bit(self):
+        # SHA-256 of every verdict and violation (statement, kind, gap bits) of
+        # the C1-C3 counterexamples, the anti-causal control and the balanced
+        # A-D instances against their skeletons, of the balanced tables' bits,
+        # and of the is_independent reports over the sweep tables
+        digest = hashlib.sha256()
+
+        def add(report, table=None):
+            if table is not None:
+                digest.update(table.probs.tobytes())
+            digest.update(repr(report.factorizes).encode())
+            for v in report.violations:
+                digest.update(repr((v.a, v.b, v.given, v.kind, v.gap.hex())).encode())
+
+        for example_id in ("C1", "C2", "C3"):
+            for seed in range(10):
+                found = find_nonfactorizing_balance(example_id, seed)
+                add(factorizes_according_to(found.balanced, found.skeleton), found.balanced)
+        for seed in range(6):
+            add(anticausal_control(seed).report)
+            for gid in "ABCD":
+                tpl = random_instance(gid, seed)
+                balanced = balance_exact(tpl.observed(), BalanceSpec(JointTarget(tpl.y, tpl.z)))
+                add(factorizes_according_to(balanced, tpl.mutilated_skeleton()), balanced)
+        for seed in range(100):
+            rep = is_independent(*sweep_table(seed))
+            digest.update(repr((rep.independent, rep.max_gap.hex(), rep.argmax_state, rep.tol)).encode())
+        assert digest.hexdigest() == "6372d2588966339f0f7d9283b31fc35e5908a3e0e299fab0f3d0467373f0c0b3"
 
     def test_own_joint_within_rounding_of_tolerance_factorizes(self):
         # Three independent nodes, C almost always 0.  Moving 1e-11 of mass
@@ -295,6 +327,13 @@ class TestFactorization:
         assert not report.factorizes
         assert report.max_gap() > 1e-6
         assert any("Z" in v.a + v.b for v in report.violations)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # a complete DAG implies no statement, so no statement would catch the tol
+        complete = Dag(("X", "Z", "Y"), {"Z": ("X",), "Y": ("X", "Z")})
+        with pytest.raises(ArgumentError, match="tol"):
+            factorizes_according_to(joint(collider_net()), complete, tol=tol)
 
     def test_variable_mismatch(self):
         with pytest.raises(NameError):

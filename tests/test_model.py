@@ -635,6 +635,18 @@ class TestSerialization:
         with pytest.raises(ArgumentError):
             artifacts.load(str(path))
 
+    def test_nested_list_layer_is_argument_error(self, tmp_path):
+        for layer in (([[0.5], [0.5]], [0.0]), (np.array([[0.5], [0.5]]), [0.0]), ([[0.5], [0.5]], np.zeros(1))):
+            with pytest.raises(ArgumentError, match="2-D array"):
+                ModelParams([layer[0]], [layer[1]])
+        # an artifact stores the same numbers as arrays, which load as a valid layer
+        path = tmp_path / "params"
+        with open(path, "wb") as fh:
+            meta = {"kind": "ModelParams", "activation": "relu", "layers": 1}
+            np.savez(fh, meta=np.array(json.dumps(meta)), weight0=[[0.5], [0.5]], bias0=[0.0])
+        loaded = artifacts.load(str(path))
+        assert loaded.weights[0].tolist() == [[0.5], [0.5]] and loaded.biases[0].tolist() == [0.0]
+
     def test_round_trip_bitwise(self, tmp_path):
         params = random_params(3, d=5, hidden=4)
         path = str(tmp_path / "params")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from balancelab import artifacts
+from balancelab.balancing import BalanceSpec, JointTarget, SingleTarget, balance_exact, reweight_marginal
 from balancelab.errors import (
     ArgumentError,
     DegenerateContingency,
@@ -112,6 +113,26 @@ class TestMarginalize:
         with pytest.raises(ArgumentError):
             marginalize(skewed_yz(), set())
 
+    def test_derived_tables_are_read_only_and_own_their_cells(self):
+        # marginalize, condition and the reweights build tables without validation or its copy
+        raw = spawn(4, 2).random((2, 3, 2))
+        raw /= raw.sum()
+        t = JointTable((Variable("A", 2), Variable("B", 3), Variable("C", 2)), raw)
+        target = np.full((2, 2), 0.25)
+        derived = (
+            marginalize(t, {"A", "C"}),
+            marginalize(t, {"A", "B", "C"}),
+            condition(t, {"B": 2}),
+            reweight_marginal(t, ("A", "C"), target),
+            balance_exact(t, BalanceSpec(JointTarget("A", "C"))),
+            balance_exact(t, BalanceSpec(SingleTarget("B"))),
+        )
+        for out in derived:
+            assert not out.probs.flags.writeable and out.probs.flags.c_contiguous
+            assert not np.shares_memory(out.probs, raw) and not np.shares_memory(out.probs, target)
+            with pytest.raises(ValueError):
+                out.probs[(0,) * out.probs.ndim] = 0.5
+
 
 class TestCondition:
     def test_independent_table_unchanged(self):
@@ -128,6 +149,16 @@ class TestCondition:
         t = JointTable((Y, Z), np.array([[0.5, 0.0], [0.5, 0.0]]))
         with pytest.raises(DegenerateEvidence):
             condition(t, {"Z": 1})
+
+    @pytest.mark.parametrize("state", [1.5, 1.0, "1", np.nan, None, True, np.float64(1), -1, 2])
+    def test_non_integer_or_out_of_range_state_rejected(self, state):
+        with pytest.raises(ArgumentError, match="not an integer in"):
+            condition(skewed_yz(), {"Z": state})
+
+    def test_integer_states_accepted(self):
+        expected = condition(skewed_yz(), {"Z": 1}).probs.tobytes()
+        for state in (np.int64(1), np.uint8(1)):
+            assert condition(skewed_yz(), {"Z": state}).probs.tobytes() == expected
 
     def test_bayes_consistency_on_random_tables(self):
         for seed in range(8):
@@ -241,6 +272,11 @@ class TestIsIndependent:
     def test_report_is_truthy(self):
         t = uniform_table((Y, Z))
         assert is_independent(t, {"Y"}, {"Z"})
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ArgumentError, match="tol"):
+            is_independent(skewed_yz(), {"Y"}, {"Z"}, tol=tol)
 
 
 class TestSample:
