@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ArgumentError, CycleError, EdgeError, UnknownVariableError
 from .rng import spawn
-from .tables import JointTable, SampleBatch, Variable, _state_gaps, marginal_probs
+from .tables import JointTable, SampleBatch, Variable, _derived, _state_gaps, marginal_probs
 
 CPT_ROW_TOL = 1e-12
 
@@ -221,6 +221,24 @@ class Cbn:
         raise UnknownVariableError(f"unknown node {name!r}")
 
 
+def _trusted_cbn(
+    nodes: tuple[Variable, ...], parents: Mapping[str, tuple[str, ...]], cpts: Mapping[str, np.ndarray]
+) -> Cbn:
+    """A network from CPTs that are already valid (taken from a valid network
+    or built as normalized positive rows): it builds the ``Dag`` but skips
+    the CPT checks and copies of ``Cbn.__post_init__``, and freezes the
+    given arrays in place."""
+    dag = Dag(tuple(v.name for v in nodes), parents)
+    out = object.__new__(Cbn)
+    object.__setattr__(out, "nodes", tuple(nodes))
+    object.__setattr__(out, "parents", dag.parents)
+    object.__setattr__(out, "cpts", {v.name: cpts[v.name] for v in nodes})
+    object.__setattr__(out, "_dag", dag)
+    for cpt in out.cpts.values():
+        cpt.setflags(write=False)
+    return out
+
+
 def broadcast_axes(arr: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
     """Place arr's dimensions at ``axes`` of an ndim-dim view, ones elsewhere."""
     order = sorted(range(len(axes)), key=axes.__getitem__)
@@ -239,7 +257,7 @@ def joint(net: Cbn) -> JointTable:
     for v in net.nodes:
         axes = [pos[p] for p in net.parents[v.name]] + [pos[v.name]]
         probs = probs * broadcast_axes(net.cpts[v.name], axes, len(shape))
-    return JointTable(net.nodes, probs / probs.sum())
+    return _derived(net.nodes, probs / probs.sum())
 
 
 def mutilate(net: Cbn, removed: Iterable[tuple[str, str]]) -> Cbn:
@@ -269,7 +287,7 @@ def mutilate(net: Cbn, removed: Iterable[tuple[str, str]]) -> Cbn:
             moved = np.moveaxis(cpt, rem_idx, range(len(rem_idx)))
             cpt = np.tensordot(weights, moved, axes=(tuple(range(len(rem_idx))),) * 2)
         cpts[v.name] = cpt
-    return Cbn(net.nodes, parents, cpts)
+    return _trusted_cbn(net.nodes, parents, cpts)
 
 
 def observed_dag(net: Cbn, latents: Iterable[str], dropped: Iterable[tuple[str, str]] = ()) -> Dag:

@@ -33,6 +33,7 @@ from .bayesnet import (
     Dag,
     FactorizationReport,
     Violation,
+    _trusted_cbn,
     broadcast_axes,
     factorizes_according_to,
     joint,
@@ -421,7 +422,7 @@ def _counterexample_net(example_id: str, gen: np.random.Generator) -> tuple[Cbn,
     its edge-dropped skeleton over the observed nodes."""
     nodes, parents, latents, dropped = _COUNTEREXAMPLES[example_id]
     cpts = {n: _random_rows(gen, (2,) * (len(parents.get(n, ())) + 1)) for n in nodes}
-    net = Cbn(tuple(Variable(n, 2) for n in nodes), parents, cpts)
+    net = _trusted_cbn(tuple(Variable(n, 2) for n in nodes), parents, cpts)
     return net, latents, observed_dag(net, latents, dropped)
 
 

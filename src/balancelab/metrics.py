@@ -3,7 +3,8 @@
 Equalized odds and demographic parity are computed on raw scores (they are
 defined through conditional expectations of the score); accuracy and
 worst-group use thresholded predictions.  Strata smaller than the minimum
-count are excluded and flagged rather than silently averaged.
+count are excluded and flagged rather than silently averaged.  Every stratum
+sum runs over a slice of rows stably sorted by stratum, bit for bit a mask's.
 """
 
 from __future__ import annotations
@@ -53,6 +54,26 @@ def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     return float((values * weights).sum() / weights.sum())
 
 
+def _stratum_means(code: np.ndarray, size: int, w: np.ndarray, min_stratum: int, *values: np.ndarray) -> list:
+    """For each stratum code in range(size), the weighted mean of each
+    ``values`` array, or None for a stratum with fewer than ``min_stratum``
+    rows or with zero weight.
+
+    The rows are stably sorted by code once, so each stratum is a contiguous
+    slice holding the products a boolean mask would select, in the same
+    order: every sum is the masked sum bit for bit, which the sequential
+    sums of ``np.add.reduceat`` are not."""
+    # a stable argsort is a radix sort on codes of 16 bits or fewer
+    order = np.argsort(code.astype(np.min_scalar_type(size)), kind="stable")
+    sorted_w, products = w[order], [(v * w)[order] for v in values]
+    out, lo = [], 0
+    for hi in np.cumsum(np.bincount(code, minlength=size)).tolist():
+        wsum = sorted_w[lo:hi].sum()
+        out.append(None if hi - lo < min_stratum or not wsum > 0 else [float(p[lo:hi].sum() / wsum) for p in products])
+        lo = hi
+    return out
+
+
 def evaluate(
     params: ModelParams,
     data: Dataset,
@@ -74,6 +95,8 @@ def evaluate(
         raise ArgumentError("dataset is empty")
     if min_stratum < 1 or pp_bins < 1:
         raise ArgumentError(f"min_stratum and pp_bins must be >= 1, got {min_stratum} and {pp_bins}")
+    if not 0.0 <= threshold <= 1.0:
+        raise ArgumentError(f"threshold must lie in [0, 1], got {threshold}")
     w = data.weights
     if not w.sum() > 0:
         raise ArgumentError("dataset has zero total weight")
@@ -81,61 +104,48 @@ def evaluate(
     preds = scores >= threshold
     correct = (preds == data.y.astype(bool)).astype(float)
     accuracy = _weighted_mean(correct, w)
-
-    def too_small(idx: np.ndarray) -> bool:
-        return int(idx.sum()) < min_stratum or not w[idx].sum() > 0
+    z_values, z_index = np.unique(data.z, return_inverse=True)
+    y_values, y_index = np.unique(data.y, return_inverse=True)
+    z_values, y_values, nz = z_values.tolist(), y_values.tolist(), len(z_values)
 
     excluded: list[str] = []
     z_accuracy: dict[int, float] = {}
-    for z_value in np.unique(data.z):
-        idx = data.z == z_value
-        if too_small(idx):
-            excluded.append(f"z={int(z_value)}")
-            continue
-        z_accuracy[int(z_value)] = _weighted_mean(correct[idx], w[idx])
+    dp_means = []
+    for z_value, means in zip(z_values, _stratum_means(z_index, nz, w, min_stratum, correct, scores)):
+        if means is None:
+            excluded.append(f"z={z_value}")
+        else:
+            z_accuracy[z_value] = means[0]
+            dp_means.append(means[1])
     worst_group = min(z_accuracy.values()) if z_accuracy else accuracy
+    dp_gap = (max(dp_means) - min(dp_means)) if len(dp_means) >= 2 else 0.0
 
     # equalized odds: half-sum over label strata of the score-mean spread
     eo = 0.0
-    for y_value in np.unique(data.y):
-        means = []
-        for z_value in np.unique(data.z):
-            idx = (data.y == y_value) & (data.z == z_value)
-            if too_small(idx):
-                excluded.append(f"y={int(y_value)},z={int(z_value)}")
-                continue
-            means.append(_weighted_mean(scores[idx], w[idx]))
+    label_code = y_index * nz + z_index
+    by_label = _stratum_means(label_code, len(y_values) * nz, w, min_stratum, scores)
+    for i, y_value in enumerate(y_values):
+        row = by_label[i * nz : (i + 1) * nz]
+        excluded += [f"y={y_value},z={z_value}" for z_value, means in zip(z_values, row) if means is None]
+        means = [m[0] for m in row if m is not None]
         if len(means) >= 2:
             eo += 0.5 * (max(means) - min(means))
-
-    dp_means = []
-    for z_value in sorted(z_accuracy):
-        idx = data.z == z_value
-        dp_means.append(_weighted_mean(scores[idx], w[idx]))
-    dp_gap = (max(dp_means) - min(dp_means)) if len(dp_means) >= 2 else 0.0
+    pairs = [(y_value, z_value) for y_value in y_values for z_value in z_values]
+    counts = dict(zip(pairs, np.bincount(label_code, minlength=len(pairs)).tolist()))
 
     pp_gap: float | None
-    if len(np.unique(data.y)) < 2:
+    if len(y_values) < 2:
         pp_gap = None
         excluded.append("pp_gap:single_class_label")
     else:
         edges = np.quantile(scores, np.linspace(0.0, 1.0, pp_bins + 1))
         bins = np.clip(np.searchsorted(edges[1:-1], scores, side="right"), 0, pp_bins - 1)
+        by_bin = _stratum_means(bins * nz + z_index, pp_bins * nz, w, min_stratum, data.y.astype(float))
         pp_gap = 0.0
         for b in range(pp_bins):
-            rates = []
-            for z_value in np.unique(data.z):
-                idx = (bins == b) & (data.z == z_value)
-                if too_small(idx):
-                    continue
-                rates.append(_weighted_mean(data.y[idx].astype(float), w[idx]))
+            rates = [m[0] for m in by_bin[b * nz : (b + 1) * nz] if m is not None]
             if len(rates) >= 2:
                 pp_gap = max(pp_gap, max(rates) - min(rates))
-
-    counts: dict[tuple[int, int], int] = {}
-    for y_value in np.unique(data.y):
-        for z_value in np.unique(data.z):
-            counts[(int(y_value), int(z_value))] = int(((data.y == y_value) & (data.z == z_value)).sum())
 
     encoding = None if probe_seed is None else probe_encoding(params, data, "z", seed=probe_seed)
 

@@ -4,9 +4,10 @@ Linear or one-hidden-layer logistic models on weighted rows, with optional
 marginal or conditional MMD regularization of the scores (or of the hidden
 representation), computed from one RBF kernel block per stratum of each
 mini-batch, so a conditional penalty never touches pairs across strata.
-All gradients are analytic; finite differences and a double-loop reference
-in the tests pin them.  Training is single-threaded and bit-reproducible for
-a fixed seed.
+Each block comes from an exact rank-2 gemm, finished in place, with the bits
+of the broadcast form.  All gradients are analytic; finite differences and a
+double-loop reference in the tests pin them.  Training is single-threaded and
+bit-reproducible for a fixed seed.
 The encoding probe fits its logistic regression by full-batch Newton steps
 to a gradient-norm tolerance, not by training.
 """
@@ -64,23 +65,16 @@ class ModelParams:
         return len(self.weights) == 2
 
 
-def _act(values: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(values, 0.0) if kind == "relu" else values
-
-
-def _act_grad(values: np.ndarray, kind: str) -> np.ndarray:
-    return (values > 0).astype(float) if kind == "relu" else np.ones_like(values)
-
-
 def _forward(params: ModelParams, x: np.ndarray):
     """Returns (score, logit, hidden activation or None, hidden pre-activation or None)."""
+    hidden = pre = None
     if params.has_hidden:
-        pre = x @ params.weights[0] + params.biases[0]
-        hidden = _act(pre, params.activation)
-        logit = (hidden @ params.weights[1] + params.biases[1])[:, 0]
-        return _sigmoid(logit), logit, hidden, pre
-    logit = (x @ params.weights[0] + params.biases[0])[:, 0]
-    return _sigmoid(logit), logit, None, None
+        pre = x @ params.weights[0]
+        pre += params.biases[0]
+        x = hidden = np.maximum(pre, 0.0) if params.activation == "relu" else pre
+    logit = (x @ params.weights[-1])[:, 0]
+    logit += params.biases[-1]
+    return _sigmoid(logit), logit, hidden, pre
 
 
 def _sigmoid(logit: np.ndarray) -> np.ndarray:
@@ -90,16 +84,17 @@ def _sigmoid(logit: np.ndarray) -> np.ndarray:
 
 
 def predict_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    return _forward(params, np.asarray(x, dtype=float))[0]
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
+        raise ArgumentError(f"x must have shape (rows, {params.weights[0].shape[0]}), got {x.shape}")
+    return _forward(params, x)[0]
 
 
 def representation(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """The frozen representation the encoding probe reads: hidden activations
     for a one-hidden-layer model, the raw inputs for a linear one."""
     x = np.asarray(x, dtype=float)
-    if params.has_hidden:
-        return _act(x @ params.weights[0] + params.biases[0], params.activation)
-    return x
+    return _forward(params, x)[2] if params.has_hidden else x
 
 
 @dataclass(frozen=True)
@@ -137,6 +132,9 @@ class TrainSpec:
             raise ArgumentError("momentum must lie in [0, 1)")
         if not (np.isfinite(self.l2) and self.l2 >= 0):
             raise ArgumentError(f"l2 must be finite and >= 0, got {self.l2}")
+        counts = {"epochs": self.epochs, "batch_size": self.batch_size, "hidden_dim": self.hidden_dim}
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in counts.values()):
+            raise ArgumentError(f"epochs, batch_size and hidden_dim must be integers, got {counts}")
         if self.epochs < 1 or self.batch_size < 1 or self.hidden_dim < 0:
             raise ArgumentError("epochs/batch_size >= 1, hidden_dim >= 0 required")
         if self.mmd is not None and self.mmd.on_representation and self.hidden_dim == 0:
@@ -151,6 +149,8 @@ def mmd2(sample_a: np.ndarray, sample_b: np.ndarray, bandwidth: float) -> float:
     """
     a = np.atleast_2d(np.asarray(sample_a, dtype=float).T).T
     b = np.atleast_2d(np.asarray(sample_b, dtype=float).T).T
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ArgumentError("samples must be finite")
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise SampleSizeError("both samples need at least 2 rows for the unbiased estimate")
     side = np.repeat([0, 1], [a.shape[0], b.shape[0]])
@@ -158,15 +158,18 @@ def mmd2(sample_a: np.ndarray, sample_b: np.ndarray, bandwidth: float) -> float:
     return value
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aa = (a**2).sum(axis=1, keepdims=True)
-    bb = (b**2).sum(axis=1, keepdims=True)
-    return np.maximum(aa + bb.T - 2.0 * (a @ b.T), 0.0)
+def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[:, None] + b`` as the gemm [a, 1] @ [1; b], bit for bit (but for the sign
+    of -0 + -0): both products are exact and each sum is rounded once."""
+    rows = np.empty((3, len(a)))
+    rows[0], rows[1], rows[2] = a, 1.0, b
+    return rows[:2].T @ rows[1:]
 
 
 def _own_side(a: np.ndarray, m: int) -> np.ndarray:
-    """Column 0 of the first m rows of ``a`` and column 1 of the rest."""
-    return np.concatenate((a[:m, 0], a[m:, 1]))
+    """Column 0 of the first m rows of ``a`` and column 1 of the rest, in place."""
+    a[m:, 0] = a[m:, 1]
+    return a[:, 0]
 
 
 def _mmd_penalty(target: np.ndarray, y: np.ndarray, z: np.ndarray, mode: str, bandwidth: float):
@@ -180,7 +183,9 @@ def _mmd_penalty(target: np.ndarray, y: np.ndarray, z: np.ndarray, mode: str, ba
     against W, whose row j holds j's U-statistic coefficients toward side 0
     and side 1 (1/(m(m-1)) within side 0, 1/(n(n-1)) within side 1, -1/(mn)
     across): row i's weighted sum is entry side(i) of K @ W, and the
-    diagonal, where K is 1, adds 1/(m-1) + 1/(n-1) to their total."""
+    diagonal, where K is 1, adds 1/(m-1) + 1/(n-1) to their total.
+    K fills one buffer: ``_outer_sum`` gives a scalar target's differences or
+    a representation's squared-norm sums, then K is finished in place."""
     if not (np.isfinite(bandwidth) and bandwidth > 0):
         raise ArgumentError(f"bandwidth must be finite and positive, got {bandwidth}")
     groups = 2 if mode == "marginal" else 4
@@ -195,33 +200,43 @@ def _mmd_penalty(target: np.ndarray, y: np.ndarray, z: np.ndarray, mode: str, ba
         if m < 2 or n < 2:
             skipped += 1
             continue
-        rows, cross = order[lo:hi], -1.0 / (m * n)
-        coef = np.repeat([[1.0 / (m * (m - 1)), cross], [cross, 1.0 / (n * (n - 1))]], (m, n), axis=0)
+        rows, cross, coef = order[lo:hi], -1.0 / (m * n), np.empty((hi - lo, 2))
+        coef[:m], coef[m:] = (1.0 / (m * (m - 1)), cross), (cross, 1.0 / (n * (n - 1)))
         t = target[rows]
         # d k(u, v) / du = -(u - v) / h^2 * k(u, v); symmetric coefficients double each pair.
         if t.shape[1] == 1:
-            diff = t - t.T
-            kern = np.exp(diff * diff * (-0.5 / h2))
-            rowsum = _own_side(kern @ coef, m)
-            grad[rows, 0] = _own_side((kern * diff) @ coef, m)
+            diff = _outer_sum(t[:, 0], -t[:, 0])
+            kern = np.square(diff)
         else:
             inner = t @ np.ascontiguousarray(t.T)  # NumPy's t @ t.T path is slower at this size
-            sq = inner.diagonal()  # zero distance on the diagonal, so K there is exactly 1
-            kern = np.exp(np.maximum(sq[:, None] + sq - 2.0 * inner, 0.0) * (-0.5 / h2))
-            rowsum = _own_side(kern @ coef, m)
-            grad[rows] = t * rowsum[:, None] - np.concatenate(
-                (kern[:m] @ (coef[:, :1] * t), kern[m:] @ (coef[:, 1:] * t))
-            )
+            kern = _outer_sum(inner.diagonal(), inner.diagonal())  # K is exactly 1 on the diagonal
+            kern -= 2.0 * inner
+            np.maximum(kern, 0.0, out=kern)
+        kern *= -0.5 / h2
+        rowsum = _own_side(np.exp(kern, out=kern) @ coef, m)
+        if t.shape[1] == 1:
+            diff *= kern
+            grad[rows, 0] = _own_side(diff @ coef, m)
+        else:
+            side_sums = np.empty_like(t)
+            np.matmul(kern[:m], coef[:, :1] * t, out=side_sums[:m])
+            np.matmul(kern[m:], coef[:, 1:] * t, out=side_sums[m:])
+            grad[rows] = t * rowsum[:, None] - side_sums
         value += rowsum.sum() - 1.0 / (m - 1) - 1.0 / (n - 1)
     return float(value), grad * (-2.0 / h2), skipped
 
 
 def median_bandwidth(scores: np.ndarray, floor: float = 1e-3) -> float:
-    """Median pairwise distance between score rows (the bandwidth heuristic)."""
+    """Median pairwise distance between score rows (the bandwidth heuristic), at least ``floor``."""
+    if not (np.isfinite(floor) and floor > 0):
+        raise ArgumentError(f"floor must be finite and positive, got {floor}")
     a = np.atleast_2d(np.asarray(scores, dtype=float).T).T
+    if not np.all(np.isfinite(a)):
+        raise ArgumentError("scores must be finite")
     if a.shape[0] < 2:
         return 1.0
-    dists = np.sqrt(_sq_dists(a, a))
+    sq = (a**2).sum(axis=1, keepdims=True)
+    dists = np.sqrt(np.maximum(sq + sq.T - 2.0 * (a @ a.T), 0.0))
     upper = dists[np.triu_indices(a.shape[0], k=1)]
     return float(max(np.median(upper), floor))
 
@@ -294,10 +309,11 @@ def loss(
         gb2 = dout.sum(axis=0)
         dhidden = dout @ params.weights[1].T
         if drep is not None:
-            dhidden = dhidden + drep
-        dpre = dhidden * _act_grad(pre, params.activation)
-        grad_w = (x.T @ dpre + 2.0 * spec.l2 * params.weights[0], gw2)
-        grad_b = (dpre.sum(axis=0), gb2)
+            dhidden += drep
+        if params.activation == "relu":
+            dhidden *= pre > 0
+        grad_w = (x.T @ dhidden + 2.0 * spec.l2 * params.weights[0], gw2)
+        grad_b = (dhidden.sum(axis=0), gb2)
     else:
         grad_w = (x.T @ dout + 2.0 * spec.l2 * params.weights[0],)
         grad_b = (dout.sum(axis=0),)

@@ -25,7 +25,7 @@ from balancelab.bayesnet import (
     sample_cbn,
 )
 from balancelab.balancing import BalanceSpec, JointTarget, balance_exact
-from balancelab.checks import anticausal_control, find_nonfactorizing_balance
+from balancelab.checks import _COUNTEREXAMPLE_IDS, _counterexample_net, anticausal_control, find_nonfactorizing_balance
 from balancelab.errors import ArgumentError, CycleError, EdgeError
 from balancelab.rng import spawn
 from balancelab.tables import JointTable, Variable, is_independent, marginalize
@@ -207,6 +207,32 @@ class TestMutilate:
     def test_missing_edge_rejected(self):
         with pytest.raises(EdgeError):
             mutilate(collider_net(), [("Y", "X")])
+
+    def test_trusted_build_equals_validated_build(self):
+        """``mutilate`` and the C1-C4 draws skip the CPT checks; the network
+        they build must equal the validating constructor's, frozen arrays and
+        all."""
+
+        def assert_same(trusted: Cbn) -> None:
+            valid = Cbn(trusted.nodes, trusted.parents, trusted.cpts)
+            assert trusted.nodes == valid.nodes and trusted.parents == valid.parents
+            assert list(trusted.cpts) == list(valid.cpts)
+            for name, cpt in trusted.cpts.items():
+                want = valid.cpts[name]
+                assert cpt.dtype == want.dtype and cpt.shape == want.shape
+                assert cpt.tobytes() == want.tobytes()
+                assert not cpt.flags.writeable and cpt.flags.c_contiguous
+            assert trusted.dag.nodes == valid.dag.nodes and trusted.dag.parents == valid.dag.parents
+            assert trusted.dag.topo_order == valid.dag.topo_order
+            assert joint(trusted).probs.tobytes() == joint(valid).probs.tobytes()
+
+        for gid in "ABCD":
+            for tpl in (graph_template(gid), random_instance(gid, 3)):
+                assert_same(bayesnet._trusted_cbn(tpl.net.nodes, tpl.net.parents, tpl.net.cpts))
+                assert_same(mutilate(tpl.net, tpl.undesired))
+        for example_id in _COUNTEREXAMPLE_IDS:
+            for attempt in range(4):
+                assert_same(_counterexample_net(example_id, spawn(5, 61, attempt))[0])
 
     def test_observed_dag_drops_latents_and_listed_edges(self):
         net = graph_template("C").net

@@ -1,0 +1,66 @@
+"""The summary of tools/bench_pairs.py on fixed pairs of runs."""
+
+from __future__ import annotations
+
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools"))
+import bench_pairs  # noqa: E402
+
+
+def pairs_of(parent: list[float], change: list[float], name: str = "tasks_per_s"):
+    return [({name: p}, {name: c}) for p, c in zip(parent, change)]
+
+
+def test_quartiles_wins_and_gain():
+    parent = [23.0, 23.4, 23.1, 23.6, 23.2, 23.3, 23.5, 22.9, 23.2, 23.4]
+    change = [25.1, 25.6, 25.4, 23.5, 25.9, 25.2, 25.8, 25.0, 25.5, 25.3]
+    (row,) = bench_pairs.summarize(pairs_of(parent, change), {"tasks_per_s": "higher"})
+    assert (row.parent.q1, row.parent.median, row.parent.q3) == pytest.approx((23.125, 23.25, 23.4))
+    assert (row.change.q1, row.change.median, row.change.q3) == pytest.approx((25.125, 25.35, 25.575))
+    assert (row.wins, row.pairs) == (9, 10)  # the fourth pair went to the parent
+    assert row.gain_holds
+
+
+def test_lower_is_better_and_ties_count_for_neither():
+    parent = [0.043, 0.044, 0.043, 0.042]
+    change = [0.038, 0.044, 0.039, 0.038]
+    (row,) = bench_pairs.summarize(pairs_of(parent, change, "task_s_p50"), {"task_s_p50": "lower"})
+    assert row.wins == 3
+    assert not row.gain_holds  # 3 of 4 is under nine in ten
+
+
+def test_gain_within_parent_spread_does_not_hold():
+    parent = [20.0, 24.0, 22.0, 26.0, 21.0, 25.0, 23.0, 20.5, 24.5, 22.5]
+    change = [p + 0.5 for p in parent]
+    (row,) = bench_pairs.summarize(pairs_of(parent, change), {"tasks_per_s": "higher"})
+    assert row.wins == 10
+    assert row.change.median - row.parent.median < row.parent.q3 - row.parent.q1
+    assert not row.gain_holds
+
+
+def test_fewer_than_ten_pairs_claim_nothing():
+    (row,) = bench_pairs.summarize(pairs_of([1.0] * 9, [2.0] * 9), {"tasks_per_s": "higher"})
+    assert row.wins == 9 and not row.gain_holds
+    zero = bench_pairs.summarize(pairs_of([0.0], [0.0], "calls"), {"calls": "lower"})
+    assert bench_pairs.format_rows(zero).splitlines()[1].split()[-2:] == ["-", "0/1"]
+
+
+def test_metric_without_direction_has_no_wins():
+    pairs = [({"a": 1.0, "b": 2.0}, {"a": 2.0}), ({"a": 1.0, "b": 2.0}, {"a": 3.0, "b": 1.0})]
+    (row,) = bench_pairs.summarize(pairs, {})  # b is missing from one run
+    assert row.metric == "a" and row.better is None and row.wins is None
+    assert not row.gain_holds
+    assert "-" in bench_pairs.format_rows([row]).splitlines()[1]
+
+
+def test_single_pair_and_seed_ranges():
+    (row,) = bench_pairs.summarize(pairs_of([1.0], [2.0]), {"tasks_per_s": "higher"})
+    assert row.parent == bench_pairs.Spread(1.0, 1.0, 1.0)
+    assert bench_pairs.parse_seeds("701-704") == [701, 702, 703, 704]
+    assert bench_pairs.parse_seeds("5,9") == [5, 9]
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([], {})

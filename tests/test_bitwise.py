@@ -1,0 +1,315 @@
+"""The model and metrics hot paths against their plain forms, bit for bit.
+
+``plain_penalty``, ``plain_loss``, ``plain_train`` and ``plain_evaluate``
+are the straightforward versions that ``model._mmd_penalty``, ``model.loss``,
+``model.train`` and ``metrics.evaluate`` replaced: broadcast differences,
+fresh temporaries, per-layer gradients joined by ``concatenate`` and masked
+stratum sums.  The fast paths must return the same bits.  No digest is
+pinned, because gemm rounding depends on the BLAS kernel; both sides run on
+the same one.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from balancelab import model
+from balancelab.datagen import Dataset, GenSpec, generate, ideal_testset
+from balancelab.metrics import MetricsReport, evaluate
+from balancelab.model import MmdPenalty, ModelParams, TrainSpec, train
+from balancelab.rng import spawn
+
+
+def plain_forward(params: ModelParams, x: np.ndarray):
+    if params.has_hidden:
+        pre = x @ params.weights[0] + params.biases[0]
+        hidden = np.maximum(pre, 0.0) if params.activation == "relu" else pre
+        logit = (hidden @ params.weights[1] + params.biases[1])[:, 0]
+        return model._sigmoid(logit), logit, hidden, pre
+    logit = (x @ params.weights[0] + params.biases[0])[:, 0]
+    return model._sigmoid(logit), logit, None, None
+
+
+def own_side(a: np.ndarray, m: int) -> np.ndarray:
+    return np.concatenate((a[:m, 0], a[m:, 1]))
+
+
+def plain_penalty(target: np.ndarray, y: np.ndarray, z: np.ndarray, mode: str, bandwidth: float):
+    groups = 2 if mode == "marginal" else 4
+    code = z if mode == "marginal" else 2 * y + z
+    code = np.where((z == 0) | (z == 1), code, groups)
+    order = np.argsort(code, kind="stable")
+    bounds = [0] + np.cumsum(np.bincount(code, minlength=groups + 1)).tolist()
+    h2 = bandwidth * bandwidth
+    value, grad, skipped = 0.0, np.zeros_like(target), 0
+    for lo, mid, hi in zip(bounds[0:groups:2], bounds[1:groups:2], bounds[2 : groups + 1 : 2]):
+        m, n = mid - lo, hi - mid
+        if m < 2 or n < 2:
+            skipped += 1
+            continue
+        rows, cross = order[lo:hi], -1.0 / (m * n)
+        coef = np.repeat([[1.0 / (m * (m - 1)), cross], [cross, 1.0 / (n * (n - 1))]], (m, n), axis=0)
+        t = target[rows]
+        if t.shape[1] == 1:
+            diff = t - t.T
+            kern = np.exp(diff * diff * (-0.5 / h2))
+            rowsum = own_side(kern @ coef, m)
+            grad[rows, 0] = own_side((kern * diff) @ coef, m)
+        else:
+            inner = t @ np.ascontiguousarray(t.T)
+            sq = inner.diagonal()
+            kern = np.exp(np.maximum(sq[:, None] + sq - 2.0 * inner, 0.0) * (-0.5 / h2))
+            rowsum = own_side(kern @ coef, m)
+            grad[rows] = t * rowsum[:, None] - np.concatenate(
+                (kern[:m] @ (coef[:, :1] * t), kern[m:] @ (coef[:, 1:] * t))
+            )
+        value += rowsum.sum() - 1.0 / (m - 1) - 1.0 / (n - 1)
+    return float(value), grad * (-2.0 / h2), skipped
+
+
+def plain_loss(params: ModelParams, data: Dataset, spec: TrainSpec, bandwidth: float | None = None):
+    """(value, ce, l2, mmd, per-layer gradients, skipped strata)."""
+    x, y, w = data.x, data.y.astype(float), data.weights
+    wsum = float(w.sum())
+    scores, logit, hidden, pre = plain_forward(params, x)
+    ce = float((w * (np.logaddexp(0.0, logit) - y * logit)).sum() / wsum)
+    dlogit = w * (scores - y) / wsum
+    l2_value = spec.l2 * sum(float((wm**2).sum()) for wm in params.weights)
+    mmd_value, skipped, drep = 0.0, 0, None
+    if spec.mmd is not None:
+        bandwidth = spec.mmd.bandwidth if bandwidth is None else bandwidth
+        on_rep = spec.mmd.on_representation
+        target = hidden if on_rep else scores[:, None]
+        mmd_value, grad, skipped = plain_penalty(target, data.y, data.z, spec.mmd.mode, bandwidth)
+        grad *= spec.mmd.strength
+        if on_rep:
+            drep = grad
+        else:
+            dlogit += grad[:, 0] * scores * (1 - scores)
+    total = ce + l2_value + (spec.mmd.strength * mmd_value if spec.mmd else 0.0)
+    dout = dlogit[:, None]
+    if params.has_hidden:
+        gw2 = hidden.T @ dout + 2.0 * spec.l2 * params.weights[1]
+        gb2 = dout.sum(axis=0)
+        dhidden = dout @ params.weights[1].T
+        if drep is not None:
+            dhidden = dhidden + drep
+        mask = (pre > 0).astype(float) if params.activation == "relu" else np.ones_like(pre)
+        dpre = dhidden * mask
+        grads = [x.T @ dpre + 2.0 * spec.l2 * params.weights[0], gw2, dpre.sum(axis=0), gb2]
+    else:
+        grads = [x.T @ dout + 2.0 * spec.l2 * params.weights[0], dout.sum(axis=0)]
+    return float(total), ce, float(l2_value), float(mmd_value), grads, skipped
+
+
+def plain_train(data: Dataset, spec: TrainSpec) -> tuple[ModelParams, list[dict], float | None]:
+    params = model._init_params(data.x.shape[1], spec)
+    bandwidth = None
+    if spec.mmd is not None:
+        bandwidth = spec.mmd.bandwidth
+        if bandwidth is None:
+            first = min(spec.batch_size, len(data))
+            if spec.mmd.on_representation:
+                probe = model.representation(params, data.x[:first])
+            else:
+                probe = plain_forward(params, data.x[:first])[0]
+            bandwidth = model.median_bandwidth(probe)
+    arrays = params.weights + params.biases
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
+    views = [v.reshape(a.shape) for v, a in zip(views, arrays)]
+    layers = len(params.weights)
+    params = ModelParams(views[:layers], views[layers:], params.activation)
+    velocity = np.zeros_like(flat)
+    mu, lr = spec.momentum, spec.learning_rate
+    log = []
+    for epoch in range(spec.epochs):
+        perm = spawn(spec.seed, model._STREAM_SHUFFLE, epoch).permutation(len(data))
+        shuffled = data.take(perm)
+        totals = {"loss": 0.0, "ce": 0.0, "l2": 0.0, "mmd": 0.0}
+        skipped = batches = 0
+        for start in range(0, len(data), spec.batch_size):
+            value, ce, l2, mmd, grads, sk = plain_loss(
+                params, shuffled.take(slice(start, start + spec.batch_size)), spec, bandwidth
+            )
+            grad = np.concatenate([g.ravel() for g in grads])
+            velocity = mu * velocity + grad
+            flat -= lr * (grad + mu * velocity)
+            for key, v in zip(totals, (value, ce, l2, mmd)):
+                totals[key] += v
+            skipped += sk
+            batches += 1
+        log.append({k: v / batches for k, v in totals.items()} | {"epoch": epoch, "skipped_strata": skipped})
+    return params, log, bandwidth
+
+
+def plain_evaluate(
+    params: ModelParams, data: Dataset, threshold: float = 0.5, min_stratum: int = 5, pp_bins: int = 10
+) -> MetricsReport:
+    """``evaluate`` without the probe, by one boolean mask per stratum."""
+
+    def mean(values, weights):
+        return float((values * weights).sum() / weights.sum())
+
+    w = data.weights
+    scores = plain_forward(params, data.x)[0]
+    correct = ((scores >= threshold) == data.y.astype(bool)).astype(float)
+    accuracy = mean(correct, w)
+
+    def too_small(idx):
+        return int(idx.sum()) < min_stratum or not w[idx].sum() > 0
+
+    excluded, z_accuracy = [], {}
+    for z_value in np.unique(data.z):
+        idx = data.z == z_value
+        if too_small(idx):
+            excluded.append(f"z={int(z_value)}")
+            continue
+        z_accuracy[int(z_value)] = mean(correct[idx], w[idx])
+    worst_group = min(z_accuracy.values()) if z_accuracy else accuracy
+    eo = 0.0
+    for y_value in np.unique(data.y):
+        means = []
+        for z_value in np.unique(data.z):
+            idx = (data.y == y_value) & (data.z == z_value)
+            if too_small(idx):
+                excluded.append(f"y={int(y_value)},z={int(z_value)}")
+                continue
+            means.append(mean(scores[idx], w[idx]))
+        if len(means) >= 2:
+            eo += 0.5 * (max(means) - min(means))
+    dp_means = [mean(scores[data.z == z_value], w[data.z == z_value]) for z_value in sorted(z_accuracy)]
+    dp_gap = (max(dp_means) - min(dp_means)) if len(dp_means) >= 2 else 0.0
+    if len(np.unique(data.y)) < 2:
+        pp_gap = None
+        excluded.append("pp_gap:single_class_label")
+    else:
+        edges = np.quantile(scores, np.linspace(0.0, 1.0, pp_bins + 1))
+        bins = np.clip(np.searchsorted(edges[1:-1], scores, side="right"), 0, pp_bins - 1)
+        pp_gap = 0.0
+        for b in range(pp_bins):
+            rates = []
+            for z_value in np.unique(data.z):
+                idx = (bins == b) & (data.z == z_value)
+                if not too_small(idx):
+                    rates.append(mean(data.y[idx].astype(float), w[idx]))
+            if len(rates) >= 2:
+                pp_gap = max(pp_gap, max(rates) - min(rates))
+    counts = {
+        (int(yv), int(zv)): int(((data.y == yv) & (data.z == zv)).sum())
+        for yv in np.unique(data.y)
+        for zv in np.unique(data.z)
+    }
+    return MetricsReport(
+        accuracy, worst_group, eo, dp_gap, pp_gap, None, counts, z_accuracy, tuple(excluded), threshold
+    )
+
+
+def penalty_batch(kind: str, n: int, d: int, seed: int):
+    """A target and its labels: uneven z sides; the y = 0 stratum cut to one
+    z = 1 row, so the conditional penalty skips it; or a tenth of the rows
+    with z = 2, in no stratum."""
+    gen = spawn(seed, 70)
+    y = gen.integers(0, 2, n)
+    z = (gen.uniform(size=n) < 0.3).astype(np.int64)
+    if kind == "one_row_side":
+        z[y == 0] = 0
+        z[np.flatnonzero(y == 0)[0]] = 1
+    elif kind == "z_two":
+        z[gen.choice(n, n // 10, replace=False)] = 2
+    target = gen.uniform(size=(n, 1)) if d == 1 else np.maximum(gen.normal(size=(n, d)), 0.0)
+    return target, y, z
+
+
+class TestPenalty:
+    @pytest.mark.parametrize("mode", ["marginal", "conditional"])
+    @pytest.mark.parametrize("d", [1, 16])
+    @pytest.mark.parametrize("kind", ["uneven", "one_row_side", "z_two"])
+    @pytest.mark.parametrize("n", [9, 80, 128, 200])
+    def test_matches_plain_form(self, mode, d, kind, n):
+        target, y, z = penalty_batch(kind, n, d, seed=n + d)
+        h = model.median_bandwidth(target)
+        value, grad, skipped = model._mmd_penalty(target, y, z, mode, h)
+        want_value, want_grad, want_skipped = plain_penalty(target, y, z, mode, h)
+        assert value.hex() == want_value.hex()
+        assert grad.tobytes() == want_grad.tobytes()
+        assert skipped == want_skipped
+        if kind == "one_row_side" and mode == "conditional":
+            assert skipped >= 1
+
+
+def weighted(data: Dataset, seed: int) -> Dataset:
+    return data.take(np.arange(len(data)), spawn(seed, 71).uniform(0.5, 1.5, len(data)))
+
+
+REGULARIZERS = {
+    "none": None,
+    "marginal": MmdPenalty("marginal", 1.0),
+    "conditional": MmdPenalty("conditional", 1.0),
+    "conditional_rep": MmdPenalty("conditional", 1.0, on_representation=True),
+}
+
+
+# a representation penalty needs a hidden layer
+TRAIN_CASES = [(g, r, h) for g in "ABCD" for r in REGULARIZERS for h in (0, 16) if h or r != "conditional_rep"]
+
+
+class TestTrain:
+    @pytest.mark.parametrize("graph,reg,hidden", TRAIN_CASES)
+    def test_params_and_log_match_plain_loop(self, graph, reg, hidden):
+        data = generate(GenSpec(graph, 400, seed=72))
+        if graph in "BD":
+            data = weighted(data, 73)
+        spec = TrainSpec(epochs=3, batch_size=128, hidden_dim=hidden, mmd=REGULARIZERS[reg], seed=74)
+        fit = train(data, spec)
+        params, log, bandwidth = plain_train(data, spec)
+        for got, want in zip(fit.params.weights + fit.params.biases, params.weights + params.biases):
+            assert got.tobytes() == want.tobytes()
+        assert list(fit.log) == log
+        assert fit.bandwidth == bandwidth
+
+
+def trained_params(graph: str, hidden: int) -> ModelParams:
+    data = generate(GenSpec(graph, 600, seed=75))
+    return train(data, TrainSpec(epochs=2, hidden_dim=hidden, seed=76)).params
+
+
+def assert_same_report(got: MetricsReport, want: MetricsReport) -> None:
+    assert got == want
+    assert repr(got) == repr(want)  # float reprs round-trip, and show -0.0
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("graph", ["A", "C"])
+    @pytest.mark.parametrize("hidden", [0, 16])
+    @pytest.mark.parametrize("threshold", [0.5, 0.3])
+    def test_test_sets_match_masked_sums(self, graph, hidden, threshold):
+        params = trained_params(graph, hidden)
+        spec = GenSpec(graph, 2000, seed=77)
+        for data in (ideal_testset(spec, 2000, 78), weighted(generate(spec), 79)):
+            got = evaluate(params, data, threshold=threshold)
+            assert_same_report(got, plain_evaluate(params, data, threshold=threshold))
+
+    def test_excluded_and_zero_weight_strata(self):
+        params = trained_params("B", 16)
+        data = ideal_testset(GenSpec("B", 600, seed=80), 600, 81)
+        y, z = data.y.copy(), data.z.copy()
+        z[(y == 1) & (z == 1)] = 0
+        z[np.flatnonzero(y == 1)[:3]] = 1  # three rows: excluded at min_stratum 5
+        w = data.weights.copy()
+        w[(y == 0) & (z == 1)] = 0.0  # a stratum of zero weight
+        z[np.flatnonzero(y == 0)[-40:]] = 2  # a third group
+        tweaked = Dataset(y, z, data.x, w, data.channel_slices)
+        for min_stratum, pp_bins in ((5, 10), (1, 3), (50, 7)):
+            got = evaluate(params, tweaked, min_stratum=min_stratum, pp_bins=pp_bins)
+            assert_same_report(got, plain_evaluate(params, tweaked, min_stratum=min_stratum, pp_bins=pp_bins))
+            assert got.excluded_strata
+
+    def test_single_class_label(self):
+        params = trained_params("D", 0)
+        data = ideal_testset(GenSpec("D", 500, seed=82), 500, 83)
+        one_class = Dataset(np.ones(len(data), dtype=np.int64), data.z, data.x, data.weights, data.channel_slices)
+        got = evaluate(params, one_class)
+        assert got.pp_gap is None
+        assert_same_report(got, plain_evaluate(params, one_class))

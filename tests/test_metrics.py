@@ -12,7 +12,7 @@ from balancelab.checks import _LOSS_PAIRS
 from balancelab.datagen import Dataset, GenSpec, generate
 from balancelab.errors import ArgumentError
 from balancelab.metrics import MetricsReport, evaluate, risk_invariance_report
-from balancelab.model import ModelParams
+from balancelab.model import ModelParams, predict_scores
 
 
 def passthrough_params() -> ModelParams:
@@ -110,6 +110,24 @@ class TestEvaluate:
         ds = dataset([0, 1] * 10, [0, 1] * 10, np.linspace(0, 1, 20))
         with pytest.raises(ArgumentError, match=">= 1"):
             evaluate(passthrough_params(), ds, **knob)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5, 5.0])
+    def test_threshold_outside_unit_interval_rejected(self, bad):
+        ds = dataset([0, 1] * 10, [0, 1] * 10, np.linspace(0, 1, 20))
+        with pytest.raises(ArgumentError, match="threshold"):
+            evaluate(passthrough_params(), ds, threshold=bad)
+
+    def test_feature_width_mismatch_rejected(self):
+        y = np.array([0, 1] * 10)
+        wide = Dataset(y, y, np.ones((20, 2)), np.ones(20), {"all": (0, 2)})
+        with pytest.raises(ArgumentError, match="shape"):
+            predict_scores(passthrough_params(), np.ones((20, 2)))
+        with pytest.raises(ArgumentError, match="shape"):
+            predict_scores(passthrough_params(), np.ones(20))
+        with pytest.raises(ArgumentError, match="shape"):
+            evaluate(passthrough_params(), wide)
+        with pytest.raises(ArgumentError, match="shape"):
+            risk_invariance_report(passthrough_params(), [wide, wide])
 
     def test_eo_invariant_to_group_relabeling(self):
         gen = np.random.default_rng(0)

@@ -114,6 +114,21 @@ class TestMmd2:
         values = np.array([0.0, 1.0, 2.0])
         assert median_bandwidth(values) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        good = np.array([0.1, 0.4, 0.9])
+        with pytest.raises(ArgumentError, match="finite"):
+            mmd2(good, np.array([0.2, bad, 0.5]), 0.3)
+        with pytest.raises(ArgumentError, match="finite"):
+            mmd2(np.array([[0.2, 0.1], [bad, 0.3]]), np.ones((2, 2)), 0.3)
+        with pytest.raises(ArgumentError, match="finite"):
+            median_bandwidth(np.array([0.2, bad, 0.5]))
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
+    def test_bad_floor_rejected(self, bad):
+        with pytest.raises(ArgumentError, match="floor"):
+            median_bandwidth(np.array([0.0, 1.0, 2.0]), floor=bad)
+
 
 def central_difference_worst_error(spec: TrainSpec, hidden: int, seed: int) -> float:
     ds = toy_dataset(seed)
@@ -311,6 +326,16 @@ class TestKnobs:
     def test_train_spec_rejects_non_finite(self, field, bad):
         with pytest.raises(ArgumentError, match=field):
             TrainSpec(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "hidden_dim"])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "3", None])
+    def test_train_spec_counts_must_be_integers(self, field, bad):
+        with pytest.raises(ArgumentError, match="integers"):
+            TrainSpec(**{field: bad})
+
+    def test_train_spec_accepts_numpy_integers(self):
+        spec = TrainSpec(epochs=np.int64(2), batch_size=np.int32(64), hidden_dim=np.uint8(3))
+        assert len(train(two_cluster_dataset(8, n=100), spec).log) == 2
 
     @pytest.mark.parametrize("field", ["strength", "bandwidth"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,0 +1,148 @@
+"""Alternating parent/change pairs of ``bench/run.py``, summarized per metric.
+
+    python3 tools/bench_pairs.py --parent /path/to/parent --change . \\
+        --workload paper-grid --seeds 701-710 --seconds 30
+
+Each pair runs ``bench/run.py`` once in each checkout, with the same seed and
+settings; which side runs first alternates from pair to pair.  For every
+metric of the result line the summary gives each side's median and
+quartiles, the change in the medians, and how many pairs the change won
+(ties count for neither side), using the ``better`` direction that the
+change's ``BENCHMARK.json`` gives the metric.  A gain holds when at least
+ten pairs ran, the change won at least nine in ten of them and its median
+beats the parent's by more than the parent's interquartile distance.
+
+Uses the standard library only, so it runs with any interpreter that can
+run the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from dataclasses import dataclass
+
+MIN_PAIRS = 10  # a claimed gain needs at least this many pairs
+WIN_SHARE = 0.9  # and the change to win this share of them
+
+
+@dataclass(frozen=True)
+class Spread:
+    q1: float
+    median: float
+    q3: float
+
+
+@dataclass(frozen=True)
+class Row:
+    metric: str
+    better: str | None  # "lower", "higher", or None when BENCHMARK.json does not list the metric
+    parent: Spread
+    change: Spread
+    wins: int | None  # pairs the change won; None without a direction
+    pairs: int
+
+    @property
+    def gain_holds(self) -> bool:
+        """Ten pairs or more, nine wins in ten, and a median gain beyond the parent's quartile spread."""
+        if self.better is None or self.wins is None or self.pairs < MIN_PAIRS:
+            return False
+        step = self.change.median - self.parent.median
+        gain = -step if self.better == "lower" else step
+        return self.wins >= WIN_SHARE * self.pairs and gain > self.parent.q3 - self.parent.q1
+
+
+def spread(values: list[float]) -> Spread:
+    """Median and quartiles (``statistics.quantiles``, inclusive method)."""
+    if len(values) == 1:
+        return Spread(values[0], values[0], values[0])
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return Spread(q1, median, q3)
+
+
+def summarize(pairs: list[tuple[dict[str, float], dict[str, float]]], better: dict[str, str]) -> list[Row]:
+    """One row per metric present on both sides of every pair, in the order
+    of the first parent run; each pair is (parent metrics, change metrics)."""
+    if not pairs:
+        raise ValueError("no pairs to summarize")
+    rows = []
+    for name in pairs[0][0]:
+        if not all(name in p and name in c for p, c in pairs):
+            continue
+        old = [p[name] for p, _ in pairs]
+        new = [c[name] for _, c in pairs]
+        direction = better.get(name)
+        wins = None
+        if direction is not None:
+            wins = sum((n < o) if direction == "lower" else (n > o) for o, n in zip(old, new))
+        rows.append(Row(name, direction, spread(old), spread(new), wins, len(pairs)))
+    return rows
+
+
+def format_rows(rows: list[Row]) -> str:
+    def cell(s: Spread) -> str:
+        return f"{s.median:.6g} [{s.q1:.6g}, {s.q3:.6g}]"
+
+    lines = [f"{'metric':<40} {'parent median [q1, q3]':<36} {'change median [q1, q3]':<36} {'change':>8} {'wins':>7}"]
+    for r in rows:
+        rel = f"{(r.change.median - r.parent.median) / abs(r.parent.median):+.1%}" if r.parent.median else "-"
+        wins = "-" if r.wins is None else f"{r.wins}/{r.pairs}"
+        flag = "  gain holds" if r.gain_holds else ""
+        lines.append(f"{r.metric:<40} {cell(r.parent):<36} {cell(r.change):<36} {rel:>8} {wins:>7}{flag}")
+    return "\n".join(lines)
+
+
+def directions(checkout: str) -> dict[str, str]:
+    """Metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
+    with open(os.path.join(checkout, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict[str, float]:
+    """The metric values of one ``bench/run.py`` run in ``checkout``."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        raise RuntimeError(f"{checkout}: {result['failed']} of {result['attempted']} tasks failed at seed {seed}")
+    return {name: entry["value"] for name, entry in result["metrics"].items()}
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'701-710' or '701,703,705'."""
+    if "-" in text:
+        lo, hi = (int(v) for v in text.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(v) for v in text.split(",")]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds, help="one pair per seed: 701-710 or 701,702")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args(argv)
+
+    pairs = []
+    for i, seed in enumerate(args.seeds):
+        sides = {}
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            checkout = getattr(args, side)
+            sides[side] = run_once(checkout, args.workload, seed, args.seconds, args.trace)
+        pairs.append((sides["parent"], sides["change"]))
+        print(json.dumps({"seed": seed, **sides}), file=sys.stderr, flush=True)
+    print(format_rows(summarize(pairs, directions(args.change))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
