@@ -43,7 +43,7 @@ import numpy as np
 from .bayesnet import Cbn, joint, mutilate
 from .checks import ShiftFamily
 from .errors import ArgumentError, SpecError
-from .rng import spawn
+from .rng import is_int, spawn
 from .tables import JointTable, _checked_weights, _draw_states, _frozen, marginal_probs, marginalize
 from .templates import GRAPH_IDS, GraphTemplate, graph_template, template_a, template_b, template_c
 
@@ -123,6 +123,8 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.graph not in GRAPH_IDS:
             raise SpecError(f"unknown graph {self.graph!r}; expected one of {GRAPH_IDS}")
+        if not (is_int(self.n) and is_int(self.seed)):
+            raise SpecError(f"n and seed must be integers, got n={self.n!r}, seed={self.seed!r}")
         if self.n < 1:
             raise SpecError(f"n must be >= 1, got {self.n}")
         if self.seed < 0:
@@ -309,6 +311,8 @@ def _key_table(net: Cbn) -> JointTable:
 
 
 def _draw(spec: GenSpec, table: JointTable, n: int, gen) -> Dataset:
+    if not (is_int(n) and n >= 1):
+        raise ArgumentError(f"n must be an integer >= 1, got {n!r}")
     cols = dict(zip(table.names, _draw_states(table, n, gen)))
     keys = {name: cols[node] for name, node in _CHANNEL_KEYS.items() if node in cols}
     return _dataset(spec, gen, cols["Y"], cols["Z"], keys, cols.get("V"))

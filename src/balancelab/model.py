@@ -14,6 +14,7 @@ to a gradient-norm tolerance, not by training.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     NumericsError,
     SampleSizeError,
 )
-from .rng import spawn
+from .rng import is_int, spawn
 
 _STREAM_INIT = 0
 _STREAM_SHUFFLE = 1
@@ -133,10 +134,12 @@ class TrainSpec:
         if not (np.isfinite(self.l2) and self.l2 >= 0):
             raise ArgumentError(f"l2 must be finite and >= 0, got {self.l2}")
         counts = {"epochs": self.epochs, "batch_size": self.batch_size, "hidden_dim": self.hidden_dim}
-        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in counts.values()):
+        if not all(is_int(v) for v in counts.values()):
             raise ArgumentError(f"epochs, batch_size and hidden_dim must be integers, got {counts}")
         if self.epochs < 1 or self.batch_size < 1 or self.hidden_dim < 0:
             raise ArgumentError("epochs/batch_size >= 1, hidden_dim >= 0 required")
+        if self.activation not in ("relu", "identity"):
+            raise ArgumentError(f"activation must be 'relu' or 'identity', got {self.activation!r}")
         if self.mmd is not None and self.mmd.on_representation and self.hidden_dim == 0:
             raise ArgumentError("a representation penalty needs hidden_dim > 0")
 
@@ -154,7 +157,7 @@ def mmd2(sample_a: np.ndarray, sample_b: np.ndarray, bandwidth: float) -> float:
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise SampleSizeError("both samples need at least 2 rows for the unbiased estimate")
     side = np.repeat([0, 1], [a.shape[0], b.shape[0]])
-    value, _, _ = _mmd_penalty(np.vstack([a, b]), side, side, "marginal", bandwidth)
+    value, _, _ = _mmd_penalty(np.vstack([a, b]), _strata(side, side, "marginal", len(side))[0], bandwidth)
     return value
 
 
@@ -172,27 +175,39 @@ def _own_side(a: np.ndarray, m: int) -> np.ndarray:
     return a[:, 0]
 
 
-def _mmd_penalty(target: np.ndarray, y: np.ndarray, z: np.ndarray, mode: str, bandwidth: float):
+def _strata(y: np.ndarray, z: np.ndarray, mode: str, size: int) -> list[tuple[np.ndarray, list[int]]]:
+    """The MMD strata of each ``size``-row batch of (y, z): its rows (indices
+    within the batch) stably sorted by group, and its group bounds, 0 first.
+    Groups are z (marginal) or 2y + z (conditional); groups 2s and 2s + 1 are
+    the sides of stratum s, and rows with z other than 0 or 1 are in the last
+    group, in no stratum.  One stable sort of batch * (groups + 1) + group and
+    one ``bincount`` serve every batch."""
+    groups = 2 if mode == "marginal" else 4
+    code = np.where((z == 0) | (z == 1), z if mode == "marginal" else 2 * y + z, groups)
+    key = np.arange(len(z)) // size * (groups + 1) + code
+    counts = np.bincount(key, minlength=-(-len(z) // size) * (groups + 1)).reshape(-1, groups + 1)
+    bounds = np.zeros((len(counts), groups + 2), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=bounds[:, 1:])
+    order = np.argsort(key, kind="stable") % size
+    return [(order[start : start + size], b) for start, b in zip(range(0, len(z), size), bounds.tolist())]
+
+
+def _mmd_penalty(target: np.ndarray, strata: tuple[np.ndarray, list[int]], bandwidth: float):
     """Summed unbiased squared MMD of a batch's strata, its gradient with
     respect to the (B, d) target, and the number of strata skipped.
 
-    Groups are z (marginal) or 2y + z (conditional); groups 2s and 2s + 1 are
-    the sides of stratum s, and rows with z other than 0 or 1 are in none.
-    After a stable sort by group, each stratum with 2 or more rows on both
-    sides builds only its own RBF block K (side 0 first) and reduces it
-    against W, whose row j holds j's U-statistic coefficients toward side 0
-    and side 1 (1/(m(m-1)) within side 0, 1/(n(n-1)) within side 1, -1/(mn)
-    across): row i's weighted sum is entry side(i) of K @ W, and the
-    diagonal, where K is 1, adds 1/(m-1) + 1/(n-1) to their total.
+    ``strata`` is the batch's entry of ``_strata``.  Each stratum with 2 or
+    more rows on both sides builds only its own RBF block K (side 0 first)
+    and reduces it against W, whose row j holds j's U-statistic coefficients
+    toward side 0 and side 1 (1/(m(m-1)) within side 0, 1/(n(n-1)) within
+    side 1, -1/(mn) across): row i's weighted sum is entry side(i) of K @ W,
+    and the diagonal, where K is 1, adds 1/(m-1) + 1/(n-1) to their total.
     K fills one buffer: ``_outer_sum`` gives a scalar target's differences or
     a representation's squared-norm sums, then K is finished in place."""
     if not (np.isfinite(bandwidth) and bandwidth > 0):
         raise ArgumentError(f"bandwidth must be finite and positive, got {bandwidth}")
-    groups = 2 if mode == "marginal" else 4
-    code = z if mode == "marginal" else 2 * y + z
-    code = np.where((z == 0) | (z == 1), code, groups)
-    order = np.argsort(code, kind="stable")
-    bounds = [0] + np.cumsum(np.bincount(code, minlength=groups + 1)).tolist()
+    order, bounds = strata
+    groups = len(bounds) - 2
     h2 = bandwidth * bandwidth
     value, grad, skipped = 0.0, np.zeros_like(target), 0
     for lo, mid, hi in zip(bounds[0:groups:2], bounds[1:groups:2], bounds[2 : groups + 1 : 2]):
@@ -252,23 +267,11 @@ class LossReport:
     skipped_strata: int
 
 
-def loss(
-    params: ModelParams,
-    data: Dataset,
-    spec: TrainSpec,
-    bandwidth: float | None = None,
-) -> LossReport:
-    """Weighted cross-entropy + L2 + MMD penalty, with exact gradients.
-
-    Penalty strata lacking two rows on either side contribute nothing and are
-    counted in ``skipped_strata``.  Raises NumericsError if any component is
-    non-finite.
-    """
-    x = data.x
-    y = data.y.astype(float)
-    w = data.weights
-    if len(data) == 0:
-        raise ArgumentError("batch is empty")
+def _step(params: ModelParams, x: np.ndarray, y: np.ndarray, w: np.ndarray, spec: TrainSpec, bandwidth, strata):
+    """One batch's loss parts (total, ce, l2, mmd), its gradient arrays
+    (weights, then biases) and its skipped strata, from float labels ``y``;
+    with a penalty, ``bandwidth`` is resolved and ``strata`` comes from
+    ``_strata``.  Raises NumericsError if the total is not finite."""
     wsum = float(w.sum())
     if wsum <= 0:
         raise ArgumentError("batch weight is zero")
@@ -280,19 +283,10 @@ def loss(
 
     l2_value = spec.l2 * sum(float((wm**2).sum()) for wm in params.weights)
 
-    mmd_value = 0.0
-    skipped = 0
-    drep: np.ndarray | None = None
+    mmd_value, skipped, drep = 0.0, 0, None
     if spec.mmd is not None:
-        if bandwidth is None:
-            bandwidth = spec.mmd.bandwidth
-        if bandwidth is None:
-            raise ArgumentError("no bandwidth available; train() resolves the heuristic")
         on_rep = spec.mmd.on_representation
-        if on_rep and hidden is None:
-            raise ArgumentError("a representation penalty needs a model with a hidden layer")
-        target = hidden if on_rep else scores[:, None]
-        mmd_value, grad, skipped = _mmd_penalty(target, data.y, data.z, spec.mmd.mode, bandwidth)
+        mmd_value, grad, skipped = _mmd_penalty(hidden if on_rep else scores[:, None], strata, bandwidth)
         grad *= spec.mmd.strength
         if on_rep:
             drep = grad
@@ -300,7 +294,7 @@ def loss(
             dlogit += grad[:, 0] * scores * (1 - scores)
 
     total = ce + l2_value + (spec.mmd.strength * mmd_value if spec.mmd else 0.0)
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise NumericsError(f"non-finite loss: ce={ce}, l2={l2_value}, mmd={mmd_value}")
 
     dout = dlogit[:, None]
@@ -312,12 +306,34 @@ def loss(
             dhidden += drep
         if params.activation == "relu":
             dhidden *= pre > 0
-        grad_w = (x.T @ dhidden + 2.0 * spec.l2 * params.weights[0], gw2)
-        grad_b = (dhidden.sum(axis=0), gb2)
+        grads = (x.T @ dhidden + 2.0 * spec.l2 * params.weights[0], gw2, dhidden.sum(axis=0), gb2)
     else:
-        grad_w = (x.T @ dout + 2.0 * spec.l2 * params.weights[0],)
-        grad_b = (dout.sum(axis=0),)
-    return LossReport(float(total), ce, float(l2_value), float(mmd_value), grad_w, grad_b, skipped)
+        grads = (x.T @ dout + 2.0 * spec.l2 * params.weights[0], dout.sum(axis=0))
+    return (float(total), ce, float(l2_value), float(mmd_value)), grads, skipped
+
+
+def loss(params: ModelParams, data: Dataset, spec: TrainSpec, bandwidth: float | None = None) -> LossReport:
+    """Weighted cross-entropy + L2 + MMD penalty, with exact gradients.
+
+    Penalty strata lacking two rows on either side contribute nothing and are
+    counted in ``skipped_strata``.  Raises NumericsError if any component is
+    non-finite.
+    """
+    if len(data) == 0:
+        raise ArgumentError("batch is empty")
+    strata = None
+    if spec.mmd is not None:
+        if bandwidth is None:
+            bandwidth = spec.mmd.bandwidth
+        if bandwidth is None:
+            raise ArgumentError("no bandwidth available; train() resolves the heuristic")
+        if spec.mmd.on_representation and not params.has_hidden:
+            raise ArgumentError("a representation penalty needs a model with a hidden layer")
+        strata = _strata(data.y, data.z, spec.mmd.mode, len(data))[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite-total check reports overflow
+        parts, grads, skipped = _step(params, data.x, data.y.astype(float), data.weights, spec, bandwidth, strata)
+    layers = len(params.weights)
+    return LossReport(*parts, grads[:layers], grads[layers:], skipped)
 
 
 @dataclass(frozen=True)
@@ -340,8 +356,10 @@ def _init_params(dim: int, spec: TrainSpec) -> ModelParams:
 def train(data: Dataset, spec: TrainSpec) -> TrainResult:
     """Mini-batch SGD with Nesterov momentum; deterministic given the seed.
 
-    The per-epoch log records the averaged loss components and how many MMD
-    strata were skipped for being too small.
+    Each epoch gathers its shuffled rows and sorts its batches' MMD strata
+    once; each batch's ``_step`` reads slices of them.  The per-epoch log
+    records the averaged loss components and how many MMD strata were
+    skipped for being too small.  A diverging run raises NumericsError.
     """
     if len(data) == 0:
         raise ArgumentError("training data is empty")
@@ -365,27 +383,29 @@ def train(data: Dataset, spec: TrainSpec) -> TrainResult:
     layers = len(params.weights)
     params = ModelParams(views[:layers], views[layers:], params.activation)
     velocity = np.zeros_like(flat)
-    mu, lr = spec.momentum, spec.learning_rate
+    mu, lr, size, starts = spec.momentum, spec.learning_rate, spec.batch_size, range(0, len(data), spec.batch_size)
     log: list[dict] = []
-    for epoch in range(spec.epochs):
-        perm = spawn(spec.seed, _STREAM_SHUFFLE, epoch).permutation(len(data))
-        shuffled = data.take(perm)
-        totals = {"loss": 0.0, "ce": 0.0, "l2": 0.0, "mmd": 0.0}
-        skipped = 0
-        batches = 0
-        for start in range(0, len(data), spec.batch_size):
-            report = loss(params, shuffled.take(slice(start, start + spec.batch_size)), spec, bandwidth)
-            grad = np.concatenate([g.ravel() for g in report.grad_weights + report.grad_biases])
-            velocity = mu * velocity + grad
-            flat -= lr * (grad + mu * velocity)
-            for key, value in zip(totals, (report.value, report.ce, report.l2, report.mmd)):
-                totals[key] += value
-            skipped += report.skipped_strata
-            batches += 1
-        entry = {k: v / batches for k, v in totals.items()} | {"epoch": epoch, "skipped_strata": skipped}
-        log.append(entry)
-        if not np.isfinite(entry["loss"]):
-            raise NumericsError(f"training diverged at epoch {epoch}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging step raises NumericsError instead
+        for epoch in range(spec.epochs):
+            perm = spawn(spec.seed, _STREAM_SHUFFLE, epoch).permutation(len(data))
+            x, y, w = np.take(data.x, perm, axis=0), data.y[perm], data.weights[perm]
+            labels = y.astype(float)
+            strata = [None] * len(starts) if spec.mmd is None else _strata(y, data.z[perm], spec.mmd.mode, size)
+            totals = {"loss": 0.0, "ce": 0.0, "l2": 0.0, "mmd": 0.0}
+            skipped = 0
+            for start, batch_strata in zip(starts, strata):
+                rows = slice(start, start + size)
+                parts, grads, lost = _step(params, x[rows], labels[rows], w[rows], spec, bandwidth, batch_strata)
+                grad = np.concatenate([g.ravel() for g in grads])
+                velocity = mu * velocity + grad
+                flat -= lr * (grad + mu * velocity)
+                for key, value in zip(totals, parts):
+                    totals[key] += value
+                skipped += lost
+            entry = {k: v / len(starts) for k, v in totals.items()} | {"epoch": epoch, "skipped_strata": skipped}
+            log.append(entry)
+            if not (np.isfinite(entry["loss"]) and np.isfinite(flat).all()):
+                raise NumericsError(f"training diverged at epoch {epoch}")
     return TrainResult(params, tuple(log), bandwidth)
 
 

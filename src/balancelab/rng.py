@@ -17,6 +17,11 @@ import numpy as np
 from .errors import ArgumentError
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def spawn(seed: int, *path: int) -> np.random.Generator:
     """Return the Philox generator for ``seed`` at sub-stream ``path``.
 

@@ -24,7 +24,7 @@ from .errors import (
     DegenerateEvidence,
     UnknownVariableError,
 )
-from .rng import spawn
+from .rng import is_int, spawn
 
 PROB_TOL = 1e-12
 MAX_CELLS = 10_000_000
@@ -353,8 +353,8 @@ def _draw_states(table: JointTable, n: int, gen: np.random.Generator) -> tuple[n
 
 def sample(table: JointTable, n: int, seed: int) -> SampleBatch:
     """Draw ``n`` i.i.d. rows from the table; deterministic given ``seed``."""
-    if n < 1:
-        raise ArgumentError(f"n must be >= 1, got {n}")
+    if not (is_int(n) and n >= 1):
+        raise ArgumentError(f"n must be an integer >= 1, got {n!r}")
     rows = np.column_stack(_draw_states(table, n, spawn(seed)))
     return SampleBatch(table.variables, rows, np.ones(n))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 
@@ -64,3 +65,43 @@ def test_single_pair_and_seed_ranges():
     assert bench_pairs.parse_seeds("5,9") == [5, 9]
     with pytest.raises(ValueError):
         bench_pairs.summarize([], {})
+
+
+def run_output(tasks_per_s: float, quality: dict[str, float]) -> str:
+    """The last two lines that ``bench/run.py`` prints, trimmed to what the summary reads."""
+    record = {"workload": "paper-grid", "quality": {k: {"value": v, "unit": "ratio"} for k, v in quality.items()}}
+    result = {"correct": True, "attempted": 40, "failed": 0, "metrics": {"tasks_per_s": {"value": tasks_per_s, "unit": "1/s"}}}
+    return "\n".join([json.dumps({"record": record}), json.dumps(result)]) + "\n"
+
+
+def test_parse_run_reads_metrics_and_quality_means():
+    metrics, quality, result = bench_pairs.parse_run(run_output(26.5, {"ideal_acc": 0.7505, "eo_gap": 0.058}))
+    assert metrics == {"tasks_per_s": 26.5}
+    assert quality == {"ideal_acc": 0.7505, "eo_gap": 0.058}
+    assert result["correct"]
+    untraced = json.dumps({"record": {"workload": "exact-checks"}}) + "\n" + json.dumps(result)
+    assert bench_pairs.parse_run(untraced)[1] == {}
+
+
+def test_equal_quality_means_at_every_seed():
+    q = {"ideal_acc": 0.7505, "shift_risk_gap": 0.07178125, "pp_gap": float("nan")}
+    lines = bench_pairs.same_quality([901, 902], [(q, dict(q)), (q, dict(q))])
+    assert lines == ["seed 901: quality means equal", "seed 902: quality means equal", "quality means equal at every seed"]
+
+
+def test_first_differing_seed_and_metric_named():
+    q = {"eo_gap": 0.05798134493991306, "ideal_acc": 0.7505}
+    moved = q | {"eo_gap": 0.05798134493991307}
+    lines = bench_pairs.same_quality([7, 8, 9], [(q, q), (q, moved), (moved, q | {"ideal_acc": 0.75})])
+    assert lines[:3] == [
+        "seed 7: quality means equal",
+        "seed 8: quality means differ in eo_gap",
+        "seed 9: quality means differ in eo_gap, ideal_acc",
+    ]
+    assert lines[3] == "quality means first differ at seed 8, eo_gap: parent 0.05798134493991306, change 0.05798134493991307"
+    missing = bench_pairs.same_quality([3], [(q, {"ideal_acc": 0.7505})])
+    assert missing[-1] == "quality means first differ at seed 3, eo_gap: parent 0.05798134493991306, change None"
+
+
+def test_runs_without_quality_compare_nothing():
+    assert bench_pairs.same_quality([1, 2], [({}, {}), ({}, {})]) == ["no quality means to compare"]

@@ -230,7 +230,7 @@ class TestPenalty:
     def test_matches_plain_form(self, mode, d, kind, n):
         target, y, z = penalty_batch(kind, n, d, seed=n + d)
         h = model.median_bandwidth(target)
-        value, grad, skipped = model._mmd_penalty(target, y, z, mode, h)
+        value, grad, skipped = model._mmd_penalty(target, model._strata(y, z, mode, n)[0], h)
         want_value, want_grad, want_skipped = plain_penalty(target, y, z, mode, h)
         assert value.hex() == want_value.hex()
         assert grad.tobytes() == want_grad.tobytes()

@@ -106,6 +106,25 @@ class TestGenSpec:
         with pytest.raises(ArgumentError, match="seed"):
             shift_testsets(spec, correlation_grid(3), 10, seed=-1)
 
+    @pytest.mark.parametrize("field", ["n", "seed"])
+    @pytest.mark.parametrize("bad", [10.5, 2.0, True, "3", None])
+    def test_n_and_seed_must_be_integers(self, field, bad):
+        with pytest.raises(SpecError, match="integers"):
+            GenSpec(**{"graph": "A", "n": 50, "seed": 1} | {field: bad})
+
+    def test_numpy_integer_n_and_seed_accepted(self):
+        spec = GenSpec("A", np.int32(50), np.uint8(1))
+        assert np.array_equal(generate(spec).x, generate(GenSpec("A", 50, 1)).x)
+
+    @pytest.mark.parametrize("bad", [0, -3, 10.5, 2.0, True])
+    def test_test_set_size_must_be_a_positive_integer(self, bad):
+        spec = GenSpec(graph="A", n=10)
+        with pytest.raises(ArgumentError, match="n must be an integer >= 1"):
+            ideal_testset(spec, bad, seed=1)
+        with pytest.raises(ArgumentError, match="n must be an integer >= 1"):
+            shift_testsets(spec, correlation_grid(3), bad, seed=1)
+        assert len(ideal_testset(spec, np.int64(3), seed=1)) == 3
+
     @pytest.mark.parametrize("field", ["x_effect", "confounder_effect", "z_flip"])
     def test_nan_law_parameter_rejected(self, field):
         with pytest.raises(ArgumentError):

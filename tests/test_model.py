@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -333,6 +333,11 @@ class TestKnobs:
         with pytest.raises(ArgumentError, match="integers"):
             TrainSpec(**{field: bad})
 
+    @pytest.mark.parametrize("bad", ["tanh", "ReLU", None])
+    def test_train_spec_rejects_unknown_activation(self, bad):
+        with pytest.raises(ArgumentError, match="activation"):
+            TrainSpec(activation=bad)
+
     def test_train_spec_accepts_numpy_integers(self):
         spec = TrainSpec(epochs=np.int64(2), batch_size=np.int32(64), hidden_dim=np.uint8(3))
         assert len(train(two_cluster_dataset(8, n=100), spec).log) == 2
@@ -363,6 +368,24 @@ class TestTraining:
             TrainSpec(hidden_dim=0, mmd=penalty)
         with pytest.raises(ArgumentError, match="hidden"):  # linear params
             loss(random_params(0), toy_dataset(0), TrainSpec(hidden_dim=3, mmd=penalty))
+
+    @pytest.mark.parametrize("hidden", [0, 4])
+    def test_divergence_raises_numerics_error_without_warnings(self, hidden):
+        data = generate(GenSpec("A", 300, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError):
+                train(data, TrainSpec(learning_rate=1e200, l2=0.0, hidden_dim=hidden))
+            params = random_params(0, d=3, hidden=hidden)
+            params.weights[0] *= 1e300  # the L2 sum overflows
+            with pytest.raises(NumericsError):
+                loss(params, two_cluster_dataset(1, n=20), TrainSpec())
+
+    def test_overflowing_last_update_is_not_returned(self):
+        # one step per epoch: its loss is finite, and the update it makes overflows
+        data = two_cluster_dataset(3, n=50)
+        with pytest.raises(NumericsError, match="epoch 0"):
+            train(data, TrainSpec(epochs=1, batch_size=64, learning_rate=1.7e308, momentum=0.0, l2=0.0))
 
     def test_tiny_learning_rate_keeps_params_near_init(self):
         ds = two_cluster_dataset(4)
@@ -419,32 +442,59 @@ def validating_take(self: Dataset, idx: np.ndarray, weights: np.ndarray | None =
 
 
 class TestTrainContract:
-    def test_loss_called_through_module_global(self, monkeypatch):
+    @pytest.mark.parametrize("mmd", [None, MmdPenalty("conditional", 1.0)], ids=["none", "conditional"])
+    def test_step_called_through_module_global(self, monkeypatch, mmd):
         ds = two_cluster_dataset(11, n=300)
-        spec = TrainSpec(epochs=3, batch_size=64)
+        spec = TrainSpec(epochs=3, batch_size=64, mmd=mmd)
         seen = []
-        real = model.loss
+        real = model._step
 
         def counting(*args, **kwargs):
-            seen.append(args[2])
+            seen.append((len(args[1]), args[4]))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(model, "loss", counting)
+        def no_take(*args, **kwargs):
+            raise AssertionError("train gathers rows once per epoch, without Dataset.take")
+
+        monkeypatch.setattr(model, "_step", counting)
+        monkeypatch.setattr(Dataset, "take", no_take)
         train(ds, spec)
         assert len(seen) == spec.epochs * math.ceil(len(ds) / spec.batch_size)
-        assert all(s is spec for s in seen)
+        assert [rows for rows, _ in seen] == [64, 64, 64, 64, 44] * spec.epochs
+        assert all(s is spec for _, s in seen)
 
-    def test_trusted_take_is_bit_identical(self, monkeypatch):
+    @given(
+        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2)), min_size=1, max_size=60),
+        st.integers(1, 80),
+        st.sampled_from(["marginal", "conditional"]),
+    )
+    @example(rows=[(0, 0), (1, 2), (1, 1), (0, 1), (1, 0)], size=1, mode="conditional")
+    @example(rows=[(0, 0), (1, 2), (1, 1), (0, 1), (1, 0), (0, 2), (1, 1)], size=3, mode="conditional")
+    @example(rows=[(0, 1), (1, 2), (1, 0), (0, 0)], size=9, mode="marginal")
+    def test_epoch_strata_match_per_batch_sort(self, rows, size, mode):
+        """One sort per epoch gives every batch the row order and group
+        bounds of its own stable sort by group code."""
+        y, z = (np.array(col) for col in zip(*rows))
+        strata = model._strata(y, z, mode, size)
+        groups = 2 if mode == "marginal" else 4
+        assert len(strata) == math.ceil(len(rows) / size)
+        for (order, bounds), start in zip(strata, range(0, len(rows), size)):
+            yb, zb = y[start : start + size], z[start : start + size]
+            code = np.where((zb == 0) | (zb == 1), zb if mode == "marginal" else 2 * yb + zb, groups)
+            assert np.array_equal(order, np.argsort(code, kind="stable"))
+            assert bounds == [0] + np.cumsum(np.bincount(code, minlength=groups + 1)).tolist()
+
+    def test_trusted_take_is_bit_identical(self):
+        """Rows gathered by the trusted ``Dataset.take`` train and probe
+        exactly like the same rows built through the validating constructor."""
         ds = generate(GenSpec(graph="C", n=700, seed=12))
+        rows = spawn(5, 59).permutation(len(ds))[:500]
         spec = TrainSpec(epochs=3, hidden_dim=4, seed=3)
-
-        def run():
-            result = train(ds, spec)
-            return result, probe_encoding(result.params, ds, "v", seed=4)
-
-        fast, fast_acc = run()
-        monkeypatch.setattr(Dataset, "take", validating_take)
-        slow, slow_acc = run()
+        runs = []
+        for subset in (ds.take(rows), validating_take(ds, rows)):
+            result = train(subset, spec)
+            runs.append((result, probe_encoding(result.params, subset, "v", seed=4)))
+        (fast, fast_acc), (slow, slow_acc) = runs
         for a, b in zip(fast.params.weights + fast.params.biases, slow.params.weights + slow.params.biases):
             assert np.array_equal(a, b)
         assert fast.log == slow.log

@@ -291,6 +291,11 @@ class TestSample:
                 draw()
         assert issubclass(ArgumentError, ValueError)
 
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, 3.0, True])
+    def test_size_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ArgumentError, match="n must be an integer >= 1"):
+            sample(skewed_yz(), bad, seed=1)
+
     def test_point_mass_rows_constant(self):
         t = JointTable((Y, Z), np.array([[0.0, 0.0], [1.0, 0.0]]))
         batch = sample(t, 50, seed=1)

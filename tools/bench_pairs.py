@@ -12,6 +12,12 @@ change's ``BENCHMARK.json`` gives the metric.  A gain holds when at least
 ten pairs ran, the change won at least nine in ten of them and its median
 beats the parent's by more than the parent's interquartile distance.
 
+Each run's ``{"record": ...}`` line also carries the means of the
+workload's quality outputs over its first pass.  For every seed the summary
+says whether the two sides' means are equal, and it names the first seed
+and metric where they differ, so a change meant to keep every output
+bit-identical shows that end to end at no extra run cost.
+
 Uses the standard library only, so it runs with any interpreter that can
 run the benchmark.
 """
@@ -103,15 +109,41 @@ def directions(checkout: str) -> dict[str, str]:
     return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict[str, float]:
-    """The metric values of one ``bench/run.py`` run in ``checkout``."""
+def same_quality(seeds: list[int], qualities: list[tuple[dict[str, float], dict[str, float]]]) -> list[str]:
+    """One line per seed saying whether the parent's and the change's quality
+    means (a pair of name -> value dicts) are equal, then a verdict line
+    naming the first seed and metric that differ.  Values are compared
+    exactly; NaN equals NaN."""
+    if not any(old or new for old, new in qualities):
+        return ["no quality means to compare"]
+    lines, first = [], None
+    for seed, (old, new) in zip(seeds, qualities):
+        differ = [k for k in sorted(old.keys() | new.keys()) if repr(old.get(k)) != repr(new.get(k))]
+        lines.append(f"seed {seed}: quality means " + (f"differ in {', '.join(differ)}" if differ else "equal"))
+        if differ and first is None:
+            first = f"seed {seed}, {differ[0]}: parent {old.get(differ[0])!r}, change {new.get(differ[0])!r}"
+    lines.append(f"quality means first differ at {first}" if first else "quality means equal at every seed")
+    return lines
+
+
+def parse_run(stdout: str) -> tuple[dict[str, float], dict[str, float], dict]:
+    """The metric values, the quality means and the result line of one
+    ``bench/run.py`` output; a run without quality outputs has none."""
+    lines = stdout.strip().splitlines()
+    result, record = json.loads(lines[-1]), json.loads(lines[-2])["record"]
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    return metrics, {name: entry["value"] for name, entry in record.get("quality", {}).items()}, result
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int):
+    """The metric values and quality means of one ``bench/run.py`` run in ``checkout``."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    metrics, quality, result = parse_run(done.stdout)
     if not result["correct"]:
         raise RuntimeError(f"{checkout}: {result['failed']} of {result['attempted']} tasks failed at seed {seed}")
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    return metrics, quality
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -132,15 +164,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
-    pairs = []
+    pairs, qualities = [], []
     for i, seed in enumerate(args.seeds):
         sides = {}
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             checkout = getattr(args, side)
             sides[side] = run_once(checkout, args.workload, seed, args.seconds, args.trace)
-        pairs.append((sides["parent"], sides["change"]))
+        pairs.append((sides["parent"][0], sides["change"][0]))
+        qualities.append((sides["parent"][1], sides["change"][1]))
         print(json.dumps({"seed": seed, **sides}), file=sys.stderr, flush=True)
     print(format_rows(summarize(pairs, directions(args.change))))
+    print("\n".join(same_quality(args.seeds, qualities)))
     return 0
 
 
