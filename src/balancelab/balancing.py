@@ -19,7 +19,7 @@ import numpy as np
 
 from .bayesnet import broadcast_axes
 from .errors import ArgumentError, UnbalanceableSupport
-from .rng import spawn
+from .rng import is_int, spawn
 from .tables import PROB_TOL, JointTable, SampleBatch, _derived, marginal_probs
 
 
@@ -65,6 +65,8 @@ class BalanceSpec:
             raise ArgumentError(f"mechanism {mechanism.value} resamples and needs a seed")
         if mechanism not in _RESAMPLING and self.seed is not None:
             raise ArgumentError(f"mechanism {mechanism.value} is deterministic; seed must be None")
+        if self.seed is not None and not (is_int(self.seed) and self.seed >= 0):
+            raise ArgumentError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def reweight_marginal(table: JointTable, names: Sequence[str], target: np.ndarray) -> JointTable:
@@ -188,7 +190,7 @@ def balance_batch(batch: SampleBatch, spec: BalanceSpec) -> SampleBatch:
             ratio = total / (ncells * wsum)
         return batch.with_rows(batch.rows, batch.weights * ratio.take(codes))
 
-    gen = spawn(int(spec.seed), 17)
+    gen = spawn(spec.seed, 17)
     picked: list[np.ndarray] = []
     if spec.mechanism is Mechanism.SUBSAMPLE_MAJORITY:
         m = int(counts.min())

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ArgumentError, CycleError, EdgeError, UnknownVariableError
-from .rng import spawn
+from .rng import is_int, spawn
 from .tables import JointTable, SampleBatch, Variable, _derived, _state_gaps, marginal_probs
 
 CPT_ROW_TOL = 1e-12
@@ -307,8 +307,8 @@ def sample_cbn(net: Cbn, n: int, seed: int) -> SampleBatch:
     draws the state as the number of CDF entries below ``u``, one uniform
     scaled by that CDF's total.  Columns stay 1-D until the final stack.
     """
-    if n < 1:
-        raise ArgumentError(f"n must be >= 1, got {n}")
+    if not (is_int(n) and n >= 1):
+        raise ArgumentError(f"n must be an integer >= 1, got {n!r}")
     gen = spawn(seed)
     cols: dict[str, np.ndarray] = {}
     for name in net.dag.topo_order:

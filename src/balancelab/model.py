@@ -133,11 +133,11 @@ class TrainSpec:
             raise ArgumentError("momentum must lie in [0, 1)")
         if not (np.isfinite(self.l2) and self.l2 >= 0):
             raise ArgumentError(f"l2 must be finite and >= 0, got {self.l2}")
-        counts = {"epochs": self.epochs, "batch_size": self.batch_size, "hidden_dim": self.hidden_dim}
+        counts = dict(epochs=self.epochs, batch_size=self.batch_size, hidden_dim=self.hidden_dim, seed=self.seed)
         if not all(is_int(v) for v in counts.values()):
-            raise ArgumentError(f"epochs, batch_size and hidden_dim must be integers, got {counts}")
-        if self.epochs < 1 or self.batch_size < 1 or self.hidden_dim < 0:
-            raise ArgumentError("epochs/batch_size >= 1, hidden_dim >= 0 required")
+            raise ArgumentError(f"epochs, batch_size, hidden_dim and seed must be integers, got {counts}")
+        if self.epochs < 1 or self.batch_size < 1 or self.hidden_dim < 0 or self.seed < 0:
+            raise ArgumentError("epochs/batch_size >= 1, hidden_dim/seed >= 0 required")
         if self.activation not in ("relu", "identity"):
             raise ArgumentError(f"activation must be 'relu' or 'identity', got {self.activation!r}")
         if self.mmd is not None and self.mmd.on_representation and self.hidden_dim == 0:

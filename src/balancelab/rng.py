@@ -26,9 +26,12 @@ def spawn(seed: int, *path: int) -> np.random.Generator:
     """Return the Philox generator for ``seed`` at sub-stream ``path``.
 
     The same (seed, path) always yields a bit-identical stream; distinct
-    paths yield statistically independent streams.
+    paths yield statistically independent streams.  A seed or path entry
+    that is not a non-negative integer raises ``ArgumentError``.
     """
-    if seed < 0:
-        raise ArgumentError(f"seed must be non-negative, got {seed}")
+    if not (is_int(seed) and seed >= 0):
+        raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+    if not all(is_int(p) and p >= 0 for p in path):
+        raise ArgumentError(f"stream path must hold non-negative integers, got {path!r}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))

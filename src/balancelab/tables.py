@@ -4,7 +4,8 @@ A ``JointTable`` is a dense probability tensor over named discrete variables.
 All proposition checking in this package reduces to exact arithmetic on these
 tables: marginalization, conditioning, independence gaps (one kernel, shared
 with ``bayesnet``), and sampling.  Tables derived from valid ones skip
-re-validation.
+re-validation.  SciPy is imported on the first chi-squared p-value, not
+with the module.
 
 Values are immutable after construction and safe for concurrent reads.
 """
@@ -16,7 +17,6 @@ from math import isfinite, prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     ArgumentError,
@@ -383,5 +383,5 @@ def chi2_independence(batch: SampleBatch, a: str, b: str) -> tuple[float, float]
     expected = np.outer(rows, cols) / table.sum()
     statistic = float(((table - expected) ** 2 / expected).sum())
     dof = (ca - 1) * (cb - 1)
-    p_value = float(stats.chi2.sf(statistic, dof))
-    return statistic, p_value
+    from scipy.special import chdtrc  # here, not at the top: importing SciPy is most of the package's start-up
+    return statistic, float(chdtrc(dof, statistic))

@@ -320,6 +320,18 @@ class TestBalanceBatch:
         with pytest.raises(ArgumentError, match="deterministic"):
             BalanceSpec(JointTarget("Y", "Z"), Mechanism.IMPORTANCE_WEIGHTS, seed=3)
 
+    @pytest.mark.parametrize("mechanism", [Mechanism.SUBSAMPLE_MAJORITY, Mechanism.UPSAMPLE_MINORITY])
+    @pytest.mark.parametrize("bad", [1.5, 1.7, 2.0, True, -1, "1"])
+    def test_seed_must_be_a_non_negative_integer(self, mechanism, bad):
+        with pytest.raises(ArgumentError, match="non-negative integer"):
+            BalanceSpec(JointTarget("Y", "Z"), mechanism, seed=bad)
+
+    def test_numpy_integer_seed_picks_the_rows_of_the_plain_int(self):
+        batch = sample_cbn(graph_template("A").net, 2000, seed=3)
+        for mechanism in (Mechanism.SUBSAMPLE_MAJORITY, Mechanism.UPSAMPLE_MINORITY):
+            a, b = (balance_batch(batch, BalanceSpec(JointTarget("Y", "Z"), mechanism, seed=s)) for s in (np.int64(5), 5))
+            assert np.array_equal(a.rows, b.rows)
+
 
 class TestBiasShift:
     def test_worked_example(self):

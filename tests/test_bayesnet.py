@@ -440,6 +440,11 @@ class TestSamplingParity:
         assert batch.rows.dtype == expected.dtype
         assert np.array_equal(batch.rows, expected)
 
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, 3.0, True])
+    def test_row_count_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ArgumentError, match="n must be an integer >= 1"):
+            sample_cbn(collider_net(), bad, seed=1)
+
     def test_templates_match_per_row_cdf_loop(self):
         for g in ("A", "B", "C", "D"):
             net = graph_template(g).net

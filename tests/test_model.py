@@ -327,11 +327,22 @@ class TestKnobs:
         with pytest.raises(ArgumentError, match=field):
             TrainSpec(**{field: bad})
 
-    @pytest.mark.parametrize("field", ["epochs", "batch_size", "hidden_dim"])
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "hidden_dim", "seed"])
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, "3", None])
     def test_train_spec_counts_must_be_integers(self, field, bad):
         with pytest.raises(ArgumentError, match="integers"):
             TrainSpec(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "hidden_dim", "seed"])
+    def test_train_spec_counts_out_of_range(self, field):
+        with pytest.raises(ArgumentError, match="required"):
+            TrainSpec(**{field: -1})
+
+    def test_numpy_integer_seed_trains_like_the_plain_int(self):
+        data = two_cluster_dataset(8, n=100)
+        params = [train(data, TrainSpec(epochs=2, hidden_dim=3, seed=s)).params for s in (np.int64(5), 5)]
+        for a, b in zip(params[0].weights + params[0].biases, params[1].weights + params[1].biases):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("bad", ["tanh", "ReLU", None])
     def test_train_spec_rejects_unknown_activation(self, bad):

@@ -291,6 +291,17 @@ class TestSample:
                 draw()
         assert issubclass(ArgumentError, ValueError)
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, 2.0, True, np.float64(1.0), "1", None])
+    def test_seed_and_path_must_be_non_negative_integers(self, bad):
+        draws = (lambda: spawn(bad), lambda: spawn(1, bad), lambda: spawn(1, 2, bad), lambda: sample(skewed_yz(), 5, seed=bad))
+        for draw in draws:
+            with pytest.raises(ArgumentError, match="integer"):
+                draw()
+
+    def test_numpy_integer_seed_draws_the_plain_int_stream(self):
+        assert np.array_equal(spawn(np.int64(7), np.int32(3), np.uint8(1)).random(8), spawn(7, 3, 1).random(8))
+        assert np.array_equal(sample(skewed_yz(), 50, seed=np.int64(4)).rows, sample(skewed_yz(), 50, seed=4).rows)
+
     @pytest.mark.parametrize("bad", [0, -1, 2.5, 3.0, True])
     def test_size_must_be_a_positive_integer(self, bad):
         with pytest.raises(ArgumentError, match="n must be an integer >= 1"):
@@ -426,6 +437,13 @@ class TestChi2:
         batch = sample(t, 10_000, seed=21)
         _, p = chi2_independence(batch, "Y", "Z")
         assert p > 0.001
+
+    def test_exactly_balanced_batch_has_p_value_one(self):
+        w = Variable("W", 3)
+        rows = np.array([[a, b] for a in range(3) for b in range(2)] * 4)
+        statistic, p = chi2_independence(SampleBatch((w, Z), rows, np.ones(len(rows))), "W", "Z")
+        assert statistic == 0.0
+        assert p == 1.0 == stats.chi2.sf(0.0, 2)
 
     def test_degenerate_column(self):
         rows = np.array([[0, 0], [1, 0]])
