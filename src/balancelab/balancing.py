@@ -20,7 +20,7 @@ import numpy as np
 from .bayesnet import broadcast_axes
 from .errors import ArgumentError, UnbalanceableSupport
 from .rng import is_int, spawn
-from .tables import PROB_TOL, JointTable, SampleBatch, _derived, marginal_probs
+from .tables import PROB_TOL, JointTable, SampleBatch, _derived, _marginal, marginal_probs
 
 
 class Mechanism(str, Enum):
@@ -80,30 +80,41 @@ def reweight_marginal(table: JointTable, names: Sequence[str], target: np.ndarra
     not re-validated: the checks here cover it.
     """
     names = tuple(names)
-    axes = table.axes(names)
-    target = np.asarray(target, dtype=float)
-    cards = tuple(table.variables[a].cardinality for a in axes)
-    if target.shape != cards or not (target >= 0).all():
+    return _derived(table.variables, _reweight(table.probs, table.axes(names), np.asarray(target, dtype=float), names))
+
+
+def _reweight(probs: np.ndarray, axes: Sequence[int], target: np.ndarray, names: tuple[str, ...], lead: int = 0) -> np.ndarray:
+    """``reweight_marginal``'s kernel and checks on ``probs`` and ``target``
+    with ``lead`` shared draw axes, after which ``axes`` count the axes of
+    ``names``.  Each draw gives and raises what its table alone would."""
+    cards = tuple(probs.shape[lead + a] for a in axes)
+    if target.shape[lead:] != cards or not (target >= 0).all():
         raise ArgumentError(f"target must be a non-negative {cards} array over {names}")
-    total = float(target.sum())
-    if abs(total - 1.0) > PROB_TOL:
-        raise ArgumentError(f"cells must sum to 1 within {PROB_TOL}, got {total!r}")
-    drop = tuple(i for i in range(table.probs.ndim) if i not in axes)
-    current = table.probs.sum(axis=drop, keepdims=True)
-    wanted = broadcast_axes(target, axes, table.probs.ndim)
+    total = target.sum(axis=tuple(range(lead, target.ndim)))
+    if (off := np.abs(total - 1.0) > PROB_TOL).any():
+        raise ArgumentError(f"cells must sum to 1 within {PROB_TOL}, got {float(total[off][0])!r}")
+    drop = tuple(i for i in range(lead, probs.ndim) if i - lead not in axes)
+    current = probs.sum(axis=drop, keepdims=True)
+    wanted = broadcast_axes(target, [*range(lead), *(lead + a for a in axes)], probs.ndim)
     if not current.all():  # a cell empty in the table must stay empty in the target
         bad = (current == 0) & (wanted > 0)
         if bad.any():
             cell = np.argwhere(bad)[0]
             raise UnbalanceableSupport(
-                f"cell ({', '.join(f'{n}={cell[a]}' for n, a in zip(names, axes))}) has zero "
+                f"cell ({', '.join(f'{n}={cell[lead + a]}' for n, a in zip(names, axes))}) has zero "
                 "probability but target mass; the reweight is undefined"
             )
     with np.errstate(over="ignore"):  # a cell too small for its target mass overflows
         ratio = np.divide(wanted, current, out=np.zeros(current.shape), where=current > 0)
     if not np.isfinite(ratio).all():
         raise ArgumentError(f"reweighting {names} overflows: a cell's probability is too small for its target")
-    return _derived(table.variables, table.probs * ratio)
+    return probs * ratio
+
+
+def _balance_pair(probs: np.ndarray, axes: Sequence[int], names: tuple[str, str], lead: int = 0) -> np.ndarray:
+    """``_reweight`` of the pair at ``axes`` to the product of its marginals."""
+    pyz = _marginal(probs, axes, lead)
+    return _reweight(probs, axes, pyz.sum(axis=-1, keepdims=True) * pyz.sum(axis=-2, keepdims=True), names, lead)
 
 
 def balance_exact(table: JointTable, spec: BalanceSpec) -> JointTable:
@@ -122,8 +133,7 @@ def balance_exact(table: JointTable, spec: BalanceSpec) -> JointTable:
         card = table.variable(spec.target.var).cardinality
         return reweight_marginal(table, (spec.target.var,), np.full(card, 1.0 / card))
     names = (spec.target.y_var, spec.target.z_var)
-    pyz = marginal_probs(table, names)
-    return reweight_marginal(table, names, pyz.sum(axis=1, keepdims=True) * pyz.sum(axis=0, keepdims=True))
+    return _derived(table.variables, _balance_pair(table.probs, table.axes(names), names))
 
 
 def _target_codes(batch: SampleBatch, spec: BalanceSpec) -> tuple[np.ndarray, int, list[str]]:

@@ -20,9 +20,10 @@ import numpy as np
 
 from .errors import ArgumentError, CycleError, EdgeError, UnknownVariableError
 from .rng import is_int, spawn
-from .tables import JointTable, SampleBatch, Variable, _derived, _state_gaps, marginal_probs
+from .tables import JointTable, SampleBatch, Variable, _derived, _marginal, _state_gaps, marginal_probs
 
 CPT_ROW_TOL = 1e-12
+Statement = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]  # (a, b, given): a ⊥ b | given
 
 
 def _children(nodes: Sequence[str], parents: Mapping[str, tuple[str, ...]]) -> dict[str, tuple[str, ...]]:
@@ -251,13 +252,18 @@ def broadcast_axes(arr: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarra
 
 def joint(net: Cbn) -> JointTable:
     """The exact joint distribution: the product of node-given-parents CPTs."""
-    pos = {v.name: i for i, v in enumerate(net.nodes)}
-    shape = tuple(v.cardinality for v in net.nodes)
-    probs = np.ones(shape)
-    for v in net.nodes:
-        axes = [pos[p] for p in net.parents[v.name]] + [pos[v.name]]
-        probs = probs * broadcast_axes(net.cpts[v.name], axes, len(shape))
-    return _derived(net.nodes, probs / probs.sum())
+    return _derived(net.nodes, _product(net.dag, net.cpts))
+
+
+def _product(dag: Dag, cpts: Mapping[str, np.ndarray], lead: int = 0) -> np.ndarray:
+    """The joint kernel: the normalized product of the node-given-parents
+    CPTs, one axis per node in node order after the CPTs' ``lead`` draw axes."""
+    pos = {n: lead + i for i, n in enumerate(dag.nodes)}
+    probs = np.ones(cpts[dag.nodes[0]].shape[:lead] + tuple(cpts[n].shape[-1] for n in dag.nodes))
+    for n in dag.nodes:
+        axes = [*range(lead), *(pos[p] for p in dag.parents[n]), pos[n]]
+        probs = probs * broadcast_axes(cpts[n], axes, probs.ndim)
+    return probs / probs.sum(axis=tuple(range(lead, probs.ndim)), keepdims=True)
 
 
 def mutilate(net: Cbn, removed: Iterable[tuple[str, str]]) -> Cbn:
@@ -290,12 +296,12 @@ def mutilate(net: Cbn, removed: Iterable[tuple[str, str]]) -> Cbn:
     return _trusted_cbn(net.nodes, parents, cpts)
 
 
-def observed_dag(net: Cbn, latents: Iterable[str], dropped: Iterable[tuple[str, str]] = ()) -> Dag:
+def observed_dag(graph: Dag | Cbn, latents: Iterable[str], dropped: Iterable[tuple[str, str]] = ()) -> Dag:
     """The DAG over the observed nodes: each keeps its observed parents,
     minus the ``dropped`` edges."""
     hidden, dropped = set(latents), set(dropped)
-    observed = tuple(n for n in net.names if n not in hidden)
-    parents = {c: tuple(p for p in net.parents[c] if p not in hidden and (p, c) not in dropped) for c in observed}
+    observed = tuple(n for n in graph.parents if n not in hidden)  # both parent maps run in node order
+    parents = {c: tuple(p for p in graph.parents[c] if p not in hidden and (p, c) not in dropped) for c in observed}
     return Dag(observed, parents)
 
 
@@ -353,9 +359,22 @@ class FactorizationReport:
         return max((v.gap for v in self.violations), default=0.0)
 
 
-def _gap(table: JointTable, a: tuple[str, ...], b: tuple[str, ...], given: tuple[str, ...]) -> float:
-    """The largest gap of a ⊥ b | given, as ``is_independent`` reports it."""
-    return float(_state_gaps(marginal_probs(table, a + b + given), len(a), len(b))[1].max())
+def _gaps(probs: np.ndarray, names: Sequence[str], statement: Statement, lead: int = 0) -> np.ndarray:
+    """The largest gap of the statement, as ``is_independent`` reports it,
+    per draw of ``probs``: a table over ``names`` after ``lead`` draw axes."""
+    arr = _marginal(probs, [names.index(n) for part in statement for n in part], lead)
+    return _state_gaps(arr, len(statement[0]), len(statement[1]), lead)[1].max(axis=(-2, -1))
+
+
+def _local_statements(dag: Dag) -> list[Statement]:
+    """The local Markov statements (node,) ⊥ nondescendants | parents, in
+    node order, of every node with a nondescendant outside its parents."""
+    out = []
+    for v in dag.nodes:
+        excluded = dag.descendants(v) | set(dag.parents[v]) | {v}
+        if nondesc := tuple(n for n in dag.nodes if n not in excluded):
+            out.append(((v,), nondesc, dag.parents[v]))
+    return out
 
 
 def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e-9) -> FactorizationReport:
@@ -377,21 +396,19 @@ def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e
         raise UnknownVariableError(
             f"graph nodes {sorted(dag.nodes)} do not match table variables {sorted(table.names)}"
         )
-    names = list(dag.nodes)
-    local: list[Violation] = []
-    for v in names:
-        parents = dag.parents[v]
-        excluded = dag.descendants(v) | set(parents) | {v}
-        nondesc = tuple(n for n in names if n not in excluded)
-        if nondesc and (gap := _gap(table, (v,), nondesc, parents)) > tol:
-            local.append(Violation((v,), nondesc, parents, gap, "local-markov"))
+    probs, names = table.probs, table.names
+    local = [
+        Violation(*s, gap, "local-markov")
+        for s in _local_statements(dag)
+        if (gap := float(_gaps(probs, names, s))) > tol
+    ]
     if not local:
         return FactorizationReport(True, (), tol)
     violations: list[Violation] = []
-    for x, y in combinations(names, 2):
-        rest = [n for n in names if n not in (x, y)]
+    for x, y in combinations(dag.nodes, 2):
+        rest = [n for n in dag.nodes if n not in (x, y)]
         for mask in range(1 << len(rest)):
             cond = tuple(r for i, r in enumerate(rest) if mask >> i & 1)
-            if d_separated(dag, {x}, {y}, cond) and (gap := _gap(table, (x,), (y,), cond)) > tol:
+            if d_separated(dag, {x}, {y}, cond) and (gap := float(_gaps(probs, names, ((x,), (y,), cond)))) > tol:
                 violations.append(Violation((x,), (y,), cond, gap, "pairwise"))
     return FactorizationReport(False, tuple(violations + local), tol)

@@ -23,20 +23,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
+from math import isfinite
+from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .balancing import BalanceSpec, JointTarget, balance_exact, reweight_marginal
+from .balancing import BalanceSpec, JointTarget, _balance_pair, balance_exact, reweight_marginal
 from .bayesnet import (
-    Cbn,
     Dag,
     FactorizationReport,
     Violation,
-    _trusted_cbn,
+    _gaps,
+    _local_statements,
+    _product,
     broadcast_axes,
     factorizes_according_to,
-    joint,
     observed_dag,
 )
 from .errors import (
@@ -45,8 +47,8 @@ from .errors import (
     CoverageError,
     LabelError,
 )
-from .rng import spawn
-from .tables import JointTable, Variable, _frozen, is_independent, marginal_probs, marginalize
+from .rng import is_int, spawn
+from .tables import JointTable, Variable, _derived, _frozen, _marginal, is_independent, marginal_probs
 from .templates import GraphTemplate, _random_rows, random_instance
 
 GENERIC_GAP = 1e-6  # separates structural violations from float noise
@@ -274,6 +276,8 @@ def correlation_grid(n_points: int = 7, lo: float = 0.05, hi: float = 0.95) -> t
     from a strong coupling one way (r near 0), through independence at 1/2,
     to a strong coupling the other way (r near 1).
     """
+    if not (is_int(n_points) and n_points >= 1):
+        raise ArgumentError(f"n_points must be an integer >= 1, got {n_points!r}")
     out = []
     for r in np.linspace(lo, hi, n_points):
         out.append(np.array([[r, 1.0 - r], [1.0 - r, r]]))
@@ -417,13 +421,12 @@ _COUNTEREXAMPLES = {
 _COUNTEREXAMPLE_IDS = tuple(_COUNTEREXAMPLES)
 
 
-def _counterexample_net(example_id: str, gen: np.random.Generator) -> tuple[Cbn, tuple[str, ...], Dag]:
-    """Random positive network of the named construction, its latents, and
-    its edge-dropped skeleton over the observed nodes."""
-    nodes, parents, latents, dropped = _COUNTEREXAMPLES[example_id]
-    cpts = {n: _random_rows(gen, (2,) * (len(parents.get(n, ())) + 1)) for n in nodes}
-    net = _trusted_cbn(tuple(Variable(n, 2) for n in nodes), parents, cpts)
-    return net, latents, observed_dag(net, latents, dropped)
+def _counterexample_cpts(example_id: str, seed: int, attempts: range) -> dict[str, np.ndarray]:
+    """Each attempt's random positive CPTs of the named construction, drawn in
+    node order from ``spawn(seed, 61, attempt)``, stacked on a leading axis."""
+    nodes, parents = _COUNTEREXAMPLES[example_id][:2]
+    gens = [spawn(seed, 61, attempt) for attempt in attempts]  # one stream each, so draw node by node
+    return {n: np.array([_random_rows(g, (2,) * (len(parents.get(n, ())) + 1)) for g in gens]) for n in nodes}
 
 
 @dataclass(frozen=True)
@@ -441,20 +444,41 @@ def find_nonfactorizing_balance(
     """Search seeded random instances of the named construction for a
     balanced distribution that violates its edge-dropped skeleton.
 
-    Violations are generic for the constructions that have them, so failing
-    all ``retries`` draws raises CounterexampleNotFound.
+    Attempt k draws the CPTs of ``_counterexample_cpts``.  The attempts run
+    in two chunks, attempt 0 alone and then the rest together, each as one
+    joint, latent marginal and (Y, Z) reweight with a leading draw axis.  In
+    the second chunk the skeleton's local Markov statements screen all draws
+    at once: only a draw with a local gap above the tolerance can fail to
+    factorize, so only those get the full ``factorizes_according_to`` report,
+    in attempt order.  Each gap and table is bit for bit that of its attempt
+    alone.  Violations are generic for the constructions that have them, so
+    failing all ``retries`` draws raises CounterexampleNotFound.
     """
     if example_id not in _COUNTEREXAMPLE_IDS:
         raise ArgumentError(f"unknown example id {example_id!r}; expected one of {_COUNTEREXAMPLE_IDS}")
-    for attempt in range(retries):
-        gen = spawn(seed, 61, attempt)
-        net, latents, skeleton = _counterexample_net(example_id, gen)
-        observed = marginalize(joint(net), set(net.names) - set(latents)) if latents else joint(net)
-        balanced = balance_exact(observed, BalanceSpec(JointTarget("Y", "Z")))
-        report = factorizes_according_to(balanced, skeleton, tol=1e-9)
-        strong = tuple(v for v in report.violations if v.gap > min_gap)
-        if strong:
-            return NonfactorizationResult(example_id, balanced, skeleton, strong, attempt)
+    if not (is_int(retries) and retries >= 1):
+        raise ArgumentError(f"retries must be an integer >= 1, got {retries!r}")
+    if isinstance(min_gap, bool) or not (isinstance(min_gap, Real) and isfinite(min_gap) and min_gap >= 0):
+        raise ArgumentError(f"min_gap must be a finite number >= 0, got {min_gap!r}")
+    nodes, parents, latents, dropped = _COUNTEREXAMPLES[example_id]
+    dag = Dag(nodes, parents)
+    skeleton = observed_dag(dag, latents, dropped)
+    variables = tuple(Variable(n, 2) for n in skeleton.nodes)
+    observed = [nodes.index(n) for n in skeleton.nodes]
+    pair = (skeleton.nodes.index("Y"), skeleton.nodes.index("Z"))
+    tol = 1e-9
+    for chunk in filter(None, (range(1), range(1, retries))):
+        probs = _marginal(_product(dag, _counterexample_cpts(example_id, seed, chunk), 1), observed, 1)
+        balanced = _balance_pair(probs, pair, ("Y", "Z"), 1)
+        hits = range(1)  # one draw: its report runs the local statements itself
+        if len(chunk) > 1:
+            local = [_gaps(balanced, skeleton.nodes, s, 1) for s in _local_statements(skeleton)]
+            hits = np.flatnonzero(np.max(local, axis=0) > tol)
+        for k in hits:
+            table = _derived(variables, balanced[k])
+            strong = tuple(v for v in factorizes_according_to(table, skeleton, tol).violations if v.gap > min_gap)
+            if strong:
+                return NonfactorizationResult(example_id, table, skeleton, strong, chunk[k])
     raise CounterexampleNotFound(
         f"no violation above {min_gap} found for {example_id} in {retries} seeded draws"
     )

@@ -143,7 +143,7 @@ def marginalize(table: JointTable, keep: Iterable[str]) -> JointTable:
     if not (keep := set(keep)):
         raise ArgumentError("keep must be non-empty")
     axes = sorted(table.axes(keep))
-    return _derived(tuple(table.variables[i] for i in axes), marginal_probs(table, [table.names[i] for i in axes]))
+    return _derived(tuple(table.variables[i] for i in axes), _marginal(table.probs, axes))
 
 
 def marginal_probs(table: JointTable, names: Sequence[str]) -> np.ndarray:
@@ -151,11 +151,16 @@ def marginal_probs(table: JointTable, names: Sequence[str]) -> np.ndarray:
     names = tuple(names)
     if len(set(names)) != len(names):
         raise ArgumentError(f"duplicate variable names: {names}")
-    axes = table.axes(names)
-    drop = tuple(i for i in range(len(table.variables)) if i not in axes)
-    probs = table.probs.sum(axis=drop) if drop else table.probs
+    return _marginal(table.probs, table.axes(names))
+
+
+def _marginal(probs: np.ndarray, axes: Sequence[int], lead: int = 0) -> np.ndarray:
+    """The marginal kernel: the table ``axes``, counted after the ``lead``
+    draw axes of ``probs``, kept in the given order, the others summed out."""
+    drop = tuple(i for i in range(lead, probs.ndim) if i - lead not in axes)
+    probs = probs.sum(axis=drop) if drop else probs
     kept = sorted(axes)
-    return probs.transpose([kept.index(a) for a in axes])
+    return probs.transpose([*range(lead), *(lead + kept.index(a) for a in axes)])
 
 
 def condition(table: JointTable, evidence: Mapping[str, int]) -> JointTable:
@@ -227,34 +232,37 @@ def is_independent(
 
     arr = marginal_probs(table, a + b + given)
     live, diff = _state_gaps(arr, len(a), len(b))
-    gaps = diff.max(axis=1)
-    k = len(live) - 1 - int(gaps[::-1].argmax())
+    gaps = np.where(live, diff.max(axis=1), -1.0)  # a state without mass never attains the largest gap
+    k = len(gaps) - 1 - int(gaps[::-1].argmax())
     max_gap = float(gaps[k])
 
     shapes = (arr.shape[: len(a)], arr.shape[len(a) : len(a) + len(b)], arr.shape[len(a) + len(b) :])
     ai, bi = np.unravel_index(int(diff[k].argmax()), (prod(shapes[0]), prod(shapes[1])))
     argmax_state: dict[str, int] = {}
-    for names, shape, index in zip((a, b, given), shapes, (ai, bi, live[k])):
+    for names, shape, index in zip((a, b, given), shapes, (ai, bi, k)):
         for name, state in zip(names, np.unravel_index(int(index), shape)):
             argmax_state[name] = int(state)
     return IndependenceReport(max_gap <= tol, max_gap, argmax_state, tol)
 
 
-def _state_gaps(arr: np.ndarray, na: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
-    """The gap kernel.  ``arr`` is P(a, b, given), ``na`` axes of a then ``nb``
-    of b.  Returns the flat given states g with positive mass and, per g,
-    |P(a, b | g) - P(a | g) P(b | g)| of every (a, b) cell in row-major order.
-    Each mass sums its (a, b) slice in memory order, as numpy's sum of the
-    slice does: one ulp off moves the gaps and can break exact ties."""
-    flat = arr.reshape(prod(arr.shape[:na]), prod(arr.shape[na : na + nb]), -1)
-    gab = flat.transpose(2, 0, 1)
-    lead = flat.strides[0] >= flat.strides[1]  # a's axis is the outer one in memory
-    slices = np.ascontiguousarray(gab if lead else flat.transpose(2, 1, 0))
-    mass = np.add.reduce(slices.reshape(len(slices), -1), axis=1)
-    live = np.flatnonzero(mass)
-    pab = (slices if lead and len(live) == len(mass) else gab[live]) / mass[live, None, None]
-    diff = np.abs(pab - np.add.reduce(pab, axis=2, keepdims=True) * np.add.reduce(pab, axis=1, keepdims=True))
-    return live, diff.reshape(len(live), -1)
+def _state_gaps(arr: np.ndarray, na: int, nb: int, lead: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The gap kernel.  ``arr`` is P(a, b, given) after ``lead`` draw axes,
+    ``na`` axes of a then ``nb`` of b.  Per draw and flat given state g it
+    returns whether g has mass and |P(a, b | g) - P(a | g) P(b | g)| of every
+    (a, b) cell in row-major order (0 without mass), as its table alone gives.
+    Every sum runs in the memory order of the table's slice, as numpy's sum
+    of the slice does: one ulp off moves the gaps and can break exact ties."""
+    shape = arr.shape[:lead] + (prod(arr.shape[lead : lead + na]), prod(arr.shape[lead + na : lead + na + nb]), -1)
+    flat = arr.reshape(shape)
+    gab = flat.transpose(*range(lead), lead + 2, lead, lead + 1)
+    outer = flat.strides[lead] >= flat.strides[lead + 1]  # a's axis is the outer one in memory
+    slices = np.ascontiguousarray(gab if outer else gab.swapaxes(-1, -2))
+    mass = np.add.reduce(slices.reshape(slices.shape[:-2] + (-1,)), axis=-1)
+    live = mass > 0  # a state without mass has only zero cells, which divide to 0
+    pab = slices / np.where(live, mass, 1.0)[..., None, None]
+    pab = pab if outer else pab.swapaxes(-1, -2)  # (a, b) cells in the memory order of the table's slices
+    diff = np.abs(pab - np.add.reduce(pab, axis=-1, keepdims=True) * np.add.reduce(pab, axis=-2, keepdims=True))
+    return live, diff.reshape(diff.shape[:-2] + (-1,))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -25,7 +25,13 @@ from balancelab.bayesnet import (
     sample_cbn,
 )
 from balancelab.balancing import BalanceSpec, JointTarget, balance_exact
-from balancelab.checks import _COUNTEREXAMPLE_IDS, _counterexample_net, anticausal_control, find_nonfactorizing_balance
+from balancelab.checks import (
+    _COUNTEREXAMPLE_IDS,
+    _COUNTEREXAMPLES,
+    _counterexample_cpts,
+    anticausal_control,
+    find_nonfactorizing_balance,
+)
 from balancelab.errors import ArgumentError, CycleError, EdgeError
 from balancelab.rng import spawn
 from balancelab.tables import JointTable, Variable, is_independent, marginalize
@@ -231,8 +237,11 @@ class TestMutilate:
                 assert_same(bayesnet._trusted_cbn(tpl.net.nodes, tpl.net.parents, tpl.net.cpts))
                 assert_same(mutilate(tpl.net, tpl.undesired))
         for example_id in _COUNTEREXAMPLE_IDS:
+            nodes, parents = _COUNTEREXAMPLES[example_id][:2]
+            stacked = _counterexample_cpts(example_id, 5, range(4))
             for attempt in range(4):
-                assert_same(_counterexample_net(example_id, spawn(5, 61, attempt))[0])
+                cpts = {n: cpt[attempt] for n, cpt in stacked.items()}
+                assert_same(bayesnet._trusted_cbn(tuple(Variable(n, 2) for n in nodes), parents, cpts))
 
     def test_observed_dag_drops_latents_and_listed_edges(self):
         net = graph_template("C").net

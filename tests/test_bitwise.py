@@ -1,12 +1,14 @@
-"""The model and metrics hot paths against their plain forms, bit for bit.
+"""The hot paths against their plain forms, bit for bit.
 
 ``plain_penalty``, ``plain_loss``, ``plain_train`` and ``plain_evaluate``
 are the straightforward versions that ``model._mmd_penalty``, ``model.loss``,
 ``model.train`` and ``metrics.evaluate`` replaced: broadcast differences,
 fresh temporaries, per-layer gradients joined by ``concatenate`` and masked
-stratum sums.  The fast paths must return the same bits.  No digest is
-pinned, because gemm rounding depends on the BLAS kernel; both sides run on
-the same one.
+stratum sums.  ``plain_search`` is the per-attempt loop that the stacked
+counterexample search replaced, and the draw-axis kernels of the exact layer
+are checked against their per-table callers.  The fast paths must return the
+same bits.  No digest is pinned, because gemm rounding depends on the BLAS
+kernel; both sides run on the same one.
 """
 
 from __future__ import annotations
@@ -15,10 +17,16 @@ import numpy as np
 import pytest
 
 from balancelab import model
+from balancelab.balancing import BalanceSpec, JointTarget, _balance_pair, _reweight, balance_exact, reweight_marginal
+from balancelab.bayesnet import Cbn, Dag, _gaps, _product, factorizes_according_to, joint, observed_dag
+from balancelab.checks import _COUNTEREXAMPLES, GENERIC_GAP, find_nonfactorizing_balance
 from balancelab.datagen import Dataset, GenSpec, generate, ideal_testset
+from balancelab.errors import ArgumentError, CounterexampleNotFound, UnbalanceableSupport
 from balancelab.metrics import MetricsReport, evaluate
 from balancelab.model import MmdPenalty, ModelParams, TrainSpec, train
 from balancelab.rng import spawn
+from balancelab.tables import JointTable, Variable, _marginal, _state_gaps, is_independent, marginal_probs, marginalize
+from balancelab.templates import _random_rows
 
 
 def plain_forward(params: ModelParams, x: np.ndarray):
@@ -313,3 +321,162 @@ class TestEvaluate:
         got = evaluate(params, one_class)
         assert got.pp_gap is None
         assert_same_report(got, plain_evaluate(params, one_class))
+
+
+def plain_search(example_id: str, seed: int, retries: int, min_gap: float):
+    """The search as one network, joint, balance and report per attempt."""
+    nodes, parents, latents, dropped = _COUNTEREXAMPLES[example_id]
+    for attempt in range(retries):
+        gen = spawn(seed, 61, attempt)
+        cpts = {n: _random_rows(gen, (2,) * (len(parents.get(n, ())) + 1)) for n in nodes}
+        net = Cbn(tuple(Variable(n, 2) for n in nodes), parents, cpts)
+        skeleton = observed_dag(net, latents, dropped)
+        observed = marginalize(joint(net), set(net.names) - set(latents)) if latents else joint(net)
+        balanced = balance_exact(observed, BalanceSpec(JointTarget("Y", "Z")))
+        report = factorizes_according_to(balanced, skeleton, tol=1e-9)
+        strong = tuple(v for v in report.violations if v.gap > min_gap)
+        if strong:
+            return balanced, skeleton, strong, attempt
+    raise CounterexampleNotFound(f"no violation above {min_gap} found for {example_id} in {retries} seeded draws")
+
+
+def outcome(search, *args) -> tuple:
+    """Every bit of a search result, or the text of its CounterexampleNotFound."""
+    try:
+        balanced, skeleton, violations, attempt = search(*args)
+    except CounterexampleNotFound as exc:
+        return ("not found", str(exc))
+    gaps = tuple((v.a, v.b, v.given, v.kind, v.gap.hex()) for v in violations)
+    return attempt, balanced.variables, balanced.probs.tobytes(), skeleton.nodes, skeleton.parents, gaps
+
+
+def stacked_search(example_id: str, seed: int, retries: int, min_gap: float):
+    found = find_nonfactorizing_balance(example_id, seed, retries, min_gap)
+    assert found.example_id == example_id
+    return found.balanced, found.skeleton, found.violations, found.seed_used
+
+
+class TestSearch:
+    # min_gap 0.01 and 0.03 make some attempt-0 draws fail after the screen passes them
+    @pytest.mark.parametrize("example_id", list(_COUNTEREXAMPLES))
+    @pytest.mark.parametrize("retries", [1, 2, 16])
+    @pytest.mark.parametrize("min_gap", [GENERIC_GAP, 0.01, 0.03])
+    def test_matches_per_attempt_loop(self, example_id, retries, min_gap):
+        later = 0
+        for seed in range(30):
+            got = outcome(stacked_search, example_id, seed, retries, min_gap)
+            assert got == outcome(plain_search, example_id, seed, retries, min_gap), seed
+            later += isinstance(got[0], int) and got[0] > 0
+        if retries == 16 and min_gap == 0.03 and example_id != "C4":
+            assert later  # the second chunk found some
+
+
+def random_stack(seed: int, draws: int = 4) -> tuple[tuple[Variable, ...], np.ndarray]:
+    """Random tables stacked on a leading axis.  Draw 1 has zero cells and
+    a state of its last variable without mass."""
+    gen = spawn(seed, 96)
+    k = int(gen.integers(2, 6))
+    cards = tuple(int(c) for c in gen.integers(2, 4, size=k))
+    probs = gen.random((draws,) + cards)
+    probs[1][probs[1] < 0.3] = 0.0
+    probs[1, ..., 0] = 0.0
+    probs /= probs.sum(axis=tuple(range(1, k + 1)), keepdims=True)
+    return tuple(Variable(f"V{i}", c) for i, c in enumerate(cards)), probs
+
+
+def split(seed: int, names: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """A random (a, b, given) over a permutation of the names."""
+    gen = spawn(seed, 95)
+    order = [names[i] for i in gen.permutation(len(names))]
+    na = int(gen.integers(1, len(names)))
+    nb = int(gen.integers(1, len(names) - na + 1))
+    ng = int(gen.integers(0, len(names) - na - nb + 1))
+    return tuple(order[:na]), tuple(order[na : na + nb]), tuple(order[na + nb : na + nb + ng])
+
+
+class TestDrawAxisKernels:
+    def test_product_matches_joint_per_draw(self):
+        for seed in range(40):
+            gen = spawn(seed, 94)
+            k = int(gen.integers(1, 6))
+            variables = tuple(Variable(f"N{i}", int(gen.integers(2, 4))) for i in range(k))
+            parents = {v.name: tuple(p.name for p in variables[:i] if gen.random() < 0.5) for i, v in enumerate(variables)}
+            dag = Dag(tuple(v.name for v in variables), parents)
+            cards = {v.name: v.cardinality for v in variables}
+            stacked = {
+                n: np.stack([_random_rows(gen, tuple(cards[p] for p in dag.parents[n]) + (cards[n],)) for _ in range(3)])
+                for n in dag.nodes
+            }
+            probs = _product(dag, stacked, 1)
+            for d in range(3):
+                net = Cbn(variables, parents, {n: c[d] for n, c in stacked.items()})
+                assert probs[d].tobytes() == joint(net).probs.tobytes(), (seed, d)
+
+    def test_marginal_and_gaps_match_per_table(self):
+        dead = 0
+        for seed in range(60):
+            variables, probs = random_stack(seed)
+            names = tuple(v.name for v in variables)
+            tables = [JointTable(variables, p) for p in probs]
+            a, b, given = split(seed, names)
+            axes = [names.index(n) for n in a + b + given]
+            arr = _marginal(probs, axes, 1)
+            live, diff = _state_gaps(arr, len(a), len(b), 1)
+            gaps = _gaps(probs, names, (a, b, given), 1)
+            for d, table in enumerate(tables):
+                want = marginal_probs(table, a + b + given)
+                assert arr[d].tobytes() == want.tobytes() and arr[d].shape == want.shape
+                want_live, want_diff = _state_gaps(want, len(a), len(b))
+                assert live[d].tobytes() == want_live.tobytes(), (seed, d)
+                assert diff[d].tobytes() == want_diff.tobytes(), (seed, d)
+                assert gaps[d].hex() == is_independent(table, a, b, given).max_gap.hex(), (seed, d)
+            dead += not live[1].all()
+        assert dead  # draw 1's states without mass left the other draws' gaps as their tables give them
+
+    def test_balance_matches_balance_exact_per_draw(self):
+        for seed in range(60):
+            variables, probs = random_stack(seed)
+            probs[1] = probs[0]  # a defined draw in place of the one with zero cells
+            names = tuple(v.name for v in variables)
+            y, z = split(seed, names)[0][0], split(seed + 1, names)[0][0]
+            if y == z:
+                continue
+            axes = (names.index(y), names.index(z))
+            balanced = _balance_pair(probs, axes, (y, z), 1)
+            for d, p in enumerate(probs):
+                want = balance_exact(JointTable(variables, p), BalanceSpec(JointTarget(y, z)))
+                assert balanced[d].tobytes() == want.probs.tobytes(), (seed, d)
+
+    def test_reweight_matches_reweight_marginal_per_draw(self):
+        for seed in range(40):
+            variables, probs = random_stack(seed)
+            names = tuple(v.name for v in variables)
+            pick = split(seed, names)[0]
+            axes = [names.index(n) for n in pick]
+            targets = spawn(seed, 93).random((len(probs),) + tuple(probs.shape[1 + a] for a in axes))
+            targets /= targets.sum(axis=tuple(range(1, targets.ndim)), keepdims=True)
+            current = _marginal(probs, axes, 1)
+            targets[current == 0] = 0.0  # an empty cell stays empty
+            targets /= targets.sum(axis=tuple(range(1, targets.ndim)), keepdims=True)
+            got = _reweight(probs, axes, targets, pick, 1)
+            for d, p in enumerate(probs):
+                want = reweight_marginal(JointTable(variables, p), pick, targets[d])
+                assert got[d].tobytes() == want.probs.tobytes(), (seed, d)
+
+    def test_undefined_draw_raises_as_its_table_does(self):
+        variables, probs = random_stack(5, draws=3)
+        probs[2, 1, 0] = 0.0  # V0=1, V1=0 empty in draw 2 only
+        probs[2] /= probs[2].sum()
+        names = tuple(v.name for v in variables)
+        with pytest.raises(UnbalanceableSupport) as want:
+            balance_exact(JointTable(variables, probs[2]), BalanceSpec(JointTarget("V0", "V1")))
+        with pytest.raises(UnbalanceableSupport) as got:
+            _balance_pair(probs, (0, 1), ("V0", "V1"), 1)
+        assert str(got.value) == str(want.value)
+        target = np.full((3,) + probs.shape[1:3], 1.0 / (probs.shape[1] * probs.shape[2]))
+        target[1] *= 1.5  # draw 1's target sums to 1.5
+        with pytest.raises(ArgumentError) as want:
+            reweight_marginal(JointTable(variables, probs[1]), ("V0", "V1"), target[1])
+        with pytest.raises(ArgumentError) as got:
+            _reweight(probs, (0, 1), target, ("V0", "V1"), 1)
+        assert str(got.value) == str(want.value)

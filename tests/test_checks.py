@@ -150,6 +150,18 @@ class TestEntangledGap:
                     assert abs(brute - closed) <= 1e-12
 
 
+class TestCorrelationGrid:
+    @pytest.mark.parametrize("n_points", [0, -1, 2.5, True, "7", None])
+    def test_needs_an_integer_of_at_least_one(self, n_points):
+        with pytest.raises(ArgumentError, match="n_points"):
+            correlation_grid(n_points)
+
+    def test_one_point_and_numpy_integers(self):
+        assert [g.tolist() for g in correlation_grid(1)] == [[[0.05, 0.95], [0.95, 0.05]]]
+        for got, want in zip(correlation_grid(np.int64(4)), correlation_grid(4), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestRiskInvariance:
     def test_core_predictor_invariant_on_balanced_anticausal(self):
         for seed in range(5):
@@ -431,6 +443,24 @@ class TestNonfactorization:
     def test_unknown_id(self):
         with pytest.raises(ArgumentError):
             find_nonfactorizing_balance("C9", seed=0)
+
+    @pytest.mark.parametrize("retries", [0, -1, 2.5, True, "16", None])
+    def test_retries_must_be_an_integer_of_at_least_one(self, retries):
+        with pytest.raises(ArgumentError, match="retries"):
+            find_nonfactorizing_balance("C4", seed=0, retries=retries)
+
+    @pytest.mark.parametrize("min_gap", [-1e-9, float("nan"), float("inf"), True, "0.1", None])
+    def test_min_gap_must_be_finite_and_non_negative(self, min_gap):
+        with pytest.raises(ArgumentError, match="min_gap"):
+            find_nonfactorizing_balance("C1", seed=0, min_gap=min_gap)
+
+    def test_numpy_counts_and_integer_gap_accepted(self):
+        plain = find_nonfactorizing_balance("C2", seed=3, retries=2, min_gap=0)
+        other = find_nonfactorizing_balance("C2", seed=np.int64(3), retries=np.int64(2), min_gap=np.float64(0.0))
+        assert plain.balanced.probs.tobytes() == other.balanced.probs.tobytes()
+        assert plain.violations == other.violations and plain.seed_used == other.seed_used == 0
+        with pytest.raises(CounterexampleNotFound, match="in 1 seeded draws"):
+            find_nonfactorizing_balance("C4", seed=0, retries=1)
 
 
 class TestFairnessImplications:
