@@ -7,9 +7,9 @@ correlation-shift family, the closed form for entangled channels, fairness
 implications of balancing, and seeded searches for balanced distributions
 that violate the independencies of an edge-dropped graph.
 
-A shift-family member is the same reweight as balancing
-(``balancing.reweight_marginal``, with target P(y) · P'(z | y)).  The risk
-checks stack every member's P(covariates..., y) into one array, check that
+A shift family builds all its members as one reweight (balancing's, with
+target P(y) · P'(z | y)) stacked on a member axis.  The risk checks take
+every member's P(covariates..., y) from it in one marginal, check that
 the predictor is defined on every reachable input state, and take every risk
 and E[Y | core] by array operations.  A predictor is two arrays with one
 axis per input: the score P(Y=1 | state) and where that score is defined.
@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
+from itertools import accumulate, product
 from math import isfinite
 from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .balancing import BalanceSpec, JointTarget, _balance_pair, balance_exact, reweight_marginal
+from .balancing import BalanceSpec, JointTarget, _balance_pair, _reweight, balance_exact
 from .bayesnet import (
     Dag,
     FactorizationReport,
@@ -49,9 +49,14 @@ from .errors import (
 )
 from .rng import is_int, spawn
 from .tables import JointTable, Variable, _derived, _frozen, _marginal, is_independent, marginal_probs
-from .templates import GraphTemplate, _random_rows, random_instance
+from .templates import GraphTemplate, random_instance
 
 GENERIC_GAP = 1e-6  # separates structural violations from float noise
+
+
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number; a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool) and isfinite(value)
 
 
 class Role(str, Enum):
@@ -237,12 +242,14 @@ def entangled_gap(p: float, q: float) -> tuple[float, float]:
 class ShiftFamily:
     """Correlation-shift family: the group-given-label conditional varies
     over ``grid`` while the label marginal and all covariate mechanisms given
-    (label, group) stay pinned to ``base``."""
+    (label, group) stay pinned to ``base``.  ``probs[k]`` is member k's table;
+    all are built here by one stacked reweight, so an undefined one raises."""
 
     base: JointTable
     grid: tuple[np.ndarray, ...]
     y: str = "Y"
     z: str = "Z"
+    probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         y_card = self.base.variable(self.y).cardinality
@@ -253,17 +260,21 @@ class ShiftFamily:
         for g in grid:
             if g.shape != (y_card, z_card):
                 raise ArgumentError(f"grid entries must be ({y_card}, {z_card}), got {g.shape}")
+            if not np.isfinite(g).all():
+                raise ArgumentError("grid entries must be finite")
             if np.any(g < 0) or np.any(np.abs(g.sum(axis=1) - 1.0) > 1e-12):
                 raise ArgumentError("each grid entry must have rows that sum to 1")
         object.__setattr__(self, "grid", grid)
+        names = (self.y, self.z)
+        target = marginal_probs(self.base, names).sum(axis=1, keepdims=True) * np.stack(grid)  # P(y) · P'(z | y)
+        stacked = np.broadcast_to(self.base.probs, (len(grid),) + self.base.shape)
+        object.__setattr__(self, "probs", _frozen(_reweight(stacked, self.base.axes(names), target, names, 1)))
 
     def __len__(self) -> int:
         return len(self.grid)
 
     def member(self, i: int) -> JointTable:
-        names = (self.y, self.z)
-        py = marginal_probs(self.base, names).sum(axis=1, keepdims=True)
-        return reweight_marginal(self.base, names, py * self.grid[i])
+        return _derived(self.base.variables, self.probs[i])
 
     def members(self) -> Iterable[JointTable]:
         return (self.member(i) for i in range(len(self.grid)))
@@ -278,6 +289,8 @@ def correlation_grid(n_points: int = 7, lo: float = 0.05, hi: float = 0.95) -> t
     """
     if not (is_int(n_points) and n_points >= 1):
         raise ArgumentError(f"n_points must be an integer >= 1, got {n_points!r}")
+    if not all(_finite_real(v) and 0 <= v <= 1 for v in (lo, hi)):
+        raise ArgumentError(f"lo and hi must be finite numbers in [0, 1], got {lo!r} and {hi!r}")
     out = []
     for r in np.linspace(lo, hi, n_points):
         out.append(np.array([[r, 1.0 - r], [1.0 - r, r]]))
@@ -315,7 +328,7 @@ def _scored_members(predictor: TablePredictor, family: ShiftFamily) -> tuple[np.
     cards = tuple(family.base.variable(n).cardinality for n in predictor.inputs)
     if predictor.scores.shape != cards:
         raise ArgumentError(f"predictor scores have shape {predictor.scores.shape}, its inputs take {cards} states")
-    probs = np.stack([marginal_probs(m, covariates + (family.y,)) for m in family.members()])
+    probs = _marginal(family.probs, family.base.axes(covariates + (family.y,)), 1)
     others = tuple(i for i in range(len(covariates)) if i not in axes)
     reached = np.transpose(probs.sum(axis=-1).any(axis=0), axes + others)
     reached = reached.reshape(cards + (-1,)).any(axis=-1)
@@ -391,6 +404,8 @@ def check_epsilon_risk_bound(
     core = tuple(core)
     if loss == "zero_one":
         raise ArgumentError("the risk bound does not apply to the zero_one loss")
+    if not (_finite_real(slack) and slack >= 0):
+        raise ArgumentError(f"slack must be a finite number >= 0, got {slack!r}")
     _, axes = _covariate_axes(family, core)
     probs, scores = _scored_members(fitted, family)
     mass = probs.sum(axis=-1)
@@ -422,11 +437,16 @@ _COUNTEREXAMPLE_IDS = tuple(_COUNTEREXAMPLES)
 
 
 def _counterexample_cpts(example_id: str, seed: int, attempts: range) -> dict[str, np.ndarray]:
-    """Each attempt's random positive CPTs of the named construction, drawn in
-    node order from ``spawn(seed, 61, attempt)``, stacked on a leading axis."""
+    """Each attempt's random positive CPTs of the named construction, stacked
+    on a leading axis.  Attempt k draws every node's rows in node order as one
+    ``uniform(0.1, 0.9)`` array from ``spawn(seed, 61, k)`` (the doubles of
+    ``templates._random_rows`` per node) and normalizes them at once."""
     nodes, parents = _COUNTEREXAMPLES[example_id][:2]
-    gens = [spawn(seed, 61, attempt) for attempt in attempts]  # one stream each, so draw node by node
-    return {n: np.array([_random_rows(g, (2,) * (len(parents.get(n, ())) + 1)) for g in gens]) for n in nodes}
+    shapes = [(len(attempts),) + (2,) * (len(parents.get(n, ())) + 1) for n in nodes]
+    starts = [0, *accumulate(2 ** (len(s) - 2) for s in shapes)]  # each node's first row
+    draws = np.array([spawn(seed, 61, attempt).uniform(0.1, 0.9, (starts[-1], 2)) for attempt in attempts])
+    draws /= draws.sum(axis=-1, keepdims=True)
+    return {n: draws[:, a:b].reshape(s) for n, s, a, b in zip(nodes, shapes, starts, starts[1:])}
 
 
 @dataclass(frozen=True)
@@ -458,7 +478,7 @@ def find_nonfactorizing_balance(
         raise ArgumentError(f"unknown example id {example_id!r}; expected one of {_COUNTEREXAMPLE_IDS}")
     if not (is_int(retries) and retries >= 1):
         raise ArgumentError(f"retries must be an integer >= 1, got {retries!r}")
-    if isinstance(min_gap, bool) or not (isinstance(min_gap, Real) and isfinite(min_gap) and min_gap >= 0):
+    if not (_finite_real(min_gap) and min_gap >= 0):
         raise ArgumentError(f"min_gap must be a finite number >= 0, got {min_gap!r}")
     nodes, parents, latents, dropped = _COUNTEREXAMPLES[example_id]
     dag = Dag(nodes, parents)

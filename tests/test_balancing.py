@@ -149,9 +149,8 @@ class TestExactInvariants:
 
     def test_shift_member_on_empty_pair_cell_rejected(self):
         t = JointTable((Y, Z), np.array([[0.5, 0.2], [0.3, 0.0]]))
-        family = ShiftFamily(t, (np.array([[0.5, 0.5], [0.5, 0.5]]),))
         with pytest.raises(UnbalanceableSupport, match="Y=1, Z=1"):
-            family.member(0)
+            ShiftFamily(t, (np.array([[0.5, 0.5], [0.5, 0.5]]),))  # every member is built with the family
 
     @pytest.mark.parametrize("scale", [0.5, 1.0 + 1e-11, np.inf])
     def test_reweight_target_must_sum_to_one(self, scale):

@@ -5,8 +5,10 @@ are the straightforward versions that ``model._mmd_penalty``, ``model.loss``,
 ``model.train`` and ``metrics.evaluate`` replaced: broadcast differences,
 fresh temporaries, per-layer gradients joined by ``concatenate`` and masked
 stratum sums.  ``plain_search`` is the per-attempt loop that the stacked
-counterexample search replaced, and the draw-axis kernels of the exact layer
-are checked against their per-table callers.  The fast paths must return the
+counterexample search replaced, ``plain_member`` and ``plain_scored`` the
+per-member reweight and marginal that the stacked ``ShiftFamily`` replaced,
+and the draw-axis kernels of the exact layer are checked against their
+per-table callers.  The fast paths must return the
 same bits.  No digest is pinned, because gemm rounding depends on the BLAS
 kernel; both sides run on the same one.
 """
@@ -18,15 +20,24 @@ import pytest
 
 from balancelab import model
 from balancelab.balancing import BalanceSpec, JointTarget, _balance_pair, _reweight, balance_exact, reweight_marginal
-from balancelab.bayesnet import Cbn, Dag, _gaps, _product, factorizes_according_to, joint, observed_dag
-from balancelab.checks import _COUNTEREXAMPLES, GENERIC_GAP, find_nonfactorizing_balance
-from balancelab.datagen import Dataset, GenSpec, generate, ideal_testset
+from balancelab.bayesnet import Cbn, Dag, _gaps, _product, broadcast_axes, factorizes_according_to, joint, observed_dag
+from balancelab.checks import (
+    _COUNTEREXAMPLES,
+    GENERIC_GAP,
+    ShiftFamily,
+    TablePredictor,
+    _scored_members,
+    bayes_predictor,
+    correlation_grid,
+    find_nonfactorizing_balance,
+)
+from balancelab.datagen import Dataset, GenSpec, _key_table, generate, ideal_testset
 from balancelab.errors import ArgumentError, CounterexampleNotFound, UnbalanceableSupport
 from balancelab.metrics import MetricsReport, evaluate
 from balancelab.model import MmdPenalty, ModelParams, TrainSpec, train
 from balancelab.rng import spawn
 from balancelab.tables import JointTable, Variable, _marginal, _state_gaps, is_independent, marginal_probs, marginalize
-from balancelab.templates import _random_rows
+from balancelab.templates import _random_rows, random_instance
 
 
 def plain_forward(params: ModelParams, x: np.ndarray):
@@ -479,4 +490,76 @@ class TestDrawAxisKernels:
             reweight_marginal(JointTable(variables, probs[1]), ("V0", "V1"), target[1])
         with pytest.raises(ArgumentError) as got:
             _reweight(probs, (0, 1), target, ("V0", "V1"), 1)
+        assert str(got.value) == str(want.value)
+
+
+def plain_member(base: JointTable, entry: np.ndarray) -> JointTable:
+    """A shift-family member as one reweight of its own."""
+    py = marginal_probs(base, ("Y", "Z")).sum(axis=1, keepdims=True)
+    return reweight_marginal(base, ("Y", "Z"), py * entry)
+
+
+def plain_scored(predictor: TablePredictor, base: JointTable, grid) -> tuple[np.ndarray, np.ndarray]:
+    """``_scored_members`` with every member's marginal taken on its own and stacked."""
+    covariates = tuple(n for n in base.names if n not in ("Y", "Z"))
+    axes = tuple(covariates.index(n) for n in predictor.inputs)
+    probs = np.stack([marginal_probs(plain_member(base, g), covariates + ("Y",)) for g in grid])
+    others = tuple(i for i in range(len(covariates)) if i not in axes)
+    reached = np.transpose(probs.sum(axis=-1).any(axis=0), axes + others)
+    reached = reached.reshape(predictor.scores.shape + (-1,)).any(axis=-1)
+    assert not (reached & ~predictor.defined).any()
+    return probs, broadcast_axes(np.where(reached, predictor.scores, 0.0), axes, len(covariates))
+
+
+def shift_bases() -> list[tuple[JointTable, tuple[tuple[str, ...], ...]]]:
+    """Instances of A-D, their balanced tables and the datagen key tables,
+    each with the predictor inputs to score."""
+    out = []
+    for graph in "ABCD":
+        for seed in range(6):
+            tpl = random_instance(graph, seed)
+            inputs = (tpl.core, tpl.core + tpl.entangled + tpl.spurious)
+            observed = tpl.observed()
+            out += [(observed, inputs), (balance_exact(observed, BalanceSpec(JointTarget("Y", "Z"))), inputs)]
+    specs = [GenSpec(g, 10) for g in "ABCD"] + [GenSpec("A", 10, confounding=(0.9, 0.1)), GenSpec("D", 10, z_marginal=0.2)]
+    for spec in specs:
+        table = _key_table(spec.law.net)
+        covariates = tuple(n for n in table.names if n not in ("Y", "Z"))
+        out.append((table, (covariates[:1], covariates)))
+    return out
+
+
+class TestShiftFamily:
+    @pytest.mark.parametrize("n_points", [1, 3, 7])
+    def test_members_and_scores_match_per_member_loop(self, n_points):
+        grids = (correlation_grid(n_points), correlation_grid(n_points, 0.0, 1.0))
+        for i, (base, inputs) in enumerate(shift_bases()):
+            for grid in grids:
+                family = ShiftFamily(base, grid)
+                assert family.probs.shape == (n_points,) + base.shape
+                for k, entry in enumerate(grid):
+                    want = plain_member(base, entry)
+                    got = family.member(k)
+                    assert got.variables == want.variables and got.probs.tobytes() == want.probs.tobytes(), (i, k)
+                for names in inputs:
+                    predictor = bayes_predictor(base, names)
+                    got, want = _scored_members(predictor, family), plain_scored(predictor, base, grid)
+                    for a, b in zip(got, want, strict=True):
+                        assert a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes(), (i, names)
+
+    def test_undefined_member_raises_as_its_reweight_does(self):
+        base = random_instance("D", 2).observed()
+        probs = base.probs.copy()
+        cell = [slice(None)] * probs.ndim
+        cell[base.axis("Y")], cell[base.axis("Z")] = 1, 0
+        probs[tuple(cell)] = 0.0  # the (Y=1, Z=0) cell empty
+        base = JointTable(base.variables, probs / probs.sum())
+        grid = (np.array([[0.5, 0.5], [0.0, 1.0]]), np.array([[0.2, 0.8], [0.0, 1.0]]), np.full((2, 2), 0.5))
+        kept = ShiftFamily(base, grid[:2])  # members that keep the empty cell empty are defined
+        for k in range(2):
+            assert kept.member(k).probs.tobytes() == plain_member(base, grid[k]).probs.tobytes()
+        with pytest.raises(UnbalanceableSupport) as want:
+            plain_member(base, grid[2])
+        with pytest.raises(UnbalanceableSupport) as got:
+            ShiftFamily(base, grid)
         assert str(got.value) == str(want.value)

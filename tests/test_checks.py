@@ -8,6 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from balancelab import checks
 from balancelab.balancing import BalanceSpec, JointTarget, balance_exact
 from balancelab.checks import (
     DecompositionLabel,
@@ -160,6 +161,33 @@ class TestCorrelationGrid:
         assert [g.tolist() for g in correlation_grid(1)] == [[[0.05, 0.95], [0.95, 0.05]]]
         for got, want in zip(correlation_grid(np.int64(4)), correlation_grid(4), strict=True):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bound", ["lo", "hi"])
+    @pytest.mark.parametrize("value", [-0.5, 1.5, float("nan"), float("inf"), True, False, "0.1", None])
+    def test_ends_must_be_finite_in_unit_interval(self, bound, value):
+        with pytest.raises(ArgumentError, match="lo and hi must be finite numbers in \\[0, 1\\]"):
+            correlation_grid(3, **{bound: value})
+
+    def test_ends_accept_unit_interval_and_numpy_floats(self):
+        assert [g.tolist() for g in correlation_grid(2, 0, 1)] == [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]
+        for got, want in zip(correlation_grid(3, np.float64(0.2), np.float32(0.5)), correlation_grid(3, 0.2, 0.5)):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestShiftFamily:
+    def test_non_finite_grid_entry_rejected(self):
+        q = balanced(random_instance("A", 1).observed())
+        for bad in (np.full((2, 2), np.nan), np.array([[0.5, 0.5], [np.inf, 0.0]])):
+            with pytest.raises(ArgumentError, match="finite"):
+                ShiftFamily(q, correlation_grid(3) + (bad,))
+
+    def test_members_are_read_only_views_of_the_stack(self):
+        q = balanced(random_instance("B", 3).observed())
+        fam = ShiftFamily(q, correlation_grid(4))
+        assert fam.probs.shape == (4,) + q.shape and not fam.probs.flags.writeable
+        for k, member in enumerate(fam.members()):
+            assert member.variables == q.variables
+            assert np.shares_memory(member.probs, fam.probs) and member.probs.tobytes() == fam.probs[k].tobytes()
 
 
 class TestRiskInvariance:
@@ -392,20 +420,36 @@ class TestEpsilonBound:
     def test_builds_each_member_once(self, monkeypatch):
         tpl = random_instance("D", 4)
         q = balanced(tpl.observed())
-        fam = ShiftFamily(q, correlation_grid(5))
         pred = bayes_predictor(q, tpl.core + tpl.entangled)
-        expected = risk_invariance_gap(pred, fam, "logloss").sup_gap
         calls = []
-        real = ShiftFamily.member
+        real = checks._reweight
 
-        def counting(self, k):
-            calls.append(k)
-            return real(self, k)
+        def counting(probs, *args):
+            calls.append(probs.shape)
+            return real(probs, *args)
 
-        monkeypatch.setattr(ShiftFamily, "member", counting)
+        monkeypatch.setattr(checks, "_reweight", counting)
+        fam = ShiftFamily(q, correlation_grid(5))
+        expected = risk_invariance_gap(pred, fam, "logloss").sup_gap
         rep = check_epsilon_risk_bound(pred, fam, tpl.core, "logloss")
-        assert len(calls) == len(fam.grid)
+        assert calls == [(5,) + q.shape]  # one stacked reweight, when the family is built
         assert rep.gap == expected
+
+    @pytest.mark.parametrize("slack", [-1.0, float("nan"), float("inf"), True, "0.1", None])
+    def test_slack_must_be_finite_and_non_negative(self, slack):
+        tpl = random_instance("A", 2)
+        q = balanced(tpl.observed())
+        fam = ShiftFamily(q, correlation_grid(3))
+        with pytest.raises(ArgumentError, match="slack"):
+            check_epsilon_risk_bound(bayes_predictor(q, tpl.core), fam, tpl.core, slack=slack)
+
+    def test_slack_accepts_zero_and_numpy_floats(self):
+        tpl = random_instance("A", 2)
+        q = balanced(tpl.observed())
+        fam = ShiftFamily(q, correlation_grid(3))
+        pred = bayes_predictor(q, tpl.core)
+        plain = check_epsilon_risk_bound(pred, fam, tpl.core, slack=0)
+        assert check_epsilon_risk_bound(pred, fam, tpl.core, slack=np.float64(0.0)) == plain
 
 
 class TestNonfactorization:
