@@ -158,13 +158,14 @@ def check_invariance_conditions(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TablePredictor:
     """A score function on discrete covariate states.
 
     ``scores`` holds P(Y=1 | state) with one axis per input, in input order;
     ``defined`` is False on the states that carry zero probability in the
-    source table, where the score means nothing.
+    source table, where the score means nothing.  Equality and hashing are
+    by identity, since the fields hold arrays.
     """
 
     inputs: tuple[str, ...]
@@ -238,18 +239,19 @@ def entangled_gap(p: float, q: float) -> tuple[float, float]:
     return float(e_given_z1), float(e_given_z0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftFamily:
     """Correlation-shift family: the group-given-label conditional varies
     over ``grid`` while the label marginal and all covariate mechanisms given
     (label, group) stay pinned to ``base``.  ``probs[k]`` is member k's table;
-    all are built here by one stacked reweight, so an undefined one raises."""
+    all are built here by one stacked reweight, so an undefined one raises.
+    Equality and hashing are by identity, since the fields hold arrays."""
 
     base: JointTable
     grid: tuple[np.ndarray, ...]
     y: str = "Y"
     z: str = "Z"
-    probs: np.ndarray = field(init=False, repr=False, compare=False)
+    probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         y_card = self.base.variable(self.y).cardinality

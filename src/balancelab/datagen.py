@@ -26,7 +26,12 @@ channel per key: core <- X_core, aux <- X_aux, ent <- X_ent, v <- X_v.
           P(V=0 | z) is the source P(V=0 | y, z) averaged over P(y), and D's
           X_ent takes its source marginal, independent of Y and Z;
   shift   ``ShiftFamily(source, grid).member(k)``: P(Z | Y) replaced by
-          grid point k, P(Y) and the keys given (Y, Z) unchanged.
+          grid point k, P(Y) and the keys given (Y, Z) unchanged.  The
+          members are drawn together, coupled: every set shares Y, and one
+          uniform per row sets each member's Z against its grid point, so
+          the sets share their keys and feature noise wherever their Z
+          agrees.  Each set is an exact i.i.d. draw of its member, but the
+          sets are not independent of each other.
 
 All generation is deterministic given the spec seed; test-set draws derive
 independent sub-streams.
@@ -297,6 +302,27 @@ def _dataset(spec: GenSpec, gen, y, z, keys: dict, v=None) -> Dataset:
     return Dataset(y, z, x, np.ones(y.shape[0]), slices, v, spec)
 
 
+def _member_features(spec: GenSpec, gen, keys: dict, z: np.ndarray) -> tuple[list[np.ndarray], dict]:
+    """Every member's ``x`` and the channel slices.  ``keys`` holds each
+    channel's key under every Z value, as (Z values, rows); member k's row i
+    takes the key drawn under its own Z value ``z[k, i]``, and each channel's
+    noise is drawn once for all members.  Each ``x`` is allocated on its
+    own: one stacked array for all members raised the peak resident memory
+    of a loop of ``paper-grid`` tasks."""
+    channels = _channels(spec)
+    n = z.shape[1]
+    x = [np.empty((n, sum(dim for dim, _, _ in channels.values()))) for _ in z]
+    picks = z * n + np.arange(n)  # each member's row among the (Z value, row) keys
+    slices, start = {}, 0
+    for name, (dim, sep, noise) in channels.items():
+        slices[name] = (start, start + dim)
+        means, key, shared = _block_means(dim, sep), keys[name].ravel(), gen.normal(0.0, noise, size=(n, dim))
+        for member_x, pick in zip(x, picks):
+            np.add(means.take(key.take(pick), axis=0), shared, out=member_x[:, start : start + dim])
+        start += dim
+    return x, slices
+
+
 def _build_law(spec: GenSpec) -> GraphTemplate:
     """The graph's template with the spec's law fields and clean channels;
     A's and D's ``label_noise`` is their core flip."""
@@ -310,12 +336,35 @@ def _key_table(net: Cbn) -> JointTable:
     return marginalize(joint(net), {"Y", "Z", "V", *_CHANNEL_KEYS.values()} & set(net.names))
 
 
-def _draw(spec: GenSpec, table: JointTable, n: int, gen) -> Dataset:
+def _check_size(n) -> None:
     if not (is_int(n) and n >= 1):
         raise ArgumentError(f"n must be an integer >= 1, got {n!r}")
+
+
+def _channel_keys(cols: dict) -> dict:
+    return {name: cols[node] for name, node in _CHANNEL_KEYS.items() if node in cols}
+
+
+def _draw(spec: GenSpec, table: JointTable, n: int, gen) -> Dataset:
+    _check_size(n)
     cols = dict(zip(table.names, _draw_states(table, n, gen)))
-    keys = {name: cols[node] for name, node in _CHANNEL_KEYS.items() if node in cols}
-    return _dataset(spec, gen, cols["Y"], cols["Z"], keys, cols.get("V"))
+    return _dataset(spec, gen, cols["Y"], cols["Z"], _channel_keys(cols), cols.get("V"))
+
+
+def _pick(masses: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
+    """Per row r, the state of ``masses[rows]`` (states on the last axis)
+    whose bin of the cumulative masses holds ``u[r]`` (in [0, 1)) times
+    their total: an exact draw by inversion.  A state after the last one with
+    mass is never picked, and a row without mass picks state 0; nothing is
+    divided, and no (rows, states) array is built."""
+    cdf = np.cumsum(masses, axis=-1)
+    total = cdf[..., -1]
+    edges = np.where(cdf < total[..., None], cdf, np.inf)
+    scaled = u * total[rows]
+    state = np.zeros(scaled.shape, dtype=np.int64)
+    for edge in np.moveaxis(edges[..., :-1], -1, 0):  # the last edge is inf
+        state += scaled >= edge[rows]
+    return state
 
 
 def generate(spec: GenSpec) -> Dataset:
@@ -339,9 +388,34 @@ def shift_testsets(
 
     Grid entries follow the exact-table convention: a (2, 2) row-stochastic
     array whose [y, 0] entry is P'(Z=0 | Y=y).
+
+    The sets are one coupled draw.  Row i of every set has the same Y, drawn
+    from the source P(y); one uniform per row sets each member's Z against
+    its grid point; the keys (and C's V) are drawn once under each value of
+    Z from the source P(keys | y, z), with one uniform per row shared by the
+    Z values, and each channel's Gaussian noise is drawn once.  Member k's
+    row i is the row drawn under its own Z.  So each set is an exact i.i.d.
+    draw of its member, but the sets are not independent of each other: two
+    members that agree on a row's Z have the same keys and features there,
+    and a model's risk differences across the family carry little noise.
     """
-    family = ShiftFamily(_key_table(spec.law.net), grid)
-    return [_draw(spec, family.member(k), n, spawn(seed, _STREAM_SHIFT, k)) for k in range(len(family))]
+    _check_size(n)
+    table = _key_table(spec.law.net)
+    family = ShiftFamily(table, grid)  # checks the grid; raises if a member weights an empty (Y, Z) cell
+    names = ("Y", "Z") + tuple(name for name in table.names if name not in ("Y", "Z"))
+    probs = np.transpose(table.probs, table.axes(names))
+    cells = probs.reshape(probs.shape[:2] + (-1,))  # P(y, z, keys)
+    gen = spawn(seed, _STREAM_SHIFT)
+    y = _pick(cells.sum(axis=(1, 2)), ..., gen.random(n))
+    z = _pick(np.stack(family.grid), (slice(None), y), gen.random(n))  # (members, rows)
+    keys = np.unravel_index(_pick(cells.swapaxes(0, 1), (slice(None), y), gen.random(n)), probs.shape[2:])
+    cols = dict(zip(names[2:], keys))  # each key under every Z value, as (Z values, rows)
+    x, slices = _member_features(spec, gen, _channel_keys(cols), z)
+    v, rows, ones = cols.get("V"), np.arange(n), np.ones(n)
+    return [
+        Dataset(y, member_z, member_x, ones, slices, None if v is None else v[member_z, rows], spec)
+        for member_z, member_x in zip(z, x)
+    ]
 
 
 def implied_y_given_z(spec: GenSpec) -> np.ndarray:

@@ -183,7 +183,12 @@ def risk_invariance_report(
     testsets: Sequence[tuple[str, Dataset]] | Sequence[Dataset],
     loss: str = "zero_one",
 ) -> RiskReport:
-    """Risk of one model across several test sets plus the largest pairwise gap."""
+    """Risk of one model across several test sets plus the largest pairwise gap.
+
+    Each entry is a Dataset, labelled by its position, or a (label, Dataset)
+    pair with a str label."""
+    if not isinstance(testsets, Sequence):
+        raise ArgumentError(f"testsets must be a sequence, got {type(testsets).__name__}")
     if len(testsets) < 2:
         raise ArgumentError("need at least two test sets")
     if loss not in ("zero_one", "logloss"):
@@ -192,8 +197,10 @@ def risk_invariance_report(
     for i, entry in enumerate(testsets):
         if isinstance(entry, Dataset):
             named.append((str(i), entry))
+        elif isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str) and isinstance(entry[1], Dataset):
+            named.append(entry)
         else:
-            named.append((entry[0], entry[1]))
+            raise ArgumentError(f"testsets[{i}] must be a Dataset or a (str, Dataset) pair, got {entry!r:.80}")
     risks = []
     for label, ds in named:
         if len(ds) == 0:
@@ -202,5 +209,5 @@ def risk_invariance_report(
             raise ArgumentError(f"test set {label!r} has zero total weight")
         loss_y0, loss_y1 = _LOSS_PAIRS[loss](predict_scores(params, ds.x))
         risks.append(_weighted_mean(np.where(ds.y == 1, loss_y1, loss_y0), ds.weights))
-    max_gap = max(abs(a - b) for a in risks for b in risks)
-    return RiskReport(tuple(k for k, _ in named), tuple(risks), float(max_gap), loss)
+    # subtraction is monotone, so this is the largest pairwise |a - b| bit for bit
+    return RiskReport(tuple(k for k, _ in named), tuple(risks), max(risks) - min(risks), loss)

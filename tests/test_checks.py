@@ -190,6 +190,15 @@ class TestShiftFamily:
             assert np.shares_memory(member.probs, fam.probs) and member.probs.tobytes() == fam.probs[k].tobytes()
 
 
+class TestIdentityEquality:
+    def test_family_and_predictor_compare_and_hash_by_identity(self):
+        q = random_instance("A", 1).observed()
+        for make in (lambda: ShiftFamily(q, correlation_grid(3)), lambda: bayes_predictor(q, ("X_core",))):
+            a, b = make(), make()
+            assert a == a and a != b and not a == b
+            assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 class TestRiskInvariance:
     def test_core_predictor_invariant_on_balanced_anticausal(self):
         for seed in range(5):

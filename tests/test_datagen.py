@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from balancelab import artifacts, datagen
 from balancelab.bayesnet import joint
-from balancelab.checks import correlation_grid
+from balancelab.checks import ShiftFamily, correlation_grid
 from balancelab.datagen import (
     Dataset,
     GenSpec,
@@ -22,7 +22,9 @@ from balancelab.datagen import (
     shift_testsets,
 )
 from balancelab.errors import ArgumentError, SpecError
-from balancelab.tables import marginalize
+from balancelab.metrics import risk_invariance_report
+from balancelab.model import ModelParams
+from balancelab.tables import marginal_probs, marginalize
 from balancelab.templates import GRAPH_IDS, graph_template, template_a, template_b, template_c, template_d
 
 BUILDERS = {"A": template_a, "B": template_b, "C": template_c, "D": template_d}
@@ -307,6 +309,77 @@ class TestShifts:
         src_cells = np.bincount(src.y * 2 + src.z, minlength=4) / len(src)
         new_cells = np.bincount(shifted.y * 2 + shifted.z, minlength=4) / len(shifted)
         assert np.abs(src_cells - new_cells).max() < 0.01
+
+
+def constant_model(dim: int, score: float) -> ModelParams:
+    """A linear model that scores every row ``score``."""
+    return ModelParams([np.zeros((dim, 1))], [np.array([np.log(score / (1.0 - score))])])
+
+
+class TestCoupledShifts:
+    """The shift sets are one coupled draw: exact per member, shared between members."""
+
+    @pytest.mark.parametrize("gid", GRAPH_IDS)
+    @pytest.mark.parametrize("loss", ["zero_one", "logloss"])
+    def test_constant_model_has_no_gap(self, gid, loss):
+        sets = shift_testsets(GenSpec(graph=gid, n=2000, seed=3), correlation_grid(), 2000, seed=3)
+        for score in (0.3, 0.5, 0.8):
+            report = risk_invariance_report(constant_model(sets[0].x.shape[1], score), sets, loss)
+            assert report.max_gap == 0.0, (score, report.risks)
+
+    @pytest.mark.parametrize("gid", GRAPH_IDS)
+    def test_members_share_rows_where_z_agrees(self, gid):
+        sets = shift_testsets(GenSpec(graph=gid, n=100, seed=40), correlation_grid(5), 3000, seed=41)
+        for a in sets:
+            assert np.array_equal(a.y, sets[0].y)
+            assert (a.v is None) == (gid != "C")
+            for b in sets:
+                same = a.z == b.z
+                assert np.array_equal(a.x[same], b.x[same])
+                assert a.v is None or np.array_equal(a.v[same], b.v[same])
+
+    @pytest.mark.parametrize("gid", GRAPH_IDS)
+    def test_neighbour_flips_match_grid_steps(self, gid):
+        spec, n = GenSpec(graph=gid, n=100, seed=42), 20_000
+        py = marginal_probs(datagen._key_table(spec.law.net), ("Y",))
+        uneven = tuple(np.array([[r, 1.0 - r], [1.0 - r**2, r**2]]) for r in (0.1, 0.3, 0.8, 0.9))
+        for grid in (correlation_grid(7), uneven):
+            sets = shift_testsets(spec, grid, n, seed=43)
+            for k in range(len(grid) - 1):
+                p = float(py @ np.abs(grid[k + 1][:, 0] - grid[k][:, 0]))
+                flips = int(np.sum(sets[k].z != sets[k + 1].z))
+                assert abs(flips - n * p) <= 4.0 * np.sqrt(n * p * (1.0 - p)), (k, flips, n * p)
+
+    @pytest.mark.parametrize("gid", GRAPH_IDS)
+    def test_each_set_draws_its_member_law(self, gid):
+        # without channel noise the keys are read back from the features
+        quiet = {"noise_core": 0.0, "noise_aux": 0.0} | ({"noise_v": 0.0} if gid == "C" else {})
+        spec, n = GenSpec(graph=gid, n=100, seed=46, **quiet), 40_000
+        family = ShiftFamily(datagen._key_table(spec.law.net), correlation_grid(3))
+        for member, ds in zip(family.members(), shift_testsets(spec, family.grid, n, seed=47)):
+            cols = {"Y": ds.y, "Z": ds.z, "V": ds.v}
+            for name, (start, stop) in ds.channel_slices.items():
+                high = datagen._block_means(stop - start, getattr(spec, f"sep_{'aux' if name == 'ent' else name}"))[1]
+                cols[datagen._CHANNEL_KEYS[name]] = np.all(ds.channel(name) == high, axis=1).astype(np.int64)
+            cells = np.ravel_multi_index([cols[name] for name in member.names], member.shape)
+            freq = np.bincount(cells, minlength=member.probs.size) / n
+            want = member.probs.ravel()
+            assert np.all(np.abs(freq - want) <= 4.0 * np.sqrt(want * (1.0 - want) / n) + 1e-12), (freq, want)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gid", GRAPH_IDS)
+    def test_unweighted_cells_draw_without_warnings(self, gid):
+        # the ends put all of each label's mass on one group, leaving two (y, z) cells unweighted
+        sets = shift_testsets(GenSpec(graph=gid, n=100, seed=44), correlation_grid(3, 0.0, 1.0), 500, seed=45)
+        assert np.array_equal(sets[0].z, 1 - sets[0].y) and np.array_equal(sets[2].z, sets[2].y)
+
+    @pytest.mark.filterwarnings("error")
+    def test_pick_skips_states_without_mass(self):
+        masses = np.array([[0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0], [0.25, 0.0, 0.75, 0.0]])
+        rows = np.repeat(np.arange(3), 4)
+        u = np.tile([0.0, 0.4999, 0.5, np.nextafter(1.0, 0.0)], 3)
+        picked = datagen._pick(masses, rows, u)
+        assert picked.tolist() == [1, 1, 2, 2] + [0] * 4 + [0, 2, 2, 2]
 
 
 class TestDataset:

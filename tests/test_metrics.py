@@ -220,6 +220,41 @@ class TestRiskReport:
         with pytest.raises(ArgumentError, match="loss"):
             risk_invariance_report(passthrough_params(), [dataset(y, y, y), dataset(y, y, y)], "squared")
 
+    def test_max_gap_is_largest_pairwise_difference(self):
+        gen = np.random.default_rng(8)
+        for trial in range(20):
+            sets = []
+            for _ in range(int(gen.integers(2, 8))):
+                m = int(gen.integers(5, 60))
+                sets.append(dataset(gen.integers(0, 2, m), gen.integers(0, 2, m), gen.uniform(0, 1, m), gen.uniform(0.1, 2.0, m)))
+            for loss in ("zero_one", "logloss"):
+                rep = risk_invariance_report(passthrough_params(), sets, loss)
+                pairwise = max(abs(a - b) for a in rep.risks for b in rep.risks)
+                assert rep.max_gap.hex() == pairwise.hex(), (trial, loss)
+
+    @pytest.mark.parametrize(
+        "entries,named",
+        [
+            ([("a",), ("b",)], r"testsets\[0\].*\('a',\)"),
+            (["ab", "cd"], r"testsets\[0\].*'ab'"),
+            ([("a", 3), ("b", 4)], r"testsets\[0\].*\('a', 3\)"),
+            ([(0, "set")], r"testsets\[0\]"),
+        ],
+    )
+    def test_malformed_entries_rejected(self, entries, named):
+        y = np.array([0, 1] * 5)
+        good = ("good", dataset(y, y, y))
+        with pytest.raises(ArgumentError, match=named):
+            risk_invariance_report(passthrough_params(), entries + [good])
+        with pytest.raises(ArgumentError, match=r"testsets\[1\]"):
+            risk_invariance_report(passthrough_params(), [good, entries[0]])
+
+    def test_generator_rejected(self):
+        y = np.array([0, 1] * 5)
+        sets = (dataset(y, y, y) for _ in range(2))
+        with pytest.raises(ArgumentError, match="testsets must be a sequence, got generator"):
+            risk_invariance_report(passthrough_params(), sets)
+
     def test_needs_two_sets(self):
         with pytest.raises(ArgumentError):
             risk_invariance_report(passthrough_params(), [dataset([0, 1], [0, 1], [0.2, 0.8])])
