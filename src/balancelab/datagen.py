@@ -207,6 +207,10 @@ class Dataset:
         n = y.shape[0]
         if not (z.shape == (n,) and x.ndim == 2 and x.shape[0] == n):
             raise ArgumentError("column lengths disagree")
+        with np.errstate(over="ignore", invalid="ignore"):  # a finite sum rules out NaN and inf
+            finite = np.isfinite(x.sum()) or np.isfinite(x).all()
+        if not finite:
+            raise ArgumentError("features x must be finite")
         w = _checked_weights(self.weights, n)
         if not np.all((y == 0) | (y == 1)):
             raise ArgumentError("labels y must be 0 or 1")
@@ -401,13 +405,14 @@ def shift_testsets(
     """
     _check_size(n)
     table = _key_table(spec.law.net)
-    family = ShiftFamily(table, grid)  # checks the grid; raises if a member weights an empty (Y, Z) cell
+    # the grid checked on the (Y, Z) marginal; raises if a member weights an empty (Y, Z) cell
+    grid = ShiftFamily(marginalize(table, ("Y", "Z")), grid).grid
     names = ("Y", "Z") + tuple(name for name in table.names if name not in ("Y", "Z"))
     probs = np.transpose(table.probs, table.axes(names))
     cells = probs.reshape(probs.shape[:2] + (-1,))  # P(y, z, keys)
     gen = spawn(seed, _STREAM_SHIFT)
     y = _pick(cells.sum(axis=(1, 2)), ..., gen.random(n))
-    z = _pick(np.stack(family.grid), (slice(None), y), gen.random(n))  # (members, rows)
+    z = _pick(np.stack(grid), (slice(None), y), gen.random(n))  # (members, rows)
     keys = np.unravel_index(_pick(cells.swapaxes(0, 1), (slice(None), y), gen.random(n)), probs.shape[2:])
     cols = dict(zip(names[2:], keys))  # each key under every Z value, as (Z values, rows)
     x, slices = _member_features(spec, gen, _channel_keys(cols), z)

@@ -18,6 +18,7 @@ from .checks import _LOSS_PAIRS
 from .datagen import Dataset
 from .errors import ArgumentError
 from .model import ModelParams, predict_scores, probe_encoding
+from .rng import is_int
 
 MIN_STRATUM = 5
 
@@ -93,8 +94,8 @@ def evaluate(
     """
     if len(data) == 0:
         raise ArgumentError("dataset is empty")
-    if min_stratum < 1 or pp_bins < 1:
-        raise ArgumentError(f"min_stratum and pp_bins must be >= 1, got {min_stratum} and {pp_bins}")
+    if not (is_int(min_stratum) and is_int(pp_bins) and min_stratum >= 1 and pp_bins >= 1):
+        raise ArgumentError(f"min_stratum and pp_bins must be integers >= 1, got {min_stratum!r} and {pp_bins!r}")
     if not 0.0 <= threshold <= 1.0:
         raise ArgumentError(f"threshold must lie in [0, 1], got {threshold}")
     w = data.weights

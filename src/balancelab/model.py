@@ -6,8 +6,8 @@ representation), computed from one RBF kernel block per stratum of each
 mini-batch, so a conditional penalty never touches pairs across strata.
 Each block comes from an exact rank-2 gemm, finished in place, with the bits
 of the broadcast form.  All gradients are analytic; finite differences and a
-double-loop reference in the tests pin them.  Training is single-threaded and
-bit-reproducible for a fixed seed.
+double-loop reference in the tests pin them.  Training is single-threaded,
+bit-reproducible for a fixed seed, and computes its loss log once per epoch.
 The encoding probe fits its logistic regression by full-batch Newton steps
 to a gradient-norm tolerance, not by training.
 """
@@ -15,7 +15,9 @@ to a gradient-norm tolerance, not by training.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -84,17 +86,21 @@ def _sigmoid(logit: np.ndarray) -> np.ndarray:
     return np.where(logit >= 0, 1.0, e) / (1.0 + e)
 
 
-def predict_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
+def _checked_x(params: ModelParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
         raise ArgumentError(f"x must have shape (rows, {params.weights[0].shape[0]}), got {x.shape}")
-    return _forward(params, x)[0]
+    return x
+
+
+def predict_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    return _forward(params, _checked_x(params, x))[0]
 
 
 def representation(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """The frozen representation the encoding probe reads: hidden activations
     for a one-hidden-layer model, the raw inputs for a linear one."""
-    x = np.asarray(x, dtype=float)
+    x = _checked_x(params, x)
     return _forward(params, x)[2] if params.has_hidden else x
 
 
@@ -238,7 +244,8 @@ def _mmd_penalty(target: np.ndarray, strata: tuple[np.ndarray, list[int]], bandw
             np.matmul(kern[m:], coef[:, 1:] * t, out=side_sums[m:])
             grad[rows] = t * rowsum[:, None] - side_sums
         value += rowsum.sum() - 1.0 / (m - 1) - 1.0 / (n - 1)
-    return float(value), grad * (-2.0 / h2), skipped
+    grad *= -2.0 / h2
+    return float(value), grad, skipped
 
 
 def median_bandwidth(scores: np.ndarray, floor: float = 1e-3) -> float:
@@ -267,21 +274,12 @@ class LossReport:
     skipped_strata: int
 
 
-def _step(params: ModelParams, x: np.ndarray, y: np.ndarray, w: np.ndarray, spec: TrainSpec, bandwidth, strata):
-    """One batch's loss parts (total, ce, l2, mmd), its gradient arrays
-    (weights, then biases) and its skipped strata, from float labels ``y``;
-    with a penalty, ``bandwidth`` is resolved and ``strata`` comes from
-    ``_strata``.  Raises NumericsError if the total is not finite."""
-    wsum = float(w.sum())
-    if wsum <= 0:
-        raise ArgumentError("batch weight is zero")
+def _step(params: ModelParams, x: np.ndarray, y: np.ndarray, w: np.ndarray, spec: TrainSpec, wsum, bandwidth, strata):
+    """One batch's logits, MMD value, gradient arrays (weights, then biases) and skipped strata,
+    from float labels ``y`` and the positive weight sum ``wsum``; with a penalty, ``bandwidth`` is
+    resolved and ``strata`` comes from ``_strata``.  ``train`` logs the loss once per epoch."""
     scores, logit, hidden, pre = _forward(params, x)
-
-    # cross entropy via softplus for stability: ce = softplus(logit) - y * logit
-    ce = float((w * (np.logaddexp(0.0, logit) - y * logit)).sum() / wsum)
-    dlogit = w * (scores - y) / wsum
-
-    l2_value = spec.l2 * sum(float((wm**2).sum()) for wm in params.weights)
+    dlogit = w * (scores - y) / wsum  # of the cross entropy softplus(logit) - y * logit
 
     mmd_value, skipped, drep = 0.0, 0, None
     if spec.mmd is not None:
@@ -293,15 +291,11 @@ def _step(params: ModelParams, x: np.ndarray, y: np.ndarray, w: np.ndarray, spec
         else:
             dlogit += grad[:, 0] * scores * (1 - scores)
 
-    total = ce + l2_value + (spec.mmd.strength * mmd_value if spec.mmd else 0.0)
-    if not math.isfinite(total):
-        raise NumericsError(f"non-finite loss: ce={ce}, l2={l2_value}, mmd={mmd_value}")
-
     dout = dlogit[:, None]
     if params.has_hidden:
         gw2 = hidden.T @ dout + 2.0 * spec.l2 * params.weights[1]
         gb2 = dout.sum(axis=0)
-        dhidden = dout @ params.weights[1].T
+        dhidden = dout * params.weights[1].T  # each entry one exact product, the sign of a zero one included
         if drep is not None:
             dhidden += drep
         if params.activation == "relu":
@@ -309,7 +303,24 @@ def _step(params: ModelParams, x: np.ndarray, y: np.ndarray, w: np.ndarray, spec
         grads = (x.T @ dhidden + 2.0 * spec.l2 * params.weights[0], gw2, dhidden.sum(axis=0), gb2)
     else:
         grads = (x.T @ dout + 2.0 * spec.l2 * params.weights[0], dout.sum(axis=0))
-    return (float(total), ce, float(l2_value), float(mmd_value)), grads, skipped
+    return logit, mmd_value, grads, skipped
+
+
+def _batch_sums(values: np.ndarray, size: int) -> np.ndarray:
+    """Each ``size``-long run's sum (the last run may be shorter), bit for bit its slice's ``sum()``."""
+    full = len(values) - len(values) % size
+    sums = values[:full].reshape(-1, size).sum(axis=1)
+    return np.append(sums, values[full:].sum()) if full < len(values) else sums
+
+
+def _log_parts(logits, labels, w, wsums, size: int, layer_rows, mmd, spec: TrainSpec):
+    """Each step's logged (total, ce, l2, mmd) as arrays, bit for bit the scalar forms: step i read
+    the i-th ``size``-row batch of ``logits``, ``labels`` and ``w`` (weight sum ``wsums[i]``), had
+    its layers' flat weights in row i of ``layer_rows`` and got the penalty value ``mmd[i]``."""
+    # cross entropy via softplus for stability: ce = softplus(logit) - y * logit
+    ce = _batch_sums(w * (np.logaddexp(0.0, logits) - labels * logits), size) / wsums
+    l2 = spec.l2 * sum(np.square(rows).sum(axis=1) for rows in layer_rows)
+    return ce + l2 + (spec.mmd.strength * mmd if spec.mmd else 0.0), ce, l2, mmd
 
 
 def loss(params: ModelParams, data: Dataset, spec: TrainSpec, bandwidth: float | None = None) -> LossReport:
@@ -330,10 +341,18 @@ def loss(params: ModelParams, data: Dataset, spec: TrainSpec, bandwidth: float |
         if spec.mmd.on_representation and not params.has_hidden:
             raise ArgumentError("a representation penalty needs a model with a hidden layer")
         strata = _strata(data.y, data.z, spec.mmd.mode, len(data))[0]
+    wsum = float(data.weights.sum())
+    if wsum <= 0:
+        raise ArgumentError("batch weight is zero")
+    y, w, layers = data.y.astype(float), data.weights, len(params.weights)
     with np.errstate(over="ignore", invalid="ignore"):  # the finite-total check reports overflow
-        parts, grads, skipped = _step(params, data.x, data.y.astype(float), data.weights, spec, bandwidth, strata)
-    layers = len(params.weights)
-    return LossReport(*parts, grads[:layers], grads[layers:], skipped)
+        logit, mmd_value, grads, skipped = _step(params, data.x, y, w, spec, wsum, bandwidth, strata)
+        rows = [wm.reshape(1, -1) for wm in params.weights]  # one step's row per layer
+        parts = _log_parts(logit, y, w, np.array([wsum]), len(data), rows, np.array([mmd_value]), spec)
+    total, ce, l2_value, mmd_value = (float(part[0]) for part in parts)
+    if not math.isfinite(total):
+        raise NumericsError(f"non-finite loss: ce={ce}, l2={l2_value}, mmd={mmd_value}")
+    return LossReport(total, ce, l2_value, mmd_value, grads[:layers], grads[layers:], skipped)
 
 
 @dataclass(frozen=True)
@@ -356,10 +375,11 @@ def _init_params(dim: int, spec: TrainSpec) -> ModelParams:
 def train(data: Dataset, spec: TrainSpec) -> TrainResult:
     """Mini-batch SGD with Nesterov momentum; deterministic given the seed.
 
-    Each epoch gathers its shuffled rows and sorts its batches' MMD strata
-    once; each batch's ``_step`` reads slices of them.  The per-epoch log
-    records the averaged loss components and how many MMD strata were
-    skipped for being too small.  A diverging run raises NumericsError.
+    Each epoch gathers its shuffled rows, sums its batches' weights and sorts
+    its batches' MMD strata once; each batch's ``_step`` reads slices of them.
+    The per-epoch log, the averaged loss components and the MMD strata skipped
+    for being too small, is computed once per epoch from each step's logits and
+    weights.  A diverging run raises NumericsError naming the epoch.
     """
     if len(data) == 0:
         raise ArgumentError("training data is empty")
@@ -374,38 +394,49 @@ def train(data: Dataset, spec: TrainSpec) -> TrainResult:
             else:
                 probe = predict_scores(params, data.x[:first])
             bandwidth = median_bandwidth(probe)
-    # every layer's weights and biases are views of one flat vector, so the
-    # Nesterov step is two array statements
+    # every layer's weights and biases are views of one flat vector, weights
+    # first, so the Nesterov step runs in place on preallocated buffers
     arrays = params.weights + params.biases
     flat = np.concatenate([a.ravel() for a in arrays])
-    views = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
+    bounds = np.cumsum([a.size for a in arrays])
+    views = np.split(flat, bounds[:-1])
     views = [v.reshape(a.shape) for v, a in zip(views, arrays)]
     layers = len(params.weights)
     params = ModelParams(views[:layers], views[layers:], params.activation)
     velocity = np.zeros_like(flat)
+    grad = np.empty_like(flat)
+    update = np.empty_like(flat)
     mu, lr, size, starts = spec.momentum, spec.learning_rate, spec.batch_size, range(0, len(data), spec.batch_size)
+    # each step's logits, penalty value and weights (the head of ``flat``), for ``_log_parts``
+    logits, mmd, weight_rows = np.empty(len(data)), np.empty(len(starts)), np.empty((len(starts), bounds[layers - 1]))
+    layer_rows = np.split(weight_rows, bounds[: layers - 1], axis=1)
     log: list[dict] = []
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging step raises NumericsError instead
         for epoch in range(spec.epochs):
             perm = spawn(spec.seed, _STREAM_SHUFFLE, epoch).permutation(len(data))
             x, y, w = np.take(data.x, perm, axis=0), data.y[perm], data.weights[perm]
-            labels = y.astype(float)
+            labels, wsums = y.astype(float), _batch_sums(w, size)
+            if not (wsums > 0).all():
+                raise ArgumentError("batch weight is zero")
             strata = [None] * len(starts) if spec.mmd is None else _strata(y, data.z[perm], spec.mmd.mode, size)
-            totals = {"loss": 0.0, "ce": 0.0, "l2": 0.0, "mmd": 0.0}
             skipped = 0
-            for start, batch_strata in zip(starts, strata):
+            for i, (start, batch_strata, wsum) in enumerate(zip(starts, strata, wsums.tolist())):
                 rows = slice(start, start + size)
-                parts, grads, lost = _step(params, x[rows], labels[rows], w[rows], spec, bandwidth, batch_strata)
-                grad = np.concatenate([g.ravel() for g in grads])
-                velocity = mu * velocity + grad
-                flat -= lr * (grad + mu * velocity)
-                for key, value in zip(totals, parts):
-                    totals[key] += value
+                weight_rows[i] = flat[: bounds[layers - 1]]
+                logits[rows], mmd[i], grads, lost = _step(
+                    params, x[rows], labels[rows], w[rows], spec, wsum, bandwidth, batch_strata
+                )
+                np.concatenate([g.ravel() for g in grads], out=grad)
+                velocity *= mu
+                velocity += grad  # velocity = mu * velocity + grad, then flat -= lr * (grad + mu * velocity)
+                flat -= np.multiply(np.add(np.multiply(velocity, mu, out=update), grad, out=update), lr, out=update)
                 skipped += lost
-            entry = {k: v / len(starts) for k, v in totals.items()} | {"epoch": epoch, "skipped_strata": skipped}
-            log.append(entry)
-            if not (np.isfinite(entry["loss"]) and np.isfinite(flat).all()):
+            parts = _log_parts(logits, labels, w, wsums, size, layer_rows, mmd, spec)
+            if not (np.isfinite(parts[0]).all() and np.isfinite(flat).all()):
                 raise NumericsError(f"training diverged at epoch {epoch}")
+            # each part summed in step order, as the running total of one scalar per step
+            means = [reduce(operator.add, part.tolist(), 0.0) / len(starts) for part in parts]
+            log.append(dict(zip(("loss", "ce", "l2", "mmd"), means)) | {"epoch": epoch, "skipped_strata": skipped})
     return TrainResult(params, tuple(log), bandwidth)
 
 

@@ -4,6 +4,7 @@ non-factorization searches, fairness implications."""
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -37,9 +38,10 @@ from balancelab.errors import (
     CounterexampleNotFound,
     CoverageError,
     LabelError,
+    UnbalanceableSupport,
 )
 from balancelab.rng import spawn
-from balancelab.tables import Variable, condition, is_independent, marginalize
+from balancelab.tables import JointTable, Variable, condition, is_independent, marginalize
 from balancelab.templates import graph_template, random_instance
 
 
@@ -180,6 +182,33 @@ class TestShiftFamily:
         for bad in (np.full((2, 2), np.nan), np.array([[0.5, 0.5], [np.inf, 0.0]])):
             with pytest.raises(ArgumentError, match="finite"):
                 ShiftFamily(q, correlation_grid(3) + (bad,))
+
+    @pytest.mark.parametrize("order", [("Y", "Z", "X"), ("X", "Z", "Y")])
+    def test_pair_marginal_family_raises_what_the_member_tables_would(self, order):
+        """The family on the (y, z) marginal alone gives the member tables'
+        support and overflow errors; with two empty cells the error names the
+        first in the table's own axis order, as the whole reweight does."""
+        cards = {"Y": 2, "Z": 2, "X": 3}
+        probs = spawn(7, 60).uniform(0.1, 1.0, [cards[name] for name in order])
+        tiny = probs.copy()
+        tiny[tuple(0 if name in "YZ" else slice(None) for name in order)] = 1e-320
+        for y, z in ((0, 1), (1, 0)):
+            probs[tuple(y if name == "Y" else z if name == "Z" else slice(None) for name in order)] = 0.0
+        tables = [JointTable(tuple(Variable(name, cards[name]) for name in order), p / p.sum()) for p in (probs, tiny)]
+        grids = (correlation_grid(3), correlation_grid(3, 0.0, 1.0), (np.eye(2),), (np.eye(2)[::-1],))
+        raised = 0
+        for table in tables:
+            for grid in grids:
+                try:
+                    want = ShiftFamily(table, grid)
+                except (UnbalanceableSupport, ArgumentError) as exc:
+                    raised += 1
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        ShiftFamily(marginalize(table, ("Y", "Z")), grid)
+                else:
+                    got = ShiftFamily(marginalize(table, ("Y", "Z")), grid).grid
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want.grid, strict=True))
+        assert raised == 6  # every grid but the identity on the empty-cell table, every grid on the tiny one
 
     def test_members_are_read_only_views_of_the_stack(self):
         q = balanced(random_instance("B", 3).observed())

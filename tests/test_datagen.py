@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import inspect
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from balancelab import artifacts, datagen
+from balancelab import artifacts, checks, datagen
 from balancelab.bayesnet import joint
 from balancelab.checks import ShiftFamily, correlation_grid
 from balancelab.datagen import (
@@ -311,6 +313,27 @@ class TestShifts:
         assert np.abs(src_cells - new_cells).max() < 0.01
 
 
+class TestShiftGridCheck:
+    def test_grid_checked_on_the_pair_marginal_alone(self, monkeypatch):
+        spec = GenSpec(graph="C", n=100, seed=21)
+        shapes, real = [], checks._reweight
+        monkeypatch.setattr(checks, "_reweight", lambda probs, *args: shapes.append(probs.shape) or real(probs, *args))
+        shift_testsets(spec, correlation_grid(4), 50, seed=22)
+        assert len(shapes) == 1 and shapes[0][0] == 4 and np.prod(shapes[0]) == 4 * 2 * 2  # (members, y, z) only
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[], [np.full((2, 2), 0.5), np.ones((2, 3)) / 3], [np.array([[0.5, 0.5], [np.nan, 0.5]])], [np.eye(2) * 0.9]],
+        ids=["empty", "shape", "non_finite", "rows"],
+    )
+    def test_bad_grid_raises_what_the_family_raises(self, grid):
+        spec = GenSpec(graph="B", n=100, seed=23)
+        with pytest.raises(ArgumentError) as want:
+            ShiftFamily(datagen._key_table(spec.law.net), grid)
+        with pytest.raises(ArgumentError, match=re.escape(str(want.value))):
+            shift_testsets(spec, grid, 50, seed=24)
+
+
 def constant_model(dim: int, score: float) -> ModelParams:
     """A linear model that scores every row ``score``."""
     return ModelParams([np.zeros((dim, 1))], [np.array([np.log(score / (1.0 - score))])])
@@ -393,6 +416,19 @@ class TestDataset:
         cols[column] = np.array([0.0, 1.0, 1.0])  # whole-valued floats are accepted
         whole = Dataset(cols["y"], cols["z"], np.zeros((3, 1)), np.ones(3), {"x": (0, 1)}, cols["v"])
         assert whole.y.dtype == whole.z.dtype == whole.v.dtype == np.int64
+
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]])
+    def test_rejects_non_finite_features(self, bad):
+        x = np.zeros((3, 2))
+        x[: len(bad), 1] = bad
+        with pytest.raises(ArgumentError, match="features x must be finite"):
+            Dataset(np.zeros(3), np.zeros(3), x, np.ones(3), {"x": (0, 2)})
+
+    def test_accepts_finite_features_whose_sum_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = Dataset(np.zeros(2), np.zeros(2), np.full((2, 1), 1e308), np.ones(2), {"x": (0, 1)})
+        assert len(data) == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_rejects_bad_weight(self, bad):

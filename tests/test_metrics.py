@@ -12,7 +12,7 @@ from balancelab.checks import _LOSS_PAIRS
 from balancelab.datagen import Dataset, GenSpec, generate
 from balancelab.errors import ArgumentError
 from balancelab.metrics import MetricsReport, evaluate, risk_invariance_report
-from balancelab.model import ModelParams, predict_scores
+from balancelab.model import ModelParams, predict_scores, representation
 
 
 def passthrough_params() -> ModelParams:
@@ -111,6 +111,14 @@ class TestEvaluate:
         with pytest.raises(ArgumentError, match=">= 1"):
             evaluate(passthrough_params(), ds, **knob)
 
+    @pytest.mark.parametrize("knob", ["min_stratum", "pp_bins"])
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
+    def test_knob_must_be_an_integer(self, knob, bad):
+        ds = dataset([0, 1] * 10, [0, 1] * 10, np.linspace(0, 1, 20))
+        with pytest.raises(ArgumentError, match="integers"):
+            evaluate(passthrough_params(), ds, **{knob: bad})
+        assert evaluate(passthrough_params(), ds, **{knob: np.int64(3)}) == evaluate(passthrough_params(), ds, **{knob: 3})
+
     @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5, 5.0])
     def test_threshold_outside_unit_interval_rejected(self, bad):
         ds = dataset([0, 1] * 10, [0, 1] * 10, np.linspace(0, 1, 20))
@@ -128,6 +136,10 @@ class TestEvaluate:
             evaluate(passthrough_params(), wide)
         with pytest.raises(ArgumentError, match="shape"):
             risk_invariance_report(passthrough_params(), [wide, wide])
+        hidden = ModelParams([np.ones((1, 3)), np.ones((3, 1))], [np.zeros(3), np.zeros(1)])
+        for params in (passthrough_params(), hidden):  # a linear model's representation is x itself
+            with pytest.raises(ArgumentError, match="shape"):
+                representation(params, np.ones((20, 2)))
 
     def test_eo_invariant_to_group_relabeling(self):
         gen = np.random.default_rng(0)

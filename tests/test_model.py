@@ -550,6 +550,93 @@ def per_layer_train(data: Dataset, spec: TrainSpec) -> tuple[ModelParams, list[d
     return params, log
 
 
+def scalar_log_step(params: ModelParams, x, y, w, spec: TrainSpec, bandwidth, strata):
+    """The step that logged its own batch: weight sum and zero check, scalar
+    cross entropy, L2 and total, a finite-total check, and the hidden
+    gradient through the rank-1 gemm ``dout @ w2.T``."""
+    wsum = float(w.sum())
+    if wsum <= 0:
+        raise ArgumentError("batch weight is zero")
+    scores, logit, hidden, pre = model._forward(params, x)
+    ce = float((w * (np.logaddexp(0.0, logit) - y * logit)).sum() / wsum)
+    dlogit = w * (scores - y) / wsum
+    l2_value = spec.l2 * sum(float((wm**2).sum()) for wm in params.weights)
+    mmd_value, skipped, drep = 0.0, 0, None
+    if spec.mmd is not None:
+        on_rep = spec.mmd.on_representation
+        mmd_value, grad, skipped = model._mmd_penalty(hidden if on_rep else scores[:, None], strata, bandwidth)
+        grad = grad * spec.mmd.strength
+        if on_rep:
+            drep = grad
+        else:
+            dlogit += grad[:, 0] * scores * (1 - scores)
+    total = ce + l2_value + (spec.mmd.strength * mmd_value if spec.mmd else 0.0)
+    if not math.isfinite(total):
+        raise NumericsError(f"non-finite loss: ce={ce}, l2={l2_value}, mmd={mmd_value}")
+    dout = dlogit[:, None]
+    if params.has_hidden:
+        gw2 = hidden.T @ dout + 2.0 * spec.l2 * params.weights[1]
+        dhidden = dout @ params.weights[1].T
+        if drep is not None:
+            dhidden += drep
+        if params.activation == "relu":
+            dhidden *= pre > 0
+        grads = (x.T @ dhidden + 2.0 * spec.l2 * params.weights[0], gw2, dhidden.sum(axis=0), dout.sum(axis=0))
+    else:
+        grads = (x.T @ dout + 2.0 * spec.l2 * params.weights[0], dout.sum(axis=0))
+    return (float(total), ce, float(l2_value), float(mmd_value)), grads, skipped
+
+
+def scalar_log_train(data: Dataset, spec: TrainSpec) -> tuple[ModelParams, list[dict], float | None]:
+    """Training through ``scalar_log_step``: the log summed one step at a
+    time, and a Nesterov update of fresh arrays on the flat parameters."""
+    params = model._init_params(data.x.shape[1], spec)
+    bandwidth = None if spec.mmd is None else spec.mmd.bandwidth
+    if spec.mmd is not None and bandwidth is None:
+        head = data.x[: min(spec.batch_size, len(data))]
+        probe = representation(params, head) if spec.mmd.on_representation else predict_scores(params, head)
+        bandwidth = median_bandwidth(probe)
+    arrays = params.weights + params.biases
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views = [v.reshape(a.shape) for v, a in zip(np.split(flat, np.cumsum([a.size for a in arrays])[:-1]), arrays)]
+    layers = len(params.weights)
+    params = ModelParams(views[:layers], views[layers:], params.activation)
+    velocity, mu, lr, size = np.zeros_like(flat), spec.momentum, spec.learning_rate, spec.batch_size
+    starts, log = range(0, len(data), size), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(spec.epochs):
+            perm = spawn(spec.seed, model._STREAM_SHUFFLE, epoch).permutation(len(data))
+            x, y, w = data.x[perm], data.y[perm], data.weights[perm]
+            strata = [None] * len(starts) if spec.mmd is None else model._strata(y, data.z[perm], spec.mmd.mode, size)
+            totals, skipped = {"loss": 0.0, "ce": 0.0, "l2": 0.0, "mmd": 0.0}, 0
+            for start, batch_strata in zip(starts, strata):
+                rows = slice(start, start + size)
+                parts, grads, lost = scalar_log_step(
+                    params, x[rows], y[rows].astype(float), w[rows], spec, bandwidth, batch_strata
+                )
+                grad = np.concatenate([g.ravel() for g in grads])
+                velocity = mu * velocity + grad
+                flat -= lr * (grad + mu * velocity)
+                for key, value in zip(totals, parts):
+                    totals[key] += value
+                skipped += lost
+            log.append({k: v / len(starts) for k, v in totals.items()} | {"epoch": epoch, "skipped_strata": skipped})
+            if not (np.isfinite(log[-1]["loss"]) and np.isfinite(flat).all()):
+                raise NumericsError(f"training diverged at epoch {epoch}")
+    return params, log, bandwidth
+
+
+PENALTIES = {
+    "none": None,
+    "marginal": MmdPenalty("marginal", 1.0),
+    "conditional": MmdPenalty("conditional", 0.7),
+    "conditional_rep": MmdPenalty("conditional", 1.3, on_representation=True),
+    "fixed_bandwidth": MmdPenalty("marginal", 2.0, 0.4),
+}
+# every penalty with a linear and a hidden-layer model, where it applies
+PENALTY_CASES = [(name, hidden) for name in PENALTIES for hidden in (0, 8) if hidden or name != "conditional_rep"]
+
+
 class TestLeanStep:
     @pytest.mark.parametrize("hidden", [0, 8])
     def test_flat_step_matches_per_layer_loop(self, monkeypatch, hidden):
@@ -563,6 +650,69 @@ class TestLeanStep:
             assert a.shape == b.shape
             assert np.array_equal(a, b)
         assert list(fast.log) == log
+
+    @pytest.mark.parametrize("penalty, hidden", PENALTY_CASES)
+    def test_epoch_log_matches_per_step_log(self, penalty, hidden):
+        """Params, log and bandwidth are those of the step that logged its own
+        batch, bit for bit: weighted rows, a partial last batch, every penalty."""
+        data = generate(GenSpec(graph="C", n=650, seed=28))
+        data = data.take(np.arange(len(data)), spawn(29, 58).uniform(0.2, 3.0, len(data)))
+        spec = TrainSpec(epochs=3, batch_size=64, hidden_dim=hidden, mmd=PENALTIES[penalty], seed=30)
+        fast = train(data, spec)
+        params, log, bandwidth = scalar_log_train(data, spec)
+        for a, b in zip(fast.params.weights + fast.params.biases, params.weights + params.biases):
+            assert a.tobytes() == b.tobytes()
+        assert list(fast.log) == log and fast.bandwidth == bandwidth
+
+    @pytest.mark.parametrize("penalty, hidden", PENALTY_CASES)
+    def test_loss_report_matches_per_step_parts(self, penalty, hidden):
+        data = generate(GenSpec(graph="B", n=300, seed=31))
+        data = data.take(np.arange(len(data)), spawn(32, 58).uniform(0.2, 3.0, len(data)))
+        params = random_params(33, d=data.x.shape[1], hidden=hidden)
+        spec = TrainSpec(hidden_dim=hidden, mmd=PENALTIES[penalty], l2=0.01)
+        bandwidth, strata = None, None
+        if spec.mmd is not None:
+            bandwidth = spec.mmd.bandwidth or 0.25
+            strata = model._strata(data.y, data.z, spec.mmd.mode, len(data))[0]
+        report = loss(params, data, spec, bandwidth)
+        parts, grads, skipped = scalar_log_step(
+            params, data.x, data.y.astype(float), data.weights, spec, bandwidth, strata
+        )
+        assert (report.value, report.ce, report.l2, report.mmd) == parts and report.skipped_strata == skipped
+        for a, b in zip(report.grad_weights + report.grad_biases, grads):
+            assert np.array_equal(a, b)
+
+    def test_divergence_mid_epoch_names_the_epoch_without_warnings(self, monkeypatch):
+        data = generate(GenSpec(graph="A", n=700, seed=1))
+        spec = TrainSpec(epochs=4, batch_size=64, learning_rate=1e10, l2=0.0, hidden_dim=4)
+        finite, real = [], model._step
+
+        def watching(*args):
+            out = real(*args)
+            finite.append(bool(np.isfinite(out[0]).all()))
+            return out
+
+        monkeypatch.setattr(model, "_step", watching)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="at epoch 1$"):
+                train(data, spec)
+        steps = math.ceil(len(data) / spec.batch_size)
+        first = finite.index(False)
+        assert steps < first < 2 * steps - 1  # the logits turned non-finite inside epoch 1
+        assert len(finite) == 2 * steps  # and the epoch ran to its end before raising
+        with pytest.raises(NumericsError, match="non-finite loss"):
+            scalar_log_train(data, spec)
+
+    def test_zero_weight_batch_is_argument_error(self):
+        data = generate(GenSpec(graph="A", n=40, seed=2))
+        weights = np.ones(len(data))
+        perm = spawn(0, model._STREAM_SHUFFLE, 0).permutation(len(data))
+        weights[perm[16:32]] = 0.0  # the second batch of epoch 0
+        with pytest.raises(ArgumentError, match="batch weight is zero"):
+            train(data.take(np.arange(len(data)), weights), TrainSpec(epochs=1, batch_size=16))
+        with pytest.raises(ArgumentError, match="batch weight is zero"):
+            loss(random_params(0, d=data.x.shape[1]), data.take(perm[16:32], np.zeros(16)), TrainSpec())
 
     @given(
         st.lists(
