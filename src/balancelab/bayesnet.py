@@ -4,6 +4,7 @@ A ``Cbn`` couples a DAG with one conditional probability table per node and
 supports exact joint computation, ancestral sampling, d-separation, edge
 removal (``mutilate(net, [(parent, child), ...])``), and checking whether an
 exact table obeys every conditional independence a DAG implies.
+D-separation runs on node bitmasks; the pairwise sweep batches its gap-kernel calls.
 
 Networks are immutable; sampling takes explicit seeds.
 """
@@ -12,17 +13,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from math import isfinite
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ArgumentError, CycleError, EdgeError, UnknownVariableError
-from .rng import is_int, spawn
+from .rng import is_int, is_real, spawn
 from .tables import JointTable, SampleBatch, Variable, _derived, _marginal, _state_gaps, marginal_probs
 
 CPT_ROW_TOL = 1e-12
+SWEEP_CELLS = 1 << 16  # the pairwise sweep's stacks: about this many cells, plus one pair's
 Statement = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]  # (a, b, given): a ⊥ b | given
 
 
@@ -93,29 +95,13 @@ class Dag:
 
     def ancestors(self, targets: Iterable[str]) -> set[str]:
         """Targets plus all their ancestors."""
-        seen: set[str] = set()
-        queue = deque(self._require(targets))
-        while queue:
-            n = queue.popleft()
-            if n in seen:
-                continue
-            seen.add(n)
-            queue.extend(self.parents[n])
-        return seen
+        mask = _union(self._masks[3], self._mask(targets))
+        return {n for j, n in enumerate(self.nodes) if mask >> j & 1}
 
     def descendants(self, node: str) -> set[str]:
         """Strict descendants of ``node``."""
-        self._require([node])
-        children = self._children  # type: ignore[attr-defined]
-        seen: set[str] = set()
-        queue = deque(children[node])
-        while queue:
-            n = queue.popleft()
-            if n in seen:
-                continue
-            seen.add(n)
-            queue.extend(children[n])
-        return seen
+        i, anc = self._masks[0][self._require([node])[0]], self._masks[3]
+        return {n for j, n in enumerate(self.nodes) if j != i and anc[j] >> i & 1}
 
     def _require(self, names: Iterable[str]) -> tuple[str, ...]:
         names = tuple(names)
@@ -124,43 +110,66 @@ class Dag:
                 raise UnknownVariableError(f"unknown node {n!r}; have {self.nodes}")
         return names
 
+    @cached_property
+    def _masks(self) -> tuple[dict[str, int], list[int], list[int], list[int]]:
+        """Each node's bit (its index in ``nodes``), then per bit the bitmask
+        of its parents, of its children, and of itself and its ancestors;
+        built on first use, in one pass in topological order."""
+        bit = {n: i for i, n in enumerate(self.nodes)}
+        par, kids, anc = ([0] * len(bit) for _ in range(3))
+        for n in self._topo:  # type: ignore[attr-defined]
+            i = bit[n]
+            anc[i] = 1 << i
+            for j in map(bit.__getitem__, self.parents[n]):
+                par[i] |= 1 << j
+                kids[j] |= 1 << i
+                anc[i] |= anc[j]
+        return bit, par, kids, anc
+
+    def _mask(self, names: Iterable[str]) -> int:
+        return sum({1 << self._masks[0][n] for n in self._require(names)})
+
+
+def _union(masks: Sequence[int], mask: int) -> int:
+    """The union of ``masks[i]`` over the set bits i of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= masks[low.bit_length() - 1]
+        mask ^= low
+    return out
+
 
 def d_separated(graph: "Dag | Cbn", a: Iterable[str], b: Iterable[str], given: Iterable[str] = ()) -> bool:
     """Standard d-separation of node sets ``a`` and ``b`` given ``given``.
 
     Uses the moralized ancestral graph: restrict to ancestors of a ∪ b ∪ given,
     connect co-parents, drop edge directions, delete ``given``, and test
-    undirected separation.
+    undirected separation, all on bitmasks of the nodes.
     """
     dag = graph.dag if isinstance(graph, Cbn) else graph
-    a, b, given = set(dag._require(a)), set(dag._require(b)), set(dag._require(given))
+    a, b, given = dag._mask(a), dag._mask(b), dag._mask(given)
     if not a or not b:
         raise ArgumentError("a and b must be non-empty")
     if (a & b) or (a & given) or (b & given):
         raise ArgumentError("a, b, given must be disjoint")
+    return _separated(dag, a, b, given)
 
-    relevant = dag.ancestors(a | b | given)
-    adjacency: dict[str, set[str]] = {n: set() for n in relevant}
-    for child in relevant:
-        ps = [p for p in dag.parents[child] if p in relevant]
-        for p in ps:
-            adjacency[p].add(child)
-            adjacency[child].add(p)
-        for p, q in combinations(ps, 2):
-            adjacency[p].add(q)
-            adjacency[q].add(p)
 
-    blocked = given
-    seen: set[str] = set()
-    queue = deque(a - blocked)
-    while queue:
-        n = queue.popleft()
-        if n in seen:
-            continue
-        seen.add(n)
-        if n in b:
+def _separated(dag: Dag, a: int, b: int, given: int) -> bool:
+    """The d-separation kernel on disjoint node bitmasks, ``a`` and ``b``
+    non-empty: a search from ``a`` through the moralized ancestral graph,
+    whose neighbours of a node are its parents, its relevant children and
+    their parents, never entering ``given``."""
+    _, par, kids, anc = dag._masks
+    relevant = _union(anc, a | b | given)  # closed under parents
+    reach = frontier = a
+    while frontier:
+        kid = _union(kids, frontier) & relevant
+        frontier = (_union(par, frontier) | kid | _union(par, kid)) & ~(given | reach)
+        if frontier & b:
             return False
-        queue.extend(nb for nb in adjacency[n] if nb not in blocked and nb not in seen)
+        reach |= frontier
     return True
 
 
@@ -369,12 +378,50 @@ def _gaps(probs: np.ndarray, names: Sequence[str], statement: Statement, lead: i
 def _local_statements(dag: Dag) -> list[Statement]:
     """The local Markov statements (node,) ⊥ nondescendants | parents, in
     node order, of every node with a nondescendant outside its parents."""
+    _, par, _, anc = dag._masks
     out = []
-    for v in dag.nodes:
-        excluded = dag.descendants(v) | set(dag.parents[v]) | {v}
-        if nondesc := tuple(n for n in dag.nodes if n not in excluded):
+    for i, v in enumerate(dag.nodes):  # skip each node j that is v, a descendant of v or a parent of v
+        if nondesc := tuple(n for j, n in enumerate(dag.nodes) if not (anc[j] >> i | par[i] >> j) & 1):
             out.append(((v,), nondesc, dag.parents[v]))
     return out
+
+
+def _pairwise_gaps(probs: np.ndarray, names: Sequence[str], dag: Dag) -> list[tuple[Statement, float]]:
+    """Every d-separated x ⊥ y | S of the DAG, pairs in node order and S by
+    the bits of the other nodes, with the gap ``_gaps`` gives it.  Each kept
+    set {x, y} ∪ S is summed once; each statement's (given, a, b) slices, in
+    the memory order ``_state_gaps`` uses for it alone, join one stack per
+    (slice shape, memory order).  Once a pair's statements bring the stacks to
+    ``SWEEP_CELLS`` cells, and after the last pair, one kernel call per stack
+    reads each slice as a draw."""
+    node, axis = dag.nodes, [names.index(v) for v in dag.nodes]
+    sums, groups = {}, {}  # kept axes: their sum; (slice shape, memory order): [(slot, slices)]
+    found, gaps, cells = [], {}, 0  # statements; gap per slot (statement index); cells stacked
+    for i, j in combinations(range(len(node)), 2):
+        rest = [k for k in range(len(node)) if k not in (i, j)]
+        for mask in range(1 << len(rest)):
+            cond = [k for t, k in enumerate(rest) if mask >> t & 1]
+            if not _separated(dag, 1 << i, 1 << j, sum(1 << k for k in cond)):
+                continue
+            axes = [axis[k] for k in (i, j, *cond)]
+            if (kept := tuple(sorted(axes))) not in sums:
+                sums[kept] = _marginal(probs, kept)
+            arr = sums[kept].transpose([kept.index(a) for a in axes])
+            flat = arr.reshape(arr.shape[0], arr.shape[1], -1)  # as _state_gaps reshapes it
+            outer = flat.strides[0] >= flat.strides[1]
+            slices = flat.transpose(2, 0, 1) if outer else flat.transpose(2, 1, 0)
+            groups.setdefault((slices.shape[1:], outer), []).append((len(found), slices))
+            found.append(((node[i],), (node[j],), tuple(node[k] for k in cond)))
+            cells += slices.size
+        if cells >= SWEEP_CELLS or i == len(node) - 2:  # a batch full, or the last pair done
+            for (shape, outer), members in groups.items():
+                slots, pieces = zip(*members)
+                # C order (given, *shape): without ``out``, concatenate follows the pieces' strides
+                stack = np.concatenate(pieces, out=np.empty((sum(map(len, pieces)), *shape)))
+                diff = _state_gaps(stack if outer else stack.swapaxes(1, 2), 1, 1, 1)[1].max(axis=(-2, -1))
+                gaps.update(zip(slots, np.maximum.reduceat(diff, np.cumsum([0, *map(len, pieces[:-1])])).tolist()))
+            groups, cells = {}, 0
+    return [(s, gaps[k]) for k, s in enumerate(found)]
 
 
 def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e-9) -> FactorizationReport:
@@ -386,11 +433,13 @@ def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e
     too.  Only when one of them fails are the pairwise statements
     x ⊥ y | S, over every d-separating subset S of the remaining nodes,
     tested as well, to say which finer independences break.  That sweep is
-    exponential in the number of nodes.  Each gap is ``is_independent``'s
-    ``max_gap``, bit for bit, from its kernel; ``tol`` must be finite and > 0.
+    still exponential in the number of nodes, but it sums the table once per
+    kept set {x, y} ∪ S and calls the gap kernel once per slice shape and
+    memory order in each batch of statements, not once per statement.  Each
+    gap is ``is_independent``'s ``max_gap``, bit for bit; ``tol`` must be a finite real > 0.
     """
-    if not (isfinite(tol) and tol > 0):
-        raise ArgumentError(f"tol must be finite and positive, got {tol}")
+    if not (is_real(tol) and tol > 0):
+        raise ArgumentError(f"tol must be a finite positive real, got {tol!r}")
     dag = graph.dag if isinstance(graph, Cbn) else graph
     if set(dag.nodes) != set(table.names):
         raise UnknownVariableError(
@@ -404,11 +453,5 @@ def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e
     ]
     if not local:
         return FactorizationReport(True, (), tol)
-    violations: list[Violation] = []
-    for x, y in combinations(dag.nodes, 2):
-        rest = [n for n in dag.nodes if n not in (x, y)]
-        for mask in range(1 << len(rest)):
-            cond = tuple(r for i, r in enumerate(rest) if mask >> i & 1)
-            if d_separated(dag, {x}, {y}, cond) and (gap := float(_gaps(probs, names, ((x,), (y,), cond)))) > tol:
-                violations.append(Violation((x,), (y,), cond, gap, "pairwise"))
-    return FactorizationReport(False, tuple(violations + local), tol)
+    pairwise = [Violation(*s, gap, "pairwise") for s, gap in _pairwise_gaps(probs, names, dag) if gap > tol]
+    return FactorizationReport(False, tuple(pairwise + local), tol)

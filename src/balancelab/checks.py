@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, product
-from math import isfinite
-from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -47,16 +45,11 @@ from .errors import (
     CoverageError,
     LabelError,
 )
-from .rng import is_int, spawn
+from .rng import is_int, is_real, spawn
 from .tables import JointTable, Variable, _derived, _frozen, _marginal, is_independent, marginal_probs
 from .templates import GraphTemplate, random_instance
 
 GENERIC_GAP = 1e-6  # separates structural violations from float noise
-
-
-def _finite_real(value) -> bool:
-    """Whether ``value`` is a finite real number; a bool is not one."""
-    return isinstance(value, Real) and not isinstance(value, bool) and isfinite(value)
 
 
 class Role(str, Enum):
@@ -291,7 +284,7 @@ def correlation_grid(n_points: int = 7, lo: float = 0.05, hi: float = 0.95) -> t
     """
     if not (is_int(n_points) and n_points >= 1):
         raise ArgumentError(f"n_points must be an integer >= 1, got {n_points!r}")
-    if not all(_finite_real(v) and 0 <= v <= 1 for v in (lo, hi)):
+    if not all(is_real(v) and 0 <= v <= 1 for v in (lo, hi)):
         raise ArgumentError(f"lo and hi must be finite numbers in [0, 1], got {lo!r} and {hi!r}")
     out = []
     for r in np.linspace(lo, hi, n_points):
@@ -406,7 +399,7 @@ def check_epsilon_risk_bound(
     core = tuple(core)
     if loss == "zero_one":
         raise ArgumentError("the risk bound does not apply to the zero_one loss")
-    if not (_finite_real(slack) and slack >= 0):
+    if not (is_real(slack) and slack >= 0):
         raise ArgumentError(f"slack must be a finite number >= 0, got {slack!r}")
     _, axes = _covariate_axes(family, core)
     probs, scores = _scored_members(fitted, family)
@@ -480,7 +473,7 @@ def find_nonfactorizing_balance(
         raise ArgumentError(f"unknown example id {example_id!r}; expected one of {_COUNTEREXAMPLE_IDS}")
     if not (is_int(retries) and retries >= 1):
         raise ArgumentError(f"retries must be an integer >= 1, got {retries!r}")
-    if not (_finite_real(min_gap) and min_gap >= 0):
+    if not (is_real(min_gap) and min_gap >= 0):
         raise ArgumentError(f"min_gap must be a finite number >= 0, got {min_gap!r}")
     nodes, parents, latents, dropped = _COUNTEREXAMPLES[example_id]
     dag = Dag(nodes, parents)

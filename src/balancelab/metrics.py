@@ -18,7 +18,7 @@ from .checks import _LOSS_PAIRS
 from .datagen import Dataset
 from .errors import ArgumentError
 from .model import ModelParams, predict_scores, probe_encoding
-from .rng import is_int
+from .rng import is_int, is_real
 
 MIN_STRATUM = 5
 
@@ -96,8 +96,8 @@ def evaluate(
         raise ArgumentError("dataset is empty")
     if not (is_int(min_stratum) and is_int(pp_bins) and min_stratum >= 1 and pp_bins >= 1):
         raise ArgumentError(f"min_stratum and pp_bins must be integers >= 1, got {min_stratum!r} and {pp_bins!r}")
-    if not 0.0 <= threshold <= 1.0:
-        raise ArgumentError(f"threshold must lie in [0, 1], got {threshold}")
+    if not (is_real(threshold) and 0.0 <= threshold <= 1.0):
+        raise ArgumentError(f"threshold must be a real number in [0, 1], got {threshold!r}")
     w = data.weights
     if not w.sum() > 0:
         raise ArgumentError("dataset has zero total weight")

@@ -28,7 +28,7 @@ from .errors import (
     NumericsError,
     SampleSizeError,
 )
-from .rng import is_int, spawn
+from .rng import is_int, is_real, spawn
 
 _STREAM_INIT = 0
 _STREAM_SHUFFLE = 1
@@ -114,9 +114,9 @@ class MmdPenalty:
     def __post_init__(self) -> None:
         if self.mode not in ("marginal", "conditional"):
             raise ArgumentError(f"mode must be 'marginal' or 'conditional', got {self.mode!r}")
-        if not (np.isfinite(self.strength) and self.strength >= 0):
+        if not (is_real(self.strength) and self.strength >= 0):
             raise ArgumentError(f"strength must be finite and >= 0, got {self.strength}")
-        if self.bandwidth is not None and not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
+        if self.bandwidth is not None and not (is_real(self.bandwidth) and self.bandwidth > 0):
             raise ArgumentError(f"bandwidth must be finite and positive, got {self.bandwidth}")
 
 
@@ -133,11 +133,11 @@ class TrainSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not (is_real(self.learning_rate) and self.learning_rate > 0):
             raise ArgumentError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ArgumentError("momentum must lie in [0, 1)")
-        if not (np.isfinite(self.l2) and self.l2 >= 0):
+        if not (is_real(self.momentum) and 0.0 <= self.momentum < 1.0):
+            raise ArgumentError(f"momentum must be a real number in [0, 1), got {self.momentum}")
+        if not (is_real(self.l2) and self.l2 >= 0):
             raise ArgumentError(f"l2 must be finite and >= 0, got {self.l2}")
         counts = dict(epochs=self.epochs, batch_size=self.batch_size, hidden_dim=self.hidden_dim, seed=self.seed)
         if not all(is_int(v) for v in counts.values()):

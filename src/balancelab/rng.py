@@ -12,6 +12,9 @@ shuffles) can derive independent generators without coordination:
 
 from __future__ import annotations
 
+from math import isfinite
+from numbers import Real
+
 import numpy as np
 
 from .errors import ArgumentError
@@ -20,6 +23,14 @@ from .errors import ArgumentError
 def is_int(value) -> bool:
     """Whether ``value`` is a Python or NumPy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a finite real number; a bool is not one, nor an int beyond the floats."""
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and isfinite(value)
+    except OverflowError:
+        return False
 
 
 def spawn(seed: int, *path: int) -> np.random.Generator:

@@ -13,7 +13,7 @@ Values are immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite, prod
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import (
     DegenerateEvidence,
     UnknownVariableError,
 )
-from .rng import is_int, spawn
+from .rng import is_int, is_real, spawn
 
 PROB_TOL = 1e-12
 MAX_CELLS = 10_000_000
@@ -222,8 +222,8 @@ def is_independent(
     largest gap the last wins, and within it the first (a, b) cell.
     """
     a, b, given = tuple(a), tuple(b), tuple(given)
-    if not (isfinite(tol) and tol > 0):
-        raise ArgumentError(f"tol must be finite and positive, got {tol}")
+    if not (is_real(tol) and tol > 0):
+        raise ArgumentError(f"tol must be a finite positive real, got {tol!r}")
     if not a or not b:
         raise ArgumentError("a and b must be non-empty")
     groups = (set(a), set(b), set(given))

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from itertools import combinations
+from math import prod
 
 import numpy as np
 import pytest
@@ -79,6 +81,61 @@ def random_dag(seed: int, names: tuple[str, ...]) -> Dag:
         k = int(gen.integers(0, min(i, 2) + 1))
         parents[name] = tuple(order[j] for j in sorted(gen.choice(i, size=k, replace=False))) if k else ()
     return Dag(names, parents)
+
+
+def mixed_net(seed: int, n_nodes: int) -> Cbn:
+    """Random DAG whose nodes have 2 or 3 states, with strictly positive CPTs."""
+    gen = spawn(seed, 8)
+    names = [f"N{i}" for i in range(n_nodes)]
+    cards = {n: int(gen.integers(2, 4)) for n in names}
+    parents = {n: tuple(p for p in names[:i] if gen.random() < 0.4) for i, n in enumerate(names)}
+    cpts = {}
+    for n in names:
+        rows = gen.uniform(0.1, 0.9, size=tuple(cards[p] for p in parents[n]) + (cards[n],))
+        cpts[n] = rows / rows.sum(axis=-1, keepdims=True)
+    return Cbn(tuple(Variable(n, cards[n]) for n in names), parents, cpts)
+
+
+def set_d_separated(dag: Dag, a: set[str], b: set[str], given: set[str]) -> bool:
+    """Reference: the set-based moralized ancestral graph search."""
+    relevant, queue = set(), deque(a | b | given)
+    while queue:
+        n = queue.popleft()
+        if n not in relevant:
+            relevant.add(n)
+            queue.extend(dag.parents[n])
+    adjacency: dict[str, set[str]] = {n: set() for n in relevant}
+    for child in relevant:
+        ps = [p for p in dag.parents[child] if p in relevant]
+        for p in ps:
+            adjacency[p].add(child)
+            adjacency[child].add(p)
+        for p, q in combinations(ps, 2):
+            adjacency[p].add(q)
+            adjacency[q].add(p)
+    seen: set[str] = set()
+    queue = deque(a - given)
+    while queue:
+        n = queue.popleft()
+        if n in seen:
+            continue
+        seen.add(n)
+        if n in b:
+            return False
+        queue.extend(m for m in adjacency[n] if m not in given and m not in seen)
+    return True
+
+
+def pairwise_statements(dag: Dag) -> list[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]]:
+    """Every d-separated x ⊥ y | S, in the sweep's order, through the public ``d_separated``."""
+    out = []
+    for x, y in combinations(dag.nodes, 2):
+        rest = [n for n in dag.nodes if n not in (x, y)]
+        for mask in range(1 << len(rest)):
+            cond = tuple(r for i, r in enumerate(rest) if mask >> i & 1)
+            if d_separated(dag, {x}, {y}, cond):
+                out.append(((x,), (y,), cond))
+    return out
 
 
 def full_sweep(table: JointTable, dag: Dag, tol: float = 1e-9) -> FactorizationReport:
@@ -168,6 +225,29 @@ class TestDSeparation:
     def test_unknown_node(self):
         with pytest.raises(NameError):
             d_separated(collider_net(), {"X"}, {"Q"}, set())
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**16), st.integers(1, 8), st.lists(st.integers(0, 3), min_size=8, max_size=8))
+    def test_matches_set_based_moralization(self, seed, n_nodes, roles):
+        dag = mixed_net(seed, n_nodes).dag
+        for x, y in combinations(dag.nodes, 2):
+            rest = [n for n in dag.nodes if n not in (x, y)]
+            for mask in range(1 << len(rest)):
+                cond = {r for i, r in enumerate(rest) if mask >> i & 1}
+                assert d_separated(dag, {x}, {y}, cond) == set_d_separated(dag, {x}, {y}, cond), (x, y, cond)
+        # set-valued a and b: each node is in a, b, given or none of them by its role
+        a, b, given = ({n for n, r in zip(dag.nodes, roles) if r == k} for k in range(3))
+        if a and b:
+            assert d_separated(dag, a, b, given) == set_d_separated(dag, a, b, given)
+            assert d_separated(dag, a, b, given) == d_separated(dag, b, a, given)
+
+    def test_ancestors_and_descendants(self):
+        dag = graph_template("C").net.dag
+        for n in dag.nodes:
+            assert dag.ancestors([n]) == {n} | {m for m in dag.nodes if n in dag.descendants(m)}
+        assert dag.ancestors(["Y", "Z"]) == dag.ancestors(["Y"]) | dag.ancestors(["Z"])
+        with pytest.raises(NameError):
+            dag.descendants("Q")
 
     def test_soundness_on_random_networks(self):
         # every d-separation statement must hold as exact independence
@@ -303,6 +383,117 @@ class TestFactorization:
         assert calls["d_separated"] == 0
         assert 0 < calls["_state_gaps"] <= 8  # one per local Markov statement
 
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**16), st.integers(2, 5), st.integers(0, 2**16))
+    def test_grouped_sweep_matches_per_statement_gaps(self, net_seed, n_nodes, order_seed):
+        # mixed cardinalities and a permuted table: slices of several shapes, in both memory orders
+        net = mixed_net(net_seed, n_nodes)
+        perm = spawn(order_seed, 9).permutation(n_nodes)
+        table = JointTable(tuple(net.nodes[i] for i in perm), joint(net).probs.transpose(perm))
+        for dag in (random_dag(order_seed, net.names), Dag(net.names, {})):
+            got = bayesnet._pairwise_gaps(table.probs, table.names, dag)
+            want = pairwise_statements(dag)
+            assert [s for s, _ in got] == want
+            for s, gap in got:
+                assert gap.hex() == float(bayesnet._gaps(table.probs, table.names, s)).hex(), s
+            if not factorizes_according_to(table, dag):
+                assert factorizes_according_to(table, dag) == full_sweep(table, dag)
+
+    def test_sweep_reduces_each_kept_set_once_and_groups_the_gap_kernel(self, monkeypatch):
+        tpl = random_instance("C", 0)
+        balanced = balance_exact(tpl.observed(), BalanceSpec(JointTarget(tpl.y, tpl.z)))
+        skeleton = tpl.mutilated_skeleton()
+        statements = pairwise_statements(skeleton)
+        kept_sets = {tuple(sorted(balanced.axes(x + y + s))) for x, y, s in statements}
+        n_local = len(bayesnet._local_statements(skeleton))
+        assert (len(statements), len(kept_sets), n_local) == (72, 25, 5)
+        calls = {"_marginal": [], "_state_gaps": []}
+
+        def recorded(name):
+            inner = getattr(bayesnet, name)
+
+            def wrapper(arr, *args):
+                calls[name].append((arr.shape, *args))
+                return inner(arr, *args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bayesnet, name, recorded(name))
+        report = factorizes_according_to(balanced, skeleton)
+        assert not report.factorizes
+        sweep_sums = [tuple(args[1]) for args in calls["_marginal"][n_local:]]
+        assert sorted(sweep_sums) == sorted(kept_sets)  # each kept set summed once
+        # every statement of C is binary with x before y in the table: one (2, 2) group, one call
+        assert len(calls["_state_gaps"]) == n_local + 1
+        assert calls["_state_gaps"][-1] == ((sum(2 ** len(s) for _, _, s in statements), 2, 2), 1, 1, 1)
+
+    def test_factorizing_table_never_enters_the_sweep(self, monkeypatch):
+        # no sweep and no d-separation search; the gap kernel runs once per local Markov statement
+        def refuse(*args):
+            raise AssertionError("the pairwise sweep ran")
+
+        shapes = []
+        inner = bayesnet._state_gaps
+
+        def recorded(arr, *args):
+            shapes.append(arr.shape)
+            return inner(arr, *args)
+
+        for name in ("_pairwise_gaps", "_separated", "d_separated"):
+            monkeypatch.setattr(bayesnet, name, refuse)
+        monkeypatch.setattr(bayesnet, "_state_gaps", recorded)
+        for seed in range(6):
+            net = random_net(seed, 6)
+            shapes.clear()
+            assert factorizes_according_to(joint(net), net).factorizes
+            assert len(shapes) == len(bayesnet._local_statements(net.dag)), seed
+
+    @pytest.mark.parametrize("cap", [1, 300])
+    def test_batched_sweep_bounds_its_stacks_and_keeps_every_gap(self, monkeypatch, cap):
+        net = mixed_net(11, 6)
+        table, dag = joint(net), Dag(net.names, {})
+        want = bayesnet._pairwise_gaps(table.probs, table.names, dag)
+        cards = dict(zip(table.names, table.probs.shape))
+        pair_cells: dict[tuple[str, ...], int] = {}  # cells of each pair's statements
+        for (x, y, given), _ in want:
+            pair_cells[x + y] = pair_cells.get(x + y, 0) + prod(cards[n] for n in x + y + given)
+        sizes = []
+        inner = bayesnet._state_gaps
+
+        def recorded(arr, *args):
+            sizes.append(arr.size)
+            return inner(arr, *args)
+
+        monkeypatch.setattr(bayesnet, "_state_gaps", recorded)
+        monkeypatch.setattr(bayesnet, "SWEEP_CELLS", cap)
+        got = bayesnet._pairwise_gaps(table.probs, table.names, dag)
+        assert [(s, g.hex()) for s, g in got] == [(s, g.hex()) for s, g in want]
+        assert len(want) == 15 * 16 and sum(sizes) == sum(pair_cells.values())
+        # a batch closes after the pair that brings it to the cap
+        assert max(sizes) < cap + max(pair_cells.values())
+        assert len(sizes) >= (len(pair_cells) if cap == 1 else sum(pair_cells.values()) // (cap + max(pair_cells.values())))
+
+    def test_grouped_sweep_holds_several_shapes_and_both_memory_orders(self, monkeypatch):
+        cards = {"A": 3, "B": 2, "C": 3, "D": 2}
+        gen = spawn(4, 9)
+        probs = gen.uniform(0.1, 1.0, size=tuple(cards.values()))
+        table = JointTable(tuple(Variable(n, c) for n, c in cards.items()), probs / probs.sum())
+        dag = Dag(("D", "B", "C", "A"), {})  # pairs in an order against the table's axes
+        shapes = []
+        inner = bayesnet._state_gaps
+
+        def recorded(arr, *args):
+            shapes.append((arr.shape[1:], arr.flags.c_contiguous))
+            return inner(arr, *args)
+
+        monkeypatch.setattr(bayesnet, "_state_gaps", recorded)
+        got = bayesnet._pairwise_gaps(table.probs, table.names, dag)
+        assert len(got) == 6 * 4 and len(shapes) == len(set(shapes))
+        assert {c for _, c in shapes} == {True, False} and len({s for s, _ in shapes}) >= 3
+        for s, gap in got:
+            assert gap.hex() == float(bayesnet._gaps(table.probs, table.names, s)).hex(), s
+
     def test_exact_outputs_pinned_bit_for_bit(self):
         # SHA-256 of every verdict and violation (statement, kind, gap bits) of
         # the C1-C3 counterexamples, the anti-causal control and the balanced
@@ -366,6 +557,12 @@ class TestFactorization:
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
     def test_tol_must_be_finite_and_positive(self, tol):
         # a complete DAG implies no statement, so no statement would catch the tol
+        complete = Dag(("X", "Z", "Y"), {"Z": ("X",), "Y": ("X", "Z")})
+        with pytest.raises(ArgumentError, match="tol"):
+            factorizes_according_to(joint(collider_net()), complete, tol=tol)
+
+    @pytest.mark.parametrize("tol", [True, False, "1e-9", None])
+    def test_tol_must_be_a_real_number(self, tol):
         complete = Dag(("X", "Z", "Y"), {"Z": ("X",), "Y": ("X", "Z")})
         with pytest.raises(ArgumentError, match="tol"):
             factorizes_according_to(joint(collider_net()), complete, tol=tol)

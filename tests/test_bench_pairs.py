@@ -105,3 +105,20 @@ def test_first_differing_seed_and_metric_named():
 
 def test_runs_without_quality_compare_nothing():
     assert bench_pairs.same_quality([1, 2], [({}, {}), ({}, {})]) == ["no quality means to compare"]
+
+
+def test_attempted_medians_per_side():
+    line = bench_pairs.attempted_line([(27000, 32900), (27400, 33100), (26800, 32500)])
+    assert line == "attempted tasks, median: parent 27000, change 32900 (+21.9%)"
+    assert bench_pairs.attempted_line([(0, 3)]).endswith("(-)")
+
+
+def test_main_prints_attempted_counts_under_the_table(monkeypatch, capsys):
+    runs = {"parent": ({"tasks_per_s": 900.0}, {}, 27000), "change": ({"tasks_per_s": 1100.0}, {}, 33000)}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *args: runs[checkout])
+    monkeypatch.setattr(bench_pairs, "directions", lambda checkout: {"tasks_per_s": "higher"})
+    bench_pairs.main(["--parent", "parent", "--change", "change", "--workload", "exact-checks", "--seeds", "1-2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("metric") and lines[1].startswith("tasks_per_s")
+    assert lines[2] == "attempted tasks, median: parent 27000, change 33000 (+22.2%)"
+    assert lines[3:] == ["no quality means to compare"]

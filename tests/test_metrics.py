@@ -125,6 +125,13 @@ class TestEvaluate:
         with pytest.raises(ArgumentError, match="threshold"):
             evaluate(passthrough_params(), ds, threshold=bad)
 
+    @pytest.mark.parametrize("bad", [True, False, "0.5", None])
+    def test_threshold_must_be_a_real_number(self, bad):
+        ds = dataset([0, 1] * 10, [0, 1] * 10, np.linspace(0, 1, 20))
+        with pytest.raises(ArgumentError, match="threshold"):
+            evaluate(passthrough_params(), ds, threshold=bad)
+        assert evaluate(passthrough_params(), ds, threshold=np.float32(0.5)) == evaluate(passthrough_params(), ds)
+
     def test_feature_width_mismatch_rejected(self):
         y = np.array([0, 1] * 10)
         wide = Dataset(y, y, np.ones((20, 2)), np.ones(20), {"all": (0, 2)})

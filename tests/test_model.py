@@ -360,6 +360,24 @@ class TestKnobs:
         with pytest.raises(ArgumentError, match=field):
             MmdPenalty("marginal", **knobs)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "momentum", "l2"])
+    @pytest.mark.parametrize("bad", [True, False, "0.1", None])
+    def test_train_spec_real_knobs_reject_bools_and_non_numbers(self, field, bad):
+        with pytest.raises(ArgumentError, match=field):
+            TrainSpec(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["strength", "bandwidth"])
+    @pytest.mark.parametrize("bad", [True, False, "0.3"])
+    def test_penalty_rejects_bools_and_non_numbers(self, field, bad):
+        knobs = {"strength": 1.0, "bandwidth": 0.3} | {field: bad}
+        with pytest.raises(ArgumentError, match=field):
+            MmdPenalty("marginal", **knobs)
+
+    def test_real_knobs_accept_numpy_and_integer_reals(self):
+        penalty = MmdPenalty("marginal", 1, 2)
+        spec = TrainSpec(learning_rate=np.float32(0.5), momentum=0, l2=np.float64(0.0), mmd=penalty)
+        assert (spec.learning_rate, spec.momentum, spec.mmd.bandwidth) == (0.5, 0, 2)
+
 
 class TestTraining:
     def test_separable_clusters_reach_high_accuracy(self):

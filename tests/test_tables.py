@@ -17,7 +17,7 @@ from balancelab.errors import (
     DegenerateContingency,
     DegenerateEvidence,
 )
-from balancelab.rng import spawn
+from balancelab.rng import is_real, spawn
 from balancelab.tables import (
     MAX_CELLS,
     JointTable,
@@ -34,6 +34,16 @@ from balancelab.tables import (
 
 Y = Variable("Y", 2)
 Z = Variable("Z", 2)
+
+
+@pytest.mark.parametrize(
+    "value, real",
+    [(0.5, True), (3, True), (np.float32(0.1), True), (np.int64(2), True), (-1e300, True),
+     (True, False), (np.bool_(True), False), (np.nan, False), (np.inf, False), ("0.5", False), (None, False),
+     (10**400, False), (-(10**400), False)],
+)
+def test_is_real(value, real):
+    assert is_real(value) is real
 
 
 def skewed_yz() -> JointTable:
@@ -275,6 +285,11 @@ class TestIsIndependent:
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ArgumentError, match="tol"):
+            is_independent(skewed_yz(), {"Y"}, {"Z"}, tol=tol)
+
+    @pytest.mark.parametrize("tol", [True, False, "1e-9", None])
+    def test_tol_must_be_a_real_number(self, tol):
         with pytest.raises(ArgumentError, match="tol"):
             is_independent(skewed_yz(), {"Y"}, {"Z"}, tol=tol)
 

@@ -11,6 +11,9 @@ quartiles, the change in the medians, and how many pairs the change won
 change's ``BENCHMARK.json`` gives the metric.  A gain holds when at least
 ten pairs ran, the change won at least nine in ten of them and its median
 beats the parent's by more than the parent's interquartile distance.
+Under the table it gives each side's median count of attempted tasks: a
+faster side runs more tasks in the same seconds, and ``peak_rss_mb`` grows
+with the number of tasks run, so a memory change is read against it.
 
 Each run's ``{"record": ...}`` line also carries the means of the
 workload's quality outputs over its first pass.  For every seed the summary
@@ -126,6 +129,14 @@ def same_quality(seeds: list[int], qualities: list[tuple[dict[str, float], dict[
     return lines
 
 
+def attempted_line(counts: list[tuple[int, int]]) -> str:
+    """Each side's median number of attempted tasks over the pairs, each
+    pair being (parent count, change count), and the change in the medians."""
+    old, new = (statistics.median(side) for side in zip(*counts))
+    rel = f"{(new - old) / old:+.1%}" if old else "-"
+    return f"attempted tasks, median: parent {old:g}, change {new:g} ({rel})"
+
+
 def parse_run(stdout: str) -> tuple[dict[str, float], dict[str, float], dict]:
     """The metric values, the quality means and the result line of one
     ``bench/run.py`` output; a run without quality outputs has none."""
@@ -136,14 +147,15 @@ def parse_run(stdout: str) -> tuple[dict[str, float], dict[str, float], dict]:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int):
-    """The metric values and quality means of one ``bench/run.py`` run in ``checkout``."""
+    """The metric values, quality means and attempted task count of one
+    ``bench/run.py`` run in ``checkout``."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     metrics, quality, result = parse_run(done.stdout)
     if not result["correct"]:
         raise RuntimeError(f"{checkout}: {result['failed']} of {result['attempted']} tasks failed at seed {seed}")
-    return metrics, quality
+    return metrics, quality, result["attempted"]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -164,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
-    pairs, qualities = [], []
+    pairs, qualities, attempted = [], [], []
     for i, seed in enumerate(args.seeds):
         sides = {}
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
@@ -172,8 +184,10 @@ def main(argv: list[str] | None = None) -> int:
             sides[side] = run_once(checkout, args.workload, seed, args.seconds, args.trace)
         pairs.append((sides["parent"][0], sides["change"][0]))
         qualities.append((sides["parent"][1], sides["change"][1]))
+        attempted.append((sides["parent"][2], sides["change"][2]))
         print(json.dumps({"seed": seed, **sides}), file=sys.stderr, flush=True)
     print(format_rows(summarize(pairs, directions(args.change))))
+    print(attempted_line(attempted))
     print("\n".join(same_quality(args.seeds, qualities)))
     return 0
 
