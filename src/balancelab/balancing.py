@@ -20,7 +20,7 @@ import numpy as np
 from .bayesnet import broadcast_axes
 from .errors import ArgumentError, UnbalanceableSupport
 from .rng import is_int, spawn
-from .tables import PROB_TOL, JointTable, SampleBatch, _derived, _marginal, marginal_probs
+from .tables import PROB_TOL, JointTable, SampleBatch, _derived, _marginal
 
 
 class Mechanism(str, Enum):
@@ -252,9 +252,3 @@ def bias_shift_single(p_y1, e_z_given_y1, e_z_given_y0) -> BiasShift:
     if before.ndim == 0:
         return BiasShift(float(before), float(after), float(bound), bool(worsens))
     return BiasShift(before, after, bound, worsens)
-
-
-def balanced_pair_gap(table: JointTable, y_var: str, z_var: str) -> float:
-    """Max deviation of the (y, z) marginal from the product of its marginals."""
-    arr = marginal_probs(table, (y_var, z_var))
-    return float(np.abs(arr - arr.sum(1, keepdims=True) * arr.sum(0, keepdims=True)).max())

@@ -4,7 +4,9 @@ A ``Cbn`` couples a DAG with one conditional probability table per node and
 supports exact joint computation, ancestral sampling, d-separation, edge
 removal (``mutilate(net, [(parent, child), ...])``), and checking whether an
 exact table obeys every conditional independence a DAG implies.
-D-separation runs on node bitmasks; the pairwise sweep batches its gap-kernel calls.
+D-separation runs on node bitmasks.  Every independence statement's gap, the
+local Markov ones and the pairwise sweep's alike, goes through one grouped
+kernel, ``_statement_gaps``, which also takes stacked tables of several draws.
 
 Networks are immutable; sampling takes explicit seeds.
 """
@@ -14,17 +16,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ArgumentError, CycleError, EdgeError, UnknownVariableError
 from .rng import is_int, is_real, spawn
-from .tables import JointTable, SampleBatch, Variable, _derived, _marginal, _state_gaps, marginal_probs
+from .tables import JointTable, SampleBatch, Variable, _dense_shape, _derived, _marginal, _state_gaps, marginal_probs
 
 CPT_ROW_TOL = 1e-12
-SWEEP_CELLS = 1 << 16  # the pairwise sweep's stacks: about this many cells, plus one pair's
+SWEEP_CELLS = 1 << 16  # _statement_gaps's stacks: about this many cells, plus one statement's
 Statement = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]  # (a, b, given): a ⊥ b | given
 
 
@@ -260,7 +263,9 @@ def broadcast_axes(arr: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarra
 
 
 def joint(net: Cbn) -> JointTable:
-    """The exact joint distribution: the product of node-given-parents CPTs."""
+    """The exact joint distribution: the product of node-given-parents CPTs,
+    refused before anything is allocated when it exceeds the dense cap."""
+    _dense_shape(net.nodes)
     return _derived(net.nodes, _product(net.dag, net.cpts))
 
 
@@ -368,60 +373,77 @@ class FactorizationReport:
         return max((v.gap for v in self.violations), default=0.0)
 
 
-def _gaps(probs: np.ndarray, names: Sequence[str], statement: Statement, lead: int = 0) -> np.ndarray:
-    """The largest gap of the statement, as ``is_independent`` reports it,
-    per draw of ``probs``: a table over ``names`` after ``lead`` draw axes."""
-    arr = _marginal(probs, [names.index(n) for part in statement for n in part], lead)
-    return _state_gaps(arr, len(statement[0]), len(statement[1]), lead)[1].max(axis=(-2, -1))
-
-
 def _local_statements(dag: Dag) -> list[Statement]:
     """The local Markov statements (node,) ⊥ nondescendants | parents, in
     node order, of every node with a nondescendant outside its parents."""
     _, par, _, anc = dag._masks
-    out = []
-    for i, v in enumerate(dag.nodes):  # skip each node j that is v, a descendant of v or a parent of v
-        if nondesc := tuple(n for j, n in enumerate(dag.nodes) if not (anc[j] >> i | par[i] >> j) & 1):
+    nodes, out = dag.nodes, []
+    for i, v in enumerate(nodes):  # skip each node j that is v, a descendant of v or a parent of v
+        bit, parents = 1 << i, par[i]
+        if nondesc := tuple([n for j, n in enumerate(nodes) if not (anc[j] & bit or parents >> j & 1)]):
             out.append(((v,), nondesc, dag.parents[v]))
     return out
 
 
-def _pairwise_gaps(probs: np.ndarray, names: Sequence[str], dag: Dag) -> list[tuple[Statement, float]]:
+def _pairwise_statements(dag: Dag) -> list[Statement]:
     """Every d-separated x ⊥ y | S of the DAG, pairs in node order and S by
-    the bits of the other nodes, with the gap ``_gaps`` gives it.  Each kept
-    set {x, y} ∪ S is summed once; each statement's (given, a, b) slices, in
-    the memory order ``_state_gaps`` uses for it alone, join one stack per
-    (slice shape, memory order).  Once a pair's statements bring the stacks to
-    ``SWEEP_CELLS`` cells, and after the last pair, one kernel call per stack
-    reads each slice as a draw."""
-    node, axis = dag.nodes, [names.index(v) for v in dag.nodes]
-    sums, groups = {}, {}  # kept axes: their sum; (slice shape, memory order): [(slot, slices)]
-    found, gaps, cells = [], {}, 0  # statements; gap per slot (statement index); cells stacked
+    the bits of the other nodes."""
+    node, out = dag.nodes, []
     for i, j in combinations(range(len(node)), 2):
         rest = [k for k in range(len(node)) if k not in (i, j)]
         for mask in range(1 << len(rest)):
             cond = [k for t, k in enumerate(rest) if mask >> t & 1]
-            if not _separated(dag, 1 << i, 1 << j, sum(1 << k for k in cond)):
+            if _separated(dag, 1 << i, 1 << j, sum(1 << k for k in cond)):
+                out.append(((node[i],), (node[j],), tuple(node[k] for k in cond)))
+    return out
+
+
+def _statement_gaps(probs: np.ndarray, names: Sequence[str], statements: Sequence[Statement], lead: int = 0) -> np.ndarray:
+    """The largest gap of each statement a ⊥ b | given, as ``is_independent``
+    reports it, per draw of ``probs``: a table over ``names`` after ``lead``
+    draw axes.  The result has shape (*draws, statements).  Each kept set
+    a ∪ b ∪ given is summed once.  Each statement's table, flattened to
+    (a, b, given) states as ``_state_gaps`` takes it, joins one stack per
+    (a, b) shape and memory order, given states last, with every (a, b) slice
+    in the memory order ``_state_gaps`` gives it in the statement's own
+    table; a stack of one table is that table.  Once the stacks reach
+    ``SWEEP_CELLS`` cells, and after the last statement, one kernel call per
+    stack reads all its given states, and each statement's gap is the
+    largest over its own."""
+    out = np.empty(probs.shape[:lead] + (len(statements),))
+    sums, groups, cells = {}, {}, 0  # kept axes: (their sum, its axis order); (a, b, memory order): [(slot, table)]
+    draws, last = range(lead), len(statements) - 1
+    for k, (a, b, given) in enumerate(statements):
+        axes = [names.index(n) for n in a + b + given]
+        if (kept := frozenset(axes)) in sums:
+            first, order = sums[kept]
+            arr = first.transpose(*draws, *[lead + order.index(x) for x in axes])
+        else:
+            arr = _marginal(probs, axes, lead)
+            sums[kept] = arr, axes
+        na, nab = lead + len(a), lead + len(a) + len(b)
+        flat = arr.reshape(*arr.shape[:lead], prod(arr.shape[lead:na]), prod(arr.shape[na:nab]), -1)
+        key = (*flat.shape[lead : lead + 2], flat.strides[lead] >= flat.strides[lead + 1])  # a's axis outer in memory
+        groups.setdefault(key, []).append((k, flat))
+        cells += flat.size
+        if cells < SWEEP_CELLS and k < last:
+            continue
+        for (size_a, size_b, outer), members in groups.items():  # a batch full, or the last statement done
+            if len(members) == 1:
+                (slot, table), = members
+                out[..., slot] = _state_gaps(table, lead)[1].max(axis=(-2, -1))
                 continue
-            axes = [axis[k] for k in (i, j, *cond)]
-            if (kept := tuple(sorted(axes))) not in sums:
-                sums[kept] = _marginal(probs, kept)
-            arr = sums[kept].transpose([kept.index(a) for a in axes])
-            flat = arr.reshape(arr.shape[0], arr.shape[1], -1)  # as _state_gaps reshapes it
-            outer = flat.strides[0] >= flat.strides[1]
-            slices = flat.transpose(2, 0, 1) if outer else flat.transpose(2, 1, 0)
-            groups.setdefault((slices.shape[1:], outer), []).append((len(found), slices))
-            found.append(((node[i],), (node[j],), tuple(node[k] for k in cond)))
-            cells += slices.size
-        if cells >= SWEEP_CELLS or i == len(node) - 2:  # a batch full, or the last pair done
-            for (shape, outer), members in groups.items():
-                slots, pieces = zip(*members)
-                # C order (given, *shape): without ``out``, concatenate follows the pieces' strides
-                stack = np.concatenate(pieces, out=np.empty((sum(map(len, pieces)), *shape)))
-                diff = _state_gaps(stack if outer else stack.swapaxes(1, 2), 1, 1, 1)[1].max(axis=(-2, -1))
-                gaps.update(zip(slots, np.maximum.reduceat(diff, np.cumsum([0, *map(len, pieces[:-1])])).tolist()))
-            groups, cells = {}, 0
-    return [(s, gaps[k]) for k, s in enumerate(found)]
+            # one stack, given states last, in a C-ordered (*draws, given, a, b) block, or
+            # (*draws, given, b, a): each slice in the memory order _state_gaps gives it alone
+            slots, tables = zip(*members)
+            sizes = [t.shape[-1] for t in tables]
+            block = np.empty((*out.shape[:lead], sum(sizes), *((size_a, size_b) if outer else (size_b, size_a))))
+            swap = (lead + 1, lead + 2) if outer else (lead + 2, lead + 1)
+            stack = np.concatenate(tables, axis=-1, out=block.transpose(*draws, *swap, lead))
+            diff = _state_gaps(stack, lead)[1].max(axis=-1)  # per draw and given state
+            out[..., slots] = np.maximum.reduceat(diff, [0, *accumulate(sizes[:-1])], axis=-1)
+        groups, cells = {}, 0
+    return out
 
 
 def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e-9) -> FactorizationReport:
@@ -433,10 +455,11 @@ def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e
     too.  Only when one of them fails are the pairwise statements
     x ⊥ y | S, over every d-separating subset S of the remaining nodes,
     tested as well, to say which finer independences break.  That sweep is
-    still exponential in the number of nodes, but it sums the table once per
-    kept set {x, y} ∪ S and calls the gap kernel once per slice shape and
-    memory order in each batch of statements, not once per statement.  Each
-    gap is ``is_independent``'s ``max_gap``, bit for bit; ``tol`` must be a finite real > 0.
+    still exponential in the number of nodes.  Both lists of statements go
+    through ``_statement_gaps``: each kept set is summed once and the gap
+    kernel runs once per (a, b) shape and memory order in each batch of
+    statements, not once per statement.  Each gap is ``is_independent``'s
+    ``max_gap``, bit for bit; ``tol`` must be a finite real > 0.
     """
     if not (is_real(tol) and tol > 0):
         raise ArgumentError(f"tol must be a finite positive real, got {tol!r}")
@@ -445,13 +468,11 @@ def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e
         raise UnknownVariableError(
             f"graph nodes {sorted(dag.nodes)} do not match table variables {sorted(table.names)}"
         )
-    probs, names = table.probs, table.names
-    local = [
-        Violation(*s, gap, "local-markov")
-        for s in _local_statements(dag)
-        if (gap := float(_gaps(probs, names, s))) > tol
-    ]
-    if not local:
+
+    def failing(statements: list[Statement], kind: str) -> list[Violation]:
+        gaps = _statement_gaps(table.probs, table.names, statements).tolist()
+        return [Violation(*s, gap, kind) for s, gap in zip(statements, gaps) if gap > tol]
+
+    if not (local := failing(_local_statements(dag), "local-markov")):
         return FactorizationReport(True, (), tol)
-    pairwise = [Violation(*s, gap, "pairwise") for s, gap in _pairwise_gaps(probs, names, dag) if gap > tol]
-    return FactorizationReport(False, tuple(pairwise + local), tol)
+    return FactorizationReport(False, tuple(failing(_pairwise_statements(dag), "pairwise") + local), tol)

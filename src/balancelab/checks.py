@@ -32,9 +32,9 @@ from .bayesnet import (
     Dag,
     FactorizationReport,
     Violation,
-    _gaps,
     _local_statements,
     _product,
+    _statement_gaps,
     broadcast_axes,
     factorizes_according_to,
     observed_dag,
@@ -463,11 +463,12 @@ def find_nonfactorizing_balance(
     in two chunks, attempt 0 alone and then the rest together, each as one
     joint, latent marginal and (Y, Z) reweight with a leading draw axis.  In
     the second chunk the skeleton's local Markov statements screen all draws
-    at once: only a draw with a local gap above the tolerance can fail to
-    factorize, so only those get the full ``factorizes_according_to`` report,
-    in attempt order.  Each gap and table is bit for bit that of its attempt
-    alone.  Violations are generic for the constructions that have them, so
-    failing all ``retries`` draws raises CounterexampleNotFound.
+    at once, in one ``_statement_gaps`` call over the draw axis: only a draw
+    with a local gap above the tolerance can fail to factorize, so only
+    those get the full ``factorizes_according_to`` report, in attempt order.
+    Each gap and table is bit for bit that of its attempt alone.  Violations
+    are generic for the constructions that have them, so failing all
+    ``retries`` draws raises CounterexampleNotFound.
     """
     if example_id not in _COUNTEREXAMPLE_IDS:
         raise ArgumentError(f"unknown example id {example_id!r}; expected one of {_COUNTEREXAMPLE_IDS}")
@@ -487,8 +488,8 @@ def find_nonfactorizing_balance(
         balanced = _balance_pair(probs, pair, ("Y", "Z"), 1)
         hits = range(1)  # one draw: its report runs the local statements itself
         if len(chunk) > 1:
-            local = [_gaps(balanced, skeleton.nodes, s, 1) for s in _local_statements(skeleton)]
-            hits = np.flatnonzero(np.max(local, axis=0) > tol)
+            local = _statement_gaps(balanced, skeleton.nodes, _local_statements(skeleton), 1)
+            hits = np.flatnonzero((local > tol).any(axis=-1))
         for k in hits:
             table = _derived(variables, balanced[k])
             strong = tuple(v for v in factorizes_according_to(table, skeleton, tol).violations if v.gap > min_gap)

@@ -49,7 +49,7 @@ from .bayesnet import Cbn, joint, mutilate
 from .checks import ShiftFamily
 from .errors import ArgumentError, SpecError
 from .rng import is_int, spawn
-from .tables import JointTable, _checked_weights, _draw_states, _frozen, marginal_probs, marginalize
+from .tables import JointTable, _checked_weights, _draw_states, _frozen, marginalize
 from .templates import GRAPH_IDS, GraphTemplate, graph_template, template_a, template_b, template_c
 
 # each channel's dim_*, sep_* and noise_* knob: a test and the rule it states
@@ -274,12 +274,6 @@ def _block_means(dim: int, sep: float) -> np.ndarray:
     return means
 
 
-def _gaussian_channel(out: np.ndarray, states: np.ndarray, sep: float, noise: float, gen) -> None:
-    """Write each row's state mean plus Gaussian noise into the block ``out``."""
-    means = _block_means(out.shape[1], sep)
-    np.add(means.take(states, axis=0), gen.normal(0.0, noise, size=out.shape), out=out)
-
-
 _CHANNEL_KEYS = {"core": "X_core", "aux": "X_aux", "ent": "X_ent", "v": "X_v"}
 
 
@@ -292,37 +286,24 @@ def _channels(spec: GenSpec) -> dict[str, tuple[int, float, float]]:
     return out
 
 
-def _dataset(spec: GenSpec, gen, y, z, keys: dict, v=None) -> Dataset:
-    """Attach one Gaussian channel per ``_channels`` entry, keyed by ``keys``:
-    ``x`` is allocated once and each channel is written into its own block of
-    columns, in ``_channels`` order."""
+def _member_features(spec: GenSpec, gen, keys: dict, z: np.ndarray | None = None) -> tuple[list[np.ndarray], dict]:
+    """Every member's ``x`` and the channel slices, each channel's noise drawn
+    once for all members.  Without ``z`` there is one member, and ``keys``
+    holds each channel's key per row.  With ``z`` (members, rows), ``keys``
+    holds each key under every Z value, as (Z values, rows), and member k's
+    row i takes the key drawn under its own Z value ``z[k, i]``.  Each ``x``
+    is allocated on its own: one stacked array for all members raised the
+    peak resident memory of a loop of ``paper-grid`` tasks."""
     channels = _channels(spec)
-    x = np.empty((y.shape[0], sum(dim for dim, _, _ in channels.values())))
-    slices, start = {}, 0
-    for name, (dim, sep, noise) in channels.items():
-        slices[name] = (start, start + dim)
-        _gaussian_channel(x[:, start : start + dim], keys[name], sep, noise, gen)
-        start += dim
-    return Dataset(y, z, x, np.ones(y.shape[0]), slices, v, spec)
-
-
-def _member_features(spec: GenSpec, gen, keys: dict, z: np.ndarray) -> tuple[list[np.ndarray], dict]:
-    """Every member's ``x`` and the channel slices.  ``keys`` holds each
-    channel's key under every Z value, as (Z values, rows); member k's row i
-    takes the key drawn under its own Z value ``z[k, i]``, and each channel's
-    noise is drawn once for all members.  Each ``x`` is allocated on its
-    own: one stacked array for all members raised the peak resident memory
-    of a loop of ``paper-grid`` tasks."""
-    channels = _channels(spec)
-    n = z.shape[1]
-    x = [np.empty((n, sum(dim for dim, _, _ in channels.values()))) for _ in z]
-    picks = z * n + np.arange(n)  # each member's row among the (Z value, row) keys
+    n = keys["core"].shape[-1]
+    picks = [slice(None)] if z is None else z * n + np.arange(n)  # each member's row among the (Z value, row) keys
+    x = [np.empty((n, sum(dim for dim, _, _ in channels.values()))) for _ in picks]
     slices, start = {}, 0
     for name, (dim, sep, noise) in channels.items():
         slices[name] = (start, start + dim)
         means, key, shared = _block_means(dim, sep), keys[name].ravel(), gen.normal(0.0, noise, size=(n, dim))
         for member_x, pick in zip(x, picks):
-            np.add(means.take(key.take(pick), axis=0), shared, out=member_x[:, start : start + dim])
+            np.add(means.take(key[pick], axis=0), shared, out=member_x[:, start : start + dim])
         start += dim
     return x, slices
 
@@ -352,7 +333,8 @@ def _channel_keys(cols: dict) -> dict:
 def _draw(spec: GenSpec, table: JointTable, n: int, gen) -> Dataset:
     _check_size(n)
     cols = dict(zip(table.names, _draw_states(table, n, gen)))
-    return _dataset(spec, gen, cols["Y"], cols["Z"], _channel_keys(cols), cols.get("V"))
+    (x,), slices = _member_features(spec, gen, _channel_keys(cols))
+    return Dataset(cols["Y"], cols["Z"], x, np.ones(n), slices, cols.get("V"), spec)
 
 
 def _pick(masses: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
@@ -421,9 +403,3 @@ def shift_testsets(
         Dataset(y, member_z, member_x, ones, slices, None if v is None else v[member_z, rows], spec)
         for member_z, member_x in zip(z, x)
     ]
-
-
-def implied_y_given_z(spec: GenSpec) -> np.ndarray:
-    """Exact P(Y=y | Z=z) of the source law, as a (2, 2) array [y, z]."""
-    arr = marginal_probs(_key_table(spec.law.net), ("Y", "Z"))
-    return arr / arr.sum(axis=0, keepdims=True)

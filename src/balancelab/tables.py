@@ -124,18 +124,18 @@ def _derived(variables: tuple[Variable, ...], probs: np.ndarray) -> JointTable:
 
 
 def uniform_table(variables: Sequence[Variable]) -> JointTable:
-    shape = tuple(v.cardinality for v in variables)
+    shape = _dense_shape(variables)
     return JointTable(tuple(variables), np.full(shape, 1.0 / float(np.prod(shape))))
 
 
 def product_table(*marginals: JointTable) -> JointTable:
     """Outer product of single-variable (or disjoint multi-variable) tables."""
-    variables: list[Variable] = []
+    variables = tuple(v for marg in marginals for v in marg.variables)
+    shape = _dense_shape(variables)
     probs = np.array(1.0)
     for marg in marginals:
-        variables.extend(marg.variables)
         probs = np.multiply.outer(probs, marg.probs)
-    return JointTable(tuple(variables), probs.reshape([v.cardinality for v in variables]))
+    return JointTable(variables, probs.reshape(shape))
 
 
 def marginalize(table: JointTable, keep: Iterable[str]) -> JointTable:
@@ -231,12 +231,12 @@ def is_independent(
         raise ArgumentError(f"a, b, given must be disjoint, got {a}, {b}, {given}")
 
     arr = marginal_probs(table, a + b + given)
-    live, diff = _state_gaps(arr, len(a), len(b))
+    shapes = (arr.shape[: len(a)], arr.shape[len(a) : len(a) + len(b)], arr.shape[len(a) + len(b) :])
+    live, diff = _state_gaps(arr.reshape(prod(shapes[0]), prod(shapes[1]), -1))
     gaps = np.where(live, diff.max(axis=1), -1.0)  # a state without mass never attains the largest gap
     k = len(gaps) - 1 - int(gaps[::-1].argmax())
     max_gap = float(gaps[k])
 
-    shapes = (arr.shape[: len(a)], arr.shape[len(a) : len(a) + len(b)], arr.shape[len(a) + len(b) :])
     ai, bi = np.unravel_index(int(diff[k].argmax()), (prod(shapes[0]), prod(shapes[1])))
     argmax_state: dict[str, int] = {}
     for names, shape, index in zip((a, b, given), shapes, (ai, bi, k)):
@@ -245,15 +245,14 @@ def is_independent(
     return IndependenceReport(max_gap <= tol, max_gap, argmax_state, tol)
 
 
-def _state_gaps(arr: np.ndarray, na: int, nb: int, lead: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The gap kernel.  ``arr`` is P(a, b, given) after ``lead`` draw axes,
-    ``na`` axes of a then ``nb`` of b.  Per draw and flat given state g it
-    returns whether g has mass and |P(a, b | g) - P(a | g) P(b | g)| of every
-    (a, b) cell in row-major order (0 without mass), as its table alone gives.
-    Every sum runs in the memory order of the table's slice, as numpy's sum
-    of the slice does: one ulp off moves the gaps and can break exact ties."""
-    shape = arr.shape[:lead] + (prod(arr.shape[lead : lead + na]), prod(arr.shape[lead + na : lead + na + nb]), -1)
-    flat = arr.reshape(shape)
+def _state_gaps(flat: np.ndarray, lead: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The gap kernel.  ``flat`` is P(a, b, given) after ``lead`` draw axes,
+    reshaped to one axis of a's joint states, one of b's and one of given's.
+    Per draw and given state g it returns whether g has mass and
+    |P(a, b | g) - P(a | g) P(b | g)| of every (a, b) cell in row-major order
+    (0 without mass), as its table alone gives.  Every sum runs in the
+    memory order of the table's slice, as numpy's sum of the slice does: one
+    ulp off moves the gaps and can break exact ties."""
     gab = flat.transpose(*range(lead), lead + 2, lead, lead + 1)
     outer = flat.strides[lead] >= flat.strides[lead + 1]  # a's axis is the outer one in memory
     slices = np.ascontiguousarray(gab if outer else gab.swapaxes(-1, -2))

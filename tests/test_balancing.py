@@ -17,7 +17,6 @@ from balancelab.balancing import (
     SingleTarget,
     balance_batch,
     balance_exact,
-    balanced_pair_gap,
     bias_shift_single,
     reweight_marginal,
 )
@@ -25,7 +24,7 @@ from balancelab.bayesnet import joint, sample_cbn
 from balancelab.checks import ShiftFamily
 from balancelab.errors import ArgumentError, UnbalanceableSupport
 from balancelab.rng import spawn
-from balancelab.tables import JointTable, SampleBatch, Variable, condition, marginal_probs, marginalize
+from balancelab.tables import JointTable, SampleBatch, Variable, condition, is_independent, marginal_probs, marginalize
 from balancelab.templates import graph_template
 
 Y = Variable("Y", 2)
@@ -68,7 +67,7 @@ class TestBalanceExact:
                 assert np.allclose(
                     marginalize(q, {var}).probs, marginalize(t, {var}).probs, atol=1e-12
                 )
-            assert balanced_pair_gap(q, "Y", "Z") < 1e-12
+            assert is_independent(q, ("Y",), ("Z",)).max_gap < 1e-12
 
     def test_conditionals_given_pair_preserved(self):
         for seed in range(25):
@@ -125,7 +124,7 @@ class TestExactInvariants:
         for var in ("Y", "Z"):
             assert np.abs(marginal_probs(q, (var,)) - marginal_probs(table, (var,))).max() < 1e-12
         assert np.abs(rest_given_pair(q) - rest_given_pair(table)).max() < 1e-12
-        assert balanced_pair_gap(q, "Y", "Z") < 1e-12
+        assert is_independent(q, ("Y",), ("Z",)).max_gap < 1e-12
 
     @given(st.data())
     def test_shift_member_sets_group_given_label(self, data):
@@ -243,7 +242,7 @@ class TestBalanceBatch:
             (Mechanism.UPSAMPLE_MINORITY, 4),
         ]:
             out = balance_batch(batch, BalanceSpec(JointTarget("Y", "Z"), mechanism, seed=seed))
-            gap = balanced_pair_gap(out.empirical_table(), "Y", "Z")
+            gap = is_independent(out.empirical_table(), ("Y",), ("Z",)).max_gap
             assert gap <= 1.0 / len(out) + 1e-9, (mechanism, gap)
 
     def test_resampling_rejects_unequal_weights(self):
@@ -255,7 +254,7 @@ class TestBalanceBatch:
             with pytest.raises(ArgumentError, match="weights must all be equal"):
                 balance_batch(batch, BalanceSpec(JointTarget("Y", "Z"), mechanism, seed=4))
         out = balance_batch(batch, BalanceSpec(JointTarget("Y", "Z"), Mechanism.IMPORTANCE_WEIGHTS))
-        assert balanced_pair_gap(out.empirical_table(), "Y", "Z") < 1e-12
+        assert is_independent(out.empirical_table(), ("Y",), ("Z",)).max_gap < 1e-12
         scaled = batch.with_rows(batch.rows, np.full(len(batch), 0.5))  # equal weights need not be 1
         out = balance_batch(scaled, BalanceSpec(JointTarget("Y", "Z"), Mechanism.UPSAMPLE_MINORITY, seed=4))
         assert np.all(out.weights == 0.5)

@@ -37,7 +37,7 @@ from balancelab.checks import (
 from balancelab.errors import ArgumentError, CycleError, EdgeError
 from balancelab.rng import spawn
 from balancelab.tables import JointTable, Variable, is_independent, marginalize
-from balancelab.templates import graph_template, random_instance
+from balancelab.templates import GraphTemplate, graph_template, random_instance
 from test_tables import sweep_table
 
 
@@ -199,6 +199,20 @@ class TestJoint:
         yz = marginalize(joint(net), {"Y", "Z"})
         assert yz.probs[0, 0] + yz.probs[1, 1] == pytest.approx(1.0)
 
+    def test_joint_beyond_the_dense_cap_is_refused_before_allocating(self):
+        # 2**48 cells: building them would raise MemoryError or exhaust the memory
+        names = tuple(f"N{i}" for i in range(48))
+        net = Cbn(
+            tuple(Variable(n, 2) for n in names),
+            {n: (names[i - 1],) for i, n in enumerate(names) if i},
+            {n: np.full((2, 2) if i else (2,), 0.5) for i, n in enumerate(names)},
+        )
+        tpl = GraphTemplate("A", net, (), "N0", "N1", (), (), (), (), ())
+        for build in (lambda: joint(net), lambda: mutilate(net, [("N0", "N1")]), tpl.observed):
+            with pytest.raises(ArgumentError, match="dense cap"):
+                build()
+        assert sample_cbn(net, 5, seed=0).rows.shape == (5, 48)
+
     def test_collider_sim_joint_matches_sampling_oracle(self):
         net = graph_template("B").net  # X_core -> Y <- U -> Z, plus Z -> X_aux
         exact = joint(net)
@@ -357,7 +371,7 @@ class TestFactorization:
                 assert not report.factorizes
 
     def test_factorizing_chain_runs_no_pairwise_sweep(self, monkeypatch):
-        calls = {"d_separated": 0, "_state_gaps": 0}  # _state_gaps: the gap kernel
+        calls = {"_pairwise_statements": 0, "_state_gaps": 0}  # _state_gaps: the gap kernel
 
         def counted(name):
             inner = getattr(bayesnet, name)
@@ -380,8 +394,9 @@ class TestFactorization:
         for name in calls:
             monkeypatch.setattr(bayesnet, name, counted(name))
         assert factorizes_according_to(table, chain).factorizes
-        assert calls["d_separated"] == 0
-        assert 0 < calls["_state_gaps"] <= 8  # one per local Markov statement
+        assert calls["_pairwise_statements"] == 0
+        # N2..N7 each have one local statement, each with its own slice shape: one kernel call apiece
+        assert calls["_state_gaps"] == len(bayesnet._local_statements(chain.dag)) == 6
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**16), st.integers(2, 5), st.integers(0, 2**16))
@@ -391,11 +406,10 @@ class TestFactorization:
         perm = spawn(order_seed, 9).permutation(n_nodes)
         table = JointTable(tuple(net.nodes[i] for i in perm), joint(net).probs.transpose(perm))
         for dag in (random_dag(order_seed, net.names), Dag(net.names, {})):
-            got = bayesnet._pairwise_gaps(table.probs, table.names, dag)
-            want = pairwise_statements(dag)
-            assert [s for s, _ in got] == want
-            for s, gap in got:
-                assert gap.hex() == float(bayesnet._gaps(table.probs, table.names, s)).hex(), s
+            statements = bayesnet._pairwise_statements(dag)
+            assert statements == pairwise_statements(dag)
+            for s, gap in zip(statements, bayesnet._statement_gaps(table.probs, table.names, statements)):
+                assert gap.hex() == is_independent(table, *s).max_gap.hex(), s
             if not factorizes_according_to(table, dag):
                 assert factorizes_according_to(table, dag) == full_sweep(table, dag)
 
@@ -405,8 +419,9 @@ class TestFactorization:
         skeleton = tpl.mutilated_skeleton()
         statements = pairwise_statements(skeleton)
         kept_sets = {tuple(sorted(balanced.axes(x + y + s))) for x, y, s in statements}
-        n_local = len(bayesnet._local_statements(skeleton))
-        assert (len(statements), len(kept_sets), n_local) == (72, 25, 5)
+        local = bayesnet._local_statements(skeleton)
+        local_sets = {tuple(sorted(balanced.axes(x + y + s))) for x, y, s in local}
+        assert (len(statements), len(kept_sets), len(local), len(local_sets)) == (72, 25, 5, 2)
         calls = {"_marginal": [], "_state_gaps": []}
 
         def recorded(name):
@@ -422,14 +437,16 @@ class TestFactorization:
             monkeypatch.setattr(bayesnet, name, recorded(name))
         report = factorizes_according_to(balanced, skeleton)
         assert not report.factorizes
-        sweep_sums = [tuple(args[1]) for args in calls["_marginal"][n_local:]]
-        assert sorted(sweep_sums) == sorted(kept_sets)  # each kept set summed once
-        # every statement of C is binary with x before y in the table: one (2, 2) group, one call
-        assert len(calls["_state_gaps"]) == n_local + 1
-        assert calls["_state_gaps"][-1] == ((sum(2 ** len(s) for _, _, s in statements), 2, 2), 1, 1, 1)
+        sums = [tuple(sorted(args[1])) for args in calls["_marginal"]]
+        n_local = len(local_sets)  # each kept set summed once, the local statements' then the sweep's
+        assert sorted(sums[:n_local]) == sorted(local_sets) and sorted(sums[n_local:]) == sorted(kept_sets)
+        # the five local statements' slices fall into three (shape, memory order) groups; every
+        # pairwise statement of C is binary with x before y in the table: one (2, 2) group, one call
+        assert len(calls["_state_gaps"]) == 3 + 1
+        assert calls["_state_gaps"][-1] == ((2, 2, sum(2 ** len(s) for _, _, s in statements)), 0)
 
     def test_factorizing_table_never_enters_the_sweep(self, monkeypatch):
-        # no sweep and no d-separation search; the gap kernel runs once per local Markov statement
+        # no sweep and no d-separation search; the gap kernel runs at most once per local Markov statement
         def refuse(*args):
             raise AssertionError("the pairwise sweep ran")
 
@@ -440,24 +457,34 @@ class TestFactorization:
             shapes.append(arr.shape)
             return inner(arr, *args)
 
-        for name in ("_pairwise_gaps", "_separated", "d_separated"):
+        for name in ("_pairwise_statements", "_separated", "d_separated"):
             monkeypatch.setattr(bayesnet, name, refuse)
         monkeypatch.setattr(bayesnet, "_state_gaps", recorded)
         for seed in range(6):
             net = random_net(seed, 6)
             shapes.clear()
             assert factorizes_according_to(joint(net), net).factorizes
-            assert len(shapes) == len(bayesnet._local_statements(net.dag)), seed
+            assert 0 < len(shapes) <= len(bayesnet._local_statements(net.dag)), seed
+
+    def test_dag_without_local_statements_runs_no_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the gap kernel ran")
+
+        monkeypatch.setattr(bayesnet, "_state_gaps", refuse)
+        net = random_net(2, 3)
+        complete = Dag(net.names, {n: net.names[:i] for i, n in enumerate(net.names)})
+        assert bayesnet._local_statements(complete) == []
+        assert factorizes_according_to(joint(net), complete) == FactorizationReport(True, (), 1e-9)
+        assert bayesnet._statement_gaps(np.ones((4, 2, 2)) / 4, ("A", "B"), [], 1).shape == (4, 0)
 
     @pytest.mark.parametrize("cap", [1, 300])
     def test_batched_sweep_bounds_its_stacks_and_keeps_every_gap(self, monkeypatch, cap):
         net = mixed_net(11, 6)
         table, dag = joint(net), Dag(net.names, {})
-        want = bayesnet._pairwise_gaps(table.probs, table.names, dag)
+        statements = bayesnet._pairwise_statements(dag)
+        want = bayesnet._statement_gaps(table.probs, table.names, statements)
         cards = dict(zip(table.names, table.probs.shape))
-        pair_cells: dict[tuple[str, ...], int] = {}  # cells of each pair's statements
-        for (x, y, given), _ in want:
-            pair_cells[x + y] = pair_cells.get(x + y, 0) + prod(cards[n] for n in x + y + given)
+        cells = [prod(cards[n] for n in x + y + given) for x, y, given in statements]
         sizes = []
         inner = bayesnet._state_gaps
 
@@ -467,12 +494,12 @@ class TestFactorization:
 
         monkeypatch.setattr(bayesnet, "_state_gaps", recorded)
         monkeypatch.setattr(bayesnet, "SWEEP_CELLS", cap)
-        got = bayesnet._pairwise_gaps(table.probs, table.names, dag)
-        assert [(s, g.hex()) for s, g in got] == [(s, g.hex()) for s, g in want]
-        assert len(want) == 15 * 16 and sum(sizes) == sum(pair_cells.values())
-        # a batch closes after the pair that brings it to the cap
-        assert max(sizes) < cap + max(pair_cells.values())
-        assert len(sizes) >= (len(pair_cells) if cap == 1 else sum(pair_cells.values()) // (cap + max(pair_cells.values())))
+        got = bayesnet._statement_gaps(table.probs, table.names, statements)
+        assert got.tobytes() == want.tobytes()
+        assert len(statements) == 15 * 16 and sum(sizes) == sum(cells)
+        # a batch closes after the statement that brings it to the cap
+        assert max(sizes) < cap + max(cells)
+        assert len(sizes) == len(statements) if cap == 1 else len(sizes) >= sum(cells) // (cap + max(cells))
 
     def test_grouped_sweep_holds_several_shapes_and_both_memory_orders(self, monkeypatch):
         cards = {"A": 3, "B": 2, "C": 3, "D": 2}
@@ -484,15 +511,16 @@ class TestFactorization:
         inner = bayesnet._state_gaps
 
         def recorded(arr, *args):
-            shapes.append((arr.shape[1:], arr.flags.c_contiguous))
+            shapes.append((arr.shape[:2], arr.strides[0] >= arr.strides[1]))  # (a, b) shape, a's axis outer
             return inner(arr, *args)
 
         monkeypatch.setattr(bayesnet, "_state_gaps", recorded)
-        got = bayesnet._pairwise_gaps(table.probs, table.names, dag)
-        assert len(got) == 6 * 4 and len(shapes) == len(set(shapes))
+        statements = bayesnet._pairwise_statements(dag)
+        got = bayesnet._statement_gaps(table.probs, table.names, statements)
+        assert len(statements) == 6 * 4 and len(shapes) == len(set(shapes))
         assert {c for _, c in shapes} == {True, False} and len({s for s, _ in shapes}) >= 3
-        for s, gap in got:
-            assert gap.hex() == float(bayesnet._gaps(table.probs, table.names, s)).hex(), s
+        for s, gap in zip(statements, got):
+            assert gap.hex() == is_independent(table, *s).max_gap.hex(), s
 
     def test_exact_outputs_pinned_bit_for_bit(self):
         # SHA-256 of every verdict and violation (statement, kind, gap bits) of

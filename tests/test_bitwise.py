@@ -17,13 +17,14 @@ of ``datagen`` use no gemm, so SHA-256 digests pin their bytes.
 from __future__ import annotations
 
 import hashlib
+from math import prod
 
 import numpy as np
 import pytest
 
 from balancelab import model
 from balancelab.balancing import BalanceSpec, JointTarget, _balance_pair, _reweight, balance_exact, reweight_marginal
-from balancelab.bayesnet import Cbn, Dag, _gaps, _product, broadcast_axes, factorizes_according_to, joint, observed_dag
+from balancelab.bayesnet import Cbn, Dag, _product, _statement_gaps, broadcast_axes, factorizes_according_to, joint, observed_dag
 from balancelab.checks import (
     _COUNTEREXAMPLES,
     GENERIC_GAP,
@@ -435,17 +436,41 @@ class TestDrawAxisKernels:
             a, b, given = split(seed, names)
             axes = [names.index(n) for n in a + b + given]
             arr = _marginal(probs, axes, 1)
-            live, diff = _state_gaps(arr, len(a), len(b), 1)
-            gaps = _gaps(probs, names, (a, b, given), 1)
+            cells = (prod(arr.shape[1 : 1 + len(a)]), prod(arr.shape[1 + len(a) : 1 + len(a) + len(b)]), -1)
+            live, diff = _state_gaps(arr.reshape(len(probs), *cells), 1)
+            gaps = _statement_gaps(probs, names, [(a, b, given)], 1)[:, 0]
             for d, table in enumerate(tables):
                 want = marginal_probs(table, a + b + given)
                 assert arr[d].tobytes() == want.tobytes() and arr[d].shape == want.shape
-                want_live, want_diff = _state_gaps(want, len(a), len(b))
+                want_live, want_diff = _state_gaps(want.reshape(cells))
                 assert live[d].tobytes() == want_live.tobytes(), (seed, d)
                 assert diff[d].tobytes() == want_diff.tobytes(), (seed, d)
                 assert gaps[d].hex() == is_independent(table, a, b, given).max_gap.hex(), (seed, d)
             dead += not live[1].all()
         assert dead  # draw 1's states without mass left the other draws' gaps as their tables give them
+
+    def test_statement_gaps_match_is_independent_per_draw(self):
+        # several statements a table, multi-variable a and b, permuted variables, zero
+        # cells and states without mass; the tables stacked on a draw axis and alone
+        checked = 0
+        for seed in range(60):
+            variables, probs = random_stack(seed)
+            perm = spawn(seed, 97).permutation(len(variables))
+            variables = tuple(variables[i] for i in perm)
+            probs = np.ascontiguousarray(probs.transpose(0, *(1 + perm)))
+            names = tuple(v.name for v in variables)
+            statements = [split(16 * seed + i, names) for i in range(6)]
+            stacked = _statement_gaps(probs, names, statements, 1)
+            assert stacked.shape == (len(probs), len(statements))
+            for d, p in enumerate(probs):
+                table = JointTable(variables, p)
+                alone = _statement_gaps(table.probs, names, statements)
+                for k, s in enumerate(statements):
+                    want = is_independent(table, *s).max_gap.hex()
+                    assert stacked[d, k].hex() == want and alone[k].hex() == want, (seed, d, s)
+                    checked += 1
+        assert checked >= 300 * len(probs)
+        assert _statement_gaps(probs, names, [], 1).shape == (len(probs), 0)
 
     def test_balance_matches_balance_exact_per_draw(self):
         for seed in range(60):

@@ -20,7 +20,6 @@ from balancelab.datagen import (
     GenSpec,
     generate,
     ideal_testset,
-    implied_y_given_z,
     shift_testsets,
 )
 from balancelab.errors import ArgumentError, SpecError
@@ -86,7 +85,6 @@ class TestGenSpec:
         generate(spec)
         ideal_testset(spec, 20, seed=4)
         shift_testsets(spec, correlation_grid(3), 20, seed=5)
-        implied_y_given_z(spec)
         assert built == [("C",)]
         assert spec.law.graph_id == "C"
         with pytest.raises(AttributeError):
@@ -197,7 +195,8 @@ class TestGenerate:
     def test_graph_c_conditionals_match_implied(self):
         spec = GenSpec(graph="C", n=40_000, seed=2)
         ds = generate(spec)
-        implied = implied_y_given_z(spec)
+        pyz = marginal_probs(joint(spec.law.net), ("Y", "Z"))
+        implied = pyz / pyz.sum(axis=0)  # P(Y=y | Z=z) as [y, z]
         for z_value in (0, 1):
             emp = np.mean(ds.y[ds.z == z_value] == 0)
             n = int((ds.z == z_value).sum())
@@ -491,16 +490,17 @@ class TestDataset:
         assert part.x.shape == (int(mask.sum()), ds.x.shape[1])
 
 
-def concatenated_dataset(spec: GenSpec, gen, y, z, keys: dict, v=None) -> Dataset:
-    """Reference: the former ``_dataset``, which drew each channel into its own
-    array and concatenated them."""
+def concatenated_features(spec: GenSpec, gen, keys: dict, z=None) -> tuple[list[np.ndarray], dict]:
+    """Reference for a single set: the former writer, which drew each channel
+    into its own array and concatenated them."""
+    assert z is None
     parts, slices, start = [], {}, 0
     for name, (dim, sep, noise) in datagen._channels(spec).items():
         means = datagen._block_means(dim, sep)
         parts.append(means[keys[name]] + gen.normal(0.0, noise, size=(keys[name].shape[0], dim)))
         slices[name] = (start, start + dim)
         start += dim
-    return Dataset(y, z, np.concatenate(parts, axis=1), np.ones(y.shape[0]), slices, v, spec)
+    return [np.concatenate(parts, axis=1)], slices
 
 
 class TestPreallocatedChannels:
@@ -515,7 +515,7 @@ class TestPreallocatedChannels:
     def test_matches_concatenated_channels(self, graph, n, seed, dim, sep, noise):
         spec = GenSpec(graph=graph, n=n, seed=seed, dim_core=dim, sep_aux=sep, noise_core=noise)
         new = [generate(spec), ideal_testset(spec, n, seed + 1)]
-        with mock.patch.object(datagen, "_dataset", concatenated_dataset):
+        with mock.patch.object(datagen, "_member_features", concatenated_features):
             old = [generate(spec), ideal_testset(spec, n, seed + 1)]
         for a, b in zip(new, old):
             assert a.channel_slices == b.channel_slices
@@ -575,8 +575,8 @@ class TestExactLaw:
     @pytest.mark.parametrize("gid", GRAPH_IDS)
     def test_implied_conditional_is_template_marginal(self, gid):
         source = yz_table(gid)
-        implied = implied_y_given_z(EXACT_CASES[gid][0])
-        np.testing.assert_allclose(implied, source / source.sum(axis=0), rtol=0, atol=1e-15)
+        pyz = marginal_probs(joint(EXACT_CASES[gid][0].law.net), ("Y", "Z"))
+        np.testing.assert_allclose(pyz / pyz.sum(axis=0), source / source.sum(axis=0), rtol=0, atol=1e-15)
 
 
 class TestSerialization:

@@ -404,6 +404,20 @@ class TestDenseCap:
         with pytest.raises(ArgumentError, match="dense cap"):
             JointTable(tuple(Variable(f"V{i}", 2) for i in range(24)), np.zeros(1))
 
+    def test_uniform_and_product_tables_check_cap_before_filling(self):
+        # 2**48 cells: filling them would raise MemoryError or exhaust the memory
+        with pytest.raises(ArgumentError, match="dense cap"):
+            uniform_table(tuple(Variable(f"V{i}", 2) for i in range(48)))
+        factors = [JointTable((Variable(f"V{i}", 2),), np.array([0.5, 0.5])) for i in range(24)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArgumentError, match="dense cap"):
+                product_table(*factors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 def add_at_chi2(batch: SampleBatch, a: str, b: str) -> tuple[float, float]:
     """Reference: the former chi-squared, which scattered the weights with np.add.at."""
