@@ -4,9 +4,11 @@ A ``Cbn`` couples a DAG with one conditional probability table per node and
 supports exact joint computation, ancestral sampling, d-separation, edge
 removal (``mutilate(net, [(parent, child), ...])``), and checking whether an
 exact table obeys every conditional independence a DAG implies.
-D-separation runs on node bitmasks.  Every independence statement's gap, the
-local Markov ones and the pairwise sweep's alike, goes through one grouped
-kernel, ``_statement_gaps``, which also takes stacked tables of several draws.
+``Cbn(...)`` is the one, validating, way to build a network.  D-separation
+runs on the node bitmasks a ``Dag`` builds with its topological order.
+Every independence statement's gap, the local Markov ones and the pairwise
+sweep's alike, goes through one grouped kernel, ``_statement_gaps``, which
+also takes stacked tables of several draws.
 
 Networks are immutable; sampling takes explicit seeds.
 """
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, combinations
 from math import prod
 from typing import Iterable, Mapping, Sequence
@@ -24,44 +25,23 @@ import numpy as np
 
 from .errors import ArgumentError, CycleError, EdgeError, UnknownVariableError
 from .rng import is_int, is_real, spawn
-from .tables import JointTable, SampleBatch, Variable, _dense_shape, _derived, _marginal, _state_gaps, marginal_probs
+from .tables import PROB_TOL, JointTable, SampleBatch, Variable, _dense_shape, _derived, _marginal, _pick, _state_gaps, marginal_probs
 
-CPT_ROW_TOL = 1e-12
 SWEEP_CELLS = 1 << 16  # _statement_gaps's stacks: about this many cells, plus one statement's
 Statement = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]  # (a, b, given): a ⊥ b | given
 
 
-def _children(nodes: Sequence[str], parents: Mapping[str, tuple[str, ...]]) -> dict[str, tuple[str, ...]]:
-    """Each node's children, in node order."""
-    children: dict[str, list[str]] = {n: [] for n in nodes}
-    for c in nodes:
-        for p in parents[c]:
-            children[p].append(c)
-    return {n: tuple(cs) for n, cs in children.items()}
-
-
-def _toposort(nodes: Sequence[str], children: Mapping[str, tuple[str, ...]]) -> tuple[str, ...]:
-    indeg = {n: 0 for n in nodes}
-    for cs in children.values():
-        for c in cs:
-            indeg[c] += 1
-    queue = deque(n for n in nodes if indeg[n] == 0)
-    out: list[str] = []
-    while queue:
-        n = queue.popleft()
-        out.append(n)
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    if len(out) != len(nodes):
-        raise CycleError(f"parent relation is cyclic among {sorted(set(nodes) - set(out))}")
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Dag:
-    """A bare DAG skeleton: node names plus an ordered parent map."""
+    """A bare DAG skeleton: node names plus an ordered parent map.
+
+    One pass over the nodes and edges checks the parent map and builds, per
+    node bit (its index in ``nodes``), the bitmasks of its parents, of its
+    children and of itself with its ancestors, and ``topo_order``: Kahn's
+    first-in-first-out order from the parentless nodes in node order, each
+    node's children released in node order.  ``sample_cbn`` draws its
+    columns in that order, so it fixes every sampled bit.
+    """
 
     nodes: tuple[str, ...]
     parents: Mapping[str, tuple[str, ...]]
@@ -71,39 +51,49 @@ class Dag:
         if len(set(nodes)) != len(nodes):
             raise ArgumentError(f"duplicate node names: {nodes}")
         parents = {n: tuple(self.parents.get(n, ())) for n in nodes}
-        for child, ps in parents.items():
+        bit = {n: i for i, n in enumerate(nodes)}
+        par, kids, anc = ([0] * len(nodes) for _ in range(3))
+        children: list[list[int]] = [[] for _ in nodes]
+        for i, (child, ps) in enumerate(parents.items()):
             for p in ps:
-                if p not in parents:
+                if (j := bit.get(p)) is None:
                     raise UnknownVariableError(f"parent {p!r} of {child!r} is not a node")
+                par[i] |= 1 << j
+                kids[j] |= 1 << i
+                children[j].append(i)
             if len(set(ps)) != len(ps):
                 raise ArgumentError(f"duplicate parents for {child!r}: {ps}")
-        children = _children(nodes, parents)
+        indeg = [len(ps) for ps in parents.values()]
+        queue = deque(i for i, d in enumerate(indeg) if not d)
+        order: list[str] = []
+        while queue:
+            i = queue.popleft()
+            order.append(nodes[i])
+            anc[i] |= 1 << i  # every parent's ancestors are in already
+            for c in children[i]:
+                anc[c] |= anc[i]
+                indeg[c] -= 1
+                if not indeg[c]:
+                    queue.append(c)
+        if len(order) != len(nodes):
+            raise CycleError(f"parent relation is cyclic among {sorted(set(nodes) - set(order))}")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "parents", parents)
-        object.__setattr__(self, "_children", children)
-        object.__setattr__(self, "_topo", _toposort(nodes, children))
-
-    @property
-    def topo_order(self) -> tuple[str, ...]:
-        return self._topo  # type: ignore[attr-defined]
+        object.__setattr__(self, "topo_order", tuple(order))
+        object.__setattr__(self, "_bits", (bit, par, kids, anc))
 
     @property
     def edges(self) -> tuple[tuple[str, str], ...]:
         return tuple((p, c) for c in self.nodes for p in self.parents[c])
 
-    def children(self, node: str) -> tuple[str, ...]:
-        if node not in self.parents:
-            raise UnknownVariableError(f"unknown node {node!r}")
-        return self._children[node]  # type: ignore[attr-defined]
-
     def ancestors(self, targets: Iterable[str]) -> set[str]:
         """Targets plus all their ancestors."""
-        mask = _union(self._masks[3], self._mask(targets))
+        mask = _union(self._bits[3], self._mask(targets))
         return {n for j, n in enumerate(self.nodes) if mask >> j & 1}
 
     def descendants(self, node: str) -> set[str]:
         """Strict descendants of ``node``."""
-        i, anc = self._masks[0][self._require([node])[0]], self._masks[3]
+        i, anc = self._bits[0][self._require([node])[0]], self._bits[3]
         return {n for j, n in enumerate(self.nodes) if j != i and anc[j] >> i & 1}
 
     def _require(self, names: Iterable[str]) -> tuple[str, ...]:
@@ -113,24 +103,8 @@ class Dag:
                 raise UnknownVariableError(f"unknown node {n!r}; have {self.nodes}")
         return names
 
-    @cached_property
-    def _masks(self) -> tuple[dict[str, int], list[int], list[int], list[int]]:
-        """Each node's bit (its index in ``nodes``), then per bit the bitmask
-        of its parents, of its children, and of itself and its ancestors;
-        built on first use, in one pass in topological order."""
-        bit = {n: i for i, n in enumerate(self.nodes)}
-        par, kids, anc = ([0] * len(bit) for _ in range(3))
-        for n in self._topo:  # type: ignore[attr-defined]
-            i = bit[n]
-            anc[i] = 1 << i
-            for j in map(bit.__getitem__, self.parents[n]):
-                par[i] |= 1 << j
-                kids[j] |= 1 << i
-                anc[i] |= anc[j]
-        return bit, par, kids, anc
-
     def _mask(self, names: Iterable[str]) -> int:
-        return sum({1 << self._masks[0][n] for n in self._require(names)})
+        return sum({1 << self._bits[0][n] for n in self._require(names)})
 
 
 def _union(masks: Sequence[int], mask: int) -> int:
@@ -164,7 +138,7 @@ def _separated(dag: Dag, a: int, b: int, given: int) -> bool:
     non-empty: a search from ``a`` through the moralized ancestral graph,
     whose neighbours of a node are its parents, its relevant children and
     their parents, never entering ``given``."""
-    _, par, kids, anc = dag._masks
+    _, par, kids, anc = dag._bits
     relevant = _union(anc, a | b | given)  # closed under parents
     reach = frontier = a
     while frontier:
@@ -182,7 +156,13 @@ class Cbn:
 
     ``cpts[name]`` has shape (parent cardinalities..., own cardinality) with
     parent axes in the order of ``parents[name]``; each row along the last
-    axis sums to 1.
+    axis sums to 1 within ``PROB_TOL``.  The constructor, the only way to
+    build a network, checks each CPT's presence and shape, copies all of
+    them into one float buffer, and checks that buffer at once for negative
+    or NaN entries and rows off 1, naming the first bad node only on
+    failure; so a missing or misshapen CPT is reported before any bad
+    value.  Each ``cpts[name]`` is a read-only, C-contiguous view of that
+    buffer; the caller's arrays stay theirs.
     """
 
     nodes: tuple[Variable, ...]
@@ -192,28 +172,30 @@ class Cbn:
     def __post_init__(self) -> None:
         nodes = tuple(self.nodes)
         names = [v.name for v in nodes]
-        if len(set(names)) != len(names):
-            raise ArgumentError(f"duplicate node names: {names}")
+        if not names:
+            raise ArgumentError("a network needs at least one node")
         card = {v.name: v.cardinality for v in nodes}
-        dag = Dag(tuple(names), {n: tuple(self.parents.get(n, ())) for n in names})
-        cpts: dict[str, np.ndarray] = {}
+        dag = Dag(tuple(names), self.parents)  # checks the names and the parent map
+        tables, rows, ends = [], [], [0]  # each node's CPT; the buffer offsets of every CPT row, of every CPT's end
         for v in nodes:
             if v.name not in self.cpts:
                 raise ArgumentError(f"missing CPT for node {v.name!r}")
             cpt = np.asarray(self.cpts[v.name], dtype=float)
             expected = tuple(card[p] for p in dag.parents[v.name]) + (v.cardinality,)
             if cpt.shape != expected:
-                raise ArgumentError(
-                    f"CPT for {v.name!r} has shape {cpt.shape}, expected {expected}"
-                )
-            if not np.all(cpt >= 0):  # also catches NaN
-                raise ArgumentError(f"CPT for {v.name!r} has negative or NaN entries")
-            rows = cpt.sum(axis=-1)
-            if np.any(np.abs(rows - 1.0) > CPT_ROW_TOL):
-                raise ArgumentError(f"CPT rows for {v.name!r} must sum to 1 within {CPT_ROW_TOL}")
-            cpt = cpt.copy()
-            cpt.setflags(write=False)
-            cpts[v.name] = cpt
+                raise ArgumentError(f"CPT for {v.name!r} has shape {cpt.shape}, expected {expected}")
+            tables.append(cpt)
+            rows.extend(range(ends[-1], ends[-1] + cpt.size, v.cardinality))
+            ends.append(ends[-1] + cpt.size)
+        flat = np.concatenate(tables, axis=None)  # the one defensive copy
+        if not (flat.min() >= 0 and _rows_sum_to_one(flat, rows)):  # NaN fails both
+            for v, cpt in zip(nodes, tables):  # name the first bad node, with the same tests
+                if not cpt.min() >= 0:
+                    raise ArgumentError(f"CPT for {v.name!r} has negative or NaN entries")
+                if not _rows_sum_to_one(cpt.ravel(), range(0, cpt.size, v.cardinality)):
+                    raise ArgumentError(f"CPT rows for {v.name!r} must sum to 1 within {PROB_TOL}")
+        flat.setflags(write=False)
+        cpts = {v.name: flat[a:b].reshape(t.shape) for v, t, a, b in zip(nodes, tables, ends, ends[1:])}
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "parents", dag.parents)
         object.__setattr__(self, "cpts", cpts)
@@ -234,22 +216,9 @@ class Cbn:
         raise UnknownVariableError(f"unknown node {name!r}")
 
 
-def _trusted_cbn(
-    nodes: tuple[Variable, ...], parents: Mapping[str, tuple[str, ...]], cpts: Mapping[str, np.ndarray]
-) -> Cbn:
-    """A network from CPTs that are already valid (taken from a valid network
-    or built as normalized positive rows): it builds the ``Dag`` but skips
-    the CPT checks and copies of ``Cbn.__post_init__``, and freezes the
-    given arrays in place."""
-    dag = Dag(tuple(v.name for v in nodes), parents)
-    out = object.__new__(Cbn)
-    object.__setattr__(out, "nodes", tuple(nodes))
-    object.__setattr__(out, "parents", dag.parents)
-    object.__setattr__(out, "cpts", {v.name: cpts[v.name] for v in nodes})
-    object.__setattr__(out, "_dag", dag)
-    for cpt in out.cpts.values():
-        cpt.setflags(write=False)
-    return out
+def _rows_sum_to_one(flat: np.ndarray, starts: Sequence[int]) -> bool:
+    """Whether the rows of ``flat`` that begin at ``starts`` each sum to 1 within ``PROB_TOL``."""
+    return bool(np.abs(np.add.reduceat(flat, starts) - 1.0).max() <= PROB_TOL)
 
 
 def broadcast_axes(arr: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
@@ -307,7 +276,7 @@ def mutilate(net: Cbn, removed: Iterable[tuple[str, str]]) -> Cbn:
             moved = np.moveaxis(cpt, rem_idx, range(len(rem_idx)))
             cpt = np.tensordot(weights, moved, axes=(tuple(range(len(rem_idx))),) * 2)
         cpts[v.name] = cpt
-    return _trusted_cbn(net.nodes, parents, cpts)
+    return Cbn(net.nodes, parents, cpts)
 
 
 def observed_dag(graph: Dag | Cbn, latents: Iterable[str], dropped: Iterable[tuple[str, str]] = ()) -> Dag:
@@ -322,22 +291,20 @@ def observed_dag(graph: Dag | Cbn, latents: Iterable[str], dropped: Iterable[tup
 def sample_cbn(net: Cbn, n: int, seed: int) -> SampleBatch:
     """Ancestral sampling; deterministic given ``seed``.
 
-    Each node's CDF is built once per parent state, as the running sums of its
-    CPT rows; a row picks its CDF by the flat index of its parents' states and
-    draws the state as the number of CDF entries below ``u``, one uniform
-    scaled by that CDF's total.  Columns stay 1-D until the final stack.
+    Columns are drawn in ``net.dag.topo_order``, one uniform per row and
+    node, each by inversion (``tables._pick``) of the CPT row that the row's
+    parent states select, so that order fixes every sampled bit.  Columns
+    stay 1-D until the final stack.
     """
     if not (is_int(n) and n >= 1):
         raise ArgumentError(f"n must be an integer >= 1, got {n!r}")
     gen = spawn(seed)
     cols: dict[str, np.ndarray] = {}
     for name in net.dag.topo_order:
-        cpt = net.cpts[name]
-        cdf = np.cumsum(cpt.reshape(-1, cpt.shape[-1]), axis=1)
-        ps = net.parents[name]
-        pick = np.ravel_multi_index(tuple(cols[p] for p in ps), cpt.shape[:-1]) if ps else 0
-        u = gen.random(n) * cdf[:, -1].take(pick)
-        cols[name] = sum(u >= cdf[:, k].take(pick) for k in range(cdf.shape[1] - 1))
+        cpt, row = net.cpts[name], 0
+        for p, size in zip(net.parents[name], cpt.shape):  # the flat index of the parents' states
+            row = row * size + cols[p]
+        cols[name] = _pick(cpt.reshape(-1, cpt.shape[-1]), row, gen.random(n))
     return SampleBatch(net.nodes, np.column_stack([cols[v.name] for v in net.nodes]), np.ones(n))
 
 
@@ -376,7 +343,7 @@ class FactorizationReport:
 def _local_statements(dag: Dag) -> list[Statement]:
     """The local Markov statements (node,) ⊥ nondescendants | parents, in
     node order, of every node with a nondescendant outside its parents."""
-    _, par, _, anc = dag._masks
+    _, par, _, anc = dag._bits
     nodes, out = dag.nodes, []
     for i, v in enumerate(nodes):  # skip each node j that is v, a descendant of v or a parent of v
         bit, parents = 1 << i, par[i]

@@ -49,7 +49,7 @@ from .bayesnet import Cbn, joint, mutilate
 from .checks import ShiftFamily
 from .errors import ArgumentError, SpecError
 from .rng import is_int, spawn
-from .tables import JointTable, _checked_weights, _draw_states, _frozen, marginalize
+from .tables import JointTable, _checked_weights, _draw_states, _frozen, _pick, marginalize
 from .templates import GRAPH_IDS, GraphTemplate, graph_template, template_a, template_b, template_c
 
 # each channel's dim_*, sep_* and noise_* knob: a test and the rule it states
@@ -335,22 +335,6 @@ def _draw(spec: GenSpec, table: JointTable, n: int, gen) -> Dataset:
     cols = dict(zip(table.names, _draw_states(table, n, gen)))
     (x,), slices = _member_features(spec, gen, _channel_keys(cols))
     return Dataset(cols["Y"], cols["Z"], x, np.ones(n), slices, cols.get("V"), spec)
-
-
-def _pick(masses: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
-    """Per row r, the state of ``masses[rows]`` (states on the last axis)
-    whose bin of the cumulative masses holds ``u[r]`` (in [0, 1)) times
-    their total: an exact draw by inversion.  A state after the last one with
-    mass is never picked, and a row without mass picks state 0; nothing is
-    divided, and no (rows, states) array is built."""
-    cdf = np.cumsum(masses, axis=-1)
-    total = cdf[..., -1]
-    edges = np.where(cdf < total[..., None], cdf, np.inf)
-    scaled = u * total[rows]
-    state = np.zeros(scaled.shape, dtype=np.int64)
-    for edge in np.moveaxis(edges[..., :-1], -1, 0):  # the last edge is inf
-        state += scaled >= edge[rows]
-    return state
 
 
 def generate(spec: GenSpec) -> Dataset:

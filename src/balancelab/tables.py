@@ -358,6 +358,23 @@ def _draw_states(table: JointTable, n: int, gen: np.random.Generator) -> tuple[n
     return tuple(states[pick] for states in np.unravel_index(cells, table.shape))
 
 
+def _pick(masses: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
+    """Per row r, the state of ``masses[rows]`` (at least two states, on the
+    last axis) whose bin of the cumulative masses holds ``u[r]`` (in [0, 1))
+    times their total: an exact draw by inversion.  A state after the last
+    one with mass is never picked, and a row without mass picks state 0;
+    nothing is divided, and no (rows, states) array is built."""
+    cdf = np.cumsum(masses, axis=-1)
+    total = cdf[..., -1]
+    edges = np.where(cdf < total[..., None], cdf, np.inf)
+    scaled = u * total[rows]
+    first, *rest = np.moveaxis(edges[..., :-1], -1, 0)  # the last edge is inf
+    state = (scaled >= first[rows]).astype(np.int64)  # a fresh np.zeros would fault its pages in on the first add
+    for edge in rest:
+        state += scaled >= edge[rows]
+    return state
+
+
 def sample(table: JointTable, n: int, seed: int) -> SampleBatch:
     """Draw ``n`` i.i.d. rows from the table; deterministic given ``seed``."""
     if not (is_int(n) and n >= 1):

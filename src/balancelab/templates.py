@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bayesnet import Cbn, Dag, _trusted_cbn, joint, observed_dag
+from .bayesnet import Cbn, Dag, joint, observed_dag
 from .errors import ArgumentError
 from .rng import spawn
 from .tables import JointTable, Variable, marginalize
@@ -234,12 +234,11 @@ def _random_rows(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray
 
 def random_instance(graph_id: str, seed: int) -> GraphTemplate:
     """The graph's template with every CPT that is not a deterministic copy
-    replaced by random strictly positive rows; both are valid CPTs, so the
-    network skips re-validation."""
+    replaced by random strictly positive rows."""
     tpl = graph_template(graph_id)
     gen = spawn(seed, 41)
     cpts = {
         name: cpt if np.all((cpt == 0) | (cpt == 1)) else _random_rows(gen, cpt.shape)
         for name, cpt in tpl.net.cpts.items()
     }
-    return replace(tpl, net=_trusted_cbn(tpl.net.nodes, tpl.net.parents, cpts))
+    return replace(tpl, net=Cbn(tpl.net.nodes, tpl.net.parents, cpts))

@@ -161,10 +161,106 @@ def full_sweep(table: JointTable, dag: Dag, tol: float = 1e-9) -> FactorizationR
     return FactorizationReport(not violations, tuple(violations), tol)
 
 
+def kahn_order(nodes: tuple[str, ...], parents: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
+    """Reference: first-in-first-out Kahn order from the parentless nodes in
+    node order, each node's children released in node order."""
+    children: dict[str, list[str]] = {n: [] for n in nodes}
+    for c in nodes:
+        for p in parents[c]:
+            children[p].append(c)
+    indeg = {n: len(parents[n]) for n in nodes}
+    queue = deque(n for n in nodes if indeg[n] == 0)
+    out: list[str] = []
+    while queue:
+        n = queue.popleft()
+        out.append(n)
+        for c in children[n]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                queue.append(c)
+    return tuple(out)
+
+
+def shuffled_dag(seed: int) -> tuple[tuple[str, ...], dict[str, tuple[str, ...]]]:
+    """1-10 nodes listed in a random order; edges follow a second random
+    order, and each node's parents are listed in a random order."""
+    gen = spawn(seed, 9)
+    names = tuple(f"N{i}" for i in gen.permutation(1 + seed % 10))
+    ranked = [names[i] for i in gen.permutation(len(names))]
+    parents = {}
+    for i, name in enumerate(ranked):
+        pool = [p for p in ranked[:i] if gen.random() < 0.4]
+        parents[name] = tuple(pool[j] for j in gen.permutation(len(pool)))
+    return names, parents
+
+
 class TestConstruction:
     def test_cycle_detected(self):
         with pytest.raises(CycleError):
             Dag(("A", "B"), {"A": ("B",), "B": ("A",)})
+
+    def test_cycle_error_lists_the_nodes_left_over(self):
+        # A feeds the cycle B -> C -> D -> B, and E hangs off it; only A leaves the queue
+        with pytest.raises(CycleError, match=r"\['B', 'C', 'D', 'E'\]"):
+            Dag(("E", "D", "C", "B", "A"), {"B": ("A", "D"), "C": ("B",), "D": ("C",), "E": ("C",)})
+
+    def test_topo_order_is_the_fifo_kahn_order(self):
+        for seed in range(240):
+            names, parents = shuffled_dag(seed)
+            dag = Dag(names, parents)
+            assert dag.topo_order == kahn_order(names, parents), seed
+            for n in names:  # the ancestor masks, built in the same pass
+                assert dag.ancestors([n]) == {n} | {a for a in names if n in dag.descendants(a)}
+
+    def test_each_error_names_the_node(self):
+        nodes = (Variable("A", 2), Variable("B", 3))
+        good = {"A": np.array([0.25, 0.75]), "B": np.full((2, 3), 1 / 3)}
+        cases = [
+            ({"A": good["A"]}, "missing CPT for node 'B'"),
+            ({**good, "B": np.full((3, 2), 0.5)}, r"CPT for 'B' has shape \(3, 2\), expected \(2, 3\)"),
+            ({**good, "B": np.array([[0.5, 0.5, 0.0], [1.2, -0.2, 0.0]])}, "CPT for 'B' has negative or NaN"),
+            ({**good, "B": np.array([[0.5, 0.5, 0.0], [np.nan, 0.5, 0.5]])}, "CPT for 'B' has negative or NaN"),
+            ({**good, "B": np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 2e-12]])}, "CPT rows for 'B' must sum to 1 within 1e-12"),
+            ({**good, "A": np.array([0.5, 0.5 - 2e-12])}, "CPT rows for 'A' must sum to 1"),
+        ]
+        for cpts, message in cases:
+            with pytest.raises(ArgumentError, match=message):
+                Cbn(nodes, {"B": ("A",)}, cpts)
+        with pytest.raises(ArgumentError, match="at least one node"):
+            Cbn((), {}, {})
+        # a row off by less than the tolerance passes
+        Cbn(nodes, {"B": ("A",)}, {**good, "B": np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 5e-13]])})
+
+    def test_first_bad_node_named_and_structure_checked_before_values(self):
+        nodes = (Variable("A", 2), Variable("B", 2), Variable("C", 2))
+        bad, good = np.array([-0.5, 1.5]), np.array([0.5, 0.5])
+        with pytest.raises(ArgumentError, match="'B' has negative"):
+            Cbn(nodes, {}, {"A": good, "B": bad, "C": np.array([0.6, 0.6])})
+        with pytest.raises(ArgumentError, match="rows for 'A'"):
+            Cbn(nodes, {}, {"A": np.array([0.6, 0.6]), "B": bad, "C": good})
+        with pytest.raises(ArgumentError, match="missing CPT for node 'C'"):
+            Cbn(nodes, {}, {"A": bad, "B": good})
+        with pytest.raises(ArgumentError, match="CPT for 'C' has shape"):
+            Cbn(nodes, {}, {"A": bad, "B": good, "C": np.full(3, 1 / 3)})
+
+    def test_cpts_are_read_only_views_of_one_copy(self):
+        for net in (collider_net(), mixed_net(3, 6), random_instance("C", 3).net, graph_template("D").net):
+            inputs = {n: np.array(c, order="F") for n, c in net.cpts.items()}  # writable, the caller's own
+            built = Cbn(net.nodes, net.parents, inputs)
+            before = joint(built).probs.tobytes()
+            base = next(iter(built.cpts.values())).base
+            for name, cpt in built.cpts.items():
+                assert not cpt.flags.writeable and cpt.flags.c_contiguous and cpt.dtype == np.float64
+                assert cpt.base is base and not np.shares_memory(cpt, inputs[name])
+                assert cpt.tobytes() == net.cpts[name].tobytes()
+                with pytest.raises(ValueError):
+                    cpt[...] = 0.5
+                inputs[name][...] = 0.5
+            assert joint(built).probs.tobytes() == before
+        for gid in "ABCD":  # the derived networks come from the same constructor
+            tpl = graph_template(gid)
+            for net in (mutilate(tpl.net, tpl.undesired), random_instance(gid, 3).net):
+                assert all(not c.flags.writeable and c.flags.c_contiguous for c in net.cpts.values())
 
     def test_cpt_shape_checked(self):
         with pytest.raises(ArgumentError, match="shape"):
@@ -307,35 +403,6 @@ class TestMutilate:
     def test_missing_edge_rejected(self):
         with pytest.raises(EdgeError):
             mutilate(collider_net(), [("Y", "X")])
-
-    def test_trusted_build_equals_validated_build(self):
-        """``mutilate`` and the C1-C4 draws skip the CPT checks; the network
-        they build must equal the validating constructor's, frozen arrays and
-        all."""
-
-        def assert_same(trusted: Cbn) -> None:
-            valid = Cbn(trusted.nodes, trusted.parents, trusted.cpts)
-            assert trusted.nodes == valid.nodes and trusted.parents == valid.parents
-            assert list(trusted.cpts) == list(valid.cpts)
-            for name, cpt in trusted.cpts.items():
-                want = valid.cpts[name]
-                assert cpt.dtype == want.dtype and cpt.shape == want.shape
-                assert cpt.tobytes() == want.tobytes()
-                assert not cpt.flags.writeable and cpt.flags.c_contiguous
-            assert trusted.dag.nodes == valid.dag.nodes and trusted.dag.parents == valid.dag.parents
-            assert trusted.dag.topo_order == valid.dag.topo_order
-            assert joint(trusted).probs.tobytes() == joint(valid).probs.tobytes()
-
-        for gid in "ABCD":
-            for tpl in (graph_template(gid), random_instance(gid, 3)):
-                assert_same(bayesnet._trusted_cbn(tpl.net.nodes, tpl.net.parents, tpl.net.cpts))
-                assert_same(mutilate(tpl.net, tpl.undesired))
-        for example_id in _COUNTEREXAMPLE_IDS:
-            nodes, parents = _COUNTEREXAMPLES[example_id][:2]
-            stacked = _counterexample_cpts(example_id, 5, range(4))
-            for attempt in range(4):
-                cpts = {n: cpt[attempt] for n, cpt in stacked.items()}
-                assert_same(bayesnet._trusted_cbn(tuple(Variable(n, 2) for n in nodes), parents, cpts))
 
     def test_observed_dag_drops_latents_and_listed_edges(self):
         net = graph_template("C").net
