@@ -117,8 +117,49 @@ def test_main_prints_attempted_counts_under_the_table(monkeypatch, capsys):
     runs = {"parent": ({"tasks_per_s": 900.0}, {}, 27000), "change": ({"tasks_per_s": 1100.0}, {}, 33000)}
     monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *args: runs[checkout])
     monkeypatch.setattr(bench_pairs, "directions", lambda checkout: {"tasks_per_s": "higher"})
+    monkeypatch.setattr(bench_pairs, "bounds", lambda checkout: {"tasks_per_s": 0.15})
     bench_pairs.main(["--parent", "parent", "--change", "change", "--workload", "exact-checks", "--seeds", "1-2"])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("metric") and lines[1].startswith("tasks_per_s")
+    assert lines[0].startswith("metric") and lines[0].endswith("verdict")
+    assert lines[1].startswith("tasks_per_s") and lines[1].endswith("2/2  within bound")
     assert lines[2] == "attempted tasks, median: parent 27000, change 33000 (+22.2%)"
     assert lines[3:] == ["no quality means to compare"]
+
+
+def verdict_of(parent: list[float], change: list[float], better: str = "lower", bound: float = 0.25) -> str | None:
+    (row,) = bench_pairs.summarize(pairs_of(parent, change, "m"), {"m": better}, {"m": bound})
+    return row.verdict
+
+
+def test_no_regression_verdicts():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00]  # quartile spread 2% of the median
+    assert verdict_of(parent, [p * 1.2 for p in parent]) == "within bound"  # 20% worse, bound 25%
+    assert verdict_of(parent, [p * 1.3 for p in parent]) == "worse beyond bound"
+    assert verdict_of(parent, [p * 0.5 for p in parent]) == "within bound"
+    assert verdict_of(parent, [p * 0.8 for p in parent], "higher") == "within bound"
+    assert verdict_of(parent, [p * 0.7 for p in parent], "higher") == "worse beyond bound"
+    assert verdict_of(parent, [p * 1.2 for p in parent], "lower", 0.15) == "worse beyond bound"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    parent = [1.0, 1.4, 0.8, 1.2, 0.9, 1.1]  # quartiles 0.925, 1.05, 1.175: 24% of the median
+    assert verdict_of(parent, parent, bound=0.25) == "within bound"
+    assert verdict_of(parent, parent, bound=0.2) == "unresolved"
+    assert verdict_of(parent, [p * 2 for p in parent], bound=0.2) == "unresolved"  # not resolved either way
+    # unless every change run beats every parent run
+    assert verdict_of(parent, [0.7, 0.75, 0.6, 0.79, 0.72, 0.7], bound=0.2) == "within bound"
+    assert verdict_of(parent, [1.5, 1.6, 1.45, 1.41, 1.7, 1.5], "higher", 0.2) == "within bound"
+    assert verdict_of(parent, [0.7, 0.75, 0.6, 0.79, 0.72, 0.85], bound=0.2) == "unresolved"  # 0.85 > 0.8
+
+
+def test_verdict_only_for_bounded_metrics_with_a_direction(tmp_path):
+    pairs = [({"setup_s": 1.0, "calls": 3.0, "odd": 1.0}, {"setup_s": 1.0, "calls": 3.0, "odd": 1.0})]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25}],
+        "per_layer": [{"name": "calls", "better": "lower"}],
+    }))
+    assert bench_pairs.bounds(str(tmp_path)) == {"setup_s": 0.25}
+    rows = bench_pairs.summarize(pairs, bench_pairs.directions(str(tmp_path)), bench_pairs.bounds(str(tmp_path)))
+    assert [r.verdict for r in rows] == ["within bound", None, None]
+    lines = bench_pairs.format_rows(rows).splitlines()
+    assert lines[1].endswith("0/1  within bound") and lines[2].endswith("0/1") and lines[3].endswith("-")

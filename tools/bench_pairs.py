@@ -11,6 +11,12 @@ quartiles, the change in the medians, and how many pairs the change won
 change's ``BENCHMARK.json`` gives the metric.  A gain holds when at least
 ten pairs ran, the change won at least nine in ten of them and its median
 beats the parent's by more than the parent's interquartile distance.
+Each end-to-end metric with a ``bound`` in that file also gets a
+no-regression verdict: *unresolved* when the parent's quartile spread,
+relative to its median, is wider than the bound (unless every change run
+beats every parent run), else *worse beyond bound* when the change's median
+is worse than the parent's by more than the bound, relative to the parent's,
+else *within bound*.
 Under the table it gives each side's median count of attempted tasks: a
 faster side runs more tasks in the same seconds, and ``peak_rss_mb`` grows
 with the number of tasks run, so a memory change is read against it.
@@ -54,6 +60,21 @@ class Row:
     change: Spread
     wins: int | None  # pairs the change won; None without a direction
     pairs: int
+    bound: float | None = None  # the largest relative worsening allowed; None for a metric without one
+    beats_all: bool = False  # every change run beats every parent run
+
+    @property
+    def verdict(self) -> str | None:
+        """"within bound", "worse beyond bound" or "unresolved"; None without a direction or bound."""
+        if self.better is None or self.bound is None:
+            return None
+        if self.beats_all:
+            return "within bound"
+        base = abs(self.parent.median)
+        if not base or (self.parent.q3 - self.parent.q1) / base > self.bound:
+            return "unresolved"
+        step = (self.change.median - self.parent.median) / base
+        return "worse beyond bound" if (step if self.better == "lower" else -step) > self.bound else "within bound"
 
     @property
     def gain_holds(self) -> bool:
@@ -73,9 +94,12 @@ def spread(values: list[float]) -> Spread:
     return Spread(q1, median, q3)
 
 
-def summarize(pairs: list[tuple[dict[str, float], dict[str, float]]], better: dict[str, str]) -> list[Row]:
+def summarize(
+    pairs: list[tuple[dict[str, float], dict[str, float]]], better: dict[str, str], bound: dict[str, float] | None = None
+) -> list[Row]:
     """One row per metric present on both sides of every pair, in the order
-    of the first parent run; each pair is (parent metrics, change metrics)."""
+    of the first parent run; each pair is (parent metrics, change metrics).
+    ``bound`` maps an end-to-end metric to its allowed relative worsening."""
     if not pairs:
         raise ValueError("no pairs to summarize")
     rows = []
@@ -85,10 +109,12 @@ def summarize(pairs: list[tuple[dict[str, float], dict[str, float]]], better: di
         old = [p[name] for p, _ in pairs]
         new = [c[name] for _, c in pairs]
         direction = better.get(name)
-        wins = None
+        wins, beats_all = None, False
         if direction is not None:
             wins = sum((n < o) if direction == "lower" else (n > o) for o, n in zip(old, new))
-        rows.append(Row(name, direction, spread(old), spread(new), wins, len(pairs)))
+            beats_all = max(new) < min(old) if direction == "lower" else min(new) > max(old)
+        limit = (bound or {}).get(name)
+        rows.append(Row(name, direction, spread(old), spread(new), wins, len(pairs), limit, beats_all))
     return rows
 
 
@@ -97,19 +123,32 @@ def format_rows(rows: list[Row]) -> str:
         return f"{s.median:.6g} [{s.q1:.6g}, {s.q3:.6g}]"
 
     lines = [f"{'metric':<40} {'parent median [q1, q3]':<36} {'change median [q1, q3]':<36} {'change':>8} {'wins':>7}"]
+    lines[0] += "  verdict"
     for r in rows:
         rel = f"{(r.change.median - r.parent.median) / abs(r.parent.median):+.1%}" if r.parent.median else "-"
         wins = "-" if r.wins is None else f"{r.wins}/{r.pairs}"
-        flag = "  gain holds" if r.gain_holds else ""
-        lines.append(f"{r.metric:<40} {cell(r.parent):<36} {cell(r.change):<36} {rel:>8} {wins:>7}{flag}")
+        notes = [note for note in (r.verdict, "gain holds" if r.gain_holds else None) if note]
+        line = f"{r.metric:<40} {cell(r.parent):<36} {cell(r.change):<36} {rel:>8} {wins:>7}"
+        lines.append(line + "".join(f"  {note}" for note in notes))
     return "\n".join(lines)
+
+
+def _metrics(checkout: str) -> tuple[list[dict], list[dict]]:
+    """The end-to-end and per-layer metric entries of the checkout's BENCHMARK.json."""
+    with open(os.path.join(checkout, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    return spec.get("end_to_end", []), spec.get("per_layer", [])
 
 
 def directions(checkout: str) -> dict[str, str]:
     """Metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
-    with open(os.path.join(checkout, "BENCHMARK.json")) as f:
-        spec = json.load(f)
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    end_to_end, per_layer = _metrics(checkout)
+    return {m["name"]: m["better"] for m in end_to_end + per_layer}
+
+
+def bounds(checkout: str) -> dict[str, float]:
+    """End-to-end metric name -> its ``bound``, from the checkout's BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in _metrics(checkout)[0] if "bound" in m}
 
 
 def same_quality(seeds: list[int], qualities: list[tuple[dict[str, float], dict[str, float]]]) -> list[str]:
@@ -186,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         qualities.append((sides["parent"][1], sides["change"][1]))
         attempted.append((sides["parent"][2], sides["change"][2]))
         print(json.dumps({"seed": seed, **sides}), file=sys.stderr, flush=True)
-    print(format_rows(summarize(pairs, directions(args.change))))
+    print(format_rows(summarize(pairs, directions(args.change), bounds(args.change))))
     print(attempted_line(attempted))
     print("\n".join(same_quality(args.seeds, qualities)))
     return 0
