@@ -30,7 +30,7 @@ from .errors import (
 )
 from .rng import is_int, is_real, spawn
 
-_STREAM_INIT = 0
+_STREAM_INIT = 4  # not datagen's 0: one seed for data and model must not draw rows and weights alike
 _STREAM_SHUFFLE = 1
 _STREAM_PROBE = 3
 

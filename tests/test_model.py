@@ -270,6 +270,17 @@ def benchmark_batch(kind: str) -> Dataset:
     return Dataset(y, z, gen.normal(size=(n, 6)), gen.uniform(0.5, 1.5, n), {"all": (0, 6)})
 
 
+def init_draw(dim: int, hidden: int, seed: int) -> ModelParams:
+    """Weights of ``model._init_params``'s shapes and scales, drawn from
+    ``spawn(seed, 0)``, and zero biases: fixed inputs for the checks below,
+    whose elementwise rtol of 1e-12 holds on these draws but not on every
+    draw (a near-zero gradient entry can differ by more in relative terms)."""
+    gen = spawn(seed, 0)
+    w1 = gen.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, hidden))
+    w2 = gen.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, 1))
+    return ModelParams([w1, w2], [np.zeros(hidden), np.zeros(1)], "relu")
+
+
 class TestFusedPenalty:
     @pytest.mark.parametrize("mode", ["marginal", "conditional"])
     @pytest.mark.parametrize("on_rep", [False, True])
@@ -303,7 +314,7 @@ class TestFusedPenalty:
         """128 rows, a 16-unit representation and the median-heuristic
         bandwidth that training uses."""
         ds = benchmark_batch(kind)
-        params = model._init_params(6, TrainSpec(hidden_dim=16, seed=24))
+        params = init_draw(6, 16, seed=24)
         target = representation(params, ds.x) if on_rep else predict_scores(params, ds.x)[:, None]
         h, strength = median_bandwidth(target), 1.0
         spec = TrainSpec(hidden_dim=16, mmd=MmdPenalty(mode, strength, h, on_representation=on_rep))
@@ -909,3 +920,33 @@ class TestSerialization:
         assert again.activation == params.activation
         for a, b in zip(again.weights + again.biases, params.weights + params.biases):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_one_seed_run_draws_each_stream_for_one_purpose(monkeypatch):
+    """generate -> balance_batch -> train -> evaluate with the probe, all on
+    one seed as a user with a single seed runs them: each spawn path is used
+    by one function only, so no two steps share a random stream."""
+    import sys
+
+    from balancelab import balancing, bayesnet, checks, datagen, tables, templates
+    from balancelab.balancing import BalanceSpec, JointTarget, Mechanism
+    from balancelab.tables import SampleBatch, Variable
+
+    users: dict[tuple[int, ...], set[str]] = {}
+
+    def recording_spawn(seed, *path):
+        users.setdefault((seed, *path), set()).add(sys._getframe(1).f_code.co_name)
+        return spawn(seed, *path)
+
+    for module in (balancing, bayesnet, checks, datagen, model, tables, templates):
+        monkeypatch.setattr(module, "spawn", recording_spawn)
+    seed = 7
+    data = generate(GenSpec("A", 400, seed))
+    variables = (Variable("Y", 2), Variable("Z", 2), Variable("row", len(data)))
+    batch = SampleBatch(variables, np.column_stack([data.y, data.z, np.arange(len(data))]), data.weights)
+    out = balancing.balance_batch(batch, BalanceSpec(JointTarget("Y", "Z"), Mechanism.SUBSAMPLE_MAJORITY, seed))
+    fit = train(data.take(out.rows[:, 2], weights=out.weights), TrainSpec(epochs=2, hidden_dim=4, seed=seed))
+    metrics.evaluate(fit.params, data, probe_seed=seed)
+    callers = set().union(*users.values())
+    assert {"generate", "balance_batch", "_init_params", "train", "probe_encoding"} <= callers
+    assert {path: names for path, names in users.items() if len(names) > 1} == {}
