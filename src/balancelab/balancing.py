@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .bayesnet import broadcast_axes
-from .errors import ArgumentError, UnbalanceableSupport
+from .errors import ArgumentError, UnbalanceableSupport, enum_member
 from .rng import is_int, spawn
 from .tables import PROB_TOL, JointTable, SampleBatch, _derived, _marginal
 
@@ -59,7 +59,7 @@ class BalanceSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        mechanism = Mechanism(self.mechanism)
+        mechanism = enum_member(Mechanism, self.mechanism)
         object.__setattr__(self, "mechanism", mechanism)
         if mechanism in _RESAMPLING and self.seed is None:
             raise ArgumentError(f"mechanism {mechanism.value} resamples and needs a seed")

@@ -8,7 +8,10 @@ exact table obeys every conditional independence a DAG implies.
 runs on the node bitmasks a ``Dag`` builds with its topological order.
 Every independence statement's gap, the local Markov ones and the pairwise
 sweep's alike, goes through one grouped kernel, ``_statement_gaps``, which
-also takes stacked tables of several draws.
+also takes stacked tables of several draws.  A factorization verdict costs
+only the local Markov statements; the exponential pairwise sweep that
+explains a failing one runs on the first read of the report's
+``violations``.
 
 Networks are immutable; sampling takes explicit seeds.
 """
@@ -326,7 +329,11 @@ class FactorizationReport:
     The verdict comes from the local Markov statements alone.  ``violations``
     is empty when the table factorizes; otherwise it lists every failing
     pairwise statement (``kind="pairwise"``) followed by every failing local
-    Markov statement (``kind="local-markov"``).
+    Markov statement (``kind="local-markov"``).  A failing report from
+    ``factorizes_according_to`` keeps the table, the DAG and its local
+    violations, and runs the exponential pairwise sweep on the first read of
+    ``violations`` (which ``==``, hashing, ``repr`` and ``max_gap`` make);
+    two concurrent first reads may both run it, with equal results.
     """
 
     factorizes: bool
@@ -335,6 +342,15 @@ class FactorizationReport:
 
     def __bool__(self) -> bool:
         return self.factorizes
+
+    def __getattr__(self, name: str):
+        # reached only while a lazy report's ``violations`` is unset
+        if name != "violations" or "_explain" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        table, dag, local = self._explain
+        violations = _failing(table, _pairwise_statements(dag), "pairwise", self.tol) + local
+        object.__setattr__(self, "violations", violations)
+        return violations
 
     def max_gap(self) -> float:
         return max((v.gap for v in self.violations), default=0.0)
@@ -413,20 +429,29 @@ def _statement_gaps(probs: np.ndarray, names: Sequence[str], statements: Sequenc
     return out
 
 
+def _failing(table: JointTable, statements: list[Statement], kind: str, tol: float) -> tuple[Violation, ...]:
+    """The statements whose gap in ``table`` exceeds ``tol``, as violations of ``kind``, in order."""
+    gaps = _statement_gaps(table.probs, table.names, statements).tolist()
+    return tuple(Violation(*s, gap, kind) for s, gap in zip(statements, gaps) if gap > tol)
+
+
 def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e-9) -> FactorizationReport:
     """Check that the table factorizes according to the DAG.
 
     The verdict comes from the local Markov statements
     node ⊥ nondescendants | parents, one per node: a table satisfying all of
     them factorizes, and then every other statement the DAG implies holds
-    too.  Only when one of them fails are the pairwise statements
-    x ⊥ y | S, over every d-separating subset S of the remaining nodes,
-    tested as well, to say which finer independences break.  That sweep is
-    still exponential in the number of nodes.  Both lists of statements go
-    through ``_statement_gaps``: each kept set is summed once and the gap
-    kernel runs once per (a, b) shape and memory order in each batch of
-    statements, not once per statement.  Each gap is ``is_independent``'s
-    ``max_gap``, bit for bit; ``tol`` must be a finite real > 0.
+    too.  The report is returned as soon as they decide.  When one fails,
+    the explanation, the pairwise statements x ⊥ y | S over every
+    d-separating subset S of the remaining nodes, which says which finer
+    independences break, is tested only on the first read of the report's
+    ``violations``.  That sweep is still exponential in the number of
+    nodes; a caller that reads only the verdict never pays for it.  Both
+    lists of statements go through ``_statement_gaps``: each kept set is
+    summed once and the gap kernel runs once per (a, b) shape and memory
+    order in each batch of statements, not once per statement.  Each gap is
+    ``is_independent``'s ``max_gap``, bit for bit; ``tol`` must be a finite
+    real > 0.
     """
     if not (is_real(tol) and tol > 0):
         raise ArgumentError(f"tol must be a finite positive real, got {tol!r}")
@@ -435,11 +460,8 @@ def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e
         raise UnknownVariableError(
             f"graph nodes {sorted(dag.nodes)} do not match table variables {sorted(table.names)}"
         )
-
-    def failing(statements: list[Statement], kind: str) -> list[Violation]:
-        gaps = _statement_gaps(table.probs, table.names, statements).tolist()
-        return [Violation(*s, gap, kind) for s, gap in zip(statements, gaps) if gap > tol]
-
-    if not (local := failing(_local_statements(dag), "local-markov")):
+    if not (local := _failing(table, _local_statements(dag), "local-markov", tol)):
         return FactorizationReport(True, (), tol)
-    return FactorizationReport(False, tuple(failing(_pairwise_statements(dag), "pairwise") + local), tol)
+    report = object.__new__(FactorizationReport)  # its violations are computed on first read
+    report.__dict__.update(factorizes=False, tol=tol, _explain=(table, dag, local))
+    return report

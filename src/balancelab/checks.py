@@ -44,6 +44,7 @@ from .errors import (
     CounterexampleNotFound,
     CoverageError,
     LabelError,
+    enum_member,
 )
 from .rng import is_int, is_real, spawn
 from .tables import JointTable, Variable, _derived, _frozen, _marginal, is_independent, marginal_probs
@@ -69,7 +70,7 @@ class DecompositionLabel:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "assignment", {k: Role(v) for k, v in dict(self.assignment).items()}
+            self, "assignment", {k: enum_member(Role, v) for k, v in dict(self.assignment).items()}
         )
 
     def vars_with(self, *roles: Role) -> tuple[str, ...]:
@@ -252,16 +253,19 @@ class ShiftFamily:
         grid = tuple(np.asarray(g, dtype=float) for g in self.grid)
         if not grid:
             raise ArgumentError("grid must be non-empty")
-        for g in grid:
-            if g.shape != (y_card, z_card):
-                raise ArgumentError(f"grid entries must be ({y_card}, {z_card}), got {g.shape}")
-            if not np.isfinite(g).all():
-                raise ArgumentError("grid entries must be finite")
-            if np.any(g < 0) or np.any(np.abs(g.sum(axis=1) - 1.0) > 1e-12):
-                raise ArgumentError("each grid entry must have rows that sum to 1")
+        shaped = all(g.shape == (y_card, z_card) for g in grid)
+        stack = np.stack(grid) if shaped else None
+        if not (shaped and stack.min() >= 0 and np.abs(stack.sum(axis=-1) - 1.0).max() <= 1e-12):  # NaN, inf fail
+            for g in grid:  # name the first bad entry, with the same tests
+                if g.shape != (y_card, z_card):
+                    raise ArgumentError(f"grid entries must be ({y_card}, {z_card}), got {g.shape}")
+                if not np.isfinite(g).all():
+                    raise ArgumentError("grid entries must be finite")
+                if np.any(g < 0) or np.any(np.abs(g.sum(axis=1) - 1.0) > 1e-12):
+                    raise ArgumentError("each grid entry must have rows that sum to 1")
         object.__setattr__(self, "grid", grid)
         names = (self.y, self.z)
-        target = marginal_probs(self.base, names).sum(axis=1, keepdims=True) * np.stack(grid)  # P(y) · P'(z | y)
+        target = marginal_probs(self.base, names).sum(axis=1, keepdims=True) * stack  # P(y) · P'(z | y)
         stacked = np.broadcast_to(self.base.probs, (len(grid),) + self.base.shape)
         object.__setattr__(self, "probs", _frozen(_reweight(stacked, self.base.axes(names), target, names, 1)))
 
@@ -269,6 +273,8 @@ class ShiftFamily:
         return len(self.grid)
 
     def member(self, i: int) -> JointTable:
+        if not (is_int(i) and 0 <= i < len(self.grid)):
+            raise ArgumentError(f"member index must be an integer in [0, {len(self.grid)}), got {i!r}")
         return _derived(self.base.variables, self.probs[i])
 
     def members(self) -> Iterable[JointTable]:
@@ -557,7 +563,7 @@ def check_fairness_implication(
     computed from the core covariates.  Reports the premise gap in the input
     distribution and the conclusion gap in its balanced version."""
     _check_coverage(table, labels, y, z)
-    criterion = FairnessCriterion(criterion)
+    criterion = enum_member(FairnessCriterion, criterion)
     premise = is_independent(table, labels.core, (z,), (y,), tol)
     balanced = balance_exact(table, BalanceSpec(JointTarget(y, z)))
     conclusion_gap = _criterion_gap(balanced, criterion, labels.core, y, z)
@@ -603,7 +609,7 @@ def check_fairness_with_regularizer(
     parity-of-three construction)."""
     if mode not in ("marginal", "conditional"):
         raise ArgumentError(f"mode must be 'marginal' or 'conditional', got {mode!r}")
-    criterion = FairnessCriterion(criterion)
+    criterion = enum_member(FairnessCriterion, criterion)
     balanced_gap = is_independent(balanced_table, (y,), (z,), (), tol=1.0).max_gap
     given = (y,) if mode == "conditional" else ()
     reg_gap = is_independent(balanced_table, (w,), (z,), given, tol=1.0).max_gap

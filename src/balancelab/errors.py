@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from enum import Enum
+from typing import TypeVar
+
+E = TypeVar("E", bound=Enum)
+
 
 class BalanceLabError(Exception):
     """Base class for all errors raised by this package."""
@@ -65,3 +70,11 @@ class NumericsError(BalanceLabError, FloatingPointError):
 
 class SpecError(ArgumentError):
     """A generation or experiment specification is internally inconsistent."""
+
+
+def enum_member(kind: type[E], value) -> E:
+    """``kind(value)``, raising ArgumentError that names the valid values instead of a bare ValueError."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ArgumentError(f"unknown {kind.__name__} {value!r}; expected one of {tuple(m.value for m in kind)}") from None

@@ -23,6 +23,7 @@ Each template also lists its ``undesired`` edges: removing them with
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -232,13 +233,18 @@ def _random_rows(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray
     return rows / rows.sum(axis=-1, keepdims=True)
 
 
+@cache
+def _default_template(graph_id: str) -> tuple[GraphTemplate, frozenset[str]]:
+    """The graph's template with its default parameters, and the nodes whose
+    CPT is not a deterministic copy; built on first use, then kept."""
+    tpl = graph_template(graph_id)
+    return tpl, frozenset(name for name, cpt in tpl.net.cpts.items() if not np.all((cpt == 0) | (cpt == 1)))
+
+
 def random_instance(graph_id: str, seed: int) -> GraphTemplate:
     """The graph's template with every CPT that is not a deterministic copy
     replaced by random strictly positive rows."""
-    tpl = graph_template(graph_id)
+    tpl, drawn = _default_template(graph_id)
     gen = spawn(seed, 41)
-    cpts = {
-        name: cpt if np.all((cpt == 0) | (cpt == 1)) else _random_rows(gen, cpt.shape)
-        for name, cpt in tpl.net.cpts.items()
-    }
+    cpts = {name: _random_rows(gen, cpt.shape) if name in drawn else cpt for name, cpt in tpl.net.cpts.items()}
     return replace(tpl, net=Cbn(tpl.net.nodes, tpl.net.parents, cpts))

@@ -318,6 +318,11 @@ class TestBalanceBatch:
         with pytest.raises(ArgumentError, match="deterministic"):
             BalanceSpec(JointTarget("Y", "Z"), Mechanism.IMPORTANCE_WEIGHTS, seed=3)
 
+    def test_unknown_mechanism_names_the_valid_ones(self):
+        with pytest.raises(ArgumentError, match="unknown Mechanism 'bogus'; expected one of .*'exact_reweight'"):
+            BalanceSpec(JointTarget("Y", "Z"), "bogus")
+        assert BalanceSpec(JointTarget("Y", "Z"), "importance_weights").mechanism is Mechanism.IMPORTANCE_WEIGHTS
+
     @pytest.mark.parametrize("mechanism", [Mechanism.SUBSAMPLE_MAJORITY, Mechanism.UPSAMPLE_MINORITY])
     @pytest.mark.parametrize("bad", [1.5, 1.7, 2.0, True, -1, "1"])
     def test_seed_must_be_a_non_negative_integer(self, mechanism, bad):

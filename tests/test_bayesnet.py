@@ -503,7 +503,7 @@ class TestFactorization:
         for name in calls:
             monkeypatch.setattr(bayesnet, name, recorded(name))
         report = factorizes_according_to(balanced, skeleton)
-        assert not report.factorizes
+        assert not report.factorizes and report.violations  # the read runs the sweep, still recorded
         sums = [tuple(sorted(args[1])) for args in calls["_marginal"]]
         n_local = len(local_sets)  # each kept set summed once, the local statements' then the sweep's
         assert sorted(sums[:n_local]) == sorted(local_sets) and sorted(sums[n_local:]) == sorted(kept_sets)
@@ -511,6 +511,56 @@ class TestFactorization:
         # pairwise statement of C is binary with x before y in the table: one (2, 2) group, one call
         assert len(calls["_state_gaps"]) == 3 + 1
         assert calls["_state_gaps"][-1] == ((2, 2, sum(2 ** len(s) for _, _, s in statements)), 0)
+
+    def test_verdict_alone_runs_no_sweep(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the pairwise sweep ran")
+
+        monkeypatch.setattr(bayesnet, "_pairwise_statements", refuse)
+        for gid in "BC":
+            for seed in range(3):
+                tpl = random_instance(gid, seed)
+                balanced = balance_exact(tpl.observed(), BalanceSpec(JointTarget(tpl.y, tpl.z)))
+                report = factorizes_according_to(balanced, tpl.mutilated_skeleton())
+                assert report.factorizes is False and not bool(report), (gid, seed)
+                with pytest.raises(AssertionError, match="sweep ran"):
+                    report.violations
+
+    def test_explanation_computed_once_on_first_read(self, monkeypatch):
+        tpl = random_instance("C", 0)
+        balanced = balance_exact(tpl.observed(), BalanceSpec(JointTarget(tpl.y, tpl.z)))
+        skeleton = tpl.mutilated_skeleton()
+        eager = full_sweep(balanced, skeleton)
+        inner, calls = bayesnet._pairwise_statements, []
+
+        def counted(dag):
+            calls.append(dag)
+            return inner(dag)
+
+        monkeypatch.setattr(bayesnet, "_pairwise_statements", counted)
+        report = factorizes_according_to(balanced, skeleton)
+        assert calls == []
+        first = report.violations
+        assert report.violations is first and len(calls) == 1
+        assert report.max_gap() == eager.max_gap() > 0
+        assert report == eager and hash(report) == hash(eager) and repr(report) == repr(eager)
+        assert len(calls) == 1
+        assert not hasattr(report, "_missing") and not hasattr(eager, "_missing")
+
+    def test_lazy_violations_match_the_eager_reference(self):
+        failing = 0
+        for seed in range(200):
+            n_nodes = 2 + seed % 4
+            net = mixed_net(seed, n_nodes)
+            perm = spawn(seed, 9).permutation(n_nodes)
+            table = JointTable(tuple(net.nodes[i] for i in perm), joint(net).probs.transpose(perm))
+            dag = random_dag(seed, net.names)
+            report, eager = factorizes_according_to(table, dag), full_sweep(table, dag)
+            assert (report.factorizes, report.tol) == (eager.factorizes, eager.tol), seed
+            fields = [[(v.a, v.b, v.given, v.kind, v.gap.hex()) for v in r.violations] for r in (report, eager)]
+            assert fields[0] == fields[1], seed
+            failing += not report.factorizes
+        assert failing >= 100
 
     def test_factorizing_table_never_enters_the_sweep(self, monkeypatch):
         # no sweep and no d-separation search; the gap kernel runs at most once per local Markov statement

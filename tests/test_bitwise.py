@@ -7,7 +7,8 @@ fresh temporaries, per-layer gradients joined by ``concatenate`` and masked
 stratum sums.  ``plain_search`` is the per-attempt loop that the stacked
 counterexample search replaced, ``plain_member`` and ``plain_scored`` the
 per-member reweight and marginal that the stacked ``ShiftFamily`` replaced,
-and the draw-axis kernels of the exact layer are checked against their
+``plain_instance`` the per-call template build that ``random_instance``
+replaced, and the draw-axis kernels of the exact layer are checked against their
 per-table callers.  The fast paths must return the
 same bits.  No digest is pinned for them, because gemm rounding depends on
 the BLAS kernel; both sides run on the same one.  The source and ideal sets
@@ -22,7 +23,9 @@ from math import prod
 import numpy as np
 import pytest
 
-from balancelab import model
+from dataclasses import replace
+
+from balancelab import model, templates
 from balancelab.balancing import BalanceSpec, JointTarget, _balance_pair, _reweight, balance_exact, reweight_marginal
 from balancelab.bayesnet import Cbn, Dag, _product, _statement_gaps, broadcast_axes, factorizes_according_to, joint, observed_dag
 from balancelab.checks import (
@@ -41,7 +44,7 @@ from balancelab.metrics import MetricsReport, evaluate
 from balancelab.model import MmdPenalty, ModelParams, TrainSpec, train
 from balancelab.rng import spawn
 from balancelab.tables import JointTable, Variable, _marginal, _state_gaps, is_independent, marginal_probs, marginalize
-from balancelab.templates import _random_rows, random_instance
+from balancelab.templates import GraphTemplate, _random_rows, graph_template, random_instance
 
 
 def plain_forward(params: ModelParams, x: np.ndarray):
@@ -591,6 +594,34 @@ class TestShiftFamily:
         with pytest.raises(UnbalanceableSupport) as got:
             ShiftFamily(base, grid)
         assert str(got.value) == str(want.value)
+
+
+def plain_instance(graph_id: str, seed: int) -> GraphTemplate:
+    """A fresh default template per call, its non-copy CPTs redrawn."""
+    tpl = graph_template(graph_id)
+    gen = spawn(seed, 41)
+    cpts = {
+        name: cpt if np.all((cpt == 0) | (cpt == 1)) else _random_rows(gen, cpt.shape)
+        for name, cpt in tpl.net.cpts.items()
+    }
+    return replace(tpl, net=Cbn(tpl.net.nodes, tpl.net.parents, cpts))
+
+
+class TestRandomInstance:
+    def test_matches_a_fresh_template_and_builds_each_graph_once(self, monkeypatch):
+        want = {(graph, seed): plain_instance(graph, seed) for graph in "ABCD" for seed in range(5)}
+        built, inner = [], templates.graph_template
+        monkeypatch.setattr(templates, "graph_template", lambda graph_id: built.append(graph_id) or inner(graph_id))
+        templates._default_template.cache_clear()
+        for (graph, seed), ref in want.items():
+            got = random_instance(graph, seed)
+            assert replace(got, net=None) == replace(ref, net=None)
+            assert (got.net.nodes, got.net.parents) == (ref.net.nodes, ref.net.parents)
+            for name, cpt in ref.net.cpts.items():
+                assert got.net.cpts[name].tobytes() == cpt.tobytes(), (graph, seed, name)
+        assert built == list("ABCD")
+        with pytest.raises(ArgumentError, match="unknown graph id 'E'"):
+            random_instance("E", 0)
 
 
 # SHA-256 of y, z, x and v of the source set and an ideal set at seeds 3 and 17

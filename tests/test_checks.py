@@ -82,6 +82,11 @@ class TestInvarianceConditions:
                 tpl.observed(), DecompositionLabel({"X_core": Role.CORE})
             )
 
+    def test_unknown_role_names_the_valid_ones(self):
+        with pytest.raises(ArgumentError, match="unknown Role 'bogus'; expected one of .*'core'"):
+            DecompositionLabel({"X": "bogus"})
+        assert DecompositionLabel({"X": "core"}).assignment == {"X": Role.CORE}
+
 
 class TestBayesPredictor:
     def test_uninformative_inputs_give_marginal(self):
@@ -209,6 +214,26 @@ class TestShiftFamily:
                     got = ShiftFamily(marginalize(table, ("Y", "Z")), grid).grid
                     assert all(np.array_equal(a, b) for a, b in zip(got, want.grid, strict=True))
         assert raised == 6  # every grid but the identity on the empty-cell table, every grid on the tiny one
+
+    def test_first_bad_grid_entry_named_with_its_own_message(self):
+        q = balanced(random_instance("A", 1).observed())
+        good, nan, wide = np.array([[0.3, 0.7], [0.6, 0.4]]), np.full((2, 2), np.nan), np.full((2, 3), 1 / 3)
+        for grid, message in (
+            ((good, nan, wide), "grid entries must be finite"),
+            ((good, wide, nan), re.escape("grid entries must be (2, 2), got (2, 3)")),
+            ((good, np.array([[1.5, -0.5], [0.5, 0.5]]), nan), "rows that sum to 1"),
+            ((np.array([[0.5, 0.5], [0.5, 0.5 + 2e-12]]), good), "rows that sum to 1"),
+            ((np.array([[np.inf, -np.inf], [0.5, 0.5]]),), "grid entries must be finite"),
+        ):
+            with pytest.raises(ArgumentError, match=message):
+                ShiftFamily(q, grid)
+
+    @pytest.mark.parametrize("index", [-1, 3, 1.5, True, np.int64(-1), "0"])
+    def test_member_index_must_be_an_integer_in_range(self, index):
+        fam = ShiftFamily(balanced(random_instance("A", 1).observed()), correlation_grid(3))
+        with pytest.raises(ArgumentError, match=re.escape("member index must be an integer in [0, 3)")):
+            fam.member(index)
+        assert fam.member(np.int64(2)).probs.tobytes() == fam.probs[2].tobytes()
 
     def test_members_are_read_only_views_of_the_stack(self):
         q = balanced(random_instance("B", 3).observed())
@@ -584,6 +609,15 @@ class TestFairnessImplications:
             q, "W", "marginal", FairnessCriterion.EQUALIZED_ODDS
         )
         assert not rep_eo.conclusion_holds
+
+    def test_unknown_criterion_names_the_valid_ones(self):
+        tpl = random_instance("A", 0)
+        with pytest.raises(ArgumentError, match="unknown FairnessCriterion 'parity'; expected one of .*'demographic_parity'"):
+            check_fairness_implication(tpl.observed(), labels_for(tpl), "parity")
+        with pytest.raises(ArgumentError, match="unknown FairnessCriterion 'bogus'"):
+            check_fairness_with_regularizer(xor_representation_table(), "W", "marginal", "bogus")
+        rep = check_fairness_implication(tpl.observed(), labels_for(tpl), "equalized_odds")
+        assert rep.criterion is FairnessCriterion.EQUALIZED_ODDS
 
     def test_unknown_regularizer_mode_rejected(self):
         with pytest.raises(ArgumentError, match="mode"):
