@@ -344,7 +344,7 @@ class FactorizationReport:
         return self.factorizes
 
     def __getattr__(self, name: str):
-        # reached only while a lazy report's ``violations`` is unset
+        # normal lookup failed: compute a lazy report's unread ``violations``, refuse anything else
         if name != "violations" or "_explain" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         table, dag, local = self._explain

@@ -1,11 +1,13 @@
-"""Semantic exception hierarchy shared across the package."""
+"""Semantic exception hierarchy shared across the package, and
+``enum_member``, through which every enum-valued argument is converted so
+that a bad value raises ``ArgumentError``."""
 
 from __future__ import annotations
 
 from enum import Enum
 from typing import TypeVar
 
-E = TypeVar("E", bound=Enum)
+_E = TypeVar("_E", bound=Enum)
 
 
 class BalanceLabError(Exception):
@@ -72,7 +74,7 @@ class SpecError(ArgumentError):
     """A generation or experiment specification is internally inconsistent."""
 
 
-def enum_member(kind: type[E], value) -> E:
+def enum_member(kind: type[_E], value) -> _E:
     """``kind(value)``, raising ArgumentError that names the valid values instead of a bare ValueError."""
     try:
         return kind(value)
