@@ -8,22 +8,21 @@ stratum sums.  ``plain_search`` is the per-attempt loop that the stacked
 counterexample search replaced, ``plain_member`` and ``plain_scored`` the
 per-member reweight and marginal that the stacked ``ShiftFamily`` replaced,
 ``plain_instance`` the per-call template build that ``random_instance``
-replaced, and the draw-axis kernels of the exact layer are checked against their
-per-table callers.  The fast paths must return the
-same bits.  No digest is pinned for them, because gemm rounding depends on
-the BLAS kernel; both sides run on the same one.  The source and ideal sets
+replaced, and the draw-axis kernels of the exact layer are checked against
+their per-table callers.  The fast paths must return the same bits.  No
+digest is pinned for them, because gemm rounding depends on the BLAS
+kernel; both sides run on the same one.  The source and ideal sets
 of ``datagen`` use no gemm, so SHA-256 digests pin their bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from math import prod
 
 import numpy as np
 import pytest
-
-from dataclasses import replace
 
 from balancelab import model, templates
 from balancelab.balancing import BalanceSpec, JointTarget, _balance_pair, _reweight, balance_exact, reweight_marginal
