@@ -20,7 +20,7 @@ import numpy as np
 from .bayesnet import broadcast_axes
 from .errors import ArgumentError, UnbalanceableSupport, enum_member
 from .rng import is_int, spawn
-from .tables import PROB_TOL, JointTable, SampleBatch, _derived, _marginal
+from .tables import PROB_TOL, JointTable, SampleBatch, _derived, _marginal, _once
 
 
 class Mechanism(str, Enum):
@@ -125,15 +125,19 @@ def balance_exact(table: JointTable, spec: BalanceSpec) -> JointTable:
     given the target pair are untouched.  A SingleTarget makes the marginal
     of its variable uniform and keeps every conditional given it.  A target
     cell with zero probability but target mass makes the reweight undefined
-    and raises UnbalanceableSupport.
+    and raises UnbalanceableSupport.  The balanced table is computed once per
+    source table and target and stored on the source, so it lives as long as
+    the source does; a repeated call returns the same table.
     """
     if spec.mechanism is not Mechanism.EXACT_REWEIGHT:
         raise ArgumentError("exact tables only support the exact_reweight mechanism")
-    if isinstance(spec.target, SingleTarget):
-        card = table.variable(spec.target.var).cardinality
-        return reweight_marginal(table, (spec.target.var,), np.full(card, 1.0 / card))
-    names = (spec.target.y_var, spec.target.z_var)
-    return _derived(table.variables, _balance_pair(table.probs, table.axes(names), names))
+    target = spec.target
+    if isinstance(target, SingleTarget):
+        card = table.variable(target.var).cardinality
+        return _once(table, target, lambda: reweight_marginal(table, (target.var,), np.full(card, 1.0 / card)))
+    names = (target.y_var, target.z_var)
+    axes = table.axes(names)
+    return _once(table, target, lambda: _derived(table.variables, _balance_pair(table.probs, axes, names)))
 
 
 def _target_codes(batch: SampleBatch, spec: BalanceSpec) -> tuple[np.ndarray, int, list[str]]:

@@ -47,7 +47,7 @@ from .errors import (
     enum_member,
 )
 from .rng import is_int, is_real, spawn
-from .tables import JointTable, Variable, _derived, _frozen, _marginal, is_independent, marginal_probs
+from .tables import JointTable, Variable, _derived, _frozen, _marginal, _once, is_independent, marginal_probs
 from .templates import GraphTemplate, random_instance
 
 GENERIC_GAP = 1e-6  # separates structural violations from float noise
@@ -239,7 +239,10 @@ class ShiftFamily:
     over ``grid`` while the label marginal and all covariate mechanisms given
     (label, group) stay pinned to ``base``.  ``probs[k]`` is member k's table;
     all are built here by one stacked reweight, so an undefined one raises.
-    Equality and hashing are by identity, since the fields hold arrays."""
+    Equality and hashing are by identity, since the fields hold arrays.
+    A predictor's scored members are computed once per family and stored on
+    it (with the predictor), so the risk checks of one predictor share them.
+    """
 
     base: JointTable
     grid: tuple[np.ndarray, ...]
@@ -324,7 +327,12 @@ def _covariate_axes(family: ShiftFamily, names: Sequence[str]) -> tuple[tuple[st
 def _scored_members(predictor: TablePredictor, family: ShiftFamily) -> tuple[np.ndarray, np.ndarray]:
     """P(covariates..., y) of every family member, stacked on a leading axis,
     and the predictor's score on every covariate state (0 on input states
-    that no member reaches), both in table order."""
+    that no member reaches), both in table order and read-only, computed
+    once per family and predictor."""
+    return _once(family, predictor, lambda: _score_members(predictor, family))
+
+
+def _score_members(predictor: TablePredictor, family: ShiftFamily) -> tuple[np.ndarray, np.ndarray]:
     covariates, axes = _covariate_axes(family, predictor.inputs)
     cards = tuple(family.base.variable(n).cardinality for n in predictor.inputs)
     if predictor.scores.shape != cards:
@@ -338,7 +346,7 @@ def _scored_members(predictor: TablePredictor, family: ShiftFamily) -> tuple[np.
         state = tuple(int(s) for s in undefined[0])
         raise CoverageError(f"predictor undefined on reachable state {dict(zip(predictor.inputs, state))}")
     scores = np.where(reached, predictor.scores, 0.0)
-    return probs, broadcast_axes(scores, axes, len(covariates))
+    return _frozen(probs), _frozen(broadcast_axes(scores, axes, len(covariates)))
 
 
 def _sum_in_order(arr: np.ndarray, lead: int) -> np.ndarray:
@@ -360,11 +368,7 @@ def risk_invariance_gap(
 ) -> RiskInvarianceResult:
     """Exact risk of the predictor on every family member and the largest
     pairwise risk difference (the first pair attaining it)."""
-    return _risk_gap(family, *_scored_members(predictor, family), loss)
-
-
-def _risk_gap(family: ShiftFamily, probs: np.ndarray, scores: np.ndarray, loss: str) -> RiskInvarianceResult:
-    """``risk_invariance_gap`` from the members and scores of ``_scored_members``."""
+    probs, scores = _scored_members(predictor, family)
     if loss not in LOSSES:
         raise ArgumentError(f"unknown loss {loss!r}; expected one of {LOSSES}")
     if family.base.variable(family.y).cardinality != 2:
@@ -417,7 +421,7 @@ def check_epsilon_risk_bound(
     e_core = broadcast_axes(e_core, (0,) + tuple(1 + a for a in axes), mass.ndim)
     deviation = np.where(mass > 0, np.abs(scores - e_core), 0.0)
     epsilon = 2.0 * float(deviation.max())
-    gap = _risk_gap(family, probs, scores, loss).sup_gap
+    gap = risk_invariance_gap(fitted, family, loss).sup_gap
     return EpsilonBoundReport(epsilon, gap, gap <= epsilon + slack, loss)
 
 

@@ -48,15 +48,15 @@ import numpy as np
 from .bayesnet import Cbn, joint, mutilate
 from .checks import ShiftFamily
 from .errors import ArgumentError, SpecError
-from .rng import is_int, spawn
+from .rng import is_int, is_real, spawn
 from .tables import JointTable, _checked_weights, _draw_states, _frozen, _pick, marginalize
 from .templates import GRAPH_IDS, GraphTemplate, graph_template, template_a, template_b, template_c
 
 # each channel's dim_*, sep_* and noise_* knob: a test and the rule it states
-_CHANNEL_RULES = {
-    "dim": (lambda v: v >= 1, ">= 1"),
-    "sep": (np.isfinite, "finite"),
-    "noise": (lambda v: np.isfinite(v) and v >= 0, "finite and >= 0"),
+_CHANNEL_RULES = {  # a bool is neither an integer nor a real here
+    "dim": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    "sep": (is_real, "a finite real"),
+    "noise": (lambda v: is_real(v) and v >= 0, "a finite real >= 0"),
 }
 
 _STREAM_SOURCE = 0
@@ -138,7 +138,7 @@ class GenSpec:
             for knob, (valid, rule) in _CHANNEL_RULES.items():
                 value = getattr(self, f"{knob}_{part}")
                 if value is not None and not valid(value):
-                    raise SpecError(f"{knob}_{part} must be {rule}, got {value}")
+                    raise SpecError(f"{knob}_{part} must be {rule}, got {value!r}")
         for name in ("label_noise", "z_marginal"):
             v = getattr(self, name)
             if v is not None and not 0.0 <= v <= 1.0:
@@ -239,8 +239,13 @@ class Dataset:
 
     def take(self, idx: np.ndarray, weights: np.ndarray | None = None) -> "Dataset":
         """The rows ``idx`` (a 1-D index array or slice) of this validated
-        set, with their own weights or new ``weights``, which are checked."""
-        y = self.y[idx]
+        set, with their own weights or new ``weights``, which are checked.
+        An index that numpy cannot gather (out of range, not integer or
+        boolean, a mask of the wrong length) raises ArgumentError."""
+        try:  # every column has the rows of y, so only this first gather can fail
+            y = self.y[idx]
+        except IndexError as exc:
+            raise ArgumentError(f"row index does not select rows of this {len(self.y)}-row set: {exc}") from None
         if y.ndim != 1:
             raise ArgumentError("row index must be one-dimensional")
         w = self.weights[idx] if weights is None else _frozen(_checked_weights(weights, y.shape[0]))

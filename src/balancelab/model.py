@@ -162,6 +162,8 @@ def mmd2(sample_a: np.ndarray, sample_b: np.ndarray, bandwidth: float) -> float:
         raise ArgumentError("samples must be finite")
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise SampleSizeError("both samples need at least 2 rows for the unbiased estimate")
+    if not (is_real(bandwidth) and bandwidth > 0):
+        raise ArgumentError(f"bandwidth must be finite and positive, got {bandwidth!r}")
     side = np.repeat([0, 1], [a.shape[0], b.shape[0]])
     value, _, _ = _mmd_penalty(np.vstack([a, b]), _strata(side, side, "marginal", len(side))[0], bandwidth)
     return value
@@ -250,8 +252,8 @@ def _mmd_penalty(target: np.ndarray, strata: tuple[np.ndarray, list[int]], bandw
 
 def median_bandwidth(scores: np.ndarray, floor: float = 1e-3) -> float:
     """Median pairwise distance between score rows (the bandwidth heuristic), at least ``floor``."""
-    if not (np.isfinite(floor) and floor > 0):
-        raise ArgumentError(f"floor must be finite and positive, got {floor}")
+    if not (is_real(floor) and floor > 0):
+        raise ArgumentError(f"floor must be finite and positive, got {floor!r}")
     a = np.atleast_2d(np.asarray(scores, dtype=float).T).T
     if not np.all(np.isfinite(a)):
         raise ArgumentError("scores must be finite")

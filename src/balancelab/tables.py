@@ -8,6 +8,12 @@ re-validation.  SciPy is imported on the first chi-squared p-value, not
 with the module.
 
 Values are immutable after construction and safe for concurrent reads.
+Because they never change, a pure exact result is computed once per
+object: ``is_independent`` stores its report on the table it reads,
+``balancing.balance_exact`` its balanced table on the source table and
+``checks`` a predictor's scored members on the shift family, each through
+``_once``.  A stored result lives as long as the object that holds it, and
+equal but distinct objects share nothing.
 """
 
 from __future__ import annotations
@@ -111,6 +117,19 @@ class JointTable(_Named):
 
     def variable(self, name: str) -> Variable:
         return self.variables[self.axis(name)]
+
+
+def _once(owner, key, compute):
+    """``compute()``, run on the first request for ``key`` and stored in the
+    instance ``__dict__`` of the immutable ``owner``, which it then lives as
+    long as.  ``compute`` must be pure, so a stored result is bit for bit a
+    fresh one; one that raises stores nothing.  Two concurrent first
+    requests may both compute, with equal results.  The call sites use keys
+    of distinct types, so they share one dict without clashing."""
+    memo = owner.__dict__.setdefault("_memo", {})
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def _derived(variables: tuple[Variable, ...], probs: np.ndarray) -> JointTable:
@@ -219,7 +238,9 @@ def is_independent(
     Conditioning states with zero probability are skipped.  ``tol`` must be
     finite and positive; exact tables usually use the 1e-9 default while
     empirical tables pass something wider.  Of several states attaining the
-    largest gap the last wins, and within it the first (a, b) cell.
+    largest gap the last wins, and within it the first (a, b) cell.  The
+    report is computed once per table and (a, b, given, tol) and stored on
+    the table; each call gets its own ``argmax_state`` dict.
     """
     a, b, given = tuple(a), tuple(b), tuple(given)
     if not (is_real(tol) and tol > 0):
@@ -229,7 +250,12 @@ def is_independent(
     groups = (set(a), set(b), set(given))
     if (groups[0] & groups[1]) or (groups[0] & groups[2]) or (groups[1] & groups[2]):
         raise ArgumentError(f"a, b, given must be disjoint, got {a}, {b}, {given}")
+    report = _once(table, (a, b, given, tol), lambda: _independence(table, a, b, given, tol))
+    return IndependenceReport(report.independent, report.max_gap, dict(report.argmax_state), report.tol)
 
+
+def _independence(table: JointTable, a: tuple, b: tuple, given: tuple, tol: float) -> IndependenceReport:
+    """``is_independent``'s report on validated arguments."""
     arr = marginal_probs(table, a + b + given)
     shapes = (arr.shape[: len(a)], arr.shape[len(a) : len(a) + len(b)], arr.shape[len(a) + len(b) :])
     live, diff = _state_gaps(arr.reshape(prod(shapes[0]), prod(shapes[1]), -1))

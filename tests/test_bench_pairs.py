@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -65,6 +66,36 @@ def test_single_pair_and_seed_ranges():
     assert bench_pairs.parse_seeds("5,9") == [5, 9]
     with pytest.raises(ValueError):
         bench_pairs.summarize([], {})
+
+
+def test_seed_lists_join_ranges_and_single_seeds():
+    assert bench_pairs.parse_seeds("701-705,710") == [701, 702, 703, 704, 705, 710]
+    assert bench_pairs.parse_seeds("9,3-4,7-7") == [9, 3, 4, 7]
+
+
+@pytest.mark.parametrize("text", ["705-701", "701-705,9-8", "", "701,", ",701", "701-", "-5", "7-8-9", "seven"])
+def test_reversed_or_empty_seed_ranges_are_rejected(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_pairs.parse_seeds(text)
+
+
+def test_bad_seed_list_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "p", "--change", "c", "--workload", "exact-checks", "--seeds", "710-701"])
+    assert exit_info.value.code == 2
+    assert "range '710-701' in '710-701' runs backwards" in capsys.readouterr().err
+
+
+def test_failed_run_names_its_checkout_seed_exit_code_and_stderr_tail(tmp_path):
+    (tmp_path / "bench").mkdir()
+    script = "import sys\nfor i in range(30):\n    print('line', i, file=sys.stderr)\nsys.exit(3)\n"
+    (tmp_path / "bench" / "run.py").write_text(script)
+    with pytest.raises(RuntimeError) as error:
+        bench_pairs.run_once(str(tmp_path), "exact-checks", 7, 1.0, 0)
+    message = str(error.value)
+    assert message.startswith(f"{tmp_path}: bench/run.py exited with 3 at seed 7")
+    assert message.endswith("\n".join(f"line {i}" for i in range(10, 30)))
+    assert "line 9\n" not in message
 
 
 def run_output(tasks_per_s: float, quality: dict[str, float]) -> str:

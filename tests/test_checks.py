@@ -3,13 +3,15 @@ non-factorization searches, fairness implications."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import re
+import weakref
 
 import numpy as np
 import pytest
 
-from balancelab import checks
+from balancelab import balancing, checks, tables
 from balancelab.balancing import BalanceSpec, JointTarget, balance_exact
 from balancelab.checks import (
     DecompositionLabel,
@@ -39,6 +41,7 @@ from balancelab.errors import (
     CoverageError,
     LabelError,
     UnbalanceableSupport,
+    UnknownVariableError,
 )
 from balancelab.rng import spawn
 from balancelab.tables import JointTable, Variable, condition, is_independent, marginalize
@@ -649,3 +652,129 @@ class TestCausalTaskDependence:
         tpl = graph_template("B", confounder_effect=1e-9)
         shift = causal_task_dependence(tpl.observed(), labels_for(tpl))
         assert shift.gap_after < 1e-6
+
+
+def instance_run(observed, tpl):
+    """The exact checks of one instance on its observed table, in the order
+    the benchmark runs them: every float output, the argmax states, and the
+    balanced table."""
+    labels = labels_for(tpl)
+    conditions = check_invariance_conditions(observed, labels)
+    bal = balance_exact(observed, BalanceSpec(JointTarget(tpl.y, tpl.z)))
+    family = ShiftFamily(bal, correlation_grid())
+    predictor = bayes_predictor(bal, tpl.core)
+    gap = risk_invariance_gap(predictor, family)
+    bound = check_epsilon_risk_bound(predictor, family, tpl.core)
+    fairness = [check_fairness_implication(observed, labels, c) for c in FairnessCriterion]
+    values = [conditions.cond1_gap, conditions.cond2_gap, *gap.risks, gap.sup_gap, bound.epsilon, bound.gap]
+    values += [v for f in fairness for v in (f.premise_gap, f.conclusion_gap)]
+    states = [is_independent(observed, tpl.core, (tpl.z,), (tpl.y,)).argmax_state]
+    return [float(v).hex() for v in values], states, bal
+
+
+def counting(monkeypatch, module, name, calls: list):
+    """Replace ``module.name`` by a wrapper that appends each call's arguments to ``calls``."""
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def copy_of(table: JointTable) -> JointTable:
+    return JointTable(table.variables, table.probs)
+
+
+class TestOncePerObject:
+    """Exact results are computed once per immutable table or family and
+    stored on it; a stored result is bit for bit a fresh one."""
+
+    @pytest.mark.parametrize("graph", ["A", "B", "C", "D"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stored_results_equal_fresh_ones(self, monkeypatch, graph, seed):
+        tpl = random_instance(graph, seed)
+        observed = tpl.observed()
+        first, second = instance_run(observed, tpl), instance_run(observed, tpl)  # the second run only hits
+        assert second[2] is first[2]
+        with monkeypatch.context() as m:
+            for module in (tables, balancing, checks):
+                m.setattr(module, "_once", lambda owner, key, compute: compute())
+            fresh = instance_run(copy_of(observed), tpl)
+        for run in (first, second):
+            assert run[:2] == fresh[:2]
+            assert run[2].probs.tobytes() == fresh[2].probs.tobytes()
+
+    def test_an_instance_balances_once_and_reads_its_premise_once(self, monkeypatch):
+        pairs, statements, scored = [], [], []
+        counting(monkeypatch, balancing, "_balance_pair", pairs)
+        counting(monkeypatch, tables, "_independence", statements)
+        counting(monkeypatch, checks, "_score_members", scored)
+        tpl = random_instance("D", 3)
+        observed = tpl.observed()
+        instance_run(observed, tpl)
+        assert len(pairs) == 1
+        premise = [s for s in statements if s[0] is observed and s[1:4] == (tpl.core, (tpl.z,), (tpl.y,))]
+        assert len(premise) == 1
+        assert len(scored) == 1  # the gap and the bound score the family's members once
+
+    def test_equal_but_distinct_tables_share_nothing(self, monkeypatch):
+        pairs, statements = [], []
+        counting(monkeypatch, balancing, "_balance_pair", pairs)
+        counting(monkeypatch, tables, "_independence", statements)
+        table = random_instance("A", 2).observed()
+        twin = copy_of(table)
+        assert balanced(table) is balanced(table)
+        assert "_memo" not in twin.__dict__
+        assert balanced(twin) is not balanced(table)
+        is_independent(table, ("X_core",), ("Z",), ("Y",))
+        is_independent(twin, ("X_core",), ("Z",), ("Y",))
+        assert len(pairs) == 2 and len(statements) == 2
+
+    def test_a_different_tol_gets_its_own_entry(self, monkeypatch):
+        statements = []
+        counting(monkeypatch, tables, "_independence", statements)
+        table = random_instance("A", 1).observed()
+        loose, strict = (is_independent(table, ("X_core",), ("Z",), (), tol) for tol in (1.0, 1e-9))
+        assert (loose.tol, strict.tol) == (1.0, 1e-9)
+        assert loose.independent and not strict.independent
+        assert loose.max_gap == strict.max_gap
+        assert is_independent(table, ("X_core",), ("Z",), (), 1.0) == loose
+        assert len(statements) == 2
+
+    def test_a_caller_changing_its_argmax_state_reaches_no_other_caller(self):
+        table = random_instance("C", 4).observed()
+        first = is_independent(table, ("X_core",), ("Z",), ("Y",))
+        expected = dict(first.argmax_state)
+        first.argmax_state.clear()
+        second = is_independent(table, ("X_core",), ("Z",), ("Y",))
+        assert second.argmax_state == expected
+        second.argmax_state["Y"] = 7
+        assert is_independent(table, ("X_core",), ("Z",), ("Y",)).argmax_state == expected
+
+    def test_bad_input_raises_each_time_and_stores_nothing(self):
+        table = random_instance("A", 0).observed()
+        split = JointTable((Variable("Y", 2), Variable("Z", 2)), np.array([[0.5, 0.0], [0.0, 0.5]]))
+        fam = ShiftFamily(balanced(table), correlation_grid(3))
+        undefined = TablePredictor(("X_core",), np.array([0.5, 0.0]), np.array([True, False]))
+        for _ in range(2):
+            with pytest.raises(UnknownVariableError):
+                is_independent(table, ("nope",), ("Z",))
+            with pytest.raises(ArgumentError, match="duplicate"):
+                is_independent(table, ("X_core", "X_core"), ("Z",))
+            with pytest.raises(UnbalanceableSupport):
+                balanced(split)
+            with pytest.raises(CoverageError):
+                risk_invariance_gap(undefined, fam)
+        assert set(table.__dict__["_memo"]) == {JointTarget("Y", "Z")}  # the family's base, balanced above
+        assert not split.__dict__.get("_memo") and not fam.__dict__.get("_memo")
+
+    def test_a_stored_balanced_table_lives_as_long_as_its_source(self):
+        table = random_instance("A", 5).observed()
+        ref = weakref.ref(balanced(table))
+        gc.collect()
+        assert ref() is balanced(table)
+        del table
+        gc.collect()
+        assert ref() is None

@@ -164,6 +164,25 @@ class TestGenSpec:
         with pytest.raises(SpecError, match=name):
             GenSpec(graph, 5, **{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value, rule",
+        [
+            ("dim_core", 2.5, "an integer >= 1"),
+            ("dim_aux", True, "an integer >= 1"),
+            ("dim_core", "3", "an integer >= 1"),
+            ("noise_core", True, "a finite real >= 0"),
+            ("sep_core", False, "a finite real"),
+            ("sep_aux", "2", "a finite real"),
+        ],
+    )
+    def test_channel_knob_of_the_wrong_type_rejected_at_construction(self, name, value, rule):
+        with pytest.raises(SpecError, match=f"{name} must be {rule}, got {value!r}"):
+            GenSpec("A", 5, **{name: value})
+
+    def test_channel_knobs_accept_numpy_numbers(self):
+        spec = GenSpec("A", 50, 3, dim_core=np.int64(2), sep_core=np.float32(1.5), noise_aux=2)
+        assert generate(spec).x.shape == (50, 8)
+
     @pytest.mark.parametrize("bad", [(0.5, 0.5, 0.5), (0.5,), 0.5, (0.0, 0.5), (0.5, np.nan)])
     def test_malformed_confounding_rejected(self, bad):
         with pytest.raises(SpecError, match="confounding must be two entries"):
@@ -478,6 +497,16 @@ class TestDataset:
         assert len(ds.take(slice(10, 20))) == 10
         with pytest.raises(ArgumentError, match="one-dimensional"):
             ds.take(idx[:, None])
+
+    @pytest.mark.parametrize(
+        "idx",
+        [np.array([0, 10]), np.array([-11]), np.array([0.5]), np.array([True, False]), 2.0, [0, "1"]],
+        ids=["past-the-end", "before-the-start", "float", "short-mask", "float-scalar", "string"],
+    )
+    def test_take_rejects_an_index_that_selects_no_rows(self, idx):
+        ds = generate(GenSpec(graph="C", n=10, seed=2))
+        with pytest.raises(ArgumentError, match="row index does not select rows of this 10-row set"):
+            ds.take(idx)
 
 
     def test_take_with_boolean_mask_selects_rows(self):

@@ -272,9 +272,7 @@ def benchmark_batch(kind: str) -> Dataset:
 
 def init_draw(dim: int, hidden: int, seed: int) -> ModelParams:
     """Weights of ``model._init_params``'s shapes and scales, drawn from
-    ``spawn(seed, 0)``, and zero biases: fixed inputs for the checks below,
-    whose elementwise rtol of 1e-12 holds on these draws but not on every
-    draw (a near-zero gradient entry can differ by more in relative terms)."""
+    ``spawn(seed, 0)``, and zero biases: fixed inputs for the checks below."""
     gen = spawn(seed, 0)
     w1 = gen.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, hidden))
     w2 = gen.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, 1))
@@ -312,23 +310,29 @@ class TestFusedPenalty:
     @pytest.mark.parametrize("kind", ["uneven", "one_row_side", "z_two"])
     def test_batch_shape_matches_double_loop(self, mode, on_rep, kind):
         """128 rows, a 16-unit representation and the median-heuristic
-        bandwidth that training uses."""
+        bandwidth that training uses, for several weight draws.  Each
+        gradient array is compared to rtol 1e-12 plus an atol of 1e-12 of its
+        largest entry: entries near zero differ by rounding (about 2e-17)
+        that is large relative to them on some draws."""
         ds = benchmark_batch(kind)
-        params = init_draw(6, 16, seed=24)
-        target = representation(params, ds.x) if on_rep else predict_scores(params, ds.x)[:, None]
-        h, strength = median_bandwidth(target), 1.0
-        spec = TrainSpec(hidden_dim=16, mmd=MmdPenalty(mode, strength, h, on_representation=on_rep))
-        report = loss(params, ds, spec)
+        for seed in (24, 25, 37):  # 25 and 37 hold near-zero entries that fail an rtol-only test
+            params = init_draw(6, 16, seed=seed)
+            target = representation(params, ds.x) if on_rep else predict_scores(params, ds.x)[:, None]
+            h, strength = median_bandwidth(target), 1.0
+            spec = TrainSpec(hidden_dim=16, mmd=MmdPenalty(mode, strength, h, on_representation=on_rep))
+            report = loss(params, ds, spec)
 
-        value, grad, skipped = brute_penalty(target, ds.y, ds.z, mode, h)
-        plain = loss(params, ds, TrainSpec(hidden_dim=16))
-        gw, gb = backprop(params, ds.x, strength * grad, on_rep)
+            value, grad, skipped = brute_penalty(target, ds.y, ds.z, mode, h)
+            plain = loss(params, ds, TrainSpec(hidden_dim=16))
+            gw, gb = backprop(params, ds.x, strength * grad, on_rep)
 
-        assert report.skipped_strata == skipped == (kind == "one_row_side" and mode == "conditional")
-        assert report.mmd == pytest.approx(value, rel=1e-12)
-        got = report.grad_weights + report.grad_biases
-        for g, b, extra in zip(got, plain.grad_weights + plain.grad_biases, gw + gb):
-            np.testing.assert_allclose(g, b + extra, rtol=1e-12, atol=0)
+            assert report.skipped_strata == skipped == (kind == "one_row_side" and mode == "conditional")
+            assert report.mmd == pytest.approx(value, rel=1e-12)
+            got = report.grad_weights + report.grad_biases
+            for g, b, extra in zip(got, plain.grad_weights + plain.grad_biases, gw + gb):
+                reference = b + extra
+                atol = 1e-12 * np.abs(reference).max()
+                np.testing.assert_allclose(g, reference, rtol=1e-12, atol=atol, err_msg=f"init seed {seed}")
 
 
 class TestKnobs:
@@ -383,6 +387,24 @@ class TestKnobs:
         knobs = {"strength": 1.0, "bandwidth": 0.3} | {field: bad}
         with pytest.raises(ArgumentError, match=field):
             MmdPenalty("marginal", **knobs)
+
+    @pytest.mark.parametrize("bad", [True, False, "0.3", None])
+    def test_mmd2_bandwidth_rejects_bools_and_non_numbers(self, bad):
+        a = np.array([0.1, 0.4, 0.9])
+        with pytest.raises(ArgumentError, match="bandwidth must be finite and positive"):
+            mmd2(a, a, bad)
+
+    @pytest.mark.parametrize("bad", [True, False, "1e-3", None])
+    def test_median_bandwidth_floor_rejects_bools_and_non_numbers(self, bad):
+        with pytest.raises(ArgumentError, match="floor must be finite and positive"):
+            median_bandwidth(np.array([0.0, 0.1, 0.2]), floor=bad)
+
+    def test_bandwidth_knobs_accept_numpy_and_integer_reals(self):
+        a, b = np.array([0.1, 0.4, 0.9]), np.array([0.3, 0.5])
+        assert mmd2(a, b, np.float32(0.5)) == mmd2(a, b, 0.5)
+        assert mmd2(a, b, 1) == mmd2(a, b, 1.0)
+        assert median_bandwidth(np.array([0.0, 0.1, 0.2]), floor=np.float64(0.5)) == 0.5
+        assert median_bandwidth(np.array([0.0, 0.1, 0.2]), floor=1) == 1
 
     def test_real_knobs_accept_numpy_and_integer_reals(self):
         penalty = MmdPenalty("marginal", 1, 2)

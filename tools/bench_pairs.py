@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 MIN_PAIRS = 10  # a claimed gain needs at least this many pairs
 WIN_SHARE = 0.9  # and the change to win this share of them
+STDERR_TAIL = 20  # lines of a failed run's stderr that the error quotes
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,10 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
     ``bench/run.py`` run in ``checkout``."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode:
+        tail = "\n".join(done.stderr.splitlines()[-STDERR_TAIL:])
+        raise RuntimeError(f"{checkout}: bench/run.py exited with {done.returncode} at seed {seed}; its stderr ends:\n{tail}")
     metrics, quality, result = parse_run(done.stdout)
     if not result["correct"]:
         raise RuntimeError(f"{checkout}: {result['failed']} of {result['attempted']} tasks failed at seed {seed}")
@@ -198,11 +202,19 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'701-710' or '701,703,705'."""
-    if "-" in text:
-        lo, hi = (int(v) for v in text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(v) for v in text.split(",")]
+    """'701-710', '701,703,705' or both joined by commas, as '701-705,710'.
+    An empty part or a range that runs backwards is an argparse error."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        lo, dash, hi = part.partition("-")
+        try:
+            first, last = int(lo), int(hi if dash else lo)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{part!r} in {text!r} is neither a seed nor a range lo-hi") from None
+        if first > last:
+            raise argparse.ArgumentTypeError(f"range {part!r} in {text!r} runs backwards")
+        seeds += range(first, last + 1)
+    return seeds
 
 
 def main(argv: list[str] | None = None) -> int:
