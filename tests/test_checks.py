@@ -6,6 +6,8 @@ from __future__ import annotations
 import gc
 import hashlib
 import re
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -769,6 +771,34 @@ class TestOncePerObject:
                 risk_invariance_gap(undefined, fam)
         assert set(table.__dict__["_memo"]) == {JointTarget("Y", "Z")}  # the family's base, balanced above
         assert not split.__dict__.get("_memo") and not fam.__dict__.get("_memo")
+
+    def test_concurrent_first_requests_agree(self):
+        tpl = random_instance("C", 6)
+        expected = instance_run(tpl.observed(), tpl)
+        table = tpl.observed()
+        results, errors = [], []
+
+        def work():
+            try:
+                results.append(instance_run(table, tpl))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers) and not errors and len(results) == 8
+        for run in results:
+            assert run[:2] == expected[:2]
+            assert run[2].probs.tobytes() == expected[2].probs.tobytes()
+        assert len({id(run[1][0]) for run in results}) == 8  # every caller its own argmax_state
 
     def test_a_stored_balanced_table_lives_as_long_as_its_source(self):
         table = random_instance("A", 5).observed()
