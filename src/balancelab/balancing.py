@@ -5,8 +5,10 @@ some variables is replaced by a target while every conditional given them is
 kept, Q = P · target / P(names).  Joint balancing targets P(y)P(z), so the
 two target variables become independent; single-variable balancing targets a
 uniform marginal; ``checks.ShiftFamily`` targets P(y) times a grid of
-P(z | y).  On finite samples the balancing targets are reached by importance
-weights, subsampling the majority cells, or upsampling the minority cells.
+P(z | y).  What these reweights do to fairness, invariance and bias is
+tabulated by ``checks.claims``.  On finite samples the balancing targets are
+reached by importance weights, subsampling the majority cells, or
+upsampling the minority cells.
 """
 
 from __future__ import annotations
@@ -219,40 +221,3 @@ def balance_batch(batch: SampleBatch, spec: BalanceSpec) -> SampleBatch:
             picked.append(np.concatenate([idx, gen.choice(idx, size=extra, replace=True)]) if extra else idx)
     sel = np.concatenate(picked)
     return batch.with_rows(np.take(batch.rows, sel, axis=0), batch.weights.take(sel))
-
-
-@dataclass(frozen=True)
-class BiasShift:
-    """Effect of uniformizing a binary label on the other binary marginal.
-
-    ``before``/``after`` are E[Z] - 1/2 before and after balancing; ``bound``
-    is |P(Y=1) - 1/2| · |E[Z|Y=1] - E[Z|Y=0]|, which bounds the change in
-    |bias| exactly.
-    """
-
-    before: float | np.ndarray
-    after: float | np.ndarray
-    bound: float | np.ndarray
-    worsens: bool | np.ndarray
-
-
-def bias_shift_single(p_y1, e_z_given_y1, e_z_given_y0) -> BiasShift:
-    """Bias of E[Z] around 1/2 before and after uniformizing Y.
-
-    Accepts scalars or broadcastable arrays in [0, 1].  ``worsens`` reports
-    |after| > |before|; the identity after = before - (P(Y=1)-1/2)(E[Z|Y=1]-E[Z|Y=0])
-    holds exactly.
-    """
-    p = np.asarray(p_y1, dtype=float)
-    e1 = np.asarray(e_z_given_y1, dtype=float)
-    e0 = np.asarray(e_z_given_y0, dtype=float)
-    for name, arr in (("p_y1", p), ("e_z_given_y1", e1), ("e_z_given_y0", e0)):
-        if np.any(arr < 0) or np.any(arr > 1):
-            raise ArgumentError(f"{name} must lie in [0, 1]")
-    before = p * e1 + (1 - p) * e0 - 0.5
-    after = 0.5 * (e1 + e0) - 0.5
-    bound = np.abs(p - 0.5) * np.abs(e1 - e0)
-    worsens = np.abs(after) > np.abs(before)
-    if before.ndim == 0:
-        return BiasShift(float(before), float(after), float(bound), bool(worsens))
-    return BiasShift(before, after, bound, worsens)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ArgumentError, CycleError, EdgeError, UnknownVariableError
 from .rng import is_int, is_real, spawn
-from .tables import PROB_TOL, JointTable, SampleBatch, Variable, _dense_shape, _derived, _marginal, _pick, _state_gaps, marginal_probs
+from .tables import PROB_TOL, JointTable, SampleBatch, Variable, _dense_shape, _derived, _marginal, _pick, _state_gaps, _trusted_batch, marginal_probs
 
 SWEEP_CELLS = 1 << 16  # _statement_gaps's stacks: about this many cells, plus one statement's
 Statement = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]  # (a, b, given): a ⊥ b | given
@@ -308,7 +308,7 @@ def sample_cbn(net: Cbn, n: int, seed: int) -> SampleBatch:
         for p, size in zip(net.parents[name], cpt.shape):  # the flat index of the parents' states
             row = row * size + cols[p]
         cols[name] = _pick(cpt.reshape(-1, cpt.shape[-1]), row, gen.random(n))
-    return SampleBatch(net.nodes, np.column_stack([cols[v.name] for v in net.nodes]), np.ones(n))
+    return _trusted_batch(net.nodes, np.column_stack([cols[v.name] for v in net.nodes]), np.ones(n))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
-"""Numeric verification of what joint balancing does to a distribution.
+"""The paper's claims about joint balancing, checked on exact tables.
 
 Everything here works on exact tables, so each claim is checked by direct
-enumeration rather than simulation: sufficient conditions for balanced
-training to yield an invariant model, risk invariance of predictors across a
-correlation-shift family, the closed form for entangled channels, fairness
-implications of balancing, and seeded searches for balanced distributions
-that violate the independencies of an edge-dropped graph.
+enumeration rather than simulation.  The public checks each answer one
+question: the sufficient conditions for balanced training to yield an
+invariant model, risk invariance of a predictor across a correlation-shift
+family and its epsilon bound, the fairness criteria that balancing implies,
+and seeded searches for balanced distributions that violate the
+independencies of an edge-dropped graph.  ``claims(template)`` puts every
+proposition of one template in one table, a premise gap, a conclusion gap
+and a verdict per row, and computes the balanced table, the premise
+core ⊥ Z | Y and the scored shift family once for all of them.
 
 A shift family builds all its members as one reweight (balancing's, with
 target P(y) · P'(z | y)) stacked on a member axis.  The risk checks take
@@ -22,12 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .balancing import BalanceSpec, JointTarget, _balance_pair, _reweight, balance_exact
+from .balancing import BalanceSpec, JointTarget, _balance_pair, _reweight, balance_exact, reweight_marginal
 from .bayesnet import (
     Dag,
     FactorizationReport,
@@ -47,7 +51,7 @@ from .errors import (
     enum_member,
 )
 from .rng import is_int, is_real, spawn
-from .tables import JointTable, Variable, _derived, _frozen, _marginal, _once, is_independent, marginal_probs
+from .tables import JointTable, Variable, _derived, _frozen, _independence, _marginal, _once, is_independent, marginal_probs
 from .templates import GraphTemplate, random_instance
 
 GENERIC_GAP = 1e-6  # separates structural violations from float noise
@@ -199,40 +203,6 @@ def bayes_predictor(table: JointTable, inputs: Iterable[str], y: str = "Y") -> T
     return TablePredictor(inputs, scores, mass > 0)
 
 
-def entangled_joint(p: float, q: float) -> JointTable:
-    """Three-variable table with uniform independent (Y, Z) and a single
-    channel X with P(X=1 | y, z) = p when y or z, else q."""
-    for name, v in (("p", p), ("q", q)):
-        if not 0.0 <= v <= 1.0:
-            raise ArgumentError(f"{name} must lie in [0, 1], got {v}")
-    probs = np.zeros((2, 2, 2))  # (x, y, z)
-    for y_state in range(2):
-        for z_state in range(2):
-            px1 = p if (y_state or z_state) else q
-            probs[1, y_state, z_state] = 0.25 * px1
-            probs[0, y_state, z_state] = 0.25 * (1.0 - px1)
-    return JointTable((Variable("X", 2), Variable("Y", 2), Variable("Z", 2)), probs)
-
-
-def entangled_gap(p: float, q: float) -> tuple[float, float]:
-    """Closed-form conditional means of the optimal score given the group factor.
-
-    Returns (E[f(X) | Z=1], E[f(X) | Z=0]) where f is the exact posterior of
-    the label from the single entangled channel.  Terms whose channel state
-    has zero probability under the relevant conditional drop out.
-    """
-    for name, v in (("p", p), ("q", q)):
-        if not 0.0 <= v <= 1.0:
-            raise ArgumentError(f"{name} must lie in [0, 1], got {v}")
-    px1 = 0.75 * p + 0.25 * q
-    f1 = 0.5 * p / px1 if px1 > 0 else 0.0
-    f0 = 0.5 * (1.0 - p) / (1.0 - px1) if px1 < 1 else 0.0
-    e_given_z1 = p * f1 + (1.0 - p) * f0
-    px1_z0 = 0.5 * (p + q)
-    e_given_z0 = px1_z0 * f1 + (1.0 - px1_z0) * f0
-    return float(e_given_z1), float(e_given_z0)
-
-
 @dataclass(frozen=True, eq=False)
 class ShiftFamily:
     """Correlation-shift family: the group-given-label conditional varies
@@ -368,7 +338,11 @@ def risk_invariance_gap(
 ) -> RiskInvarianceResult:
     """Exact risk of the predictor on every family member and the largest
     pairwise risk difference (the first pair attaining it)."""
-    probs, scores = _scored_members(predictor, family)
+    return _risk_gap(family, *_scored_members(predictor, family), loss)
+
+
+def _risk_gap(family: ShiftFamily, probs: np.ndarray, scores: np.ndarray, loss: str) -> RiskInvarianceResult:
+    """``risk_invariance_gap`` on the family's scored members."""
     if loss not in LOSSES:
         raise ArgumentError(f"unknown loss {loss!r}; expected one of {LOSSES}")
     if family.base.variable(family.y).cardinality != 2:
@@ -412,17 +386,21 @@ def check_epsilon_risk_bound(
     if not (is_real(slack) and slack >= 0):
         raise ArgumentError(f"slack must be a finite number >= 0, got {slack!r}")
     _, axes = _covariate_axes(family, core)
-    probs, scores = _scored_members(fitted, family)
+    epsilon = _epsilon(axes, *_scored_members(fitted, family))
+    gap = risk_invariance_gap(fitted, family, loss).sup_gap
+    return EpsilonBoundReport(epsilon, gap, gap <= epsilon + slack, loss)
+
+
+def _epsilon(axes: Sequence[int], probs: np.ndarray, scores: np.ndarray) -> float:
+    """``check_epsilon_risk_bound``'s epsilon on scored members, the core at covariate ``axes``."""
     mass = probs.sum(axis=-1)
-    core_first = ([1 + a for a in axes], list(range(1, 1 + len(core))))  # member axis, core axes, the rest
-    core_mass = _sum_in_order(np.moveaxis(mass, *core_first), 1 + len(core))
-    core_ymass = _sum_in_order(np.moveaxis(probs[..., 1], *core_first), 1 + len(core))
+    core_first = ([1 + a for a in axes], list(range(1, 1 + len(axes))))  # member axis, core axes, the rest
+    core_mass = _sum_in_order(np.moveaxis(mass, *core_first), 1 + len(axes))
+    core_ymass = _sum_in_order(np.moveaxis(probs[..., 1], *core_first), 1 + len(axes))
     e_core = np.divide(core_ymass, core_mass, out=np.zeros_like(core_mass), where=core_mass > 0)
     e_core = broadcast_axes(e_core, (0,) + tuple(1 + a for a in axes), mass.ndim)
     deviation = np.where(mass > 0, np.abs(scores - e_core), 0.0)
-    epsilon = 2.0 * float(deviation.max())
-    gap = risk_invariance_gap(fitted, family, loss).sup_gap
-    return EpsilonBoundReport(epsilon, gap, gap <= epsilon + slack, loss)
+    return 2.0 * float(deviation.max())
 
 
 # -- Balanced distributions versus edge-dropped graphs -----------------------
@@ -544,14 +522,13 @@ class FairnessReport:
     tol: float
 
 
-def _criterion_gap(
-    table: JointTable, criterion: FairnessCriterion, w: Sequence[str], y: str, z: str
-) -> float:
-    if criterion is FairnessCriterion.DEMOGRAPHIC_PARITY:
-        return is_independent(table, tuple(w), (z,), (), tol=1.0).max_gap
-    if criterion is FairnessCriterion.PREDICTIVE_PARITY:
-        return is_independent(table, (y,), (z,), tuple(w), tol=1.0).max_gap
-    return is_independent(table, tuple(w), (z,), (y,), tol=1.0).max_gap
+def _criteria(w: tuple[str, ...], y: str, z: str) -> dict[FairnessCriterion, tuple[tuple[str, ...], ...]]:
+    """The independence (a, b, given) that each criterion asks of a score computed from ``w``."""
+    return {
+        FairnessCriterion.DEMOGRAPHIC_PARITY: (w, (z,), ()),
+        FairnessCriterion.PREDICTIVE_PARITY: ((y,), (z,), w),
+        FairnessCriterion.EQUALIZED_ODDS: (w, (z,), (y,)),
+    }
 
 
 def check_fairness_implication(
@@ -570,7 +547,7 @@ def check_fairness_implication(
     criterion = enum_member(FairnessCriterion, criterion)
     premise = is_independent(table, labels.core, (z,), (y,), tol)
     balanced = balance_exact(table, BalanceSpec(JointTarget(y, z)))
-    conclusion_gap = _criterion_gap(balanced, criterion, labels.core, y, z)
+    conclusion_gap = is_independent(balanced, *_criteria(labels.core, y, z)[criterion], 1.0).max_gap
     return FairnessReport(
         criterion=criterion,
         premise_gap=premise.max_gap,
@@ -581,86 +558,90 @@ def check_fairness_implication(
     )
 
 
+# -- The claims table ----------------------------------------------------------
+
+CLAIM_TOL = 1e-9
+
+
 @dataclass(frozen=True)
-class RegularizedFairnessReport:
-    criterion: FairnessCriterion
-    mode: str
-    balanced_gap: float
-    regularizer_gap: float
-    premise_holds: bool
+class Claim:
+    """One proposition on one template: premise ⇒ conclusion.  Each side is
+    a gap and holds when it is at most ``tol``; ``holds`` is the verdict, the
+    premise failing or the conclusion holding.  A bound row states
+    gap ≤ bound: its premise gap is the bound and its ``tol`` the bound plus
+    ``CLAIM_TOL``, so its premise holds and its verdict is the bound."""
+
+    name: str
+    premise_gap: float
     conclusion_gap: float
-    conclusion_holds: bool
     tol: float
 
+    @property
+    def premise_holds(self) -> bool:
+        return self.premise_gap <= self.tol
 
-def check_fairness_with_regularizer(
-    balanced_table: JointTable,
-    w: str,
-    mode: str,
-    criterion: FairnessCriterion,
-    y: str = "Y",
-    z: str = "Z",
-    tol: float = 1e-9,
-) -> RegularizedFairnessReport:
-    """Fairness of a regularized representation in an already-balanced table.
+    @property
+    def conclusion_holds(self) -> bool:
+        return self.conclusion_gap <= self.tol
 
-    ``w`` is a representation variable assumed regularized toward
-    independence of the group factor, marginally (``mode="marginal"``) or
-    given the label (``mode="conditional"``).  Premise: the table is balanced
-    (label ⊥ group) and ``w`` satisfies its regularization target.  The
-    conditional mode is sufficient for all three criteria; the marginal mode
-    is not (predictive parity and equalized odds can fail; see the
-    parity-of-three construction)."""
-    if mode not in ("marginal", "conditional"):
-        raise ArgumentError(f"mode must be 'marginal' or 'conditional', got {mode!r}")
-    criterion = enum_member(FairnessCriterion, criterion)
-    balanced_gap = is_independent(balanced_table, (y,), (z,), (), tol=1.0).max_gap
-    given = (y,) if mode == "conditional" else ()
-    reg_gap = is_independent(balanced_table, (w,), (z,), given, tol=1.0).max_gap
-    conclusion_gap = _criterion_gap(balanced_table, criterion, (w,), y, z)
-    return RegularizedFairnessReport(
-        criterion=criterion,
-        mode=mode,
-        balanced_gap=balanced_gap,
-        regularizer_gap=reg_gap,
-        premise_holds=balanced_gap <= tol and reg_gap <= tol,
-        conclusion_gap=conclusion_gap,
-        conclusion_holds=conclusion_gap <= tol,
-        tol=tol,
-    )
+    @property
+    def holds(self) -> bool:
+        return not self.premise_holds or self.conclusion_holds
 
 
-def xor_representation_table() -> JointTable:
-    """Three pairwise-independent bits whose parity is even: W, Y, Z.
+def claims(template: GraphTemplate) -> tuple[Claim, ...]:
+    """The paper's propositions on the template's observed law P and its
+    (Y, Z)-balanced law Q, one row each, as premise ⇒ conclusion:
 
-    W ⊥ Z and Y ⊥ Z hold exactly, yet given W the other two determine each
-    other, so label-given-representation independence of the group fails.
+      invariance               cond1 and cond2 on P ⇒ the squared-loss risk gap, over
+                               ``correlation_grid()`` members of Q, of Q's Bayes
+                               predictor on every covariate
+      epsilon_bound            that gap ≤ the same predictor's epsilon (a bound row)
+      one row per criterion    core ⊥ Z | Y on P ⇒ the criterion's gap on Q
+      conditional_regularizer  Y ⊥ Z and core ⊥ Z | Y on Q ⇒ the largest criterion gap
+      causal_dependence        Y ⊥ Z on P ⇒ the core ⊥ Z gap is the same on Q
+      bias_shift               making Y uniform moves E[Z] by the closed form
+                               |P(Y=1) − ½| · |E[Z | Y=1] − E[Z | Y=0]| (a bound row)
+      entangled_gap            with entangled covariates only: entangled ⊥ Z | Y on Q
+                               ⇒ E[f | Z] is the same in every group, f being Q's
+                               Bayes predictor on the entangled covariates
+      factorization            cond1 and cond2 on P ⇒ Q obeys ``mutilated_skeleton()``
+
+    Q, the premise core ⊥ Z | Y and the scored shift family are computed
+    once each and shared by the rows that read them.
     """
-    probs = np.zeros((2, 2, 2))  # (w, y, z)
-    for a, b_, c in product(range(2), repeat=3):
-        w, y, z = int(a == b_), int(a == c), int(b_ == c)
-        probs[w, y, z] += 1.0 / 8.0
-    return JointTable((Variable("W", 2), Variable("Y", 2), Variable("Z", 2)), probs)
+    observed, labels, y, z = template.observed(), labels_for(template), template.y, template.z
+    _check_coverage(observed, labels, y, z)
+    core, rest, entangled = labels.core, labels.rest, template.entangled
 
+    def gap(table: JointTable, a: tuple[str, ...], b: tuple[str, ...], given: tuple[str, ...] = ()) -> float:
+        return _independence(table, a, b, given, CLAIM_TOL).max_gap
 
-@dataclass(frozen=True)
-class DependenceShift:
-    """Dependence gap between the core covariates and the group factor,
-    before and after balancing."""
-
-    gap_before: float
-    gap_after: float
-
-
-def causal_task_dependence(
-    table: JointTable, labels: DecompositionLabel, y: str = "Y", z: str = "Z"
-) -> DependenceShift:
-    """Measure how balancing changes the marginal dependence between the core
-    covariates and the group factor.  For causal tasks with a purely spurious
-    label-group dependence the gap is zero before balancing and generically
-    positive after."""
-    _check_coverage(table, labels, y, z)
-    before = is_independent(table, labels.core, (z,), (), tol=1.0).max_gap
-    balanced = balance_exact(table, BalanceSpec(JointTarget(y, z)))
-    after = is_independent(balanced, labels.core, (z,), (), tol=1.0).max_gap
-    return DependenceShift(before, after)
+    balanced = _derived(observed.variables, _balance_pair(observed.probs, observed.axes((y, z)), (y, z)))
+    cond2 = gap(observed, core, (z,), (y,))
+    conditions = max(gap(observed, rest, (y, *core), (z,)) if rest else 0.0, cond2)
+    family = ShiftFamily(balanced, correlation_grid())
+    covariates = tuple(n for n in observed.names if n not in (y, z))
+    probs, scores = _score_members(bayes_predictor(balanced, covariates), family)
+    risk_gap = _risk_gap(family, probs, scores, "squared").sup_gap
+    epsilon = _epsilon(_covariate_axes(family, core)[1], probs, scores)
+    fairness = [Claim(c.value, cond2, gap(balanced, *s), CLAIM_TOL) for c, s in _criteria(core, y, z).items()]
+    representation = max(gap(balanced, (y,), (z,)), gap(balanced, core, (z,), (y,)))  # regularized given Y
+    moved = abs(gap(balanced, core, (z,)) - gap(observed, core, (z,)))
+    pyz, uniform_y = marginal_probs(observed, (y, z)), reweight_marginal(observed, (y,), np.full(2, 0.5))
+    bias_bound = float(abs(pyz[1].sum() - 0.5) * abs(pyz[1, 1] / pyz[1].sum() - pyz[0, 1] / pyz[0].sum()))
+    bias_shift = float(abs(marginal_probs(uniform_y, (z,))[1] - marginal_probs(observed, (z,))[1]))
+    rows = [
+        Claim("invariance", conditions, risk_gap, CLAIM_TOL),
+        Claim("epsilon_bound", epsilon, risk_gap, epsilon + CLAIM_TOL),
+        *fairness,
+        Claim("conditional_regularizer", representation, max(c.conclusion_gap for c in fairness), CLAIM_TOL),
+        Claim("causal_dependence", gap(observed, (y,), (z,)), moved, CLAIM_TOL),
+        Claim("bias_shift", bias_bound, bias_shift, bias_bound + CLAIM_TOL),
+    ]
+    if entangled:
+        pxz, score = marginal_probs(balanced, (*entangled, z)), bayes_predictor(balanced, entangled).scores
+        means = np.tensordot(score, pxz, len(entangled)) / _marginal(pxz, (len(entangled),))  # E[f | z] per z
+        rows.append(Claim("entangled_gap", gap(balanced, entangled, (z,), (y,)), float(np.ptp(means)), CLAIM_TOL))
+    skeleton_gap = factorizes_according_to(balanced, template.mutilated_skeleton(), CLAIM_TOL).max_gap()
+    return (*rows, Claim("factorization", conditions, skeleton_gap, CLAIM_TOL))

@@ -139,13 +139,19 @@ class GenSpec:
                 value = getattr(self, f"{knob}_{part}")
                 if value is not None and not valid(value):
                     raise SpecError(f"{knob}_{part} must be {rule}, got {value!r}")
-        for name in ("label_noise", "z_marginal"):
+        for name in ("label_noise", "z_marginal", "z_flip", "x_effect",
+                     "confounder_effect", "confounder_strength", "v_z_pull"):
             v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
+            if v is not None and not is_real(v):  # a bool or a string is not a real here either
+                raise SpecError(f"{name} must be a finite real, got {v!r}")
+            if v is not None and name in ("label_noise", "z_marginal") and not 0.0 <= v <= 1.0:
                 raise SpecError(f"{name} must lie in [0, 1], got {v}")
         pair = self.confounding
-        if pair is not None and not (np.shape(pair) == (2,) and all(0.0 < p < 1.0 for p in pair)):
+        if pair is not None and not (np.shape(pair) == (2,) and all(is_real(p) and 0.0 < p < 1.0 for p in pair)):
             raise SpecError(f"confounding must be two entries in (0.0, 1.0), got {pair!r}")
+        pair = self.v_flip
+        if pair is not None and not (np.shape(pair) == (2,) and all(map(is_real, pair))):
+            raise SpecError(f"v_flip must be two finite reals, got {pair!r}")
         for name in sorted(set().union(*self._GRAPH_DEFAULTS.values())):
             graphs = [g for g, defaults in self._GRAPH_DEFAULTS.items() if name in defaults]
             if getattr(self, name) is not None and self.graph not in graphs:

@@ -351,12 +351,7 @@ class SampleBatch(_Named):
     def with_rows(self, rows: np.ndarray, weights: np.ndarray) -> "SampleBatch":
         """A batch of ``rows`` taken from this validated batch, kept as they
         are (no copy, no range check), with new ``weights``, which are checked."""
-        out = object.__new__(SampleBatch)
-        object.__setattr__(out, "variables", self.variables)
-        object.__setattr__(out, "rows", _frozen(rows))
-        object.__setattr__(out, "weights", _frozen(_checked_weights(weights, rows.shape[0])))
-        object.__setattr__(out, "_names", self._names)
-        return out
+        return _trusted_batch(self.variables, rows, _checked_weights(weights, rows.shape[0]))
 
     def empirical_table(self) -> JointTable:
         """Weighted empirical frequencies as an exact table."""
@@ -369,6 +364,18 @@ class SampleBatch(_Named):
         if total == 0:
             raise ArgumentError("total weight is zero")
         return JointTable(self.variables, (counts / total).reshape(shape))
+
+
+def _trusted_batch(variables: tuple[Variable, ...], rows: np.ndarray, weights: np.ndarray) -> SampleBatch:
+    """A batch of int64, C-contiguous ``rows`` that are in range by
+    construction and checked ``weights``, both kept as they are (no copy, no
+    check) and made read-only."""
+    out = object.__new__(SampleBatch)
+    object.__setattr__(out, "variables", variables)
+    object.__setattr__(out, "rows", _frozen(rows))
+    object.__setattr__(out, "weights", _frozen(weights))
+    object.__setattr__(out, "_names", tuple(v.name for v in variables))
+    return out
 
 
 def _draw_states(table: JointTable, n: int, gen: np.random.Generator) -> tuple[np.ndarray, ...]:
@@ -405,8 +412,7 @@ def sample(table: JointTable, n: int, seed: int) -> SampleBatch:
     """Draw ``n`` i.i.d. rows from the table; deterministic given ``seed``."""
     if not (is_int(n) and n >= 1):
         raise ArgumentError(f"n must be an integer >= 1, got {n!r}")
-    rows = np.column_stack(_draw_states(table, n, spawn(seed)))
-    return SampleBatch(table.variables, rows, np.ones(n))
+    return _trusted_batch(table.variables, np.column_stack(_draw_states(table, n, spawn(seed))), np.ones(n))
 
 
 def chi2_independence(batch: SampleBatch, a: str, b: str) -> tuple[float, float]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -17,15 +18,14 @@ from balancelab.balancing import (
     SingleTarget,
     balance_batch,
     balance_exact,
-    bias_shift_single,
     reweight_marginal,
 )
 from balancelab.bayesnet import joint, sample_cbn
-from balancelab.checks import ShiftFamily
+from balancelab.checks import ShiftFamily, claims
 from balancelab.errors import ArgumentError, UnbalanceableSupport
 from balancelab.rng import spawn
 from balancelab.tables import JointTable, SampleBatch, Variable, condition, is_independent, marginal_probs, marginalize
-from balancelab.templates import graph_template
+from balancelab.templates import GRAPH_IDS, graph_template, random_instance
 
 Y = Variable("Y", 2)
 Z = Variable("Z", 2)
@@ -336,6 +336,44 @@ class TestBalanceBatch:
             assert np.array_equal(a.rows, b.rows)
 
 
+@dataclass(frozen=True)
+class BiasShift:
+    """Effect of uniformizing a binary label on the other binary marginal.
+
+    ``before``/``after`` are E[Z] - 1/2 before and after balancing; ``bound``
+    is |P(Y=1) - 1/2| · |E[Z|Y=1] - E[Z|Y=0]|, which bounds the change in
+    |bias| exactly.
+    """
+
+    before: float | np.ndarray
+    after: float | np.ndarray
+    bound: float | np.ndarray
+    worsens: bool | np.ndarray
+
+
+def bias_shift_single(p_y1, e_z_given_y1, e_z_given_y0) -> BiasShift:
+    """The closed form of the bias of E[Z] around 1/2 before and after
+    uniformizing Y, the reference for the ``bias_shift`` row of ``claims``.
+
+    Accepts scalars or broadcastable arrays in [0, 1].  ``worsens`` reports
+    |after| > |before|; the identity after = before - (P(Y=1)-1/2)(E[Z|Y=1]-E[Z|Y=0])
+    holds exactly.
+    """
+    p = np.asarray(p_y1, dtype=float)
+    e1 = np.asarray(e_z_given_y1, dtype=float)
+    e0 = np.asarray(e_z_given_y0, dtype=float)
+    for name, arr in (("p_y1", p), ("e_z_given_y1", e1), ("e_z_given_y0", e0)):
+        if np.any(arr < 0) or np.any(arr > 1):
+            raise ArgumentError(f"{name} must lie in [0, 1]")
+    before = p * e1 + (1 - p) * e0 - 0.5
+    after = 0.5 * (e1 + e0) - 0.5
+    bound = np.abs(p - 0.5) * np.abs(e1 - e0)
+    worsens = np.abs(after) > np.abs(before)
+    if before.ndim == 0:
+        return BiasShift(float(before), float(after), float(bound), bool(worsens))
+    return BiasShift(before, after, bound, worsens)
+
+
 class TestBiasShift:
     def test_worked_example(self):
         shift = bias_shift_single(0.25, 1.0, 1.0 / 3.0)
@@ -374,3 +412,17 @@ class TestBiasShift:
     def test_domain_checked(self):
         with pytest.raises(ArgumentError):
             bias_shift_single(1.5, 0.5, 0.5)
+
+    @pytest.mark.parametrize("graph", GRAPH_IDS)
+    def test_claims_row_is_the_closed_form_against_the_exact_balance(self, graph):
+        for tpl in [graph_template(graph)] + [random_instance(graph, seed) for seed in range(50)]:
+            observed = tpl.observed()
+            (row,) = (r for r in claims(tpl) if r.name == "bias_shift")
+            pyz = marginal_probs(observed, ("Y", "Z"))
+            closed = bias_shift_single(pyz[1].sum(), pyz[1, 1] / pyz[1].sum(), pyz[0, 1] / pyz[0].sum())
+            uniform_y = balance_exact(observed, BalanceSpec(SingleTarget("Y")))
+            before, after = (marginal_probs(t, ("Z",))[1] - 0.5 for t in (observed, uniform_y))
+            assert row.premise_gap.hex() == closed.bound.hex() and row.tol == closed.bound + 1e-9
+            assert row.conclusion_gap == abs(marginal_probs(uniform_y, ("Z",))[1] - marginal_probs(observed, ("Z",))[1])
+            assert abs(after - closed.after) <= 1e-15 and abs(before - closed.before) <= 1e-15
+            assert abs(row.conclusion_gap - row.premise_gap) <= 1e-15 and row.holds

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balancelab import artifacts, bayesnet
+from balancelab import artifacts, bayesnet, tables
 from balancelab.bayesnet import (
     Cbn,
     Dag,
@@ -36,7 +36,7 @@ from balancelab.checks import (
 )
 from balancelab.errors import ArgumentError, CycleError, EdgeError
 from balancelab.rng import spawn
-from balancelab.tables import JointTable, Variable, is_independent, marginalize
+from balancelab.tables import JointTable, SampleBatch, Variable, is_independent, marginalize
 from balancelab.templates import GraphTemplate, graph_template, random_instance
 from test_tables import sweep_table
 
@@ -731,6 +731,17 @@ class TestSampling:
     def test_same_seed_identical(self):
         net = collider_net()
         assert np.array_equal(sample_cbn(net, 500, 3).rows, sample_cbn(net, 500, 3).rows)
+
+    @pytest.mark.parametrize("graph", ["A", "B", "C", "D"])
+    def test_drawn_rows_are_in_range_int64_and_read_only(self, graph):
+        # both samplers skip the batch checks: their rows must pass them anyway
+        for tpl in [graph_template(graph)] + [random_instance(graph, seed) for seed in range(20)]:
+            for batch in (sample_cbn(tpl.net, 300, 5), tables.sample(tpl.observed(), 300, 5)):
+                checked = SampleBatch(batch.variables, batch.rows, batch.weights)
+                assert batch.rows.dtype == np.int64 and batch.rows.flags.c_contiguous
+                assert not (batch.rows.flags.writeable or batch.weights.flags.writeable)
+                assert checked.rows.tobytes() == batch.rows.tobytes()
+                assert batch.weights.tobytes() == np.ones(300).tobytes() and batch.names == checked.names
 
     def test_template_a_confounding_rate(self):
         # P(Y=0 | Z=0) should sit near 0.95 at n=1e5

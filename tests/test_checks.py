@@ -1,17 +1,26 @@
 """Exact verification routines: conditions, closed forms, risk bounds,
-non-factorization searches, fairness implications."""
+non-factorization searches, fairness implications and the claims table.
+
+The entangled-channel table, its closed form, the parity-of-three table and
+the regularized-fairness and causal-dependence checks are test data here:
+plain references that the rows of ``claims`` are compared with."""
 
 from __future__ import annotations
 
 import gc
 import hashlib
+import inspect
 import re
 import sys
 import threading
 import weakref
+from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balancelab import balancing, checks, tables
 from balancelab.balancing import BalanceSpec, JointTarget, balance_exact
@@ -23,19 +32,15 @@ from balancelab.checks import (
     TablePredictor,
     anticausal_control,
     bayes_predictor,
-    causal_task_dependence,
     check_epsilon_risk_bound,
     check_fairness_implication,
-    check_fairness_with_regularizer,
     check_invariance_conditions,
+    claims,
     LOSSES,
     correlation_grid,
-    entangled_gap,
-    entangled_joint,
     find_nonfactorizing_balance,
     labels_for,
     risk_invariance_gap,
-    xor_representation_table,
 )
 from balancelab.errors import (
     ArgumentError,
@@ -46,12 +51,142 @@ from balancelab.errors import (
     UnknownVariableError,
 )
 from balancelab.rng import spawn
+from balancelab.bayesnet import factorizes_according_to
 from balancelab.tables import JointTable, Variable, condition, is_independent, marginalize
-from balancelab.templates import graph_template, random_instance
+from balancelab.templates import GRAPH_IDS, graph_template, random_instance, template_d
 
 
 def balanced(table):
     return balance_exact(table, BalanceSpec(JointTarget("Y", "Z")))
+
+
+# -- References for the claims table -------------------------------------------
+
+def entangled_joint(p: float, q: float) -> JointTable:
+    """Three-variable table with uniform independent (Y, Z) and a single
+    channel X with P(X=1 | y, z) = p when y or z, else q."""
+    probs = np.zeros((2, 2, 2))  # (x, y, z)
+    for y_state in range(2):
+        for z_state in range(2):
+            px1 = p if (y_state or z_state) else q
+            probs[1, y_state, z_state] = 0.25 * px1
+            probs[0, y_state, z_state] = 0.25 * (1.0 - px1)
+    return JointTable((Variable("X", 2), Variable("Y", 2), Variable("Z", 2)), probs)
+
+
+def entangled_gap(p: float, q: float) -> tuple[float, float]:
+    """Closed-form conditional means of the optimal score given the group factor.
+
+    Returns (E[f(X) | Z=1], E[f(X) | Z=0]) where f is the exact posterior of
+    the label from the single entangled channel.  Terms whose channel state
+    has zero probability under the relevant conditional drop out.
+    """
+    px1 = 0.75 * p + 0.25 * q
+    f1 = 0.5 * p / px1 if px1 > 0 else 0.0
+    f0 = 0.5 * (1.0 - p) / (1.0 - px1) if px1 < 1 else 0.0
+    e_given_z1 = p * f1 + (1.0 - p) * f0
+    px1_z0 = 0.5 * (p + q)
+    e_given_z0 = px1_z0 * f1 + (1.0 - px1_z0) * f0
+    return float(e_given_z1), float(e_given_z0)
+
+
+def xor_representation_table() -> JointTable:
+    """Three pairwise-independent bits whose parity is even: W, Y, Z.
+
+    W ⊥ Z and Y ⊥ Z hold exactly, yet given W the other two determine each
+    other, so label-given-representation independence of the group fails.
+    """
+    probs = np.zeros((2, 2, 2))  # (w, y, z)
+    for a, b_, c in product(range(2), repeat=3):
+        w, y, z = int(a == b_), int(a == c), int(b_ == c)
+        probs[w, y, z] += 1.0 / 8.0
+    return JointTable((Variable("W", 2), Variable("Y", 2), Variable("Z", 2)), probs)
+
+
+def criterion_gap(table, criterion, w, y, z) -> float:
+    if criterion is FairnessCriterion.DEMOGRAPHIC_PARITY:
+        return is_independent(table, tuple(w), (z,), (), tol=1.0).max_gap
+    if criterion is FairnessCriterion.PREDICTIVE_PARITY:
+        return is_independent(table, (y,), (z,), tuple(w), tol=1.0).max_gap
+    return is_independent(table, tuple(w), (z,), (y,), tol=1.0).max_gap
+
+
+@dataclass(frozen=True)
+class RegularizedFairnessReport:
+    criterion: FairnessCriterion
+    mode: str
+    balanced_gap: float
+    regularizer_gap: float
+    premise_holds: bool
+    conclusion_gap: float
+    conclusion_holds: bool
+    tol: float
+
+
+def check_fairness_with_regularizer(balanced_table, w, mode, criterion, y="Y", z="Z", tol=1e-9):
+    """Fairness of a regularized representation ``w`` (a tuple of names) in
+    an already-balanced table, regularized toward independence of the group
+    factor marginally (``mode="marginal"``) or given the label
+    (``mode="conditional"``).  The conditional mode is sufficient for all
+    three criteria; the marginal mode is not (see the parity-of-three
+    table)."""
+    balanced_gap = is_independent(balanced_table, (y,), (z,), (), tol=1.0).max_gap
+    given = (y,) if mode == "conditional" else ()
+    reg_gap = is_independent(balanced_table, w, (z,), given, tol=1.0).max_gap
+    conclusion_gap = criterion_gap(balanced_table, criterion, w, y, z)
+    return RegularizedFairnessReport(
+        criterion=criterion,
+        mode=mode,
+        balanced_gap=balanced_gap,
+        regularizer_gap=reg_gap,
+        premise_holds=balanced_gap <= tol and reg_gap <= tol,
+        conclusion_gap=conclusion_gap,
+        conclusion_holds=conclusion_gap <= tol,
+        tol=tol,
+    )
+
+
+def causal_task_dependence(table, labels, y="Y", z="Z") -> tuple[float, float]:
+    """The core-group dependence gap before and after balancing."""
+    before = is_independent(table, labels.core, (z,), (), tol=1.0).max_gap
+    after = is_independent(balanced(table), labels.core, (z,), (), tol=1.0).max_gap
+    return before, after
+
+
+def group_means(table, predictor, z="Z") -> list[float]:
+    """E[f | Z = z] of each group by state-by-state enumeration."""
+    means = []
+    for z_state in range(table.variable(z).cardinality):
+        px = marginalize(condition(table, {z: z_state}), set(predictor.inputs))
+        px = np.transpose(px.probs, px.axes(predictor.inputs))
+        means.append(sum(px[x] * predictor.scores[x] for x in np.ndindex(px.shape) if px[x] > 0))
+    return means
+
+
+def reference_claims(tpl) -> dict[str, tuple[float, float, float]]:
+    """(premise gap, conclusion gap, tol) of every row of ``claims`` but the
+    bias shift (``test_balancing`` holds its closed form), from the public
+    checks and the references above."""
+    observed, labels, y, z = tpl.observed(), labels_for(tpl), tpl.y, tpl.z
+    conditions = check_invariance_conditions(observed, labels)
+    premise = max(conditions.cond1_gap, conditions.cond2_gap)
+    bal = balanced(observed)
+    covariates = tuple(n for n in observed.names if n not in (y, z))
+    bound = check_epsilon_risk_bound(bayes_predictor(bal, covariates), ShiftFamily(bal, correlation_grid()), tpl.core)
+    rows = {"invariance": (premise, bound.gap, 1e-9), "epsilon_bound": (bound.epsilon, bound.gap, bound.epsilon + 1e-9)}
+    for criterion in FairnessCriterion:
+        report = check_fairness_implication(observed, labels, criterion)
+        rows[criterion.value] = (report.premise_gap, report.conclusion_gap, 1e-9)
+    regularized = [check_fairness_with_regularizer(bal, tpl.core, "conditional", c) for c in FairnessCriterion]
+    reg_premise = max(regularized[0].balanced_gap, regularized[0].regularizer_gap)  # the same for every criterion
+    rows["conditional_regularizer"] = (reg_premise, max(r.conclusion_gap for r in regularized), 1e-9)
+    before, after = causal_task_dependence(observed, labels)
+    rows["causal_dependence"] = (is_independent(observed, (y,), (z,), tol=1.0).max_gap, abs(after - before), 1e-9)
+    if tpl.entangled:
+        means = group_means(bal, bayes_predictor(bal, tpl.entangled))
+        rows["entangled_gap"] = (is_independent(bal, tpl.entangled, (z,), (y,)).max_gap, max(means) - min(means), 1e-9)
+    rows["factorization"] = (premise, factorizes_according_to(bal, tpl.mutilated_skeleton()).max_gap(), 1e-9)
+    return rows
 
 
 class TestInvarianceConditions:
@@ -605,13 +740,13 @@ class TestFairnessImplications:
         assert is_independent(q, {"W"}, {"Z"}).max_gap < 1e-15
         assert is_independent(q, {"Y"}, {"Z"}).max_gap < 1e-15
         rep_pp = check_fairness_with_regularizer(
-            q, "W", "marginal", FairnessCriterion.PREDICTIVE_PARITY
+            q, ("W",), "marginal", FairnessCriterion.PREDICTIVE_PARITY
         )
         assert rep_pp.premise_holds
         assert not rep_pp.conclusion_holds
         assert rep_pp.conclusion_gap == pytest.approx(0.25, abs=1e-12)
         rep_eo = check_fairness_with_regularizer(
-            q, "W", "marginal", FairnessCriterion.EQUALIZED_ODDS
+            q, ("W",), "marginal", FairnessCriterion.EQUALIZED_ODDS
         )
         assert not rep_eo.conclusion_holds
 
@@ -619,41 +754,101 @@ class TestFairnessImplications:
         tpl = random_instance("A", 0)
         with pytest.raises(ArgumentError, match="unknown FairnessCriterion 'parity'; expected one of .*'demographic_parity'"):
             check_fairness_implication(tpl.observed(), labels_for(tpl), "parity")
-        with pytest.raises(ArgumentError, match="unknown FairnessCriterion 'bogus'"):
-            check_fairness_with_regularizer(xor_representation_table(), "W", "marginal", "bogus")
         rep = check_fairness_implication(tpl.observed(), labels_for(tpl), "equalized_odds")
         assert rep.criterion is FairnessCriterion.EQUALIZED_ODDS
 
-    def test_unknown_regularizer_mode_rejected(self):
-        with pytest.raises(ArgumentError, match="mode"):
-            check_fairness_with_regularizer(xor_representation_table(), "W", "joint", FairnessCriterion.EQUALIZED_ODDS)
-
     def test_conditional_regularizer_is_sufficient(self):
-        # any balanced table where W satisfies the conditional constraint
+        # X_core as a representation regularized given the label on balanced anti-causal instances
         for seed in range(10):
             tpl = random_instance("A", seed)
-            q = balanced(tpl.observed())
-            sub = marginalize(q, {"X_core", "Y", "Z"})
-            renamed = sub  # X_core plays the representation role
+            row = claim(tpl, "conditional_regularizer")
+            assert row.premise_holds
+            assert row.conclusion_holds, (seed, row.conclusion_gap)
             for criterion in FairnessCriterion:
-                rep = check_fairness_with_regularizer(
-                    renamed, "X_core", "conditional", criterion, tol=1e-9
-                )
-                assert rep.premise_holds
-                assert rep.conclusion_holds, (seed, criterion, rep.conclusion_gap)
+                rep = check_fairness_with_regularizer(balanced(tpl.observed()), tpl.core, "conditional", criterion)
+                assert rep.premise_holds and rep.conclusion_holds, (seed, criterion, rep.conclusion_gap)
+
+
+def claim(tpl, name):
+    (row,) = (r for r in claims(tpl) if r.name == name)
+    return row
 
 
 class TestCausalTaskDependence:
     def test_balancing_induces_core_group_dependence(self):
         tpl = graph_template("B")
-        shift = causal_task_dependence(tpl.observed(), labels_for(tpl))
-        assert shift.gap_before < 1e-9
-        assert shift.gap_after > 1e-6
+        before, after = causal_task_dependence(tpl.observed(), labels_for(tpl))
+        assert before < 1e-9
+        assert after > 1e-6
+        row = claim(tpl, "causal_dependence")  # the source is not balanced, and balancing moves the core
+        assert not row.premise_holds and row.conclusion_gap > 1e-6 and row.holds
 
     def test_no_dependence_when_already_balanced(self):
         tpl = graph_template("B", confounder_effect=1e-9)
-        shift = causal_task_dependence(tpl.observed(), labels_for(tpl))
-        assert shift.gap_after < 1e-6
+        before, after = causal_task_dependence(tpl.observed(), labels_for(tpl))
+        assert after < 1e-6
+        assert claim(tpl, "causal_dependence").conclusion_gap < 1e-6
+
+
+class TestClaims:
+    """``claims`` against the plain references, bit for bit where a row and
+    its reference share the kernels."""
+
+    @pytest.mark.parametrize("graph", GRAPH_IDS)
+    def test_rows_equal_the_reference(self, graph):
+        for tpl in [graph_template(graph)] + [random_instance(graph, seed) for seed in range(50)]:
+            rows = [r for r in claims(tpl) if r.name != "bias_shift"]
+            want = reference_claims(tpl)
+            assert [r.name for r in rows] == list(want)
+            for row in rows:
+                premise, conclusion, tol = want[row.name]
+                assert row.premise_gap.hex() == premise.hex(), row
+                assert row.tol == tol, row
+                if row.name == "entangled_gap":  # summed in another order than the enumeration
+                    assert abs(row.conclusion_gap - conclusion) <= 1e-12, row
+                else:
+                    assert row.conclusion_gap.hex() == conclusion.hex(), row
+
+    def test_entangled_row_is_the_closed_form(self):
+        for p, q in product(np.linspace(0.0, 1.0, 11), repeat=2):
+            tpl = template_d(confounding=(0.5, 0.5), ent_p=float(p), ent_q=float(q))  # uniform, independent (Y, Z)
+            e1, e0 = entangled_gap(float(p), float(q))
+            assert abs(claim(tpl, "entangled_gap").conclusion_gap - abs(e1 - e0)) <= 1e-12, (p, q)
+        assert all(r.name != "entangled_gap" for g in "ABC" for r in claims(graph_template(g)))
+
+    @settings(max_examples=40)
+    @given(graph=st.sampled_from(GRAPH_IDS), seed=st.integers(0, 10_000))
+    def test_no_premise_holds_while_its_conclusion_fails(self, graph, seed):
+        for row in claims(random_instance(graph, seed)):
+            assert row.holds, row
+
+    def test_skipping_balancing_fails_the_invariance_row_of_a(self, monkeypatch):
+        tpl = graph_template("A")
+        assert claim(tpl, "invariance").holds
+        monkeypatch.setattr(checks, "_balance_pair", lambda probs, axes, names, lead=0: probs)
+        row = claim(tpl, "invariance")
+        assert row.premise_holds and row.conclusion_gap > 1e-3 and not row.holds
+
+    def test_the_skeleton_misses_the_path_through_the_latent_v_of_c(self):
+        # with no confounding and V keyed to Z alone the conditions hold, yet
+        # Z -> V -> X_v runs through the latent V, which the skeleton drops
+        rows = claims(graph_template("C", confounder_strength=0.0, v_flip=(0.5, 0.5)))
+        broken = [r for r in rows if not r.holds]
+        assert [r.name for r in broken] == ["factorization"]
+        assert broken[0].premise_holds and broken[0].conclusion_gap > 0.1
+
+    def test_one_balance_one_scoring_and_no_memo(self, monkeypatch):
+        pairs, scored, lookups = [], [], []
+        counting(monkeypatch, checks, "_balance_pair", pairs)
+        counting(monkeypatch, checks, "_score_members", scored)
+        for module in (tables, balancing, checks):
+            counting(monkeypatch, module, "_once", lookups)
+        claims(random_instance("D", 3))
+        assert (len(pairs), len(scored), len(lookups)) == (1, 1, 0)
+
+    def test_claims_takes_only_the_template(self):
+        assert list(inspect.signature(claims).parameters) == ["template"]
+        assert all(type(r.premise_gap) is float and type(r.conclusion_gap) is float for r in claims(graph_template("C")))
 
 
 def instance_run(observed, tpl):

@@ -179,6 +179,40 @@ class TestGenSpec:
         with pytest.raises(SpecError, match=f"{name} must be {rule}, got {value!r}"):
             GenSpec("A", 5, **{name: value})
 
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    @pytest.mark.parametrize(
+        "graph, name",
+        [
+            ("A", "label_noise"),
+            ("D", "z_marginal"),
+            ("B", "z_flip"),
+            ("B", "x_effect"),
+            ("B", "confounder_effect"),
+            ("C", "confounder_strength"),
+            ("C", "v_z_pull"),
+        ],
+    )
+    def test_law_knob_of_the_wrong_type_rejected_at_construction(self, graph, name, value):
+        with pytest.raises(SpecError, match=f"{name} must be a finite real, got {value!r}"):
+            GenSpec(graph, 50, 1, **{name: value})
+
+    @pytest.mark.parametrize("entry", [True, "0.1"])
+    @pytest.mark.parametrize(
+        "graph, name, message",
+        [("A", "confounding", "two entries in \\(0.0, 1.0\\)"), ("C", "v_flip", "two finite reals")],
+    )
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_law_pair_entry_of_the_wrong_type_rejected_at_construction(self, graph, name, message, entry, position):
+        pair = [0.3, 0.6]
+        pair[position] = entry
+        with pytest.raises(SpecError, match=f"{name} must be {message}, got"):
+            GenSpec(graph, 50, 1, **{name: tuple(pair)})
+
+    def test_law_knobs_accept_numpy_numbers(self):
+        plain = GenSpec("C", 50, 1, label_noise=0.05, v_flip=(0.25, 0.75), v_z_pull=0.2)
+        numpy = GenSpec("C", 50, 1, label_noise=np.float64(0.05), v_flip=(np.float32(0.25), 0.75), v_z_pull=np.float64(0.2))
+        assert np.array_equal(generate(plain).x, generate(numpy).x)
+
     def test_channel_knobs_accept_numpy_numbers(self):
         spec = GenSpec("A", 50, 3, dim_core=np.int64(2), sep_core=np.float32(1.5), noise_aux=2)
         assert generate(spec).x.shape == (50, 8)
