@@ -7,11 +7,11 @@ exact table obeys every conditional independence a DAG implies.
 ``Cbn(...)`` is the one, validating, way to build a network.  D-separation
 runs on the node bitmasks a ``Dag`` builds with its topological order.
 Every independence statement's gap, the local Markov ones and the pairwise
-sweep's alike, goes through one grouped kernel, ``_statement_gaps``, which
-also takes stacked tables of several draws.  A factorization verdict costs
-only the local Markov statements; the exponential pairwise sweep that
-explains a failing one runs on the first read of the report's
-``violations``.
+sweep's alike, goes through ``_statement_gaps``, which sums each kept set
+once and calls the gap kernel once per statement, also on stacked tables
+of several draws.  A factorization verdict costs only the local Markov
+statements; the exponential pairwise sweep that explains a failing one
+runs on the first read of the report's ``violations``.
 
 Networks are immutable; sampling takes explicit seeds.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
@@ -30,7 +30,6 @@ from .errors import ArgumentError, CycleError, EdgeError, UnknownVariableError
 from .rng import is_int, is_real, spawn
 from .tables import PROB_TOL, JointTable, SampleBatch, Variable, _dense_shape, _derived, _marginal, _pick, _state_gaps, _trusted_batch, marginal_probs
 
-SWEEP_CELLS = 1 << 16  # _statement_gaps's stacks: about this many cells, plus one statement's
 Statement = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]  # (a, b, given): a ⊥ b | given
 
 
@@ -385,17 +384,11 @@ def _statement_gaps(probs: np.ndarray, names: Sequence[str], statements: Sequenc
     """The largest gap of each statement a ⊥ b | given, as ``is_independent``
     reports it, per draw of ``probs``: a table over ``names`` after ``lead``
     draw axes.  The result has shape (*draws, statements).  Each kept set
-    a ∪ b ∪ given is summed once.  Each statement's table, flattened to
-    (a, b, given) states as ``_state_gaps`` takes it, joins one stack per
-    (a, b) shape and memory order, given states last, with every (a, b) slice
-    in the memory order ``_state_gaps`` gives it in the statement's own
-    table; a stack of one table is that table.  Once the stacks reach
-    ``SWEEP_CELLS`` cells, and after the last statement, one kernel call per
-    stack reads all its given states, and each statement's gap is the
-    largest over its own."""
+    a ∪ b ∪ given is summed once; each statement's table, flattened to
+    (a, b, given) states, goes through one ``_state_gaps`` call, and its gap
+    is the largest over its given states."""
     out = np.empty(probs.shape[:lead] + (len(statements),))
-    sums, groups, cells = {}, {}, 0  # kept axes: (their sum, its axis order); (a, b, memory order): [(slot, table)]
-    draws, last = range(lead), len(statements) - 1
+    sums, draws = {}, range(lead)  # kept axes: (their sum, its axis order)
     for k, (a, b, given) in enumerate(statements):
         axes = [names.index(n) for n in a + b + given]
         if (kept := frozenset(axes)) in sums:
@@ -406,26 +399,7 @@ def _statement_gaps(probs: np.ndarray, names: Sequence[str], statements: Sequenc
             sums[kept] = arr, axes
         na, nab = lead + len(a), lead + len(a) + len(b)
         flat = arr.reshape(*arr.shape[:lead], prod(arr.shape[lead:na]), prod(arr.shape[na:nab]), -1)
-        key = (*flat.shape[lead : lead + 2], flat.strides[lead] >= flat.strides[lead + 1])  # a's axis outer in memory
-        groups.setdefault(key, []).append((k, flat))
-        cells += flat.size
-        if cells < SWEEP_CELLS and k < last:
-            continue
-        for (size_a, size_b, outer), members in groups.items():  # a batch full, or the last statement done
-            if len(members) == 1:
-                (slot, table), = members
-                out[..., slot] = _state_gaps(table, lead)[1].max(axis=(-2, -1))
-                continue
-            # one stack, given states last, in a C-ordered (*draws, given, a, b) block, or
-            # (*draws, given, b, a): each slice in the memory order _state_gaps gives it alone
-            slots, tables = zip(*members)
-            sizes = [t.shape[-1] for t in tables]
-            block = np.empty((*out.shape[:lead], sum(sizes), *((size_a, size_b) if outer else (size_b, size_a))))
-            swap = (lead + 1, lead + 2) if outer else (lead + 2, lead + 1)
-            stack = np.concatenate(tables, axis=-1, out=block.transpose(*draws, *swap, lead))
-            diff = _state_gaps(stack, lead)[1].max(axis=-1)  # per draw and given state
-            out[..., slots] = np.maximum.reduceat(diff, [0, *accumulate(sizes[:-1])], axis=-1)
-        groups, cells = {}, 0
+        out[..., k] = _state_gaps(flat, lead)[1].max(axis=(-2, -1))
     return out
 
 
@@ -448,8 +422,7 @@ def factorizes_according_to(table: JointTable, graph: Dag | Cbn, tol: float = 1e
     ``violations``.  That sweep is still exponential in the number of
     nodes; a caller that reads only the verdict never pays for it.  Both
     lists of statements go through ``_statement_gaps``: each kept set is
-    summed once and the gap kernel runs once per (a, b) shape and memory
-    order in each batch of statements, not once per statement.  Each gap is
+    summed once and the gap kernel runs once per statement.  Each gap is
     ``is_independent``'s ``max_gap``, bit for bit; ``tol`` must be a finite
     real > 0.
     """

@@ -197,7 +197,8 @@ def _int_column(values, name: str) -> np.ndarray:
 @dataclass(frozen=True)
 class Dataset:
     """Weighted rows with binary label y, group z, optional second factor v,
-    and a real feature matrix partitioned into named channels."""
+    and a real feature matrix of at least one column, partitioned into
+    named channels."""
 
     y: np.ndarray
     z: np.ndarray
@@ -213,6 +214,8 @@ class Dataset:
         n = y.shape[0]
         if not (z.shape == (n,) and x.ndim == 2 and x.shape[0] == n):
             raise ArgumentError("column lengths disagree")
+        if not x.shape[1]:
+            raise ArgumentError("features x need at least one column")
         with np.errstate(over="ignore", invalid="ignore"):  # a finite sum rules out NaN and inf
             finite = np.isfinite(x.sum()) or np.isfinite(x).all()
         if not finite:

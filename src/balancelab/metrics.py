@@ -179,36 +179,24 @@ class RiskReport:
         }
 
 
-def risk_invariance_report(
-    params: ModelParams,
-    testsets: Sequence[tuple[str, Dataset]] | Sequence[Dataset],
-    loss: str = "zero_one",
-) -> RiskReport:
-    """Risk of one model across several test sets plus the largest pairwise gap.
-
-    Each entry is a Dataset, labelled by its position, or a (label, Dataset)
-    pair with a str label."""
+def risk_invariance_report(params: ModelParams, testsets: Sequence[Dataset], loss: str = "zero_one") -> RiskReport:
+    """Risk of one model across several test sets, each labelled by its
+    position, plus the largest pairwise gap."""
     if not isinstance(testsets, Sequence):
         raise ArgumentError(f"testsets must be a sequence, got {type(testsets).__name__}")
     if len(testsets) < 2:
         raise ArgumentError("need at least two test sets")
     if loss not in ("zero_one", "logloss"):
         raise ArgumentError(f"loss must be 'zero_one' or 'logloss', got {loss!r}")
-    named: list[tuple[str, Dataset]] = []
-    for i, entry in enumerate(testsets):
-        if isinstance(entry, Dataset):
-            named.append((str(i), entry))
-        elif isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str) and isinstance(entry[1], Dataset):
-            named.append(entry)
-        else:
-            raise ArgumentError(f"testsets[{i}] must be a Dataset or a (str, Dataset) pair, got {entry!r:.80}")
     risks = []
-    for label, ds in named:
+    for i, ds in enumerate(testsets):
+        if not isinstance(ds, Dataset):
+            raise ArgumentError(f"testsets[{i}] must be a Dataset, got {ds!r:.80}")
         if len(ds) == 0:
-            raise ArgumentError(f"test set {label!r} is empty")
+            raise ArgumentError(f"testsets[{i}] is empty")
         if not ds.weights.sum() > 0:
-            raise ArgumentError(f"test set {label!r} has zero total weight")
+            raise ArgumentError(f"testsets[{i}] has zero total weight")
         loss_y0, loss_y1 = _LOSS_PAIRS[loss](predict_scores(params, ds.x))
         risks.append(_weighted_mean(np.where(ds.y == 1, loss_y1, loss_y0), ds.weights))
     # subtraction is monotone, so this is the largest pairwise |a - b| bit for bit
-    return RiskReport(tuple(k for k, _ in named), tuple(risks), max(risks) - min(risks), loss)
+    return RiskReport(tuple(map(str, range(len(risks)))), tuple(risks), max(risks) - min(risks), loss)

@@ -33,6 +33,7 @@ from .rng import is_int, is_real, spawn
 _STREAM_INIT = 4  # not datagen's 0: one seed for data and model must not draw rows and weights alike
 _STREAM_SHUFFLE = 1
 _STREAM_PROBE = 3
+_TINY = np.finfo(float).tiny  # the smallest normal float; a bandwidth's square must reach it
 
 
 @dataclass
@@ -104,6 +105,15 @@ def representation(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return _forward(params, x)[2] if params.has_hidden else x
 
 
+def _checked_bandwidth(value, name: str = "bandwidth") -> float:
+    """``value`` as a float, if it is a positive real whose square is a
+    finite normal float, so the kernel's 1 / h^2 is finite; else ArgumentError."""
+    h = float(value) if is_real(value) else math.nan
+    if not (h > 0 and _TINY <= h * h < math.inf):
+        raise ArgumentError(f"{name} must be finite and positive, with a finite normal square, got {value!r}")
+    return h
+
+
 @dataclass(frozen=True)
 class MmdPenalty:
     mode: str  # "marginal" (scores split by z) or "conditional" (split by z within each y)
@@ -116,8 +126,8 @@ class MmdPenalty:
             raise ArgumentError(f"mode must be 'marginal' or 'conditional', got {self.mode!r}")
         if not (is_real(self.strength) and self.strength >= 0):
             raise ArgumentError(f"strength must be finite and >= 0, got {self.strength}")
-        if self.bandwidth is not None and not (is_real(self.bandwidth) and self.bandwidth > 0):
-            raise ArgumentError(f"bandwidth must be finite and positive, got {self.bandwidth}")
+        if self.bandwidth is not None:
+            _checked_bandwidth(self.bandwidth)
 
 
 @dataclass(frozen=True)
@@ -162,10 +172,9 @@ def mmd2(sample_a: np.ndarray, sample_b: np.ndarray, bandwidth: float) -> float:
         raise ArgumentError("samples must be finite")
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise SampleSizeError("both samples need at least 2 rows for the unbiased estimate")
-    if not (is_real(bandwidth) and bandwidth > 0):
-        raise ArgumentError(f"bandwidth must be finite and positive, got {bandwidth!r}")
     side = np.repeat([0, 1], [a.shape[0], b.shape[0]])
-    value, _, _ = _mmd_penalty(np.vstack([a, b]), _strata(side, side, "marginal", len(side))[0], bandwidth)
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 is the kernel's limit for far-apart pairs
+        value, _, _ = _mmd_penalty(np.vstack([a, b]), _strata(side, side, "marginal", len(side))[0], bandwidth)
     return value
 
 
@@ -212,11 +221,10 @@ def _mmd_penalty(target: np.ndarray, strata: tuple[np.ndarray, list[int]], bandw
     and the diagonal, where K is 1, adds 1/(m-1) + 1/(n-1) to their total.
     K fills one buffer: ``_outer_sum`` gives a scalar target's differences or
     a representation's squared-norm sums, then K is finished in place."""
-    if not (np.isfinite(bandwidth) and bandwidth > 0):
-        raise ArgumentError(f"bandwidth must be finite and positive, got {bandwidth}")
     order, bounds = strata
     groups = len(bounds) - 2
-    h2 = bandwidth * bandwidth
+    h = _checked_bandwidth(bandwidth)
+    h2 = h * h
     value, grad, skipped = 0.0, np.zeros_like(target), 0
     for lo, mid, hi in zip(bounds[0:groups:2], bounds[1:groups:2], bounds[2 : groups + 1 : 2]):
         m, n = mid - lo, hi - mid
@@ -252,8 +260,7 @@ def _mmd_penalty(target: np.ndarray, strata: tuple[np.ndarray, list[int]], bandw
 
 def median_bandwidth(scores: np.ndarray, floor: float = 1e-3) -> float:
     """Median pairwise distance between score rows (the bandwidth heuristic), at least ``floor``."""
-    if not (is_real(floor) and floor > 0):
-        raise ArgumentError(f"floor must be finite and positive, got {floor!r}")
+    _checked_bandwidth(floor, "floor")
     a = np.atleast_2d(np.asarray(scores, dtype=float).T).T
     if not np.all(np.isfinite(a)):
         raise ArgumentError("scores must be finite")

@@ -90,6 +90,14 @@ def test_fractional_dataset_labels_are_argument_error(tmp_path, column):
         artifacts.load(str(path))
 
 
+def test_dataset_without_feature_columns_is_argument_error(tmp_path):
+    y = np.array([0, 1, 1])
+    meta = {"kind": "Dataset", "channels": [], "spec": None}
+    write_archive(tmp_path / "dataset", meta, y=y, z=y, x=np.empty((3, 0)), weights=np.ones(3))
+    with pytest.raises(ArgumentError, match="at least one column"):
+        artifacts.load(str(tmp_path / "dataset"))
+
+
 def test_no_other_module_reads_or_writes_files():
     # one format: only the artifacts module opens files or speaks JSON
     for module in sorted(Path(artifacts.__file__).parent.glob("*.py")):

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from collections import deque
 from itertools import combinations
-from math import prod
 
 import numpy as np
 import pytest
@@ -507,10 +507,9 @@ class TestFactorization:
         sums = [tuple(sorted(args[1])) for args in calls["_marginal"]]
         n_local = len(local_sets)  # each kept set summed once, the local statements' then the sweep's
         assert sorted(sums[:n_local]) == sorted(local_sets) and sorted(sums[n_local:]) == sorted(kept_sets)
-        # the five local statements' slices fall into three (shape, memory order) groups; every
-        # pairwise statement of C is binary with x before y in the table: one (2, 2) group, one call
-        assert len(calls["_state_gaps"]) == 3 + 1
-        assert calls["_state_gaps"][-1] == ((2, 2, sum(2 ** len(s) for _, _, s in statements)), 0)
+        # one kernel call per statement, the local ones first; every pairwise statement of C is binary
+        assert len(calls["_state_gaps"]) == len(local) + len(statements) == 5 + 72
+        assert calls["_state_gaps"][len(local) :] == [((2, 2, 2 ** len(s)), 0) for _, _, s in statements]
 
     def test_verdict_alone_runs_no_sweep(self, monkeypatch):
         def refuse(*args):
@@ -594,30 +593,6 @@ class TestFactorization:
         assert factorizes_according_to(joint(net), complete) == FactorizationReport(True, (), 1e-9)
         assert bayesnet._statement_gaps(np.ones((4, 2, 2)) / 4, ("A", "B"), [], 1).shape == (4, 0)
 
-    @pytest.mark.parametrize("cap", [1, 300])
-    def test_batched_sweep_bounds_its_stacks_and_keeps_every_gap(self, monkeypatch, cap):
-        net = mixed_net(11, 6)
-        table, dag = joint(net), Dag(net.names, {})
-        statements = bayesnet._pairwise_statements(dag)
-        want = bayesnet._statement_gaps(table.probs, table.names, statements)
-        cards = dict(zip(table.names, table.probs.shape))
-        cells = [prod(cards[n] for n in x + y + given) for x, y, given in statements]
-        sizes = []
-        inner = bayesnet._state_gaps
-
-        def recorded(arr, *args):
-            sizes.append(arr.size)
-            return inner(arr, *args)
-
-        monkeypatch.setattr(bayesnet, "_state_gaps", recorded)
-        monkeypatch.setattr(bayesnet, "SWEEP_CELLS", cap)
-        got = bayesnet._statement_gaps(table.probs, table.names, statements)
-        assert got.tobytes() == want.tobytes()
-        assert len(statements) == 15 * 16 and sum(sizes) == sum(cells)
-        # a batch closes after the statement that brings it to the cap
-        assert max(sizes) < cap + max(cells)
-        assert len(sizes) == len(statements) if cap == 1 else len(sizes) >= sum(cells) // (cap + max(cells))
-
     def test_grouped_sweep_holds_several_shapes_and_both_memory_orders(self, monkeypatch):
         cards = {"A": 3, "B": 2, "C": 3, "D": 2}
         gen = spawn(4, 9)
@@ -634,10 +609,25 @@ class TestFactorization:
         monkeypatch.setattr(bayesnet, "_state_gaps", recorded)
         statements = bayesnet._pairwise_statements(dag)
         got = bayesnet._statement_gaps(table.probs, table.names, statements)
-        assert len(statements) == 6 * 4 and len(shapes) == len(set(shapes))
+        assert len(statements) == len(shapes) == 6 * 4
         assert {c for _, c in shapes} == {True, False} and len({s for s, _ in shapes}) >= 3
         for s, gap in zip(statements, got):
             assert gap.hex() == is_independent(table, *s).max_gap.hex(), s
+
+    def test_full_sweep_holds_no_stack_of_statement_tables(self):
+        # one kernel call per statement peaks near 0.3 MB here; a kernel that stacks the
+        # statements' slices into shared blocks peaks near 3.5 MB and fails the bound
+        names = tuple(f"N{i}" for i in range(8))
+        probs = spawn(8, 9).uniform(0.1, 1.0, size=(2,) * 8)
+        statements = bayesnet._pairwise_statements(Dag(names, {}))
+        assert len(statements) == 28 * 2**6
+        tracemalloc.start()
+        try:
+            bayesnet._statement_gaps(probs / probs.sum(), names, statements)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_exact_outputs_pinned_bit_for_bit(self):
         # SHA-256 of every verdict and violation (statement, kind, gap bits) of

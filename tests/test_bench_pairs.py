@@ -144,17 +144,50 @@ def test_attempted_medians_per_side():
     assert bench_pairs.attempted_line([(0, 3)]).endswith("(-)")
 
 
-def test_main_prints_attempted_counts_under_the_table(monkeypatch, capsys):
-    runs = {"parent": ({"tasks_per_s": 900.0}, {}, 27000), "change": ({"tasks_per_s": 1100.0}, {}, 33000)}
+def checkout(root, files: dict[str, str]) -> str:
+    """A checkout directory at ``root`` whose src/balancelab holds ``files``."""
+    package = root / "src" / "balancelab"
+    package.mkdir(parents=True)
+    for name, text in files.items():
+        (package / name).parent.mkdir(parents=True, exist_ok=True)
+        (package / name).write_text(text, encoding="utf-8")
+    return str(root)
+
+
+def test_main_prints_attempted_counts_under_the_table(monkeypatch, capsys, tmp_path):
+    parent = checkout(tmp_path / "parent", {"a.py": "x = 1\n" * 30})
+    change = checkout(tmp_path / "change", {"a.py": "x = 1\n" * 28})
+    runs = {parent: ({"tasks_per_s": 900.0}, {}, 27000), change: ({"tasks_per_s": 1100.0}, {}, 33000)}
     monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *args: runs[checkout])
     monkeypatch.setattr(bench_pairs, "directions", lambda checkout: {"tasks_per_s": "higher"})
     monkeypatch.setattr(bench_pairs, "bounds", lambda checkout: {"tasks_per_s": 0.15})
-    bench_pairs.main(["--parent", "parent", "--change", "change", "--workload", "exact-checks", "--seeds", "1-2"])
+    bench_pairs.main(["--parent", parent, "--change", change, "--workload", "exact-checks", "--seeds", "1-2"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("metric") and lines[0].endswith("verdict")
     assert lines[1].startswith("tasks_per_s") and lines[1].endswith("2/2  within bound")
     assert lines[2] == "attempted tasks, median: parent 27000, change 33000 (+22.2%)"
-    assert lines[3:] == ["no quality means to compare"]
+    assert lines[3] == "src/balancelab lines: parent 30, change 28 (-2)"
+    assert lines[4:] == ["no quality means to compare"]
+
+
+def test_source_lines_count_every_package_file_as_wc_does(tmp_path):
+    files = {"a.py": "a\nb\n", "b.py": "c\nno final newline", "sub/c.py": "d\n", "notes.txt": "e\nf\n"}
+    parent = checkout(tmp_path / "parent", files)
+    change = checkout(tmp_path / "change", files | {"a.py": "a\n"})
+    assert bench_pairs.source_lines(parent) == 2 + 1 + 1  # .py files only, at any depth
+    assert bench_pairs.source_lines(change) == 3
+    assert bench_pairs.lines_line(4, 3) == "src/balancelab lines: parent 4, change 3 (-1)"
+    assert bench_pairs.lines_line(3, 3).endswith("(+0)")
+
+
+def test_checkout_without_the_package_fails_before_any_run(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", refuse)
+    change = checkout(tmp_path / "change", {"a.py": "x\n"})
+    with pytest.raises(FileNotFoundError, match="no src/balancelab directory"):
+        bench_pairs.main(["--parent", str(tmp_path), "--change", change, "--workload", "exact-checks", "--seeds", "1"])
 
 
 def verdict_of(parent: list[float], change: list[float], better: str = "lower", bound: float = 0.25) -> str | None:

@@ -482,6 +482,11 @@ class TestDataset:
             data = Dataset(np.zeros(2), np.zeros(2), np.full((2, 1), 1e308), np.ones(2), {"x": (0, 1)})
         assert len(data) == 2
 
+    def test_rejects_features_without_columns(self):
+        # train would divide by sqrt(0) drawing the first layer's weights
+        with pytest.raises(ArgumentError, match="features x need at least one column"):
+            Dataset(np.zeros(3), np.zeros(3), np.empty((3, 0)), np.ones(3), {})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_rejects_bad_weight(self, bad):
         with pytest.raises(ArgumentError, match="weights"):

@@ -188,7 +188,7 @@ class TestRiskReport:
         sets = []
         for k in range(3):
             y = gen.integers(0, 2, 4000)
-            sets.append((f"s{k}", dataset(y, gen.integers(0, 2, 4000), gen.uniform(0, 1, 4000))))
+            sets.append(dataset(y, gen.integers(0, 2, 4000), gen.uniform(0, 1, 4000)))
         rep = risk_invariance_report(const, sets, "zero_one")
         assert rep.max_gap < 0.04  # sampling noise only
 
@@ -197,27 +197,31 @@ class TestRiskReport:
         y = np.array([0, 1] * 50)
         good = dataset(y, y, y.astype(float))
         bad = dataset(y, y, 1.0 - y.astype(float))
-        rep = risk_invariance_report(params, [("good", good), ("bad", bad)])
+        rep = risk_invariance_report(params, [good, bad])
         assert rep.risks[0] == pytest.approx(0.0)
         assert rep.risks[1] == pytest.approx(1.0)
         assert rep.max_gap == pytest.approx(1.0)
 
     def test_to_dict_is_json_with_every_field(self):
         gen = np.random.default_rng(4)
-        sets = [
-            (f"s{k}", dataset(gen.integers(0, 2, 50), gen.integers(0, 2, 50), gen.uniform(0, 1, 50)))
-            for k in range(3)
-        ]
+        sets = [dataset(gen.integers(0, 2, 50), gen.integers(0, 2, 50), gen.uniform(0, 1, 50)) for _ in range(3)]
         rep = risk_invariance_report(passthrough_params(), sets, "logloss")
+        assert rep.labels == ("0", "1", "2")
         back = json.loads(json.dumps(rep.to_dict()))
         assert back == {"risks": dict(zip(rep.labels, rep.risks)), "max_gap": rep.max_gap, "loss": "logloss"}
         assert tuple(back["risks"]) == rep.labels
 
     def test_zero_weight_set_rejected(self):
         y = np.array([0, 1] * 5)
-        sets = [("a", dataset(y, y, y)), ("b", dataset(y, y, y, np.zeros(10)))]
-        with pytest.raises(ArgumentError, match="'b' has zero total weight"):
+        sets = [dataset(y, y, y), dataset(y, y, y, np.zeros(10))]
+        with pytest.raises(ArgumentError, match=r"testsets\[1\] has zero total weight"):
             risk_invariance_report(passthrough_params(), sets)
+
+    def test_empty_set_rejected(self):
+        y = np.array([0, 1] * 5)
+        empty = dataset(y, y, y).take(np.arange(0))
+        with pytest.raises(ArgumentError, match=r"testsets\[0\] is empty"):
+            risk_invariance_report(passthrough_params(), [empty, dataset(y, y, y)])
 
     def test_losses_match_inline_formulas(self):
         # the shared (loss if y = 0, loss if y = 1) pairs give the bits of the
@@ -262,11 +266,17 @@ class TestRiskReport:
     )
     def test_malformed_entries_rejected(self, entries, named):
         y = np.array([0, 1] * 5)
-        good = ("good", dataset(y, y, y))
+        good = dataset(y, y, y)
         with pytest.raises(ArgumentError, match=named):
             risk_invariance_report(passthrough_params(), entries + [good])
         with pytest.raises(ArgumentError, match=r"testsets\[1\]"):
             risk_invariance_report(passthrough_params(), [good, entries[0]])
+
+    def test_labelled_pairs_rejected(self):
+        y = np.array([0, 1] * 5)
+        good = dataset(y, y, y)
+        with pytest.raises(ArgumentError, match=r"testsets\[1\] must be a Dataset, got \('b', Dataset"):
+            risk_invariance_report(passthrough_params(), [good, ("b", good)])
 
     def test_generator_rejected(self):
         y = np.array([0, 1] * 5)

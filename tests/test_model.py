@@ -110,6 +110,40 @@ class TestMmd2:
         with pytest.raises(ArgumentError, match="bandwidth"):
             loss(random_params(0), toy_dataset(0), spec, bandwidth=bad)
 
+    @pytest.mark.parametrize("bad", [1e-160, 1e-300, 1e200])
+    def test_bandwidth_whose_square_leaves_the_normal_floats_rejected(self, bad):
+        # a square below the normal floats makes 1 / h^2 inf or divide by zero; an inf square
+        # makes every kernel entry 1 and the penalty silently 0
+        a = np.array([0.1, 0.4, 0.9])
+        spec = TrainSpec(mmd=MmdPenalty("marginal", 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match="bandwidth must be finite and positive"):
+                MmdPenalty("marginal", 1.0, bandwidth=bad)
+            with pytest.raises(ArgumentError, match="bandwidth must be finite and positive"):
+                mmd2(a, a, bad)
+            with pytest.raises(ArgumentError, match="bandwidth must be finite and positive"):
+                loss(random_params(0), toy_dataset(0), spec, bandwidth=bad)
+            with pytest.raises(ArgumentError, match="floor must be finite and positive"):
+                median_bandwidth(np.zeros(5), floor=bad)
+
+    def test_bandwidths_at_the_edges_of_the_rule_accepted(self):
+        tiny, a = np.finfo(float).tiny, np.array([0.1, 0.4, 0.9])
+        edges = (math.sqrt(tiny) * (1 + 1e-15), 1e150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h in edges:
+                assert MmdPenalty("marginal", 1.0, bandwidth=h).bandwidth == h
+                assert math.isfinite(mmd2(a, a + 1.0, h))
+            assert median_bandwidth(np.zeros(5), floor=edges[0]) == edges[0]
+
+    def test_far_apart_pairs_reach_the_kernel_limit_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = mmd2([0.0, 1e6, 3.0], [0.5, 2e6, 1e150], 1e-20)
+        # every off-diagonal kernel entry is exp(-inf) = 0, so only the diagonal terms remain
+        assert value == pytest.approx(0.0, abs=1e-15)
+
     def test_median_bandwidth(self):
         values = np.array([0.0, 1.0, 2.0])
         assert median_bandwidth(values) == pytest.approx(1.0)

@@ -20,6 +20,8 @@ else *within bound*.
 Under the table it gives each side's median count of attempted tasks: a
 faster side runs more tasks in the same seconds, and ``peak_rss_mb`` grows
 with the number of tasks run, so a memory change is read against it.
+Then it gives each checkout's line count of the package source,
+``src/balancelab``, and the change in it.
 
 Each run's ``{"record": ...}`` line also carries the means of the
 workload's quality outputs over its first pass.  For every seed the summary
@@ -44,6 +46,7 @@ from dataclasses import dataclass
 MIN_PAIRS = 10  # a claimed gain needs at least this many pairs
 WIN_SHARE = 0.9  # and the change to win this share of them
 STDERR_TAIL = 20  # lines of a failed run's stderr that the error quotes
+SOURCE = "src/balancelab"  # the package whose lines each checkout reports
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,26 @@ def attempted_line(counts: list[tuple[int, int]]) -> str:
     return f"attempted tasks, median: parent {old:g}, change {new:g} ({rel})"
 
 
+def source_lines(checkout: str) -> int:
+    """The newline count of every ``.py`` file under the checkout's
+    ``src/balancelab``, as ``wc -l`` counts them."""
+    package = os.path.join(checkout, SOURCE)
+    if not os.path.isdir(package):
+        raise FileNotFoundError(f"{checkout}: no {SOURCE} directory")
+    total = 0
+    for root, _, files in os.walk(package):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), encoding="utf-8") as f:
+                    total += f.read().count("\n")
+    return total
+
+
+def lines_line(parent: int, change: int) -> str:
+    """Each side's package line count and the change in it."""
+    return f"{SOURCE} lines: parent {parent}, change {change} ({change - parent:+d})"
+
+
 def parse_run(stdout: str) -> tuple[dict[str, float], dict[str, float], dict]:
     """The metric values, the quality means and the result line of one
     ``bench/run.py`` output; a run without quality outputs has none."""
@@ -226,6 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    lines = lines_line(source_lines(args.parent), source_lines(args.change))  # a wrong checkout fails before any run
 
     pairs, qualities, attempted = [], [], []
     for i, seed in enumerate(args.seeds):
@@ -239,6 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"seed": seed, **sides}), file=sys.stderr, flush=True)
     print(format_rows(summarize(pairs, directions(args.change), bounds(args.change))))
     print(attempted_line(attempted))
+    print(lines)
     print("\n".join(same_quality(args.seeds, qualities)))
     return 0
 
