@@ -40,7 +40,7 @@ def _encode(obj) -> tuple[dict, dict[str, np.ndarray]]:
     if isinstance(obj, ModelParams):
         arrays = {f"weight{i}": w for i, w in enumerate(obj.weights)}
         arrays |= {f"bias{i}": b for i, b in enumerate(obj.biases)}
-        return {"activation": obj.activation, "layers": len(obj.weights)}, arrays
+        return {"layers": len(obj.weights)}, arrays
     if isinstance(obj, Dataset):
         channels = [[name, start, stop] for name, (start, stop) in obj.channel_slices.items()]
         meta = {"channels": channels, "spec": None if obj.spec is None else obj.spec.to_dict()}
@@ -60,9 +60,11 @@ def _cbn(meta: dict, arrays: dict) -> Cbn:
 
 
 def _params(meta: dict, arrays: dict) -> ModelParams:
+    if meta.get("activation", "relu") != "relu":  # older files name the hidden layer's activation
+        raise ArgumentError(f"a hidden layer is always ReLU, got activation {meta['activation']!r}")
     layers = range(meta["layers"])
     weights = [arrays[f"weight{i}"] for i in layers]
-    return ModelParams(weights, [arrays[f"bias{i}"] for i in layers], meta["activation"])
+    return ModelParams(weights, [arrays[f"bias{i}"] for i in layers])
 
 
 def _dataset(meta: dict, arrays: dict) -> Dataset:

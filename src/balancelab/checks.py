@@ -242,9 +242,6 @@ class ShiftFamily:
         stacked = np.broadcast_to(self.base.probs, (len(grid),) + self.base.shape)
         object.__setattr__(self, "probs", _frozen(_reweight(stacked, self.base.axes(names), target, names, 1)))
 
-    def __len__(self) -> int:
-        return len(self.grid)
-
     def member(self, i: int) -> JointTable:
         if not (is_int(i) and 0 <= i < len(self.grid)):
             raise ArgumentError(f"member index must be an integer in [0, {len(self.grid)}), got {i!r}")

@@ -34,23 +34,21 @@ _STREAM_INIT = 4  # not datagen's 0: one seed for data and model must not draw r
 _STREAM_SHUFFLE = 1
 _STREAM_PROBE = 3
 _TINY = np.finfo(float).tiny  # the smallest normal float; a bandwidth's square must reach it
+_BANDWIDTH_FLOOR = 1e-3  # the least bandwidth the median heuristic returns
 
 
 @dataclass
 class ModelParams:
     """Weights and biases per layer; the last layer always produces one
     logistic score.  One entry means a linear model; two mean a single
-    hidden layer with the given activation."""
+    ReLU hidden layer."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "relu"
 
     def __post_init__(self) -> None:
         if len(self.weights) not in (1, 2) or len(self.weights) != len(self.biases):
             raise ArgumentError("expected one or two (weight, bias) layers")
-        if self.activation not in ("relu", "identity"):
-            raise ArgumentError(f"activation must be 'relu' or 'identity', got {self.activation!r}")
         for w, b in zip(self.weights, self.biases):
             if not (isinstance(w, np.ndarray) and isinstance(b, np.ndarray)) or w.ndim != 2 or b.ndim != 1:
                 got = [getattr(v, "shape", type(v).__name__) for v in (w, b)]
@@ -70,15 +68,15 @@ class ModelParams:
 
 
 def _forward(params: ModelParams, x: np.ndarray):
-    """Returns (score, logit, hidden activation or None, hidden pre-activation or None)."""
-    hidden = pre = None
+    """Returns (score, logit, hidden activation or None)."""
+    hidden = None
     if params.has_hidden:
-        pre = x @ params.weights[0]
-        pre += params.biases[0]
-        x = hidden = np.maximum(pre, 0.0) if params.activation == "relu" else pre
+        x = hidden = x @ params.weights[0]
+        hidden += params.biases[0]
+        np.maximum(hidden, 0.0, out=hidden)
     logit = (x @ params.weights[-1])[:, 0]
     logit += params.biases[-1]
-    return _sigmoid(logit), logit, hidden, pre
+    return _sigmoid(logit), logit, hidden
 
 
 def _sigmoid(logit: np.ndarray) -> np.ndarray:
@@ -91,27 +89,49 @@ def _checked_x(params: ModelParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
         raise ArgumentError(f"x must have shape (rows, {params.weights[0].shape[0]}), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ArgumentError("x must be finite")
     return x
 
 
 def predict_scores(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    return _forward(params, _checked_x(params, x))[0]
+    """Each row's logistic score: 0 or 1 where the logit overflows, NumericsError where it is NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        scores = _forward(params, _checked_x(params, x))[0]
+    if np.isnan(scores).any():
+        raise NumericsError("a score is NaN: a logit overflowed to inf - inf")
+    return scores
 
 
 def representation(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """The frozen representation the encoding probe reads: hidden activations
     for a one-hidden-layer model, the raw inputs for a linear one."""
-    x = _checked_x(params, x)
-    return _forward(params, x)[2] if params.has_hidden else x
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        rep = _forward(params, _checked_x(params, x))[2] if params.has_hidden else _checked_x(params, x)
+    if not np.all(np.isfinite(rep)):
+        raise NumericsError("a hidden activation overflowed")
+    return rep
 
 
-def _checked_bandwidth(value, name: str = "bandwidth") -> float:
+def _checked_bandwidth(value) -> float:
     """``value`` as a float, if it is a positive real whose square is a
     finite normal float, so the kernel's 1 / h^2 is finite; else ArgumentError."""
     h = float(value) if is_real(value) else math.nan
     if not (h > 0 and _TINY <= h * h < math.inf):
-        raise ArgumentError(f"{name} must be finite and positive, with a finite normal square, got {value!r}")
+        raise ArgumentError(f"bandwidth must be finite and positive, with a finite normal square, got {value!r}")
     return h
+
+
+def _checked_sample(sample: np.ndarray, name: str) -> np.ndarray:
+    """``sample`` as (rows, d) floats, if it is finite and 4 * sum_k max_i a_ik^2 is
+    finite, else ArgumentError: that bounds every squared distance and every sum
+    of two squared norms that the kernel and the median heuristic form."""
+    a = np.atleast_2d(np.asarray(sample, dtype=float).T).T
+    with np.errstate(over="ignore"):
+        bound = 4.0 * np.square(np.abs(a).max(axis=0, initial=0.0)).sum()
+    if not bound < math.inf:  # NaN and inf entries fail it too
+        raise ArgumentError(f"{name} must be finite, and not so far apart that squared distances overflow")
+    return a
 
 
 @dataclass(frozen=True)
@@ -138,7 +158,6 @@ class TrainSpec:
     momentum: float = 0.9
     l2: float = 1e-4
     hidden_dim: int = 0  # 0 trains a linear model
-    activation: str = "relu"
     mmd: MmdPenalty | None = None
     seed: int = 0
 
@@ -154,8 +173,6 @@ class TrainSpec:
             raise ArgumentError(f"epochs, batch_size, hidden_dim and seed must be integers, got {counts}")
         if self.epochs < 1 or self.batch_size < 1 or self.hidden_dim < 0 or self.seed < 0:
             raise ArgumentError("epochs/batch_size >= 1, hidden_dim/seed >= 0 required")
-        if self.activation not in ("relu", "identity"):
-            raise ArgumentError(f"activation must be 'relu' or 'identity', got {self.activation!r}")
         if self.mmd is not None and self.mmd.on_representation and self.hidden_dim == 0:
             raise ArgumentError("a representation penalty needs hidden_dim > 0")
 
@@ -164,17 +181,18 @@ def mmd2(sample_a: np.ndarray, sample_b: np.ndarray, bandwidth: float) -> float:
     """Unbiased squared-MMD estimate with an RBF kernel.
 
     Accepts score vectors or representation rows.  The U-statistic excludes
-    diagonal terms, so small negative values are possible.
+    diagonal terms, so small negative values are possible.  Pooled samples
+    that ``_checked_sample`` rejects raise ArgumentError.
     """
-    a = np.atleast_2d(np.asarray(sample_a, dtype=float).T).T
-    b = np.atleast_2d(np.asarray(sample_b, dtype=float).T).T
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ArgumentError("samples must be finite")
+    a, b = (np.atleast_2d(np.asarray(s, dtype=float).T).T for s in (sample_a, sample_b))
+    if a.shape[1:] != b.shape[1:]:
+        raise ArgumentError(f"samples must have rows of one width, got {a.shape} and {b.shape}")
+    pooled = _checked_sample(np.vstack([a, b]), "samples")
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise SampleSizeError("both samples need at least 2 rows for the unbiased estimate")
     side = np.repeat([0, 1], [a.shape[0], b.shape[0]])
     with np.errstate(over="ignore"):  # exp(-inf) = 0 is the kernel's limit for far-apart pairs
-        value, _, _ = _mmd_penalty(np.vstack([a, b]), _strata(side, side, "marginal", len(side))[0], bandwidth)
+        value, _, _ = _mmd_penalty(pooled, _strata(side, side, "marginal", len(side))[0], bandwidth)
     return value
 
 
@@ -258,18 +276,15 @@ def _mmd_penalty(target: np.ndarray, strata: tuple[np.ndarray, list[int]], bandw
     return float(value), grad, skipped
 
 
-def median_bandwidth(scores: np.ndarray, floor: float = 1e-3) -> float:
-    """Median pairwise distance between score rows (the bandwidth heuristic), at least ``floor``."""
-    _checked_bandwidth(floor, "floor")
-    a = np.atleast_2d(np.asarray(scores, dtype=float).T).T
-    if not np.all(np.isfinite(a)):
-        raise ArgumentError("scores must be finite")
+def median_bandwidth(scores: np.ndarray) -> float:
+    """Median pairwise distance between score rows (the bandwidth heuristic), at least ``_BANDWIDTH_FLOOR``."""
+    a = _checked_sample(scores, "scores")
     if a.shape[0] < 2:
         return 1.0
     sq = (a**2).sum(axis=1, keepdims=True)
     dists = np.sqrt(np.maximum(sq + sq.T - 2.0 * (a @ a.T), 0.0))
     upper = dists[np.triu_indices(a.shape[0], k=1)]
-    return float(max(np.median(upper), floor))
+    return float(max(np.median(upper), _BANDWIDTH_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -287,7 +302,7 @@ def _step(params: ModelParams, x: np.ndarray, y: np.ndarray, w: np.ndarray, spec
     """One batch's logits, MMD value, gradient arrays (weights, then biases) and skipped strata,
     from float labels ``y`` and the positive weight sum ``wsum``; with a penalty, ``bandwidth`` is
     resolved and ``strata`` comes from ``_strata``.  ``train`` logs the loss once per epoch."""
-    scores, logit, hidden, pre = _forward(params, x)
+    scores, logit, hidden = _forward(params, x)
     dlogit = w * (scores - y) / wsum  # of the cross entropy softplus(logit) - y * logit
 
     mmd_value, skipped, drep = 0.0, 0, None
@@ -307,8 +322,7 @@ def _step(params: ModelParams, x: np.ndarray, y: np.ndarray, w: np.ndarray, spec
         dhidden = dout * params.weights[1].T  # each entry one exact product, the sign of a zero one included
         if drep is not None:
             dhidden += drep
-        if params.activation == "relu":
-            dhidden *= pre > 0
+        dhidden *= hidden > 0  # the ReLU's derivative
         grads = (x.T @ dhidden + 2.0 * spec.l2 * params.weights[0], gw2, dhidden.sum(axis=0), gb2)
     else:
         grads = (x.T @ dout + 2.0 * spec.l2 * params.weights[0], dout.sum(axis=0))
@@ -373,12 +387,9 @@ class TrainResult:
 
 def _init_params(dim: int, spec: TrainSpec) -> ModelParams:
     gen = spawn(spec.seed, _STREAM_INIT)
-    if spec.hidden_dim > 0:
-        w1 = gen.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, spec.hidden_dim))
-        w2 = gen.normal(0.0, 1.0 / np.sqrt(spec.hidden_dim), size=(spec.hidden_dim, 1))
-        return ModelParams([w1, w2], [np.zeros(spec.hidden_dim), np.zeros(1)], spec.activation)
-    w1 = gen.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, 1))
-    return ModelParams([w1], [np.zeros(1)], spec.activation)
+    widths = (dim, spec.hidden_dim, 1) if spec.hidden_dim > 0 else (dim, 1)
+    weights = [gen.normal(0.0, 1.0 / np.sqrt(n), size=(n, m)) for n, m in zip(widths, widths[1:])]
+    return ModelParams(weights, [np.zeros(m) for m in widths[1:]])
 
 
 def train(data: Dataset, spec: TrainSpec) -> TrainResult:
@@ -393,16 +404,10 @@ def train(data: Dataset, spec: TrainSpec) -> TrainResult:
     if len(data) == 0:
         raise ArgumentError("training data is empty")
     params = _init_params(data.x.shape[1], spec)
-    bandwidth: float | None = None
-    if spec.mmd is not None:
-        bandwidth = spec.mmd.bandwidth
-        if bandwidth is None:
-            first = min(spec.batch_size, len(data))
-            if spec.mmd.on_representation:
-                probe = representation(params, data.x[:first])
-            else:
-                probe = predict_scores(params, data.x[:first])
-            bandwidth = median_bandwidth(probe)
+    bandwidth = None if spec.mmd is None else spec.mmd.bandwidth
+    if spec.mmd is not None and bandwidth is None:  # the heuristic on the untrained first batch
+        probe = (representation if spec.mmd.on_representation else predict_scores)(params, data.x[: spec.batch_size])
+        bandwidth = median_bandwidth(probe)
     # every layer's weights and biases are views of one flat vector, weights
     # first, so the Nesterov step runs in place on preallocated buffers
     arrays = params.weights + params.biases
@@ -411,7 +416,7 @@ def train(data: Dataset, spec: TrainSpec) -> TrainResult:
     views = np.split(flat, bounds[:-1])
     views = [v.reshape(a.shape) for v, a in zip(views, arrays)]
     layers = len(params.weights)
-    params = ModelParams(views[:layers], views[layers:], params.activation)
+    params = ModelParams(views[:layers], views[layers:])
     velocity = np.zeros_like(flat)
     grad = np.empty_like(flat)
     update = np.empty_like(flat)

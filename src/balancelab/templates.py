@@ -59,10 +59,12 @@ class GraphTemplate:
         return marginalize(joint(self.net), self.observed_names)
 
     def mutilated_skeleton(self) -> Dag:
-        """The observed skeleton with the undesired Y–Z coupling removed.
-
-        For these templates every undesired path runs through a latent
-        confounder, so the observed skeleton simply keeps the channel edges.
+        """The DAG over the observed nodes with their observed parents,
+        ``observed_dag(net, latents)``; ``undesired`` is not read.  It drops
+        every path through a latent node, so it is not the balanced law's
+        graph where a latent other than the Y–Z driver links observed nodes:
+        on C it misses T -> (Y, X_core) and Z -> V -> X_v through the latent
+        V.  ROADMAP item 5 replaces it with the ideal law.
         """
         return observed_dag(self.net, self.latents)
 
@@ -82,15 +84,9 @@ def _pair_joint(confounding: tuple[float, float], z_marginal: float) -> np.ndarr
     return t  # t[y, z]
 
 
-def _flip_cpt(flip: float, card: int = 2) -> np.ndarray:
-    """Binary-input channel CPT: copy the parent state, flip with prob ``flip``."""
-    if card == 2:
-        return np.array([[1 - flip, flip], [flip, 1 - flip]])
-    # wider channels put 1-flip on the matched state, spread the rest evenly
-    cpt = np.full((2, card), flip / (card - 1))
-    cpt[0, 0] = 1 - flip
-    cpt[1, 1] = 1 - flip
-    return cpt
+def _flip_cpt(flip: float) -> np.ndarray:
+    """Binary channel CPT: copy the parent state, flip with prob ``flip``."""
+    return np.array([[1 - flip, flip], [flip, 1 - flip]])
 
 
 def _pair_driver_cpts(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

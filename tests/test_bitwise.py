@@ -49,7 +49,7 @@ from balancelab.templates import GraphTemplate, _random_rows, graph_template, ra
 def plain_forward(params: ModelParams, x: np.ndarray):
     if params.has_hidden:
         pre = x @ params.weights[0] + params.biases[0]
-        hidden = np.maximum(pre, 0.0) if params.activation == "relu" else pre
+        hidden = np.maximum(pre, 0.0)
         logit = (hidden @ params.weights[1] + params.biases[1])[:, 0]
         return model._sigmoid(logit), logit, hidden, pre
     logit = (x @ params.weights[0] + params.biases[0])[:, 0]
@@ -120,8 +120,7 @@ def plain_loss(params: ModelParams, data: Dataset, spec: TrainSpec, bandwidth: f
         dhidden = dout @ params.weights[1].T
         if drep is not None:
             dhidden = dhidden + drep
-        mask = (pre > 0).astype(float) if params.activation == "relu" else np.ones_like(pre)
-        dpre = dhidden * mask
+        dpre = dhidden * (pre > 0).astype(float)
         grads = [x.T @ dpre + 2.0 * spec.l2 * params.weights[0], gw2, dpre.sum(axis=0), gb2]
     else:
         grads = [x.T @ dout + 2.0 * spec.l2 * params.weights[0], dout.sum(axis=0)]
@@ -145,7 +144,7 @@ def plain_train(data: Dataset, spec: TrainSpec) -> tuple[ModelParams, list[dict]
     views = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
     views = [v.reshape(a.shape) for v, a in zip(views, arrays)]
     layers = len(params.weights)
-    params = ModelParams(views[:layers], views[layers:], params.activation)
+    params = ModelParams(views[:layers], views[layers:])
     velocity = np.zeros_like(flat)
     mu, lr = spec.momentum, spec.learning_rate
     log = []

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 from balancelab import artifacts, metrics, model
 from balancelab.datagen import Dataset, GenSpec, generate, ideal_testset
-from balancelab.errors import ArgumentError, DegenerateTarget, NumericsError, SampleSizeError
+from balancelab.errors import ArgumentError, BalanceLabError, DegenerateTarget, NumericsError, SampleSizeError
 from balancelab.model import (
     MmdPenalty,
     ModelParams,
@@ -47,7 +48,6 @@ def random_params(seed: int, d: int = 4, hidden: int = 0) -> ModelParams:
         return ModelParams(
             [gen.normal(size=(d, hidden)), gen.normal(size=(hidden, 1))],
             [gen.normal(size=hidden), gen.normal(size=1)],
-            "relu",
         )
     return ModelParams([gen.normal(size=(d, 1))], [gen.normal(size=1)])
 
@@ -124,8 +124,6 @@ class TestMmd2:
                 mmd2(a, a, bad)
             with pytest.raises(ArgumentError, match="bandwidth must be finite and positive"):
                 loss(random_params(0), toy_dataset(0), spec, bandwidth=bad)
-            with pytest.raises(ArgumentError, match="floor must be finite and positive"):
-                median_bandwidth(np.zeros(5), floor=bad)
 
     def test_bandwidths_at_the_edges_of_the_rule_accepted(self):
         tiny, a = np.finfo(float).tiny, np.array([0.1, 0.4, 0.9])
@@ -135,7 +133,6 @@ class TestMmd2:
             for h in edges:
                 assert MmdPenalty("marginal", 1.0, bandwidth=h).bandwidth == h
                 assert math.isfinite(mmd2(a, a + 1.0, h))
-            assert median_bandwidth(np.zeros(5), floor=edges[0]) == edges[0]
 
     def test_far_apart_pairs_reach_the_kernel_limit_without_warning(self):
         with warnings.catch_warnings():
@@ -143,6 +140,28 @@ class TestMmd2:
             value = mmd2([0.0, 1e6, 3.0], [0.5, 2e6, 1e150], 1e-20)
         # every off-diagonal kernel entry is exp(-inf) = 0, so only the diagonal terms remain
         assert value == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # the Gram product overflows, and its sum of squared norms less it is inf - inf
+            lambda: mmd2(np.array([[1e200, 0.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [2.0, 3.0]]), 1.0),
+            # the difference overflows, and the gradient multiplies it by a zero kernel entry
+            lambda: mmd2([1e308, -1e308], [0.0, 1.0], 1.0),
+            # the squared norm overflows, and the median distance is inf
+            lambda: median_bandwidth([1e200, 0.0, 1.0]),
+        ],
+        ids=["gram", "difference", "median"],
+    )
+    def test_samples_whose_squared_distances_overflow_rejected(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match="squared distances overflow"):
+                call()
+
+    def test_samples_of_unequal_widths_rejected(self):
+        with pytest.raises(ArgumentError, match="one width"):
+            mmd2(np.zeros((3, 1)), np.zeros((3, 2)), 1.0)
 
     def test_median_bandwidth(self):
         values = np.array([0.0, 1.0, 2.0])
@@ -157,11 +176,6 @@ class TestMmd2:
             mmd2(np.array([[0.2, 0.1], [bad, 0.3]]), np.ones((2, 2)), 0.3)
         with pytest.raises(ArgumentError, match="finite"):
             median_bandwidth(np.array([0.2, bad, 0.5]))
-
-    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
-    def test_bad_floor_rejected(self, bad):
-        with pytest.raises(ArgumentError, match="floor"):
-            median_bandwidth(np.array([0.0, 1.0, 2.0]), floor=bad)
 
 
 def central_difference_worst_error(spec: TrainSpec, hidden: int, seed: int) -> float:
@@ -310,7 +324,7 @@ def init_draw(dim: int, hidden: int, seed: int) -> ModelParams:
     gen = spawn(seed, 0)
     w1 = gen.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, hidden))
     w2 = gen.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, 1))
-    return ModelParams([w1, w2], [np.zeros(hidden), np.zeros(1)], "relu")
+    return ModelParams([w1, w2], [np.zeros(hidden), np.zeros(1)])
 
 
 class TestFusedPenalty:
@@ -393,11 +407,6 @@ class TestKnobs:
         for a, b in zip(params[0].weights + params[0].biases, params[1].weights + params[1].biases):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("bad", ["tanh", "ReLU", None])
-    def test_train_spec_rejects_unknown_activation(self, bad):
-        with pytest.raises(ArgumentError, match="activation"):
-            TrainSpec(activation=bad)
-
     def test_train_spec_accepts_numpy_integers(self):
         spec = TrainSpec(epochs=np.int64(2), batch_size=np.int32(64), hidden_dim=np.uint8(3))
         assert len(train(two_cluster_dataset(8, n=100), spec).log) == 2
@@ -428,17 +437,10 @@ class TestKnobs:
         with pytest.raises(ArgumentError, match="bandwidth must be finite and positive"):
             mmd2(a, a, bad)
 
-    @pytest.mark.parametrize("bad", [True, False, "1e-3", None])
-    def test_median_bandwidth_floor_rejects_bools_and_non_numbers(self, bad):
-        with pytest.raises(ArgumentError, match="floor must be finite and positive"):
-            median_bandwidth(np.array([0.0, 0.1, 0.2]), floor=bad)
-
     def test_bandwidth_knobs_accept_numpy_and_integer_reals(self):
         a, b = np.array([0.1, 0.4, 0.9]), np.array([0.3, 0.5])
         assert mmd2(a, b, np.float32(0.5)) == mmd2(a, b, 0.5)
         assert mmd2(a, b, 1) == mmd2(a, b, 1.0)
-        assert median_bandwidth(np.array([0.0, 0.1, 0.2]), floor=np.float64(0.5)) == 0.5
-        assert median_bandwidth(np.array([0.0, 0.1, 0.2]), floor=1) == 1
 
     def test_real_knobs_accept_numpy_and_integer_reals(self):
         penalty = MmdPenalty("marginal", 1, 2)
@@ -642,7 +644,7 @@ def scalar_log_step(params: ModelParams, x, y, w, spec: TrainSpec, bandwidth, st
     wsum = float(w.sum())
     if wsum <= 0:
         raise ArgumentError("batch weight is zero")
-    scores, logit, hidden, pre = model._forward(params, x)
+    scores, logit, hidden = model._forward(params, x)
     ce = float((w * (np.logaddexp(0.0, logit) - y * logit)).sum() / wsum)
     dlogit = w * (scores - y) / wsum
     l2_value = spec.l2 * sum(float((wm**2).sum()) for wm in params.weights)
@@ -664,8 +666,7 @@ def scalar_log_step(params: ModelParams, x, y, w, spec: TrainSpec, bandwidth, st
         dhidden = dout @ params.weights[1].T
         if drep is not None:
             dhidden += drep
-        if params.activation == "relu":
-            dhidden *= pre > 0
+        dhidden *= hidden > 0
         grads = (x.T @ dhidden + 2.0 * spec.l2 * params.weights[0], gw2, dhidden.sum(axis=0), dout.sum(axis=0))
     else:
         grads = (x.T @ dout + 2.0 * spec.l2 * params.weights[0], dout.sum(axis=0))
@@ -685,7 +686,7 @@ def scalar_log_train(data: Dataset, spec: TrainSpec) -> tuple[ModelParams, list[
     flat = np.concatenate([a.ravel() for a in arrays])
     views = [v.reshape(a.shape) for v, a in zip(np.split(flat, np.cumsum([a.size for a in arrays])[:-1]), arrays)]
     layers = len(params.weights)
-    params = ModelParams(views[:layers], views[layers:], params.activation)
+    params = ModelParams(views[:layers], views[layers:])
     velocity, mu, lr, size = np.zeros_like(flat), spec.momentum, spec.learning_rate, spec.batch_size
     starts, log = range(0, len(data), size), []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -826,7 +827,6 @@ class TestProbe:
         zero = ModelParams(
             [np.zeros((ds.x.shape[1], 4)), np.zeros((4, 1))],
             [np.zeros(4), np.zeros(1)],
-            "relu",
         )
         acc = probe_encoding(zero, ds, "z", seed=1)
         majority = max(np.mean(ds.z), 1 - np.mean(ds.z))
@@ -968,14 +968,119 @@ class TestSerialization:
         loaded = artifacts.load(str(path))
         assert loaded.weights[0].tolist() == [[0.5], [0.5]] and loaded.biases[0].tolist() == [0.0]
 
+    def test_header_of_another_activation_is_argument_error(self, tmp_path):
+        path = tmp_path / "params"
+        with open(path, "wb") as fh:
+            meta = {"kind": "ModelParams", "activation": "identity", "layers": 2}
+            arrays = dict(weight0=np.ones((1, 2)), weight1=np.ones((2, 1)), bias0=np.zeros(2), bias1=np.zeros(1))
+            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(ArgumentError, match="always ReLU"):
+            artifacts.load(str(path))
+
+    def test_saved_header_names_no_activation(self, tmp_path):
+        path = str(tmp_path / "params")
+        artifacts.save(random_params(3, d=5, hidden=4), path)
+        with np.load(path) as archive:
+            assert json.loads(str(archive["meta"])) == {"kind": "ModelParams", "layers": 2}
+
     def test_round_trip_bitwise(self, tmp_path):
         params = random_params(3, d=5, hidden=4)
         path = str(tmp_path / "params")
         artifacts.save(params, path)
         again = artifacts.load(path)
-        assert again.activation == params.activation
         for a, b in zip(again.weights + again.biases, params.weights + params.biases):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# finite floats v * 10^k with v in [-10, 10] and k in [-300, 300]
+SCALED = st.builds(lambda v, k: v * 10.0**k, st.floats(-10.0, 10.0), st.integers(-300, 300))
+BANDWIDTHS = st.builds(lambda v, k: v * 10.0**k, st.floats(0.1, 10.0), st.integers(-300, 300))
+
+
+@st.composite
+def scaled_pairs(draw) -> tuple[np.ndarray, np.ndarray]:
+    """Two samples of one width, of 2 to 5 rows each."""
+    d = draw(st.integers(1, 3))
+    return tuple(draw(arrays(float, (draw(st.integers(2, 5)), d), elements=SCALED)) for _ in range(2))
+
+
+@st.composite
+def scaled_models(draw) -> tuple[ModelParams, np.ndarray]:
+    """A linear or one-hidden-layer model and 1 to 4 input rows for it."""
+    d, hidden = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    dims = [d, hidden, 1] if hidden else [d, 1]
+    weights = [draw(arrays(float, (a, b), elements=SCALED)) for a, b in zip(dims, dims[1:])]
+    biases = [draw(arrays(float, (b,), elements=SCALED)) for b in dims[1:]]
+    return ModelParams(weights, biases), draw(arrays(float, (draw(st.integers(1, 4)), d), elements=SCALED))
+
+
+# row 0's hidden units overflow to inf, and its logit is inf - inf; row 1's logit is 1e200 - 1e200
+OVERFLOWING = (
+    ModelParams([np.array([[1e200, 1e200]]), np.array([[1.0], [-1.0]])], [np.zeros(2), np.zeros(1)]),
+    np.array([[1e200], [1.0]]),
+)
+
+
+def finite_or_rejected(call):
+    """``call()``'s value, which must be finite, or None if it raised a
+    BalanceLabError; a RuntimeWarning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            value = call()
+        except BalanceLabError:
+            return None
+    assert np.all(np.isfinite(value))
+    return value
+
+
+class TestFloatEdges:
+    """Finite inputs across the float range give finite values or a BalanceLabError, never a warning."""
+
+    def test_nan_score_from_finite_parameters_is_numerics_error(self):
+        params, x = OVERFLOWING
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="NaN"):
+                predict_scores(params, x)
+            with pytest.raises(NumericsError, match="hidden activation"):
+                representation(params, x)
+            assert predict_scores(params, x[1:]).tolist() == [0.5]
+
+    def test_overflowing_logits_saturate(self):
+        params = ModelParams([np.array([[1e200]])], [np.zeros(1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert predict_scores(params, np.array([[1e200], [-1e200]])).tolist() == [1.0, 0.0]
+
+    def test_non_finite_rows_rejected(self):
+        params = random_params(0, d=2, hidden=3)
+        for bad in (np.nan, np.inf):
+            for call in (predict_scores, representation):
+                with pytest.raises(ArgumentError, match="x must be finite"):
+                    call(params, np.array([[0.0, bad]]))
+
+    @given(scaled_pairs(), BANDWIDTHS)
+    @example(pair=(np.array([[1e200, 0.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [2.0, 3.0]])), h=1.0)
+    @example(pair=(np.array([[1e308], [-1e308]]), np.array([[0.0], [1.0]])), h=1.0)
+    @example(pair=(np.array([[0.0], [1e6], [3.0]]), np.array([[0.5], [2e6], [1e150]])), h=1e-20)
+    def test_mmd2(self, pair, h):
+        finite_or_rejected(lambda: mmd2(*pair, h))
+
+    @given(arrays(float, st.tuples(st.integers(0, 6), st.integers(1, 3)), elements=SCALED))
+    @example(np.array([[1e200], [0.0], [1.0]]))
+    def test_median_bandwidth(self, scores):
+        h = finite_or_rejected(lambda: median_bandwidth(scores))
+        if h is not None:  # a bandwidth the kernel accepts
+            assert model._checked_bandwidth(h) == h
+
+    @given(scaled_models())
+    @example(model_x=OVERFLOWING)
+    def test_scores_and_representation(self, model_x):
+        params, x = model_x
+        scores = finite_or_rejected(lambda: predict_scores(params, x))
+        assert scores is None or np.all((0.0 <= scores) & (scores <= 1.0))
+        finite_or_rejected(lambda: representation(params, x))
 
 
 def test_one_seed_run_draws_each_stream_for_one_purpose(monkeypatch):
