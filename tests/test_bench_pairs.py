@@ -101,17 +101,19 @@ def test_failed_run_names_its_checkout_seed_exit_code_and_stderr_tail(tmp_path):
 def run_output(tasks_per_s: float, quality: dict[str, float]) -> str:
     """The last two lines that ``bench/run.py`` prints, trimmed to what the summary reads."""
     record = {"workload": "paper-grid", "quality": {k: {"value": v, "unit": "ratio"} for k, v in quality.items()}}
+    record["setup_samples_s"] = [0.31, 0.28, 0.29]
     result = {"correct": True, "attempted": 40, "failed": 0, "metrics": {"tasks_per_s": {"value": tasks_per_s, "unit": "1/s"}}}
     return "\n".join([json.dumps({"record": record}), json.dumps(result)]) + "\n"
 
 
 def test_parse_run_reads_metrics_and_quality_means():
-    metrics, quality, result = bench_pairs.parse_run(run_output(26.5, {"ideal_acc": 0.7505, "eo_gap": 0.058}))
+    metrics, quality, setups, result = bench_pairs.parse_run(run_output(26.5, {"ideal_acc": 0.7505, "eo_gap": 0.058}))
     assert metrics == {"tasks_per_s": 26.5}
     assert quality == {"ideal_acc": 0.7505, "eo_gap": 0.058}
+    assert setups == [0.31, 0.28, 0.29]
     assert result["correct"]
-    untraced = json.dumps({"record": {"workload": "exact-checks"}}) + "\n" + json.dumps(result)
-    assert bench_pairs.parse_run(untraced)[1] == {}
+    bare = json.dumps({"record": {"workload": "exact-checks"}}) + "\n" + json.dumps(result)
+    assert bench_pairs.parse_run(bare)[1:3] == ({}, None)
 
 
 def test_equal_quality_means_at_every_seed():
@@ -157,7 +159,7 @@ def checkout(root, files: dict[str, str]) -> str:
 def test_main_prints_attempted_counts_under_the_table(monkeypatch, capsys, tmp_path):
     parent = checkout(tmp_path / "parent", {"a.py": "x = 1\n" * 30})
     change = checkout(tmp_path / "change", {"a.py": "x = 1\n" * 28})
-    runs = {parent: ({"tasks_per_s": 900.0}, {}, 27000), change: ({"tasks_per_s": 1100.0}, {}, 33000)}
+    runs = {parent: ({"tasks_per_s": 900.0}, {}, 27000, [0.3, 0.25, 0.26]), change: ({"tasks_per_s": 1100.0}, {}, 33000, [0.2, 0.15, 0.17])}
     monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *args: runs[checkout])
     monkeypatch.setattr(bench_pairs, "directions", lambda checkout: {"tasks_per_s": "higher"})
     monkeypatch.setattr(bench_pairs, "bounds", lambda checkout: {"tasks_per_s": 0.15})
@@ -166,8 +168,17 @@ def test_main_prints_attempted_counts_under_the_table(monkeypatch, capsys, tmp_p
     assert lines[0].startswith("metric") and lines[0].endswith("verdict")
     assert lines[1].startswith("tasks_per_s") and lines[1].endswith("2/2  within bound")
     assert lines[2] == "attempted tasks, median: parent 27000, change 33000 (+22.2%)"
-    assert lines[3] == "src/balancelab lines: parent 30, change 28 (-2)"
-    assert lines[4:] == ["no quality means to compare"]
+    assert lines[3] == "set-up, median in-process / replica: parent 0.3 / 0.255 s, change 0.2 / 0.16 s"
+    assert lines[4] == "src/balancelab lines: parent 30, change 28 (-2)"
+    assert lines[5:] == ["no quality means to compare"]
+
+
+def test_setup_medians_per_side_split_in_process_from_replicas():
+    samples = [([0.30, 0.26, 0.27], [0.31, 0.15, 0.16]), ([0.28, 0.25, 0.29], [0.33, 0.14, 0.15]), ([0.29, 0.24, 0.28], [0.30, 0.16, 0.14])]
+    line = bench_pairs.setup_line(samples)
+    assert line == "set-up, median in-process / replica: parent 0.29 / 0.265 s, change 0.31 / 0.15 s"
+    assert bench_pairs.setup_line([(None, None)]) == "set-up samples: none recorded"
+    assert bench_pairs.setup_line([([0.3, 0.2], [0.3])]) == "set-up samples: none recorded"
 
 
 def test_source_lines_count_every_package_file_as_wc_does(tmp_path):

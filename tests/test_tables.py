@@ -3,17 +3,28 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import chdtrc
 
 from balancelab import artifacts
-from balancelab.balancing import BalanceSpec, JointTarget, SingleTarget, balance_exact, reweight_marginal
+from balancelab.balancing import (
+    BalanceSpec,
+    JointTarget,
+    Mechanism,
+    SingleTarget,
+    balance_batch,
+    balance_exact,
+    reweight_marginal,
+)
 from balancelab.errors import (
     ArgumentError,
+    BalanceLabError,
     DegenerateContingency,
     DegenerateEvidence,
 )
@@ -30,6 +41,7 @@ from balancelab.tables import (
     product_table,
     sample,
     uniform_table,
+    _chi2_sf,
 )
 
 Y = Variable("Y", 2)
@@ -447,7 +459,9 @@ class TestChi2:
             with pytest.raises(DegenerateContingency):
                 chi2_independence(batch, "Z", "Y")
             return
-        assert chi2_independence(batch, "Z", "Y") == expected
+        statistic, p = chi2_independence(batch, "Z", "Y")
+        assert statistic == expected[0]
+        assert p == pytest.approx(expected[1], rel=1e-12, abs=0.0)
 
     def test_variable_against_itself(self):
         batch = sample(skewed_yz(), 50, seed=2)
@@ -479,6 +493,90 @@ class TestChi2:
         batch = SampleBatch((Y, Z), rows, np.ones(2))
         with pytest.raises(DegenerateContingency):
             chi2_independence(batch, "Y", "Z")
+
+    def test_row_too_small_against_the_largest_cell(self):
+        rows = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+        batch = SampleBatch((Y, Z), rows, [1e300, 1e300, 1e-300, 1e-300])
+        with pytest.raises(DegenerateContingency, match="too small against its largest cell"):
+            chi2_independence(batch, "Y", "Z")
+
+
+TAIL_DOFS = [*range(1, 101), 150, 200, 400, 1000]
+TAIL_STATISTICS = np.unique(np.concatenate([
+    [0.0, 5e-324, 1e-300, 1e-100, 1e-20, 1e-10, 1e-5],
+    np.geomspace(1e-3, 3000.0, 300),
+    np.linspace(0.0, 3000.0, 301),
+]))
+
+
+class TestChi2Tail:
+    """``_chi2_sf`` against SciPy's ``chdtrc`` over dof 1-100 and a few large dof."""
+
+    @pytest.mark.parametrize("dof", TAIL_DOFS)
+    def test_matches_scipy(self, dof):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.array([_chi2_sf(dof, float(x)) for x in TAIL_STATISTICS])
+        want = chdtrc(dof, TAIL_STATISTICS)
+        shown = want >= 1e-300
+        np.testing.assert_allclose(got[shown], want[shown], rtol=1e-12, atol=0.0)
+        assert np.all(got[~shown] < 1e-299)
+        assert got[0] == 1.0  # statistic 0
+        assert np.all(np.diff(got) <= 0.0)  # the statistics are sorted, so p never increases
+
+    def test_non_positive_statistic_has_p_value_one(self):
+        assert [_chi2_sf(dof, x) for dof in (1, 2, 5) for x in (0.0, -0.0, -1.0)] == [1.0] * 9
+
+
+def finite_or_rejected(call):
+    """``call()``'s value, which must be finite, or None if it raised a
+    BalanceLabError; a RuntimeWarning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            value = call()
+        except BalanceLabError:
+            return None
+    assert np.all(np.isfinite(value))
+    return value
+
+
+SCALED_WEIGHT = st.builds(lambda v, k: v * 10.0**k, st.floats(0.0, 1.0), st.integers(-330, 308))
+
+
+class TestFloatEdges:
+    """Finite weights across the float range give the sampled path finite
+    values or a BalanceLabError, never a warning or NaN."""
+
+    @given(st.lists(SCALED_WEIGHT, min_size=2, max_size=40), st.integers(0, 2**16))
+    @example(weights=[1e200] * 12, seed=0)
+    @example(weights=[1e308] * 12, seed=0)
+    @example(weights=[1e-320] * 12, seed=0)
+    @example(weights=[1e200, 1e-320] * 6, seed=0)
+    def test_sampled_path(self, weights, seed):
+        gen = spawn(seed, 8)
+        rows = np.column_stack([gen.integers(0, 2, len(weights)), gen.integers(0, 3, len(weights))])
+        batch = SampleBatch((Y, Variable("W", 3)), rows, weights)
+        equal = batch.with_rows(rows, np.full(len(weights), weights[0]))
+        chi2 = finite_or_rejected(lambda: chi2_independence(batch, "Y", "W"))
+        assert chi2 is None or (chi2[0] >= 0.0 and 0.0 <= chi2[1] <= 1.0)
+        finite_or_rejected(lambda: batch.empirical_table().probs)
+        for target in (JointTarget("Y", "W"), SingleTarget("W")):
+            out = finite_or_rejected(lambda: balance_batch(batch, BalanceSpec(target, Mechanism.IMPORTANCE_WEIGHTS)).weights)
+            assert out is None or np.all(out >= 0.0)
+            for mechanism in (Mechanism.SUBSAMPLE_MAJORITY, Mechanism.UPSAMPLE_MINORITY):
+                finite_or_rejected(lambda: balance_batch(equal, BalanceSpec(target, mechanism, seed=1)).weights)
+
+    @given(st.integers(-900, 900), st.integers(0, 2**16))
+    def test_power_of_two_scale_keeps_the_bits(self, k, seed):
+        gen = spawn(seed, 9)
+        rows = np.column_stack([gen.integers(0, 2, 60), gen.integers(0, 3, 60)])
+        batch = SampleBatch((Y, Variable("W", 3)), rows, gen.uniform(0.5, 2.0, 60))
+        scaled = batch.with_rows(rows, np.ldexp(batch.weights, k))
+        assert chi2_independence(scaled, "Y", "W")[0] == np.ldexp(chi2_independence(batch, "Y", "W")[0], k)
+        assert scaled.empirical_table().probs.tobytes() == batch.empirical_table().probs.tobytes()
+        spec = BalanceSpec(JointTarget("Y", "W"), Mechanism.IMPORTANCE_WEIGHTS)
+        assert balance_batch(scaled, spec).weights.tobytes() == np.ldexp(balance_batch(batch, spec).weights, k).tobytes()
 
 
 class TestSerialization:

@@ -20,6 +20,10 @@ else *within bound*.
 Under the table it gives each side's median count of attempted tasks: a
 faster side runs more tasks in the same seconds, and ``peak_rss_mb`` grows
 with the number of tasks run, so a memory change is read against it.
+Next it gives each side's median in-process set-up and median replica
+set-up, read from the record's ``setup_samples_s`` (the run's own set-up
+first, then those of its ``--setup-only`` replicas), since ``setup_s`` is
+the median of both kinds and they can disagree.
 Then it gives each checkout's line count of the package source,
 ``src/balancelab``, and the change in it.
 
@@ -180,6 +184,21 @@ def attempted_line(counts: list[tuple[int, int]]) -> str:
     return f"attempted tasks, median: parent {old:g}, change {new:g} ({rel})"
 
 
+def setup_line(samples: list[tuple[list[float] | None, list[float] | None]]) -> str:
+    """Each side's median in-process set-up and median replica set-up, each
+    pair being (parent samples, change samples) as a record's
+    ``setup_samples_s`` lists them: the in-process set-up first, then the
+    replicas, which are pooled over the pairs.  Traced runs record none."""
+    if not all(runs and len(runs) > 1 for pair in samples for runs in pair):
+        return "set-up samples: none recorded"
+    parts = []
+    for side, runs in zip(("parent", "change"), zip(*samples)):
+        own = statistics.median(r[0] for r in runs)
+        replica = statistics.median(x for r in runs for x in r[1:])
+        parts.append(f"{side} {own:.4g} / {replica:.4g} s")
+    return "set-up, median in-process / replica: " + ", ".join(parts)
+
+
 def source_lines(checkout: str) -> int:
     """The newline count of every ``.py`` file under the checkout's
     ``src/balancelab``, as ``wc -l`` counts them."""
@@ -200,28 +219,30 @@ def lines_line(parent: int, change: int) -> str:
     return f"{SOURCE} lines: parent {parent}, change {change} ({change - parent:+d})"
 
 
-def parse_run(stdout: str) -> tuple[dict[str, float], dict[str, float], dict]:
-    """The metric values, the quality means and the result line of one
-    ``bench/run.py`` output; a run without quality outputs has none."""
+def parse_run(stdout: str) -> tuple[dict[str, float], dict[str, float], list[float] | None, dict]:
+    """The metric values, the quality means, the set-up samples and the
+    result line of one ``bench/run.py`` output; a run without quality
+    outputs has none, and a traced run no set-up samples."""
     lines = stdout.strip().splitlines()
     result, record = json.loads(lines[-1]), json.loads(lines[-2])["record"]
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
-    return metrics, {name: entry["value"] for name, entry in record.get("quality", {}).items()}, result
+    quality = {name: entry["value"] for name, entry in record.get("quality", {}).items()}
+    return metrics, quality, record.get("setup_samples_s"), result
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int):
-    """The metric values, quality means and attempted task count of one
-    ``bench/run.py`` run in ``checkout``."""
+    """The metric values, quality means, attempted task count and set-up
+    samples of one ``bench/run.py`` run in ``checkout``."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode:
         tail = "\n".join(done.stderr.splitlines()[-STDERR_TAIL:])
         raise RuntimeError(f"{checkout}: bench/run.py exited with {done.returncode} at seed {seed}; its stderr ends:\n{tail}")
-    metrics, quality, result = parse_run(done.stdout)
+    metrics, quality, setups, result = parse_run(done.stdout)
     if not result["correct"]:
         raise RuntimeError(f"{checkout}: {result['failed']} of {result['attempted']} tasks failed at seed {seed}")
-    return metrics, quality, result["attempted"]
+    return metrics, quality, result["attempted"], setups
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -251,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     lines = lines_line(source_lines(args.parent), source_lines(args.change))  # a wrong checkout fails before any run
 
-    pairs, qualities, attempted = [], [], []
+    pairs, qualities, attempted, setups = [], [], [], []
     for i, seed in enumerate(args.seeds):
         sides = {}
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
@@ -260,9 +281,11 @@ def main(argv: list[str] | None = None) -> int:
         pairs.append((sides["parent"][0], sides["change"][0]))
         qualities.append((sides["parent"][1], sides["change"][1]))
         attempted.append((sides["parent"][2], sides["change"][2]))
+        setups.append((sides["parent"][3], sides["change"][3]))
         print(json.dumps({"seed": seed, **sides}), file=sys.stderr, flush=True)
     print(format_rows(summarize(pairs, directions(args.change), bounds(args.change))))
     print(attempted_line(attempted))
+    print(setup_line(setups))
     print(lines)
     print("\n".join(same_quality(args.seeds, qualities)))
     return 0
