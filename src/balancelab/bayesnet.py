@@ -283,10 +283,16 @@ def mutilate(net: Cbn, removed: Iterable[tuple[str, str]]) -> Cbn:
 
 def observed_dag(graph: Dag | Cbn, latents: Iterable[str], dropped: Iterable[tuple[str, str]] = ()) -> Dag:
     """The DAG over the observed nodes: each keeps its observed parents,
-    minus the ``dropped`` edges."""
-    hidden, dropped = set(latents), set(dropped)
-    observed = tuple(n for n in graph.parents if n not in hidden)  # both parent maps run in node order
-    parents = {c: tuple(p for p in graph.parents[c] if p not in hidden and (p, c) not in dropped) for c in observed}
+    minus the ``dropped`` edges.  A latent that is not a node raises
+    UnknownVariableError, and a dropped (parent, child) pair that is not an
+    edge between observed nodes raises EdgeError."""
+    dag = graph.dag if isinstance(graph, Cbn) else graph
+    hidden, dropped = set(dag._require(latents)), {tuple(e) for e in dropped}
+    for p, c in dropped:
+        if {p, c} & hidden or p not in dag.parents.get(c, ()):
+            raise EdgeError(f"edge {p!r} -> {c!r} is not an edge between observed nodes")
+    observed = tuple(n for n in dag.nodes if n not in hidden)
+    parents = {c: tuple(p for p in dag.parents[c] if p not in hidden and (p, c) not in dropped) for c in observed}
     return Dag(observed, parents)
 
 

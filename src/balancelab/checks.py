@@ -20,6 +20,9 @@ axis per input: the score P(Y=1 | state) and where that score is defined.
 The counterexample networks C1-C4 are rows of one table: nodes, parents, latents and the observed edges the
 edge-dropped skeleton loses, with that skeleton built by
 ``bayesnet.observed_dag``.
+
+Every check reads the label as the variable ``"Y"`` and the group factor as
+``"Z"``, and gives its verdicts with the one tolerance ``CLAIM_TOL``.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .rng import is_int, is_real, spawn
 from .tables import JointTable, Variable, _derived, _frozen, _independence, _marginal, _once, is_independent, marginal_probs
 from .templates import GraphTemplate, random_instance
 
+CLAIM_TOL = 1e-9  # every check's verdict tolerance
 GENERIC_GAP = 1e-6  # separates structural violations from float noise
 
 
@@ -103,8 +107,9 @@ def labels_for(template: GraphTemplate) -> DecompositionLabel:
     return DecompositionLabel(assignment)
 
 
-def _check_coverage(table: JointTable, labels: DecompositionLabel, y: str, z: str) -> None:
-    covariates = set(table.names) - {y, z}
+def _check_coverage(table: JointTable, labels: DecompositionLabel) -> None:
+    table.axes(("Y", "Z"))  # an absent label or group factor raises UnknownVariableError
+    covariates = set(table.names) - {"Y", "Z"}
     labelled = set(labels.assignment)
     if labelled != covariates:
         missing = sorted(covariates - labelled)
@@ -121,38 +126,30 @@ def _check_coverage(table: JointTable, labels: DecompositionLabel, y: str, z: st
 class ConditionReport:
     """The two sufficiency conditions for balanced training to be invariant.
 
-    cond1: non-core covariates ⊥ {label, core} | group factor.
-    cond2: core ⊥ group factor | label.
+    cond1: non-core covariates ⊥ {Y, core} | Z.
+    cond2: core ⊥ Z | Y.
     """
 
     holds: bool
     cond1_gap: float
     cond2_gap: float
-    tol: float
 
 
-def check_invariance_conditions(
-    table: JointTable,
-    labels: DecompositionLabel,
-    y: str = "Y",
-    z: str = "Z",
-    tol: float = 1e-9,
-) -> ConditionReport:
+def check_invariance_conditions(table: JointTable, labels: DecompositionLabel) -> ConditionReport:
     """Check the training-distribution conditions under which balancing
     provably yields a risk-invariant, optimal predictor."""
-    _check_coverage(table, labels, y, z)
+    _check_coverage(table, labels)
     rest = labels.rest
     if rest:
-        cond1 = is_independent(table, rest, (y, *labels.core), (z,), tol)
+        cond1 = is_independent(table, rest, ("Y", *labels.core), ("Z",), CLAIM_TOL)
         cond1_gap = cond1.max_gap
     else:
         cond1_gap = 0.0
-    cond2 = is_independent(table, labels.core, (z,), (y,), tol)
+    cond2 = is_independent(table, labels.core, ("Z",), ("Y",), CLAIM_TOL)
     return ConditionReport(
-        holds=cond1_gap <= tol and cond2.max_gap <= tol,
+        holds=cond1_gap <= CLAIM_TOL and cond2.max_gap <= CLAIM_TOL,
         cond1_gap=cond1_gap,
         cond2_gap=cond2.max_gap,
-        tol=tol,
     )
 
 
@@ -205,24 +202,22 @@ def bayes_predictor(table: JointTable, inputs: Iterable[str]) -> TablePredictor:
 
 @dataclass(frozen=True, eq=False)
 class ShiftFamily:
-    """Correlation-shift family: the group-given-label conditional varies
-    over ``grid`` while the label marginal and all covariate mechanisms given
-    (label, group) stay pinned to ``base``.  ``probs[k]`` is member k's table;
-    all are built here by one stacked reweight, so an undefined one raises.
-    Equality and hashing are by identity, since the fields hold arrays.
+    """Correlation-shift family: P(Z | Y) varies over ``grid`` while P(Y)
+    and all covariate mechanisms given (Y, Z) stay pinned to ``base``, whose
+    label is ``"Y"`` and group factor ``"Z"``.  ``probs[k]`` is member k's
+    table; all are built here by one stacked reweight, so an undefined one
+    raises.  Equality and hashing are by identity, since the fields hold arrays.
     A predictor's scored members are computed once per family and stored on
     it (with the predictor), so the risk checks of one predictor share them.
     """
 
     base: JointTable
     grid: tuple[np.ndarray, ...]
-    y: str = "Y"
-    z: str = "Z"
     probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        y_card = self.base.variable(self.y).cardinality
-        z_card = self.base.variable(self.z).cardinality
+        y_card = self.base.variable("Y").cardinality
+        z_card = self.base.variable("Z").cardinality
         grid = tuple(np.asarray(g, dtype=float) for g in self.grid)
         if not grid:
             raise ArgumentError("grid must be non-empty")
@@ -237,7 +232,7 @@ class ShiftFamily:
                 if np.any(g < 0) or np.any(np.abs(g.sum(axis=1) - 1.0) > 1e-12):
                     raise ArgumentError("each grid entry must have rows that sum to 1")
         object.__setattr__(self, "grid", grid)
-        names = (self.y, self.z)
+        names = ("Y", "Z")
         target = marginal_probs(self.base, names).sum(axis=1, keepdims=True) * stack  # P(y) · P'(z | y)
         stacked = np.broadcast_to(self.base.probs, (len(grid),) + self.base.shape)
         object.__setattr__(self, "probs", _frozen(_reweight(stacked, self.base.axes(names), target, names, 1)))
@@ -282,7 +277,7 @@ LOSSES = tuple(_LOSS_PAIRS)
 
 def _covariate_axes(family: ShiftFamily, names: Sequence[str]) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """The family's covariates in table order, and the position of each of ``names`` among them."""
-    covariates = tuple(n for n in family.base.names if n not in (family.y, family.z))
+    covariates = tuple(n for n in family.base.names if n not in ("Y", "Z"))
     if len(set(names)) != len(names):
         raise ArgumentError(f"{tuple(names)} names a variable twice")
     for name in names:
@@ -304,7 +299,7 @@ def _score_members(predictor: TablePredictor, family: ShiftFamily) -> tuple[np.n
     cards = tuple(family.base.variable(n).cardinality for n in predictor.inputs)
     if predictor.scores.shape != cards:
         raise ArgumentError(f"predictor scores have shape {predictor.scores.shape}, its inputs take {cards} states")
-    probs = _marginal(family.probs, family.base.axes(covariates + (family.y,)), 1)
+    probs = _marginal(family.probs, family.base.axes(covariates + ("Y",)), 1)
     others = tuple(i for i in range(len(covariates)) if i not in axes)
     reached = np.transpose(probs.sum(axis=-1).any(axis=0), axes + others)
     reached = reached.reshape(cards + (-1,)).any(axis=-1)
@@ -342,7 +337,7 @@ def _risk_gap(family: ShiftFamily, probs: np.ndarray, scores: np.ndarray, loss: 
     """``risk_invariance_gap`` on the family's scored members."""
     if loss not in LOSSES:
         raise ArgumentError(f"unknown loss {loss!r}; expected one of {LOSSES}")
-    if family.base.variable(family.y).cardinality != 2:
+    if family.base.variable("Y").cardinality != 2:
         raise ArgumentError("risk computations assume a binary label")
     loss_y0, loss_y1 = _LOSS_PAIRS[loss](scores)
     risks = _sum_in_order(probs[..., 0] * loss_y0 + probs[..., 1] * loss_y1, 1)
@@ -367,11 +362,11 @@ def check_epsilon_risk_bound(
     family: ShiftFamily,
     core: Sequence[str],
     loss: str = "squared",
-    slack: float = 1e-9,
 ) -> EpsilonBoundReport:
     """Bound the risk-invariance gap by twice the largest deviation between
     the fitted score and the label mean given the core covariates, over
-    family members and reachable states.
+    family members and reachable states; the bound holds when the gap is at
+    most epsilon + ``CLAIM_TOL``.  Both come from one scoring of the members.
 
     Valid for losses whose risk is characterized by conditional means and is
     score-Lipschitz (squared, logloss).  Zero-one loss jumps at the decision
@@ -380,12 +375,11 @@ def check_epsilon_risk_bound(
     core = tuple(core)
     if loss == "zero_one":
         raise ArgumentError("the risk bound does not apply to the zero_one loss")
-    if not (is_real(slack) and slack >= 0):
-        raise ArgumentError(f"slack must be a finite number >= 0, got {slack!r}")
     _, axes = _covariate_axes(family, core)
-    epsilon = _epsilon(axes, *_scored_members(fitted, family))
-    gap = risk_invariance_gap(fitted, family, loss).sup_gap
-    return EpsilonBoundReport(epsilon, gap, gap <= epsilon + slack, loss)
+    probs, scores = _scored_members(fitted, family)
+    epsilon = _epsilon(axes, probs, scores)
+    gap = _risk_gap(family, probs, scores, loss).sup_gap
+    return EpsilonBoundReport(epsilon, gap, gap <= epsilon + CLAIM_TOL, loss)
 
 
 def _epsilon(axes: Sequence[int], probs: np.ndarray, scores: np.ndarray) -> float:
@@ -467,17 +461,16 @@ def find_nonfactorizing_balance(
     variables = tuple(Variable(n, 2) for n in skeleton.nodes)
     observed = [nodes.index(n) for n in skeleton.nodes]
     pair = (skeleton.nodes.index("Y"), skeleton.nodes.index("Z"))
-    tol = 1e-9
     for chunk in filter(None, (range(1), range(1, retries))):
         probs = _marginal(_product(dag, _counterexample_cpts(example_id, seed, chunk), 1), observed, 1)
         balanced = _balance_pair(probs, pair, ("Y", "Z"), 1)
         hits = range(1)  # one draw: its report runs the local statements itself
         if len(chunk) > 1:
             local = _statement_gaps(balanced, skeleton.nodes, _local_statements(skeleton), 1)
-            hits = np.flatnonzero((local > tol).any(axis=-1))
+            hits = np.flatnonzero((local > CLAIM_TOL).any(axis=-1))
         for k in hits:
             table = _derived(variables, balanced[k])
-            strong = tuple(v for v in factorizes_according_to(table, skeleton, tol).violations if v.gap > min_gap)
+            strong = tuple(v for v in factorizes_according_to(table, skeleton, CLAIM_TOL).violations if v.gap > min_gap)
             if strong:
                 return NonfactorizationResult(example_id, table, skeleton, strong, chunk[k])
     raise CounterexampleNotFound(
@@ -497,7 +490,7 @@ def anticausal_control(seed: int) -> ControlResult:
     result still factorizes according to the edge-dropped skeleton, within
     ``factorizes_according_to``'s default 1e-9."""
     tpl = random_instance("A", seed)
-    balanced = balance_exact(tpl.observed(), BalanceSpec(JointTarget(tpl.y, tpl.z)))
+    balanced = balance_exact(tpl.observed(), BalanceSpec(JointTarget("Y", "Z")))
     report = factorizes_according_to(balanced, tpl.mutilated_skeleton())
     return ControlResult(report.factorizes, report.max_gap(), report)
 
@@ -517,48 +510,39 @@ class FairnessReport:
     premise_holds: bool
     conclusion_gap: float
     conclusion_holds: bool
-    tol: float
 
 
-def _criteria(w: tuple[str, ...], y: str, z: str) -> dict[FairnessCriterion, tuple[tuple[str, ...], ...]]:
+def _criteria(w: tuple[str, ...]) -> dict[FairnessCriterion, tuple[tuple[str, ...], ...]]:
     """The independence (a, b, given) that each criterion asks of a score computed from ``w``."""
     return {
-        FairnessCriterion.DEMOGRAPHIC_PARITY: (w, (z,), ()),
-        FairnessCriterion.PREDICTIVE_PARITY: ((y,), (z,), w),
-        FairnessCriterion.EQUALIZED_ODDS: (w, (z,), (y,)),
+        FairnessCriterion.DEMOGRAPHIC_PARITY: (w, ("Z",), ()),
+        FairnessCriterion.PREDICTIVE_PARITY: (("Y",), ("Z",), w),
+        FairnessCriterion.EQUALIZED_ODDS: (w, ("Z",), ("Y",)),
     }
 
 
 def check_fairness_implication(
-    table: JointTable,
-    labels: DecompositionLabel,
-    criterion: FairnessCriterion,
-    y: str = "Y",
-    z: str = "Z",
-    tol: float = 1e-9,
+    table: JointTable, labels: DecompositionLabel, criterion: FairnessCriterion
 ) -> FairnessReport:
-    """If the core covariates are independent of the group factor given the
-    label, balancing makes the named fairness criterion hold for any score
-    computed from the core covariates.  Reports the premise gap in the input
-    distribution and the conclusion gap in its balanced version."""
-    _check_coverage(table, labels, y, z)
+    """If the core covariates are independent of Z given Y, balancing makes
+    the named fairness criterion hold for any score computed from the core
+    covariates.  Reports the premise gap in the input distribution and the
+    conclusion gap in its balanced version."""
+    _check_coverage(table, labels)
     criterion = enum_member(FairnessCriterion, criterion)
-    premise = is_independent(table, labels.core, (z,), (y,), tol)
-    balanced = balance_exact(table, BalanceSpec(JointTarget(y, z)))
-    conclusion_gap = is_independent(balanced, *_criteria(labels.core, y, z)[criterion], 1.0).max_gap
+    premise = is_independent(table, labels.core, ("Z",), ("Y",), CLAIM_TOL)
+    balanced = balance_exact(table, BalanceSpec(JointTarget("Y", "Z")))
+    conclusion_gap = _independence(balanced, *_criteria(labels.core)[criterion], CLAIM_TOL).max_gap
     return FairnessReport(
         criterion=criterion,
         premise_gap=premise.max_gap,
         premise_holds=premise.independent,
         conclusion_gap=conclusion_gap,
-        conclusion_holds=conclusion_gap <= tol,
-        tol=tol,
+        conclusion_holds=conclusion_gap <= CLAIM_TOL,
     )
 
 
 # -- The claims table ----------------------------------------------------------
-
-CLAIM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -608,38 +592,38 @@ def claims(template: GraphTemplate) -> tuple[Claim, ...]:
     Q, the premise core ⊥ Z | Y and the scored shift family are computed
     once each and shared by the rows that read them.
     """
-    observed, labels, y, z = template.observed(), labels_for(template), template.y, template.z
-    _check_coverage(observed, labels, y, z)
+    observed, labels = template.observed(), labels_for(template)
+    _check_coverage(observed, labels)
     core, rest, entangled = labels.core, labels.rest, template.entangled
 
     def gap(table: JointTable, a: tuple[str, ...], b: tuple[str, ...], given: tuple[str, ...] = ()) -> float:
         return _independence(table, a, b, given, CLAIM_TOL).max_gap
 
-    balanced = _derived(observed.variables, _balance_pair(observed.probs, observed.axes((y, z)), (y, z)))
-    cond2 = gap(observed, core, (z,), (y,))
-    conditions = max(gap(observed, rest, (y, *core), (z,)) if rest else 0.0, cond2)
+    balanced = _derived(observed.variables, _balance_pair(observed.probs, observed.axes(("Y", "Z")), ("Y", "Z")))
+    cond2 = gap(observed, core, ("Z",), ("Y",))
+    conditions = max(gap(observed, rest, ("Y", *core), ("Z",)) if rest else 0.0, cond2)
     family = ShiftFamily(balanced, correlation_grid())
-    covariates = tuple(n for n in observed.names if n not in (y, z))
+    covariates = tuple(n for n in observed.names if n not in ("Y", "Z"))
     probs, scores = _score_members(bayes_predictor(balanced, covariates), family)
     risk_gap = _risk_gap(family, probs, scores, "squared").sup_gap
     epsilon = _epsilon(_covariate_axes(family, core)[1], probs, scores)
-    fairness = [Claim(c.value, cond2, gap(balanced, *s), CLAIM_TOL) for c, s in _criteria(core, y, z).items()]
-    representation = max(gap(balanced, (y,), (z,)), gap(balanced, core, (z,), (y,)))  # regularized given Y
-    moved = abs(gap(balanced, core, (z,)) - gap(observed, core, (z,)))
-    pyz, uniform_y = marginal_probs(observed, (y, z)), reweight_marginal(observed, (y,), np.full(2, 0.5))
+    fairness = [Claim(c.value, cond2, gap(balanced, *s), CLAIM_TOL) for c, s in _criteria(core).items()]
+    representation = max(gap(balanced, ("Y",), ("Z",)), gap(balanced, core, ("Z",), ("Y",)))  # regularized given Y
+    moved = abs(gap(balanced, core, ("Z",)) - gap(observed, core, ("Z",)))
+    pyz, uniform_y = marginal_probs(observed, ("Y", "Z")), reweight_marginal(observed, ("Y",), np.full(2, 0.5))
     bias_bound = float(abs(pyz[1].sum() - 0.5) * abs(pyz[1, 1] / pyz[1].sum() - pyz[0, 1] / pyz[0].sum()))
-    bias_shift = float(abs(marginal_probs(uniform_y, (z,))[1] - marginal_probs(observed, (z,))[1]))
+    bias_shift = float(abs(marginal_probs(uniform_y, ("Z",))[1] - marginal_probs(observed, ("Z",))[1]))
     rows = [
         Claim("invariance", conditions, risk_gap, CLAIM_TOL),
         Claim("epsilon_bound", epsilon, risk_gap, epsilon + CLAIM_TOL),
         *fairness,
         Claim("conditional_regularizer", representation, max(c.conclusion_gap for c in fairness), CLAIM_TOL),
-        Claim("causal_dependence", gap(observed, (y,), (z,)), moved, CLAIM_TOL),
+        Claim("causal_dependence", gap(observed, ("Y",), ("Z",)), moved, CLAIM_TOL),
         Claim("bias_shift", bias_bound, bias_shift, bias_bound + CLAIM_TOL),
     ]
     if entangled:
-        pxz, score = marginal_probs(balanced, (*entangled, z)), bayes_predictor(balanced, entangled).scores
+        pxz, score = marginal_probs(balanced, (*entangled, "Z")), bayes_predictor(balanced, entangled).scores
         means = np.tensordot(score, pxz, len(entangled)) / _marginal(pxz, (len(entangled),))  # E[f | z] per z
-        rows.append(Claim("entangled_gap", gap(balanced, entangled, (z,), (y,)), float(np.ptp(means)), CLAIM_TOL))
+        rows.append(Claim("entangled_gap", gap(balanced, entangled, ("Z",), ("Y",)), float(np.ptp(means)), CLAIM_TOL))
     skeleton_gap = factorizes_according_to(balanced, template.mutilated_skeleton(), CLAIM_TOL).max_gap()
     return (*rows, Claim("factorization", conditions, skeleton_gap, CLAIM_TOL))

@@ -148,7 +148,7 @@ def evaluate(
             if len(rates) >= 2:
                 pp_gap = max(pp_gap, max(rates) - min(rates))
 
-    encoding = None if probe_seed is None else probe_encoding(params, data, "z", seed=probe_seed)
+    encoding = None if probe_seed is None else probe_encoding(params, data, probe_seed)
 
     return MetricsReport(
         accuracy=accuracy,
@@ -166,28 +166,23 @@ def evaluate(
 
 @dataclass(frozen=True)
 class RiskReport:
-    labels: tuple[str, ...]
     risks: tuple[float, ...]
     max_gap: float
-    loss: str
 
     def to_dict(self) -> dict:
         return {
-            "risks": {k: v for k, v in zip(self.labels, self.risks)},
+            "risks": {str(i): r for i, r in enumerate(self.risks)},
             "max_gap": self.max_gap,
-            "loss": self.loss,
         }
 
 
-def risk_invariance_report(params: ModelParams, testsets: Sequence[Dataset], loss: str = "zero_one") -> RiskReport:
-    """Risk of one model across several test sets, each labelled by its
-    position, plus the largest pairwise gap."""
+def risk_invariance_report(params: ModelParams, testsets: Sequence[Dataset]) -> RiskReport:
+    """Zero-one risk of one model on each of several test sets, in order,
+    plus the largest pairwise gap."""
     if not isinstance(testsets, Sequence):
         raise ArgumentError(f"testsets must be a sequence, got {type(testsets).__name__}")
     if len(testsets) < 2:
         raise ArgumentError("need at least two test sets")
-    if loss not in ("zero_one", "logloss"):
-        raise ArgumentError(f"loss must be 'zero_one' or 'logloss', got {loss!r}")
     risks = []
     for i, ds in enumerate(testsets):
         if not isinstance(ds, Dataset):
@@ -196,7 +191,7 @@ def risk_invariance_report(params: ModelParams, testsets: Sequence[Dataset], los
             raise ArgumentError(f"testsets[{i}] is empty")
         if not ds.weights.sum() > 0:
             raise ArgumentError(f"testsets[{i}] has zero total weight")
-        loss_y0, loss_y1 = _LOSS_PAIRS[loss](predict_scores(params, ds.x))
+        loss_y0, loss_y1 = _LOSS_PAIRS["zero_one"](predict_scores(params, ds.x))
         risks.append(_weighted_mean(np.where(ds.y == 1, loss_y1, loss_y0), ds.weights))
     # subtraction is monotone, so this is the largest pairwise |a - b| bit for bit
-    return RiskReport(tuple(map(str, range(len(risks)))), tuple(risks), max(risks) - min(risks), loss)
+    return RiskReport(tuple(risks), max(risks) - min(risks))

@@ -491,28 +491,24 @@ def _fit_probe(a: np.ndarray, labels: np.ndarray) -> np.ndarray:
     raise NumericsError(f"probe fit did not reach gradient norm {_PROBE_GTOL} in {_PROBE_MAX_STEPS} steps")
 
 
-def probe_encoding(params: ModelParams, data: Dataset, target: str = "z", seed: int = 0) -> float:
-    """Held-out accuracy of a logistic regression that reads the 0/1 target
-    column off the frozen representation; near the majority rate means the
+def probe_encoding(params: ModelParams, data: Dataset, seed: int = 0) -> float:
+    """Held-out accuracy of a logistic regression that reads the 0/1 group
+    factor z off the frozen representation; near the majority rate means the
     representation does not encode it.
 
     The seed picks only the 70/30 train/test split; the fit is the
     deterministic, convergence-gated Newton solve of ``_fit_probe``.  An
     empty split or a single-class training split raises DegenerateTarget.
     """
-    if target not in ("z", "v"):
-        raise ArgumentError(f"target must be 'z' or 'v', got {target!r}")
-    labels = data.z if target == "z" else data.v
-    if labels is None:
-        raise ArgumentError("dataset has no v column")
-    if not set(np.unique(labels).tolist()) <= {0, 1}:
-        raise ArgumentError(f"target {target!r} must take only the values 0 and 1")
+    z = data.z
+    if not set(np.unique(z).tolist()) <= {0, 1}:
+        raise ArgumentError("target 'z' must take only the values 0 and 1")
     perm = spawn(seed, _STREAM_PROBE).permutation(len(data))
     cut = int(0.7 * len(data))
     train_idx, test_idx = perm[:cut], perm[cut:]
-    if len(test_idx) == 0 or len(np.unique(labels[train_idx])) < 2:
-        raise DegenerateTarget(f"target {target!r} needs both classes in the probe's training split and a test row")
+    if len(test_idx) == 0 or len(np.unique(z[train_idx])) < 2:
+        raise DegenerateTarget("target 'z' needs both classes in the probe's training split and a test row")
     a = np.column_stack([representation(params, data.x), np.ones(len(data))])
-    w = _fit_probe(a[train_idx], labels[train_idx])
+    w = _fit_probe(a[train_idx], z[train_idx])
     preds = a[test_idx] @ w >= 0.0
-    return float(np.mean(preds == labels[test_idx].astype(bool)))
+    return float(np.mean(preds == z[test_idx].astype(bool)))

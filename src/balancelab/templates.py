@@ -17,19 +17,24 @@ copy of U, and V tracks the label with an extra pull toward Z; the collider
 at Y couples X_core to Z given Y.
 
 Each template also lists its ``undesired`` edges: removing them with
-``bayesnet.mutilate`` gives the graph's ideal law, in which Y ⊥ Z.
+``bayesnet.mutilate`` gives the graph's ideal law, in which Y ⊥ Z.  In every
+template the label is the node ``"Y"`` and the group factor ``"Z"``.  A
+builder parameter that is not a finite real, or a pair parameter that is not
+two finite reals, raises ArgumentError naming it.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, wraps
+from typing import ClassVar
 
 import numpy as np
 
 from .bayesnet import Cbn, Dag, joint, observed_dag
 from .errors import ArgumentError
-from .rng import spawn
+from .rng import is_real, spawn
 from .tables import JointTable, Variable, marginalize
 
 GRAPH_IDS = ("A", "B", "C", "D")
@@ -42,13 +47,13 @@ class GraphTemplate:
     graph_id: str
     net: Cbn
     latents: tuple[str, ...]
-    y: str
-    z: str
     core: tuple[str, ...]
     spurious: tuple[str, ...]
     entangled: tuple[str, ...]
     other_factor: tuple[str, ...]
     undesired: tuple[tuple[str, str], ...]  # edges whose removal gives the ideal law
+    y: ClassVar[str] = "Y"
+    z: ClassVar[str] = "Z"
 
     @property
     def observed_names(self) -> tuple[str, ...]:
@@ -67,6 +72,30 @@ class GraphTemplate:
         V.  ROADMAP item 5 replaces it with the ideal law.
         """
         return observed_dag(self.net, self.latents)
+
+
+def _real_params(builder):
+    """``builder`` with its arguments checked first: a pair parameter (one
+    whose default is a tuple) must be two finite reals, any other parameter
+    a finite real, else ArgumentError names it."""
+    signature = inspect.signature(builder)
+
+    @wraps(builder)
+    def checked(*args, **kwargs):
+        for name, value in signature.bind(*args, **kwargs).arguments.items():
+            pair = isinstance(signature.parameters[name].default, tuple)
+            if not (_is_pair(value) if pair else is_real(value)):
+                raise ArgumentError(f"{name} must be {'two finite reals' if pair else 'a finite real'}, got {value!r}")
+        return builder(*args, **kwargs)
+
+    return checked
+
+
+def _is_pair(value) -> bool:
+    try:
+        return len(value) == 2 and all(map(is_real, value))
+    except TypeError:  # no length
+        return False
 
 
 def _pair_joint(confounding: tuple[float, float], z_marginal: float) -> np.ndarray:
@@ -100,6 +129,7 @@ def _pair_driver_cpts(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return pu, y_rows, z_rows
 
 
+@_real_params
 def template_a(
     confounding: tuple[float, float] = (0.95, 0.10),
     z_marginal: float = 0.5,
@@ -113,9 +143,10 @@ def template_a(
         {"Y": ("U",), "Z": ("U",), "X_core": ("Y",), "X_aux": ("Z",)},
         {"U": pu, "Y": y_rows, "Z": z_rows, "X_core": _flip_cpt(core_flip), "X_aux": _flip_cpt(aux_flip)},
     )
-    return GraphTemplate("A", net, ("U",), "Y", "Z", ("X_core",), ("X_aux",), (), (), (("U", "Z"),))
+    return GraphTemplate("A", net, ("U",), ("X_core",), ("X_aux",), (), (), (("U", "Z"),))
 
 
+@_real_params
 def template_b(
     x_effect: float = 0.6,
     confounder_effect: float = 0.3,
@@ -141,9 +172,10 @@ def template_b(
         },
     )
     undesired = (("U", "Y"), ("U", "Z"))
-    return GraphTemplate("B", net, ("U",), "Y", "Z", ("X_core",), ("X_aux",), (), (), undesired)
+    return GraphTemplate("B", net, ("U",), ("X_core",), ("X_aux",), (), (), undesired)
 
 
+@_real_params
 def template_c(
     confounder_strength: float = 0.45,
     label_noise: float = 0.02,
@@ -191,9 +223,10 @@ def template_c(
         },
     )
     undesired = (("U", "Z"), ("Y", "V"))
-    return GraphTemplate("C", net, ("T", "U", "V"), "Y", "Z", ("X_core",), ("X_aux",), (), ("X_v",), undesired)
+    return GraphTemplate("C", net, ("T", "U", "V"), ("X_core",), ("X_aux",), (), ("X_v",), undesired)
 
 
+@_real_params
 def template_d(
     confounding: tuple[float, float] = (0.95, 0.10),
     z_marginal: float = 0.5,
@@ -214,7 +247,7 @@ def template_d(
         {"U": pu, "Y": y_rows, "Z": z_rows, "X_core": _flip_cpt(core_flip), "X_ent": ent_rows},
     )
     undesired = (("U", "Z"), ("Y", "X_ent"), ("Z", "X_ent"))
-    return GraphTemplate("D", net, ("U",), "Y", "Z", ("X_core",), (), ("X_ent",), (), undesired)
+    return GraphTemplate("D", net, ("U",), ("X_core",), (), ("X_ent",), (), undesired)
 
 
 def graph_template(graph_id: str, **params) -> GraphTemplate:

@@ -34,7 +34,7 @@ from balancelab.checks import (
     anticausal_control,
     find_nonfactorizing_balance,
 )
-from balancelab.errors import ArgumentError, CycleError, EdgeError
+from balancelab.errors import ArgumentError, CycleError, EdgeError, UnknownVariableError
 from balancelab.rng import spawn
 from balancelab.tables import JointTable, SampleBatch, Variable, is_independent, marginalize
 from balancelab.templates import GraphTemplate, graph_template, random_instance
@@ -303,7 +303,7 @@ class TestJoint:
             {n: (names[i - 1],) for i, n in enumerate(names) if i},
             {n: np.full((2, 2) if i else (2,), 0.5) for i, n in enumerate(names)},
         )
-        tpl = GraphTemplate("A", net, (), "N0", "N1", (), (), (), (), ())
+        tpl = GraphTemplate("A", net, (), (), (), (), (), ())
         for build in (lambda: joint(net), lambda: mutilate(net, [("N0", "N1")]), tpl.observed):
             with pytest.raises(ArgumentError, match="dense cap"):
                 build()
@@ -411,6 +411,20 @@ class TestMutilate:
         assert dag.edges == (("Z", "X_aux"),)
         assert observed_dag(net, ("T", "U", "V"), [("Z", "X_aux")]).edges == ()
         assert observed_dag(net, ()).parents == net.parents
+
+    def test_observed_dag_rejects_an_unknown_latent(self):
+        net = graph_template("A").net
+        with pytest.raises(UnknownVariableError, match="'Q'"):
+            observed_dag(net, ["Q"])
+        with pytest.raises(UnknownVariableError, match="'Q'"):
+            observed_dag(net.dag, ["U", "Q"])
+
+    @pytest.mark.parametrize("edge", [("Y", "X_aux"), ("X_aux", "Z"), ("U", "Z"), ("Q", "Y"), ("Y", "Q")])
+    def test_observed_dag_rejects_a_dropped_pair_that_is_not_an_observed_edge(self, edge):
+        net = graph_template("A").net
+        with pytest.raises(EdgeError, match=f"{edge[0]!r} -> {edge[1]!r}"):
+            observed_dag(net, ["U"], [edge])
+        assert observed_dag(net, ["U"], [("Z", "X_aux")]).edges == (("Y", "X_core"),)
 
 
 class TestFactorization:

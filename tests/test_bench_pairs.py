@@ -170,7 +170,8 @@ def test_main_prints_attempted_counts_under_the_table(monkeypatch, capsys, tmp_p
     assert lines[2] == "attempted tasks, median: parent 27000, change 33000 (+22.2%)"
     assert lines[3] == "set-up, median in-process / replica: parent 0.3 / 0.255 s, change 0.2 / 0.16 s"
     assert lines[4] == "src/balancelab lines: parent 30, change 28 (-2)"
-    assert lines[5:] == ["no quality means to compare"]
+    assert lines[5] == "src/balancelab settable values: parent 0, change 0 (+0)"
+    assert lines[6:] == ["no quality means to compare"]
 
 
 def test_setup_medians_per_side_split_in_process_from_replicas():
@@ -189,6 +190,50 @@ def test_source_lines_count_every_package_file_as_wc_does(tmp_path):
     assert bench_pairs.source_lines(change) == 3
     assert bench_pairs.lines_line(4, 3) == "src/balancelab lines: parent 4, change 3 (-1)"
     assert bench_pairs.lines_line(3, 3).endswith("(+0)")
+
+
+SETTABLE = """
+from dataclasses import dataclass, field
+from typing import ClassVar
+
+
+def public(a, b=1, *args, c, d=2, **kwargs): ...           # 2
+async def fetch(a=1): ...                                   # 1
+def _private(a=1): ...                                      # 0
+
+
+class Plain:
+    limit: int = 3                                          # 0: not a dataclass
+    def method(self, a=1, *, b=2): ...                      # 2
+    def _helper(self, a=1): ...                             # 0
+    def __init__(self, a=1): ...                            # 0
+
+
+@dataclass(frozen=True)
+class Spec:
+    name: str                                               # 0: no default
+    seed: int = 0                                           # 1
+    tags: list = field(default_factory=list)                # 1
+    size: int = field(default=3, repr=False)                # 1
+    cache: dict = field(init=False, default_factory=dict)   # 0: not an init field
+    view: object = field(repr=False)                        # 0: no default
+    kind: ClassVar[str] = "spec"                            # 0: a class constant
+    def scaled(self, by=2.0): ...                           # 1
+
+
+@dataclass
+class _Hidden:
+    seed: int = 0                                           # 0: a private class
+"""
+
+
+def test_settable_values_count_defaults_of_the_public_api(tmp_path):
+    parent = checkout(tmp_path / "parent", {"a.py": SETTABLE, "sub/b.py": "def more(x=1, y=2): ...\n"})
+    change = checkout(tmp_path / "change", {"a.py": SETTABLE})
+    assert bench_pairs.settable_values(parent) == 2 + 1 + 2 + 3 + 1 + 2
+    assert bench_pairs.settable_values(change) == 9
+    line = bench_pairs.settable_line(11, 9)
+    assert line == "src/balancelab settable values: parent 11, change 9 (-2)"
 
 
 def test_checkout_without_the_package_fails_before_any_run(monkeypatch, tmp_path):

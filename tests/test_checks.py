@@ -14,7 +14,7 @@ import re
 import sys
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -187,6 +187,36 @@ def reference_claims(tpl) -> dict[str, tuple[float, float, float]]:
         rows["entangled_gap"] = (is_independent(bal, tpl.entangled, (z,), (y,)).max_gap, max(means) - min(means), 1e-9)
     rows["factorization"] = (premise, factorizes_according_to(bal, tpl.mutilated_skeleton()).max_gap(), 1e-9)
     return rows
+
+
+class TestFixedNames:
+    """Every check reads the label "Y" and the group factor "Z" and gives its verdicts with ``CLAIM_TOL``."""
+
+    def test_signatures_take_no_names_and_no_tolerance(self):
+        def params(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert params(check_invariance_conditions) == ["table", "labels"]
+        assert params(check_fairness_implication) == ["table", "labels", "criterion"]
+        assert params(check_epsilon_risk_bound) == ["fitted", "family", "core", "loss"]
+        assert params(ShiftFamily) == ["base", "grid"]
+        assert [f.name for f in fields(checks.ConditionReport)] == ["holds", "cond1_gap", "cond2_gap"]
+        names = ["criterion", "premise_gap", "premise_holds", "conclusion_gap", "conclusion_holds"]
+        assert [f.name for f in fields(checks.FairnessReport)] == names
+        assert checks.CLAIM_TOL == 1e-9
+
+    def test_a_table_without_y_is_an_unknown_variable(self):
+        tpl = graph_template("A")
+        observed = tpl.observed()
+        renamed = JointTable(tuple(Variable("L" if v.name == "Y" else v.name, v.cardinality) for v in observed.variables), observed.probs)
+        labels = labels_for(tpl)
+        with pytest.raises(UnknownVariableError, match="'Y'"):
+            check_invariance_conditions(renamed, labels)
+        for criterion in FairnessCriterion:
+            with pytest.raises(UnknownVariableError, match="'Y'"):
+                check_fairness_implication(renamed, labels, criterion)
+        with pytest.raises(UnknownVariableError, match="'Y'"):
+            ShiftFamily(renamed, correlation_grid(3))
 
 
 class TestInvarianceConditions:
@@ -457,11 +487,11 @@ def loop_flat(member, cov_names, y):
 
 def loop_risk_invariance_gap(predictor, family, loss):
     """State-by-state reference: the risk of every member, then the largest pairwise gap."""
-    cov_names = tuple(n for n in family.base.names if n not in (family.y, family.z))
+    cov_names = tuple(n for n in family.base.names if n not in ("Y", "Z"))
     input_pos = tuple(cov_names.index(n) for n in predictor.inputs)
     risks = []
     for member in family.members():
-        flat, cards = loop_flat(member, cov_names, family.y)
+        flat, cards = loop_flat(member, cov_names, "Y")
         risk = 0.0
         for idx, row in enumerate(flat):
             if row.sum() == 0.0:
@@ -484,12 +514,12 @@ def loop_risk_invariance_gap(predictor, family, loss):
 def loop_epsilon(fitted, family, core):
     """State-by-state reference: twice the largest |score - E[Y | core]| over
     members and reachable states."""
-    cov_names = tuple(n for n in family.base.names if n not in (family.y, family.z))
+    cov_names = tuple(n for n in family.base.names if n not in ("Y", "Z"))
     input_pos = tuple(cov_names.index(n) for n in fitted.inputs)
     core_pos = tuple(cov_names.index(n) for n in core)
     half_eps = 0.0
     for member in family.members():
-        flat, cards = loop_flat(member, cov_names, family.y)
+        flat, cards = loop_flat(member, cov_names, "Y")
         masses = flat.sum(axis=1)
         reachable = np.flatnonzero(masses > 0)
         core_mass, core_ymass, scores, core_keys = {}, {}, {}, {}
@@ -638,21 +668,15 @@ class TestEpsilonBound:
         assert calls == [(5,) + q.shape]  # one stacked reweight, when the family is built
         assert rep.gap == expected
 
-    @pytest.mark.parametrize("slack", [-1.0, float("nan"), float("inf"), True, "0.1", None])
-    def test_slack_must_be_finite_and_non_negative(self, slack):
-        tpl = random_instance("A", 2)
+    def test_epsilon_and_gap_read_the_scored_members_once(self, monkeypatch):
+        tpl = random_instance("D", 4)
         q = balanced(tpl.observed())
-        fam = ShiftFamily(q, correlation_grid(3))
-        with pytest.raises(ArgumentError, match="slack"):
-            check_epsilon_risk_bound(bayes_predictor(q, tpl.core), fam, tpl.core, slack=slack)
-
-    def test_slack_accepts_zero_and_numpy_floats(self):
-        tpl = random_instance("A", 2)
-        q = balanced(tpl.observed())
-        fam = ShiftFamily(q, correlation_grid(3))
-        pred = bayes_predictor(q, tpl.core)
-        plain = check_epsilon_risk_bound(pred, fam, tpl.core, slack=0)
-        assert check_epsilon_risk_bound(pred, fam, tpl.core, slack=np.float64(0.0)) == plain
+        pred = bayes_predictor(q, tpl.core + tpl.entangled)
+        reads = []
+        counting(monkeypatch, checks, "_scored_members", reads)
+        rep = check_epsilon_risk_bound(pred, ShiftFamily(q, correlation_grid(5)), tpl.core)
+        assert len(reads) == 1
+        assert rep.bound_holds and rep.gap <= rep.epsilon + checks.CLAIM_TOL
 
 
 class TestNonfactorization:
@@ -722,9 +746,9 @@ class TestFairnessImplications:
     def test_premise_implies_conclusion_on_anticausal_instances(self, criterion):
         for seed in range(15):
             tpl = random_instance("A", seed)
-            rep = check_fairness_implication(tpl.observed(), labels_for(tpl), criterion, tol=1e-12)
-            assert rep.premise_holds
-            assert rep.conclusion_holds, (seed, criterion, rep.conclusion_gap)
+            rep = check_fairness_implication(tpl.observed(), labels_for(tpl), criterion)
+            assert rep.premise_holds and rep.premise_gap <= 1e-12, (seed, criterion, rep.premise_gap)
+            assert rep.conclusion_holds and rep.conclusion_gap <= 1e-12, (seed, criterion, rep.conclusion_gap)
 
     def test_causal_premise_failure_breaks_demographic_parity(self):
         tpl = graph_template("B")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import fields
 
@@ -189,7 +190,7 @@ class TestRiskReport:
         for k in range(3):
             y = gen.integers(0, 2, 4000)
             sets.append(dataset(y, gen.integers(0, 2, 4000), gen.uniform(0, 1, 4000)))
-        rep = risk_invariance_report(const, sets, "zero_one")
+        rep = risk_invariance_report(const, sets)
         assert rep.max_gap < 0.04  # sampling noise only
 
     def test_gap_matches_risks(self):
@@ -205,11 +206,11 @@ class TestRiskReport:
     def test_to_dict_is_json_with_every_field(self):
         gen = np.random.default_rng(4)
         sets = [dataset(gen.integers(0, 2, 50), gen.integers(0, 2, 50), gen.uniform(0, 1, 50)) for _ in range(3)]
-        rep = risk_invariance_report(passthrough_params(), sets, "logloss")
-        assert rep.labels == ("0", "1", "2")
+        rep = risk_invariance_report(passthrough_params(), sets)
+        assert [f.name for f in fields(rep)] == ["risks", "max_gap"]
         back = json.loads(json.dumps(rep.to_dict()))
-        assert back == {"risks": dict(zip(rep.labels, rep.risks)), "max_gap": rep.max_gap, "loss": "logloss"}
-        assert tuple(back["risks"]) == rep.labels
+        assert back == {"risks": dict(zip(("0", "1", "2"), rep.risks)), "max_gap": rep.max_gap}
+        assert tuple(back["risks"]) == ("0", "1", "2")
 
     def test_zero_weight_set_rejected(self):
         y = np.array([0, 1] * 5)
@@ -238,10 +239,19 @@ class TestRiskReport:
             loss_y0, loss_y1 = _LOSS_PAIRS[name](scores)
             assert np.where(y == 1, loss_y1, loss_y0).tobytes() == expected.tobytes(), name
 
-    def test_unknown_loss_rejected(self):
-        y = np.array([0, 1] * 5)
-        with pytest.raises(ArgumentError, match="loss"):
-            risk_invariance_report(passthrough_params(), [dataset(y, y, y), dataset(y, y, y)], "squared")
+    def test_takes_no_loss(self):
+        assert list(inspect.signature(risk_invariance_report).parameters) == ["params", "testsets"]
+
+    def test_risks_are_weighted_zero_one_risks(self):
+        gen = np.random.default_rng(9)
+        sets = []
+        for _ in range(3):
+            y = gen.integers(0, 2, 300)
+            sets.append(dataset(y, gen.integers(0, 2, 300), gen.uniform(0, 1, 300), gen.uniform(0.1, 2.0, 300)))
+        rep = risk_invariance_report(passthrough_params(), sets)
+        for ds, risk in zip(sets, rep.risks):
+            wrong = (predict_scores(passthrough_params(), ds.x) >= 0.5) != ds.y.astype(bool)
+            assert risk == pytest.approx(np.average(wrong, weights=ds.weights), abs=1e-15)
 
     def test_max_gap_is_largest_pairwise_difference(self):
         gen = np.random.default_rng(8)
@@ -250,10 +260,9 @@ class TestRiskReport:
             for _ in range(int(gen.integers(2, 8))):
                 m = int(gen.integers(5, 60))
                 sets.append(dataset(gen.integers(0, 2, m), gen.integers(0, 2, m), gen.uniform(0, 1, m), gen.uniform(0.1, 2.0, m)))
-            for loss in ("zero_one", "logloss"):
-                rep = risk_invariance_report(passthrough_params(), sets, loss)
-                pairwise = max(abs(a - b) for a in rep.risks for b in rep.risks)
-                assert rep.max_gap.hex() == pairwise.hex(), (trial, loss)
+            rep = risk_invariance_report(passthrough_params(), sets)
+            pairwise = max(abs(a - b) for a in rep.risks for b in rep.risks)
+            assert rep.max_gap.hex() == pairwise.hex(), trial
 
     @pytest.mark.parametrize(
         "entries,named",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import warnings
@@ -591,7 +592,7 @@ class TestTrainContract:
         runs = []
         for subset in (ds.take(rows), validating_take(ds, rows)):
             result = train(subset, spec)
-            runs.append((result, probe_encoding(result.params, subset, "v", seed=4)))
+            runs.append((result, probe_encoding(result.params, subset, seed=4)))
         (fast, fast_acc), (slow, slow_acc) = runs
         for a, b in zip(fast.params.weights + fast.params.biases, slow.params.weights + slow.params.biases):
             assert np.array_equal(a, b)
@@ -828,7 +829,7 @@ class TestProbe:
             [np.zeros((ds.x.shape[1], 4)), np.zeros((4, 1))],
             [np.zeros(4), np.zeros(1)],
         )
-        acc = probe_encoding(zero, ds, "z", seed=1)
+        acc = probe_encoding(zero, ds, seed=1)
         majority = max(np.mean(ds.z), 1 - np.mean(ds.z))
         assert abs(acc - majority) < 0.06
 
@@ -837,20 +838,17 @@ class TestProbe:
         ds = generate(spec)
         linear = ModelParams([np.zeros((ds.x.shape[1], 1))], [np.zeros(1)])
         assert np.array_equal(representation(linear, ds.x), ds.x)
-        acc = probe_encoding(linear, ds, "z", seed=2)
+        acc = probe_encoding(linear, ds, seed=2)
         assert acc > 0.9  # the aux channel sits in the inputs
 
     def test_degenerate_target_rejected(self):
         ds = two_cluster_dataset(9)
         params = ModelParams([np.zeros((3, 1))], [np.zeros(1)])
         with pytest.raises(DegenerateTarget):
-            probe_encoding(params, ds, "z", seed=0)
+            probe_encoding(params, ds, seed=0)
 
-    def test_missing_v_column(self):
-        ds = two_cluster_dataset(10)
-        params = ModelParams([np.zeros((3, 1))], [np.zeros(1)])
-        with pytest.raises(ArgumentError):
-            probe_encoding(params, ds, "v", seed=0)
+    def test_probes_only_the_group_factor(self):
+        assert list(inspect.signature(probe_encoding).parameters) == ["params", "data", "seed"]
 
     def test_gradient_vanishes_at_returned_weights(self):
         a, labels = probe_problem(13)
@@ -893,12 +891,12 @@ class TestProbe:
         x[:, 0] += np.where(z == 1, 0.5, -0.5)
         ds = Dataset(np.zeros(500, dtype=np.int64), z, x, np.ones(500), {"all": (0, 3)})
         linear = ModelParams([np.zeros((3, 1))], [np.zeros(1)])
-        assert probe_encoding(linear, ds, "z", seed=5) == 1.0
+        assert probe_encoding(linear, ds, seed=5) == 1.0
 
     def test_same_seed_is_bit_identical(self):
         ds = generate(GenSpec(graph="C", n=1500, seed=16))
         params = random_params(17, d=ds.x.shape[1], hidden=8)
-        assert probe_encoding(params, ds, "z", seed=6) == probe_encoding(params, ds, "z", seed=6)
+        assert probe_encoding(params, ds, seed=6) == probe_encoding(params, ds, seed=6)
         a, labels = probe_problem(18)
         assert np.array_equal(model._fit_probe(a, labels), model._fit_probe(a, labels))
 
@@ -917,7 +915,7 @@ class TestProbe:
         ds = Dataset(np.zeros(n, dtype=np.int64), np.arange(n) % 2, np.ones((n, 3)), np.ones(n), {"all": (0, 3)})
         params = ModelParams([np.zeros((3, 1))], [np.zeros(1)])
         with pytest.raises(DegenerateTarget):
-            probe_encoding(params, ds, "z", seed=0)
+            probe_encoding(params, ds, seed=0)
 
     def test_lone_minority_row_in_test_split_is_degenerate(self):
         n, seed = 50, 8
@@ -926,14 +924,14 @@ class TestProbe:
         ds = Dataset(np.zeros(n, dtype=np.int64), z, spawn(21, 54).normal(size=(n, 3)), np.ones(n), {"all": (0, 3)})
         params = ModelParams([np.zeros((3, 1))], [np.zeros(1)])
         with pytest.raises(DegenerateTarget, match="training split"):
-            probe_encoding(params, ds, "z", seed=seed)
+            probe_encoding(params, ds, seed=seed)
 
     def test_non_binary_target_names_it(self):
         ds = toy_dataset(22, n=30)
         ds = Dataset(ds.y, np.arange(30) % 3, ds.x, ds.weights, ds.channel_slices)
         params = ModelParams([np.zeros((4, 1))], [np.zeros(1)])
         with pytest.raises(ArgumentError, match="target 'z'"):
-            probe_encoding(params, ds, "z", seed=0)
+            probe_encoding(params, ds, seed=0)
 
 
 class TestSerialization:

@@ -25,7 +25,10 @@ set-up, read from the record's ``setup_samples_s`` (the run's own set-up
 first, then those of its ``--setup-only`` replicas), since ``setup_s`` is
 the median of both kinds and they can disagree.
 Then it gives each checkout's line count of the package source,
-``src/balancelab``, and the change in it.
+``src/balancelab``, and under it the package's count of settable values,
+each with the change in it.  A settable value is a parameter with a default
+of a public function or method, or an ``__init__`` field with a default or
+``default_factory`` of a public dataclass.
 
 Each run's ``{"record": ...}`` line also carries the means of the
 workload's quality outputs over its first pass.  For every seed the summary
@@ -40,6 +43,7 @@ run the benchmark.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import statistics
@@ -199,24 +203,78 @@ def setup_line(samples: list[tuple[list[float] | None, list[float] | None]]) -> 
     return "set-up, median in-process / replica: " + ", ".join(parts)
 
 
-def source_lines(checkout: str) -> int:
-    """The newline count of every ``.py`` file under the checkout's
-    ``src/balancelab``, as ``wc -l`` counts them."""
+def _package_texts(checkout: str) -> list[str]:
+    """The text of every ``.py`` file under the checkout's ``src/balancelab``."""
     package = os.path.join(checkout, SOURCE)
     if not os.path.isdir(package):
         raise FileNotFoundError(f"{checkout}: no {SOURCE} directory")
-    total = 0
+    texts = []
     for root, _, files in os.walk(package):
         for name in files:
             if name.endswith(".py"):
                 with open(os.path.join(root, name), encoding="utf-8") as f:
-                    total += f.read().count("\n")
-    return total
+                    texts.append(f.read())
+    return texts
+
+
+def source_lines(checkout: str) -> int:
+    """The newline count of every ``.py`` file under the checkout's
+    ``src/balancelab``, as ``wc -l`` counts them."""
+    return sum(text.count("\n") for text in _package_texts(checkout))
 
 
 def lines_line(parent: int, change: int) -> str:
     """Each side's package line count and the change in it."""
     return f"{SOURCE} lines: parent {parent}, change {change} ({change - parent:+d})"
+
+
+def _named(node: ast.expr, name: str) -> bool:
+    """Whether ``node`` is ``name``, ``module.name``, or either subscripted or called."""
+    node = node.value if isinstance(node, ast.Subscript) else node.func if isinstance(node, ast.Call) else node
+    return node.id == name if isinstance(node, ast.Name) else isinstance(node, ast.Attribute) and node.attr == name
+
+
+def _defaults(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+def _field_defaults(cls: ast.ClassDef) -> int:
+    """The ``__init__`` fields of a dataclass body that have a default or ``default_factory``."""
+    count = 0
+    for stmt in cls.body:
+        if not isinstance(stmt, ast.AnnAssign) or stmt.value is None or _named(stmt.annotation, "ClassVar"):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and _named(value, "field"):
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if (isinstance(init, ast.Constant) and init.value is False) or not {"default", "default_factory"} & set(keywords):
+                continue
+        count += 1
+    return count
+
+
+def settable_values(checkout: str) -> int:
+    """The count of settable values in the checkout's ``src/balancelab``:
+    defaulted parameters of public module-level functions and of the public
+    methods of public classes, and defaulted ``__init__`` fields of public
+    dataclasses."""
+    count = 0
+    for text in _package_texts(checkout):
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                count += _defaults(node)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                methods = [n for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                count += sum(_defaults(m) for m in methods if not m.name.startswith("_"))
+                if any(_named(d, "dataclass") for d in node.decorator_list):
+                    count += _field_defaults(node)
+    return count
+
+
+def settable_line(parent: int, change: int) -> str:
+    """Each side's count of settable values and the change in it."""
+    return f"{SOURCE} settable values: parent {parent}, change {change} ({change - parent:+d})"
 
 
 def parse_run(stdout: str) -> tuple[dict[str, float], dict[str, float], list[float] | None, dict]:
@@ -270,7 +328,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
-    lines = lines_line(source_lines(args.parent), source_lines(args.change))  # a wrong checkout fails before any run
+    # a wrong checkout fails before any run
+    lines = lines_line(source_lines(args.parent), source_lines(args.change))
+    settable = settable_line(settable_values(args.parent), settable_values(args.change))
 
     pairs, qualities, attempted, setups = [], [], [], []
     for i, seed in enumerate(args.seeds):
@@ -287,6 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     print(attempted_line(attempted))
     print(setup_line(setups))
     print(lines)
+    print(settable)
     print("\n".join(same_quality(args.seeds, qualities)))
     return 0
 
