@@ -9,14 +9,13 @@ and seeded searches for balanced distributions that violate the
 independencies of an edge-dropped graph.  ``claims(template)`` puts every
 proposition of one template in one table, a premise gap, a conclusion gap
 and a verdict per row, and computes the balanced table, the premise
-core ⊥ Z | Y and the scored shift family once for all of them.
+core ⊥ Z | Y and the shift family's scoring once for all of them.
 
-A shift family builds all its members as one reweight (balancing's, with
-target P(y) · P'(z | y)) stacked on a member axis.  The risk checks take
-every member's P(covariates..., y) from it in one marginal, check that
-the predictor is defined on every reachable input state, and take every risk
-and E[Y | core] by array operations.  A predictor is two arrays with one
-axis per input: the score P(Y=1 | state) and where that score is defined.
+A shift family changes only P'(z | y), so each member is its (Y, Z) law
+P(y) · P'(z | y), and a predictor's risk on it is Σ_{y,z} law(y, z) · R(y, z),
+with R(y, z) = E[loss | y, z] read once from the base; no member table is
+built.  A predictor is two arrays with one axis per input: the score
+P(Y=1 | state) and where that score is defined.
 The counterexample networks C1-C4 are rows of one table: nodes, parents, latents and the observed edges the
 edge-dropped skeleton loses, with that skeleton built by
 ``bayesnet.observed_dag``.
@@ -54,7 +53,7 @@ from .errors import (
     enum_member,
 )
 from .rng import is_int, is_real, spawn
-from .tables import JointTable, Variable, _derived, _frozen, _independence, _marginal, _once, is_independent, marginal_probs
+from .tables import JointTable, Variable, _derived, _frozen, _independence, _marginal, is_independent, marginal_probs, marginalize
 from .templates import GraphTemplate, random_instance
 
 CLAIM_TOL = 1e-9  # every check's verdict tolerance
@@ -179,13 +178,6 @@ class TablePredictor:
         object.__setattr__(self, "scores", _frozen(scores))
         object.__setattr__(self, "defined", _frozen(defined))
 
-    def perturbed(self, delta: np.ndarray) -> "TablePredictor":
-        """The scores moved by ``delta`` (one entry per state) and clipped to [0, 1]."""
-        delta = np.asarray(delta, dtype=float)
-        if delta.shape != self.scores.shape:
-            raise ArgumentError(f"delta must have shape {self.scores.shape}, got {delta.shape}")
-        return TablePredictor(self.inputs, np.clip(self.scores + delta, 0.0, 1.0), self.defined)
-
 
 def bayes_predictor(table: JointTable, inputs: Iterable[str]) -> TablePredictor:
     """Exact P(Y = 1 | input state), defined wherever the state has mass."""
@@ -204,16 +196,16 @@ def bayes_predictor(table: JointTable, inputs: Iterable[str]) -> TablePredictor:
 class ShiftFamily:
     """Correlation-shift family: P(Z | Y) varies over ``grid`` while P(Y)
     and all covariate mechanisms given (Y, Z) stay pinned to ``base``, whose
-    label is ``"Y"`` and group factor ``"Z"``.  ``probs[k]`` is member k's
-    table; all are built here by one stacked reweight, so an undefined one
-    raises.  Equality and hashing are by identity, since the fields hold arrays.
-    A predictor's scored members are computed once per family and stored on
-    it (with the predictor), so the risk checks of one predictor share them.
+    label is ``"Y"`` and group factor ``"Z"``.  So member k is its (Y, Z)
+    law, ``laws[k]`` = P(y) · grid[k] over (Y, Z).  One reweight of the
+    base's (Y, Z) marginal checks every law and raises what a member table's
+    own reweight would; ``member(k)`` builds that table when asked for it.
+    Equality and hashing are by identity, since the fields hold arrays.
     """
 
     base: JointTable
     grid: tuple[np.ndarray, ...]
-    probs: np.ndarray = field(init=False, repr=False)
+    laws: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         y_card = self.base.variable("Y").cardinality
@@ -233,14 +225,15 @@ class ShiftFamily:
                     raise ArgumentError("each grid entry must have rows that sum to 1")
         object.__setattr__(self, "grid", grid)
         names = ("Y", "Z")
-        target = marginal_probs(self.base, names).sum(axis=1, keepdims=True) * stack  # P(y) · P'(z | y)
-        stacked = np.broadcast_to(self.base.probs, (len(grid),) + self.base.shape)
-        object.__setattr__(self, "probs", _frozen(_reweight(stacked, self.base.axes(names), target, names, 1)))
+        pair = marginalize(self.base, names)  # in the base's axis order, so a bad cell is named as a member names it
+        laws = marginal_probs(pair, names).sum(axis=1, keepdims=True) * stack  # P(y) · P'(z | y)
+        _reweight(np.broadcast_to(pair.probs, (len(grid),) + pair.shape), pair.axes(names), laws, names, 1)
+        object.__setattr__(self, "laws", _frozen(laws))
 
     def member(self, i: int) -> JointTable:
         if not (is_int(i) and 0 <= i < len(self.grid)):
             raise ArgumentError(f"member index must be an integer in [0, {len(self.grid)}), got {i!r}")
-        return _derived(self.base.variables, self.probs[i])
+        return reweight_marginal(self.base, ("Y", "Z"), self.laws[i])
 
     def members(self) -> Iterable[JointTable]:
         return (self.member(i) for i in range(len(self.grid)))
@@ -286,36 +279,26 @@ def _covariate_axes(family: ShiftFamily, names: Sequence[str]) -> tuple[tuple[st
     return covariates, tuple(covariates.index(n) for n in names)
 
 
-def _scored_members(predictor: TablePredictor, family: ShiftFamily) -> tuple[np.ndarray, np.ndarray]:
-    """P(covariates..., y) of every family member, stacked on a leading axis,
-    and the predictor's score on every covariate state (0 on input states
-    that no member reaches), both in table order and read-only, computed
-    once per family and predictor."""
-    return _once(family, predictor, lambda: _score_members(predictor, family))
-
-
-def _score_members(predictor: TablePredictor, family: ShiftFamily) -> tuple[np.ndarray, np.ndarray]:
+def _scored(predictor: TablePredictor, family: ShiftFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The base's P(covariates..., y, z) / P(y, z), 0 where (y, z) has no
+    mass, and the predictor's score broadcast over the covariate axes, both
+    in table order, after checking that the predictor is defined on every
+    input state that some member reaches."""
     covariates, axes = _covariate_axes(family, predictor.inputs)
     cards = tuple(family.base.variable(n).cardinality for n in predictor.inputs)
     if predictor.scores.shape != cards:
         raise ArgumentError(f"predictor scores have shape {predictor.scores.shape}, its inputs take {cards} states")
-    probs = _marginal(family.probs, family.base.axes(covariates + ("Y",)), 1)
+    joint = marginal_probs(family.base, covariates + ("Y", "Z"))
+    pyz = joint.sum(axis=tuple(range(len(covariates))))
+    conditional = np.divide(joint, pyz, out=np.zeros_like(joint), where=pyz > 0)
     others = tuple(i for i in range(len(covariates)) if i not in axes)
-    reached = np.transpose(probs.sum(axis=-1).any(axis=0), axes + others)
+    reached = np.transpose(((conditional > 0) & family.laws.any(axis=0)).any(axis=(-2, -1)), axes + others)
     reached = reached.reshape(cards + (-1,)).any(axis=-1)
     undefined = np.argwhere(reached & ~predictor.defined)
     if undefined.size:
         state = tuple(int(s) for s in undefined[0])
         raise CoverageError(f"predictor undefined on reachable state {dict(zip(predictor.inputs, state))}")
-    scores = np.where(reached, predictor.scores, 0.0)
-    return _frozen(probs), _frozen(broadcast_axes(scores, axes, len(covariates)))
-
-
-def _sum_in_order(arr: np.ndarray, lead: int) -> np.ndarray:
-    """Sum over every axis after the first ``lead`` as one running total over
-    the cells in row-major order, the order of a state-by-state sweep
-    (numpy's pairwise ``sum`` rounds differently)."""
-    return np.cumsum(arr.reshape(arr.shape[:lead] + (-1,)), axis=-1)[..., -1]
+    return conditional, broadcast_axes(predictor.scores, axes, len(covariates))
 
 
 @dataclass(frozen=True)
@@ -330,23 +313,22 @@ def risk_invariance_gap(
 ) -> RiskInvarianceResult:
     """Exact risk of the predictor on every family member and the largest
     pairwise risk difference (the first pair attaining it)."""
-    return _risk_gap(family, *_scored_members(predictor, family), loss)
+    return _risk_gap(family, *_scored(predictor, family), loss)
 
 
-def _risk_gap(family: ShiftFamily, probs: np.ndarray, scores: np.ndarray, loss: str) -> RiskInvarianceResult:
-    """``risk_invariance_gap`` on the family's scored members."""
+def _risk_gap(family: ShiftFamily, conditional: np.ndarray, scores: np.ndarray, loss: str) -> RiskInvarianceResult:
+    """``risk_invariance_gap`` on the predictor's scoring of the base: member
+    k's risk is Σ_{y,z} laws[k] · R(y, z), with R(y, z) = E[loss | y, z]."""
     if loss not in LOSSES:
         raise ArgumentError(f"unknown loss {loss!r}; expected one of {LOSSES}")
     if family.base.variable("Y").cardinality != 2:
         raise ArgumentError("risk computations assume a binary label")
-    loss_y0, loss_y1 = _LOSS_PAIRS[loss](scores)
-    risks = _sum_in_order(probs[..., 0] * loss_y0 + probs[..., 1] * loss_y1, 1)
-    first, second = np.triu_indices(len(risks), 1)
-    gaps = np.abs(risks[first] - risks[second])
-    k = int(gaps.argmax()) if gaps.size else 0
-    if not gaps.size or gaps[k] == 0.0:
-        return RiskInvarianceResult(tuple(map(float, risks)), 0.0, (0, 0))
-    return RiskInvarianceResult(tuple(map(float, risks)), float(gaps[k]), (int(first[k]), int(second[k])))
+    losses = np.stack(_LOSS_PAIRS[loss](scores), axis=-1)[..., None]  # the loss at each covariate state and y
+    cell_risks = (conditional * losses).sum(axis=tuple(range(scores.ndim)))
+    risks = (family.laws * cell_risks).sum(axis=(1, 2))
+    hi, lo = int(risks.argmax()), int(risks.argmin())  # the first pair of ``max - min`` is the first maximal pair
+    pair = (min(hi, lo), max(hi, lo)) if risks[hi] > risks[lo] else (0, 0)
+    return RiskInvarianceResult(tuple(map(float, risks)), float(risks[hi] - risks[lo]), pair)
 
 
 @dataclass(frozen=True)
@@ -366,7 +348,7 @@ def check_epsilon_risk_bound(
     """Bound the risk-invariance gap by twice the largest deviation between
     the fitted score and the label mean given the core covariates, over
     family members and reachable states; the bound holds when the gap is at
-    most epsilon + ``CLAIM_TOL``.  Both come from one scoring of the members.
+    most epsilon + ``CLAIM_TOL``.  Both come from one scoring of the base.
 
     Valid for losses whose risk is characterized by conditional means and is
     score-Lipschitz (squared, logloss).  Zero-one loss jumps at the decision
@@ -376,22 +358,21 @@ def check_epsilon_risk_bound(
     if loss == "zero_one":
         raise ArgumentError("the risk bound does not apply to the zero_one loss")
     _, axes = _covariate_axes(family, core)
-    probs, scores = _scored_members(fitted, family)
-    epsilon = _epsilon(axes, probs, scores)
-    gap = _risk_gap(family, probs, scores, loss).sup_gap
+    conditional, scores = _scored(fitted, family)
+    epsilon = _epsilon(family, axes, conditional, scores)
+    gap = _risk_gap(family, conditional, scores, loss).sup_gap
     return EpsilonBoundReport(epsilon, gap, gap <= epsilon + CLAIM_TOL, loss)
 
 
-def _epsilon(axes: Sequence[int], probs: np.ndarray, scores: np.ndarray) -> float:
-    """``check_epsilon_risk_bound``'s epsilon on scored members, the core at covariate ``axes``."""
-    mass = probs.sum(axis=-1)
-    core_first = ([1 + a for a in axes], list(range(1, 1 + len(axes))))  # member axis, core axes, the rest
-    core_mass = _sum_in_order(np.moveaxis(mass, *core_first), 1 + len(axes))
-    core_ymass = _sum_in_order(np.moveaxis(probs[..., 1], *core_first), 1 + len(axes))
+def _epsilon(family: ShiftFamily, axes: Sequence[int], conditional: np.ndarray, scores: np.ndarray) -> float:
+    """``check_epsilon_risk_bound``'s epsilon on the predictor's scoring of the base, the core at covariate ``axes``."""
+    members = np.einsum("...yz,kyz->k...y", conditional, family.laws)  # each member's P(covariates..., y)
+    mass = members.sum(axis=-1)
+    others = tuple(1 + i for i in range(scores.ndim) if i not in axes)
+    core_mass = mass.sum(axis=others, keepdims=True)
+    core_ymass = members[..., 1].sum(axis=others, keepdims=True)
     e_core = np.divide(core_ymass, core_mass, out=np.zeros_like(core_mass), where=core_mass > 0)
-    e_core = broadcast_axes(e_core, (0,) + tuple(1 + a for a in axes), mass.ndim)
-    deviation = np.where(mass > 0, np.abs(scores - e_core), 0.0)
-    return 2.0 * float(deviation.max())
+    return 2.0 * float(np.where(mass > 0, np.abs(scores - e_core), 0.0).max())
 
 
 # -- Balanced distributions versus edge-dropped graphs -----------------------
@@ -589,8 +570,8 @@ def claims(template: GraphTemplate) -> tuple[Claim, ...]:
                                Bayes predictor on the entangled covariates
       factorization            cond1 and cond2 on P ⇒ Q obeys ``mutilated_skeleton()``
 
-    Q, the premise core ⊥ Z | Y and the scored shift family are computed
-    once each and shared by the rows that read them.
+    Q, the premise core ⊥ Z | Y and the Bayes predictor's scoring on Q are
+    computed once each and shared by the rows that read them.
     """
     observed, labels = template.observed(), labels_for(template)
     _check_coverage(observed, labels)
@@ -604,9 +585,9 @@ def claims(template: GraphTemplate) -> tuple[Claim, ...]:
     conditions = max(gap(observed, rest, ("Y", *core), ("Z",)) if rest else 0.0, cond2)
     family = ShiftFamily(balanced, correlation_grid())
     covariates = tuple(n for n in observed.names if n not in ("Y", "Z"))
-    probs, scores = _score_members(bayes_predictor(balanced, covariates), family)
-    risk_gap = _risk_gap(family, probs, scores, "squared").sup_gap
-    epsilon = _epsilon(_covariate_axes(family, core)[1], probs, scores)
+    conditional, scores = _scored(bayes_predictor(balanced, covariates), family)
+    risk_gap = _risk_gap(family, conditional, scores, "squared").sup_gap
+    epsilon = _epsilon(family, _covariate_axes(family, core)[1], conditional, scores)
     fairness = [Claim(c.value, cond2, gap(balanced, *s), CLAIM_TOL) for c, s in _criteria(core).items()]
     representation = max(gap(balanced, ("Y",), ("Z",)), gap(balanced, core, ("Z",), ("Y",)))  # regularized given Y
     moved = abs(gap(balanced, core, ("Z",)) - gap(observed, core, ("Z",)))

@@ -50,7 +50,7 @@ from .checks import ShiftFamily
 from .errors import ArgumentError, SpecError
 from .rng import is_int, is_real, spawn
 from .tables import JointTable, _checked_weights, _draw_states, _frozen, _pick, marginalize
-from .templates import GRAPH_IDS, GraphTemplate, graph_template, template_a, template_b, template_c
+from .templates import GRAPH_IDS, GraphTemplate, _is_pair, graph_template, template_a, template_b, template_c
 
 # each channel's dim_*, sep_* and noise_* knob: a test and the rule it states
 _CHANNEL_RULES = {  # a bool is neither an integer nor a real here
@@ -147,10 +147,10 @@ class GenSpec:
             if v is not None and name in ("label_noise", "z_marginal") and not 0.0 <= v <= 1.0:
                 raise SpecError(f"{name} must lie in [0, 1], got {v}")
         pair = self.confounding
-        if pair is not None and not (np.shape(pair) == (2,) and all(is_real(p) and 0.0 < p < 1.0 for p in pair)):
+        if pair is not None and not (_is_pair(pair) and all(0.0 < p < 1.0 for p in pair)):
             raise SpecError(f"confounding must be two entries in (0.0, 1.0), got {pair!r}")
         pair = self.v_flip
-        if pair is not None and not (np.shape(pair) == (2,) and all(map(is_real, pair))):
+        if pair is not None and not _is_pair(pair):
             raise SpecError(f"v_flip must be two finite reals, got {pair!r}")
         for name in sorted(set().union(*self._GRAPH_DEFAULTS.values())):
             graphs = [g for g, defaults in self._GRAPH_DEFAULTS.items() if name in defaults]
@@ -385,8 +385,7 @@ def shift_testsets(
     """
     _check_size(n)
     table = _key_table(spec.law.net)
-    # the grid checked on the (Y, Z) marginal; raises if a member weights an empty (Y, Z) cell
-    grid = ShiftFamily(marginalize(table, ("Y", "Z")), grid).grid
+    grid = ShiftFamily(table, grid).grid  # raises if a member weights an empty (Y, Z) cell
     names = ("Y", "Z") + tuple(name for name in table.names if name not in ("Y", "Z"))
     probs = np.transpose(table.probs, table.axes(names))
     cells = probs.reshape(probs.shape[:2] + (-1,))  # P(y, z, keys)

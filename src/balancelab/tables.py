@@ -9,10 +9,9 @@ alone, so no path through the package loads SciPy.
 
 Values are immutable after construction and safe for concurrent reads.
 Because they never change, a pure exact result is computed once per
-object: ``is_independent`` stores its report on the table it reads,
-``balancing.balance_exact`` its balanced table on the source table and
-``checks`` a predictor's scored members on the shift family, each through
-``_once``.  A stored result lives as long as the object that holds it, and
+object: ``is_independent`` stores its report on the table it reads and
+``balancing.balance_exact`` its balanced table on the source table, both
+through ``_once``.  A stored result lives as long as the object that holds it, and
 equal but distinct objects share nothing.
 """
 
@@ -142,21 +141,6 @@ def _derived(variables: tuple[Variable, ...], probs: np.ndarray) -> JointTable:
     object.__setattr__(out, "probs", _frozen(np.ascontiguousarray(probs)))
     object.__setattr__(out, "_names", tuple(v.name for v in variables))
     return out
-
-
-def uniform_table(variables: Sequence[Variable]) -> JointTable:
-    shape = _dense_shape(variables)
-    return JointTable(tuple(variables), np.full(shape, 1.0 / float(np.prod(shape))))
-
-
-def product_table(*marginals: JointTable) -> JointTable:
-    """Outer product of single-variable (or disjoint multi-variable) tables."""
-    variables = tuple(v for marg in marginals for v in marg.variables)
-    shape = _dense_shape(variables)
-    probs = np.array(1.0)
-    for marg in marginals:
-        probs = np.multiply.outer(probs, marg.probs)
-    return JointTable(variables, probs.reshape(shape))
 
 
 def marginalize(table: JointTable, keep: Iterable[str]) -> JointTable:

@@ -5,8 +5,8 @@ are the straightforward versions that ``model._mmd_penalty``, ``model.loss``,
 ``model.train`` and ``metrics.evaluate`` replaced: broadcast differences,
 fresh temporaries, per-layer gradients joined by ``concatenate`` and masked
 stratum sums.  ``plain_search`` is the per-attempt loop that the stacked
-counterexample search replaced, ``plain_member`` and ``plain_scored`` the
-per-member reweight and marginal that the stacked ``ShiftFamily`` replaced,
+counterexample search replaced, ``plain_member`` the per-member reweight
+that ``ShiftFamily.member`` must reproduce from the family's (Y, Z) laws,
 ``plain_instance`` the per-call template build that ``random_instance``
 replaced, and the draw-axis kernels of the exact layer are checked against
 their per-table callers.  The fast paths must return the same bits.  No
@@ -26,16 +26,16 @@ import pytest
 
 from balancelab import model, templates
 from balancelab.balancing import BalanceSpec, JointTarget, _balance_pair, _reweight, balance_exact, reweight_marginal
-from balancelab.bayesnet import Cbn, Dag, _product, _statement_gaps, broadcast_axes, factorizes_according_to, joint, observed_dag
+from balancelab.bayesnet import Cbn, Dag, _product, _statement_gaps, factorizes_according_to, joint, observed_dag
 from balancelab.checks import (
     _COUNTEREXAMPLES,
     GENERIC_GAP,
     ShiftFamily,
     TablePredictor,
-    _scored_members,
     bayes_predictor,
     correlation_grid,
     find_nonfactorizing_balance,
+    risk_invariance_gap,
 )
 from balancelab.datagen import Dataset, GenSpec, _key_table, generate, ideal_testset
 from balancelab.errors import ArgumentError, CounterexampleNotFound, UnbalanceableSupport
@@ -528,18 +528,6 @@ def plain_member(base: JointTable, entry: np.ndarray) -> JointTable:
     return reweight_marginal(base, ("Y", "Z"), py * entry)
 
 
-def plain_scored(predictor: TablePredictor, base: JointTable, grid) -> tuple[np.ndarray, np.ndarray]:
-    """``_scored_members`` with every member's marginal taken on its own and stacked."""
-    covariates = tuple(n for n in base.names if n not in ("Y", "Z"))
-    axes = tuple(covariates.index(n) for n in predictor.inputs)
-    probs = np.stack([marginal_probs(plain_member(base, g), covariates + ("Y",)) for g in grid])
-    others = tuple(i for i in range(len(covariates)) if i not in axes)
-    reached = np.transpose(probs.sum(axis=-1).any(axis=0), axes + others)
-    reached = reached.reshape(predictor.scores.shape + (-1,)).any(axis=-1)
-    assert not (reached & ~predictor.defined).any()
-    return probs, broadcast_axes(np.where(reached, predictor.scores, 0.0), axes, len(covariates))
-
-
 def shift_bases() -> list[tuple[JointTable, tuple[tuple[str, ...], ...]]]:
     """Instances of A-D, their balanced tables and the datagen key tables,
     each with the predictor inputs to score."""
@@ -558,23 +546,29 @@ def shift_bases() -> list[tuple[JointTable, tuple[tuple[str, ...], ...]]]:
     return out
 
 
+def plain_risks(predictor: TablePredictor, members: list[JointTable]) -> np.ndarray:
+    """The squared-loss risk of ``predictor`` on each member table, from its own P(inputs, y)."""
+    arr = np.stack([marginal_probs(m, predictor.inputs + ("Y",)) for m in members])
+    scores = np.where(predictor.defined, predictor.scores, 0.0)
+    return (arr[..., 0] * scores**2 + arr[..., 1] * (scores - 1.0) ** 2).reshape(len(members), -1).sum(axis=1)
+
+
 class TestShiftFamily:
     @pytest.mark.parametrize("n_points", [1, 3, 7])
     def test_members_and_scores_match_per_member_loop(self, n_points):
+        # members bit for bit; the risks read off the (Y, Z) laws within 1e-15 of each member table's own
         grids = (correlation_grid(n_points), correlation_grid(n_points, 0.0, 1.0))
         for i, (base, inputs) in enumerate(shift_bases()):
             for grid in grids:
                 family = ShiftFamily(base, grid)
-                assert family.probs.shape == (n_points,) + base.shape
-                for k, entry in enumerate(grid):
-                    want = plain_member(base, entry)
+                members = [plain_member(base, entry) for entry in grid]
+                for k, want in enumerate(members):
                     got = family.member(k)
                     assert got.variables == want.variables and got.probs.tobytes() == want.probs.tobytes(), (i, k)
                 for names in inputs:
                     predictor = bayes_predictor(base, names)
-                    got, want = _scored_members(predictor, family), plain_scored(predictor, base, grid)
-                    for a, b in zip(got, want, strict=True):
-                        assert a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes(), (i, names)
+                    got, want = np.array(risk_invariance_gap(predictor, family).risks), plain_risks(predictor, members)
+                    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (i, names)
 
     def test_undefined_member_raises_as_its_reweight_does(self):
         base = random_instance("D", 2).observed()

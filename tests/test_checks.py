@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balancelab import balancing, checks, tables
-from balancelab.balancing import BalanceSpec, JointTarget, balance_exact
+from balancelab.balancing import BalanceSpec, JointTarget, balance_exact, reweight_marginal
 from balancelab.checks import (
     DecompositionLabel,
     FairnessCriterion,
@@ -50,14 +50,20 @@ from balancelab.errors import (
     UnbalanceableSupport,
     UnknownVariableError,
 )
+from balancelab.datagen import GenSpec, _key_table
 from balancelab.rng import spawn
 from balancelab.bayesnet import factorizes_according_to
-from balancelab.tables import JointTable, Variable, condition, is_independent, marginalize
+from balancelab.tables import JointTable, Variable, condition, is_independent, marginal_probs, marginalize
 from balancelab.templates import GRAPH_IDS, graph_template, random_instance, template_d
 
 
 def balanced(table):
     return balance_exact(table, BalanceSpec(JointTarget("Y", "Z")))
+
+
+def perturbed(predictor: TablePredictor, delta: np.ndarray) -> TablePredictor:
+    """The scores moved by ``delta`` (one entry per state) and clipped to [0, 1]."""
+    return TablePredictor(predictor.inputs, np.clip(predictor.scores + delta, 0.0, 1.0), predictor.defined)
 
 
 # -- References for the claims table -------------------------------------------
@@ -299,14 +305,6 @@ class TestBayesPredictor:
         with pytest.raises(ArgumentError):
             TablePredictor(("X",), scores, defined)
 
-    def test_perturbed_clips_and_keeps_defined(self):
-        pred = TablePredictor(("X",), np.array([0.0, 0.5, 0.98]), np.array([False, True, True]))
-        moved = pred.perturbed(np.array([0.3, -0.1, 0.05]))
-        assert moved.scores.tolist() == [0.3, 0.4, 1.0]
-        assert moved.defined.tolist() == [False, True, True]
-        with pytest.raises(ArgumentError, match="shape"):
-            pred.perturbed(np.zeros(2))
-
 
 class TestEntangledGap:
     def test_deterministic_or_channel(self):
@@ -403,15 +401,19 @@ class TestShiftFamily:
         fam = ShiftFamily(balanced(random_instance("A", 1).observed()), correlation_grid(3))
         with pytest.raises(ArgumentError, match=re.escape("member index must be an integer in [0, 3)")):
             fam.member(index)
-        assert fam.member(np.int64(2)).probs.tobytes() == fam.probs[2].tobytes()
+        assert fam.member(np.int64(2)).probs.tobytes() == fam.member(2).probs.tobytes()
 
-    def test_members_are_read_only_views_of_the_stack(self):
+    def test_laws_are_read_only_and_members_their_reweights(self):
         q = balanced(random_instance("B", 3).observed())
-        fam = ShiftFamily(q, correlation_grid(4))
-        assert fam.probs.shape == (4,) + q.shape and not fam.probs.flags.writeable
+        grid = correlation_grid(4)
+        fam = ShiftFamily(q, grid)
+        py = marginal_probs(q, ("Y", "Z")).sum(axis=1, keepdims=True)
+        assert fam.laws.shape == (4, 2, 2) and not fam.laws.flags.writeable
         for k, member in enumerate(fam.members()):
+            assert fam.laws[k].tobytes() == (py * grid[k]).tobytes()
             assert member.variables == q.variables
-            assert np.shares_memory(member.probs, fam.probs) and member.probs.tobytes() == fam.probs[k].tobytes()
+            assert member.probs.tobytes() == reweight_marginal(q, ("Y", "Z"), fam.laws[k]).probs.tobytes()
+            assert np.abs(marginal_probs(member, ("Y", "Z")) - fam.laws[k]).max() <= 1e-15
 
 
 class TestIdentityEquality:
@@ -534,6 +536,37 @@ def loop_epsilon(fitted, family, core):
     return 2.0 * half_eps
 
 
+def loop_grids(n_points: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The sweep, the sweep out to its zero-entry ends, and the two one-member families with zero entries."""
+    return correlation_grid(n_points), correlation_grid(n_points, 0.0, 1.0), (np.eye(2),), (np.eye(2)[::-1],)
+
+
+def key_tables() -> list[JointTable]:
+    """The datagen key tables of ``test_bitwise.shift_bases``: deterministic channels leave states empty."""
+    specs = [GenSpec(g, 10) for g in "ABCD"] + [GenSpec("A", 10, confounding=(0.9, 0.1)), GenSpec("D", 10, z_marginal=0.2)]
+    return [_key_table(spec.law.net) for spec in specs]
+
+
+def assert_matches_loop(family, predictors, cores, tag):
+    """Every risk, gap, pair, epsilon and verdict of the array checks against the loop."""
+    for pred in predictors:
+        for loss in LOSSES:
+            res = risk_invariance_gap(pred, family, loss)
+            risks, sup_gap, argmax = loop_risk_invariance_gap(pred, family, loss)
+            rel = max(abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(res.risks, risks, strict=True))
+            assert rel <= 1e-15, (tag, loss, rel)
+            assert abs(res.sup_gap - sup_gap) <= 1e-15, (tag, loss)
+            if sup_gap > 1e-12:  # below this, rounding picks the pair
+                assert res.argmax_pair == argmax, (tag, loss)
+            if loss == "zero_one":
+                continue
+            for core in cores:
+                rep = check_epsilon_risk_bound(pred, family, core, loss)
+                epsilon = loop_epsilon(pred, family, core)
+                assert abs(rep.epsilon - epsilon) <= 1e-15, (tag, loss, core)
+                assert rep.bound_holds == (sup_gap <= epsilon + 1e-9), (tag, loss, core)
+
+
 class TestLoopReference:
     """The array risk checks against a state-by-state loop on the same family."""
 
@@ -542,25 +575,43 @@ class TestLoopReference:
         for seed in range(6):
             tpl = random_instance(gid, seed)
             for base in (tpl.observed(), balanced(tpl.observed())):
-                fam = ShiftFamily(base, correlation_grid(5 + seed % 3))
                 covs = tuple(n for n in base.names if n not in ("Y", "Z"))
                 full = bayes_predictor(base, covs[::-1])
-                gen = spawn(seed, 7)
-                pert = full.perturbed(gen.uniform(-0.05, 0.05, full.scores.shape))
-                for pred in (bayes_predictor(base, tpl.core), full, pert):
-                    for loss in ("squared", "zero_one", "logloss"):
-                        res = risk_invariance_gap(pred, fam, loss)
-                        risks, sup_gap, argmax = loop_risk_invariance_gap(pred, fam, loss)
-                        rel = max(abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(res.risks, risks))
-                        assert rel <= 1e-15, (gid, seed, loss, rel)
-                        assert res.argmax_pair == argmax and abs(res.sup_gap - sup_gap) <= 1e-15
-                        if loss == "zero_one":
-                            continue
-                        for core in (tpl.core, covs[::-1]):
-                            rep = check_epsilon_risk_bound(pred, fam, core, loss)
-                            epsilon = loop_epsilon(pred, fam, core)
-                            assert abs(rep.epsilon - epsilon) <= 1e-15, (gid, seed, loss, core)
-                            assert rep.bound_holds == (sup_gap <= epsilon + 1e-9)
+                pert = perturbed(full, spawn(seed, 7).uniform(-0.05, 0.05, full.scores.shape))
+                for grid in loop_grids(5 + seed % 3):
+                    fam = ShiftFamily(base, grid)
+                    assert_matches_loop(fam, (bayes_predictor(base, tpl.core), full, pert), (tpl.core, covs[::-1]), (gid, seed))
+
+    def test_key_tables_match_loop(self):
+        for i, table in enumerate(key_tables()):
+            covs = tuple(n for n in table.names if n not in ("Y", "Z"))
+            predictors = (bayes_predictor(table, covs[:1]), bayes_predictor(table, covs[::-1]))
+            for grid in loop_grids(5):
+                assert_matches_loop(ShiftFamily(table, grid), predictors, (covs[:1], covs), i)
+
+    def test_a_removed_state_raises_exactly_when_the_loop_does(self):
+        bases = key_tables() + [balanced(random_instance(g, seed).observed()) for g in "ABCD" for seed in range(2)]
+        raised = kept = 0
+        for i, table in enumerate(bases):
+            covs = tuple(n for n in table.names if n not in ("Y", "Z"))
+            full = bayes_predictor(table, covs)
+            for state in map(tuple, np.argwhere(full.defined)):
+                defined = full.defined.copy()
+                defined[state] = False
+                partial = TablePredictor(covs, full.scores, defined)
+                for grid in loop_grids(5):
+                    fam = ShiftFamily(table, grid)
+                    try:
+                        loop_risk_invariance_gap(partial, fam, "squared")
+                    except CoverageError:
+                        raised += 1
+                        named = f"predictor undefined on reachable state {dict(zip(covs, map(int, state)))}"
+                        with pytest.raises(CoverageError, match=re.escape(named)):
+                            risk_invariance_gap(partial, fam)
+                    else:
+                        kept += 1
+                        assert_matches_loop(fam, (partial,), (covs,), (i, state))
+        assert raised and kept
 
     def test_outputs_pinned_bit_for_bit(self):
         # SHA-256 of the risks, gap and pair of every risk check and of the
@@ -574,7 +625,7 @@ class TestLoopReference:
                     fam = ShiftFamily(base, correlation_grid(5 + seed % 3))
                     covs = tuple(n for n in base.names if n not in ("Y", "Z"))
                     preds = [bayes_predictor(base, inputs) for inputs in (tpl.core, covs, covs[::-1])]
-                    preds.append(preds[2].perturbed(spawn(seed, 7).uniform(-0.05, 0.05, preds[2].scores.shape)))
+                    preds.append(perturbed(preds[2], spawn(seed, 7).uniform(-0.05, 0.05, preds[2].scores.shape)))
                     for pred in preds:
                         for loss in LOSSES:
                             res = risk_invariance_gap(pred, fam, loss)
@@ -584,7 +635,25 @@ class TestLoopReference:
                                 continue
                             rep = check_epsilon_risk_bound(pred, fam, tpl.core, loss)
                             digest.update(np.array([rep.epsilon, rep.gap, float(rep.bound_holds)]).tobytes())
-        assert digest.hexdigest() == "2aabb6dc54557224c47bef396f48eca85271a99edb093ab47b71b0f3dd8c4d2a"
+        assert digest.hexdigest() == "11b30fa17b1cbf81e7e5124d1dc851645aa84f6c8b90b1bb1f1fdbf7ebb2c05b"
+
+    @pytest.mark.parametrize("graph", GRAPH_IDS)
+    def test_sweep_gap_is_the_line_form_of_the_cell_risks(self, graph):
+        # a member's risk is Σ P(y) P'(z | y) R(y, z), and the sweep moves P'(Z=0 | Y) along
+        # (r, 1 - r) for r in [0.05, 0.95], so its gap is 0.9 · |P(y=0) ΔR_0 − P(y=1) ΔR_1|
+        for seed in range(50):
+            q = balanced(random_instance(graph, seed).observed())
+            covs = tuple(n for n in q.names if n not in ("Y", "Z"))
+            pred = bayes_predictor(q, covs)
+            fam = ShiftFamily(q, correlation_grid())
+            py = marginalize(q, ("Y",)).probs
+            for loss in LOSSES:
+                cell = np.zeros((2, 2))  # R(y, z) = E[loss | y, z], state by state
+                for y, z in np.ndindex(2, 2):
+                    px = condition(q, {"Y": y, "Z": z}).probs
+                    cell[y, z] = sum(px[x] * loop_loss(pred.scores[x], y, loss) for x in np.ndindex(px.shape))
+                line = 0.9 * abs(py[0] * (cell[0, 0] - cell[0, 1]) - py[1] * (cell[1, 0] - cell[1, 1]))
+                assert abs(risk_invariance_gap(pred, fam, loss).sup_gap - line) <= 1e-12, (seed, loss)
 
     def test_repeated_names_rejected(self):
         tpl = random_instance("A", 1)
@@ -630,7 +699,7 @@ class TestEpsilonBound:
             core_pred = bayes_predictor(q, tpl.core)
             full_pred = bayes_predictor(q, covs)
             gen = spawn(seed, 7)
-            pert = full_pred.perturbed(gen.uniform(-0.05, 0.05, full_pred.scores.shape))
+            pert = perturbed(full_pred, gen.uniform(-0.05, 0.05, full_pred.scores.shape))
             for pred in (core_pred, full_pred, pert):
                 rep = check_epsilon_risk_bound(pred, fam, tpl.core, loss)
                 assert rep.bound_holds, (gid, seed, loss, rep.epsilon, rep.gap)
@@ -650,30 +719,25 @@ class TestEpsilonBound:
         with pytest.raises(ArgumentError, match="zero_one"):
             check_epsilon_risk_bound(bayes_predictor(q, tpl.core), fam, tpl.core, "zero_one")
 
-    def test_builds_each_member_once(self, monkeypatch):
+    def test_reweights_the_pair_marginal_once_and_builds_no_member(self, monkeypatch):
         tpl = random_instance("D", 4)
         q = balanced(tpl.observed())
         pred = bayes_predictor(q, tpl.core + tpl.entangled)
         calls = []
-        real = checks._reweight
-
-        def counting(probs, *args):
-            calls.append(probs.shape)
-            return real(probs, *args)
-
-        monkeypatch.setattr(checks, "_reweight", counting)
+        for module in (checks, balancing):
+            counting(monkeypatch, module, "_reweight", calls)
         fam = ShiftFamily(q, correlation_grid(5))
         expected = risk_invariance_gap(pred, fam, "logloss").sup_gap
         rep = check_epsilon_risk_bound(pred, fam, tpl.core, "logloss")
-        assert calls == [(5,) + q.shape]  # one stacked reweight, when the family is built
+        assert [c[0].shape for c in calls] == [(5, 2, 2)]  # the laws' reweight, when the family is built
         assert rep.gap == expected
 
-    def test_epsilon_and_gap_read_the_scored_members_once(self, monkeypatch):
+    def test_epsilon_and_gap_share_one_scoring(self, monkeypatch):
         tpl = random_instance("D", 4)
         q = balanced(tpl.observed())
         pred = bayes_predictor(q, tpl.core + tpl.entangled)
         reads = []
-        counting(monkeypatch, checks, "_scored_members", reads)
+        counting(monkeypatch, checks, "_scored", reads)
         rep = check_epsilon_risk_bound(pred, ShiftFamily(q, correlation_grid(5)), tpl.core)
         assert len(reads) == 1
         assert rep.bound_holds and rep.gap <= rep.epsilon + checks.CLAIM_TOL
@@ -864,8 +928,8 @@ class TestClaims:
     def test_one_balance_one_scoring_and_no_memo(self, monkeypatch):
         pairs, scored, lookups = [], [], []
         counting(monkeypatch, checks, "_balance_pair", pairs)
-        counting(monkeypatch, checks, "_score_members", scored)
-        for module in (tables, balancing, checks):
+        counting(monkeypatch, checks, "_scored", scored)
+        for module in (tables, balancing):
             counting(monkeypatch, module, "_once", lookups)
         claims(random_instance("D", 3))
         assert (len(pairs), len(scored), len(lookups)) == (1, 1, 0)
@@ -909,8 +973,8 @@ def copy_of(table: JointTable) -> JointTable:
 
 
 class TestOncePerObject:
-    """Exact results are computed once per immutable table or family and
-    stored on it; a stored result is bit for bit a fresh one."""
+    """Exact results are computed once per immutable table and stored on it;
+    a stored result is bit for bit a fresh one."""
 
     @pytest.mark.parametrize("graph", ["A", "B", "C", "D"])
     @pytest.mark.parametrize("seed", range(5))
@@ -920,7 +984,7 @@ class TestOncePerObject:
         first, second = instance_run(observed, tpl), instance_run(observed, tpl)  # the second run only hits
         assert second[2] is first[2]
         with monkeypatch.context() as m:
-            for module in (tables, balancing, checks):
+            for module in (tables, balancing):
                 m.setattr(module, "_once", lambda owner, key, compute: compute())
             fresh = instance_run(copy_of(observed), tpl)
         for run in (first, second):
@@ -931,14 +995,14 @@ class TestOncePerObject:
         pairs, statements, scored = [], [], []
         counting(monkeypatch, balancing, "_balance_pair", pairs)
         counting(monkeypatch, tables, "_independence", statements)
-        counting(monkeypatch, checks, "_score_members", scored)
+        counting(monkeypatch, checks, "_scored", scored)
         tpl = random_instance("D", 3)
         observed = tpl.observed()
         instance_run(observed, tpl)
         assert len(pairs) == 1
         premise = [s for s in statements if s[0] is observed and s[1:4] == (tpl.core, (tpl.z,), (tpl.y,))]
         assert len(premise) == 1
-        assert len(scored) == 1  # the gap and the bound score the family's members once
+        assert len(scored) == 2  # the gap and the bound each score the base; nothing is stored on the family
 
     def test_equal_but_distinct_tables_share_nothing(self, monkeypatch):
         pairs, statements = [], []

@@ -210,6 +210,14 @@ class TestGenSpec:
         with pytest.raises(SpecError, match=f"{name} must be {message}, got"):
             GenSpec(graph, 50, 1, **{name: tuple(pair)})
 
+    @pytest.mark.parametrize(
+        "graph, name, pair",
+        [("A", "confounding", (0.9, (0.1, 0.2))), ("C", "v_flip", (0.1, (0.2, 0.3))), ("C", "v_flip", ((0.1, 0.2), 0.3))],
+    )
+    def test_ragged_law_pair_rejected_at_construction(self, graph, name, pair):
+        with pytest.raises(SpecError, match=f"{name} must be two"):
+            GenSpec(graph, 10, **{name: pair})
+
     def test_law_knobs_accept_numpy_numbers(self):
         plain = GenSpec("C", 50, 1, label_noise=0.05, v_flip=(0.25, 0.75), v_z_pull=0.2)
         numpy = GenSpec("C", 50, 1, label_noise=np.float64(0.05), v_flip=(np.float32(0.25), 0.75), v_z_pull=np.float64(0.2))

@@ -38,9 +38,7 @@ from balancelab.tables import (
     condition,
     is_independent,
     marginalize,
-    product_table,
     sample,
-    uniform_table,
     _chi2_sf,
 )
 
@@ -106,7 +104,7 @@ class TestJointTable:
 
 class TestMarginalize:
     def test_uniform_symmetry(self):
-        t = uniform_table((Y, Z))
+        t = JointTable((Y, Z), np.full((2, 2), 0.25))
         m = marginalize(t, {"Y"})
         assert np.allclose(m.probs, [0.5, 0.5])
 
@@ -158,7 +156,7 @@ class TestMarginalize:
 
 class TestCondition:
     def test_independent_table_unchanged(self):
-        t = product_table(JointTable((Y,), np.array([0.3, 0.7])), JointTable((Z,), np.array([0.6, 0.4])))
+        t = JointTable((Y, Z), np.outer([0.3, 0.7], [0.6, 0.4]))
         c = condition(t, {"Z": 0})
         assert np.allclose(c.probs, [0.3, 0.7], atol=1e-15)
 
@@ -270,7 +268,7 @@ class TestIsIndependent:
         for seed in range(10):
             a = random_table(seed, (3,), ("A",))
             b = random_table(seed + 100, (2,), ("B",))
-            rep = is_independent(product_table(a, b), {"A"}, {"B"})
+            rep = is_independent(JointTable(a.variables + b.variables, np.outer(a.probs, b.probs)), {"A"}, {"B"})
             assert rep.independent
             assert rep.max_gap < 1e-14
 
@@ -292,7 +290,7 @@ class TestIsIndependent:
         assert rep.argmax_state["G"] == 0
 
     def test_report_is_truthy(self):
-        t = uniform_table((Y, Z))
+        t = JointTable((Y, Z), np.full((2, 2), 0.25))
         assert is_independent(t, {"Y"}, {"Z"})
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, -np.inf])
@@ -347,14 +345,15 @@ class TestSample:
 
     def test_law_of_large_numbers_uniform(self):
         # binomial SE at n=1e5 is ~0.0014, so 0.01 is beyond 3 SE
-        t = uniform_table((Y, Z))
+        t = JointTable((Y, Z), np.full((2, 2), 0.25))
         emp = sample(t, 100_000, seed=3).empirical_table()
         assert np.abs(emp.probs - 0.25).max() < 0.01
 
     def test_empirical_independence_matches_exact(self):
         for seed, (make, expect) in enumerate(
             [
-                (lambda: product_table(random_table(11, (2,), ("A",)), random_table(12, (2, 2), ("B", "C"))), True),
+                (lambda: JointTable((Variable("A", 2), Variable("B", 2), Variable("C", 2)), np.multiply.outer(
+                    random_table(11, (2,), ("A",)).probs, random_table(12, (2, 2), ("B", "C")).probs)), True),
                 (lambda: JointTable((Y, Z), np.array([[0.45, 0.05], [0.05, 0.45]])), False),
             ]
         ):
@@ -416,20 +415,6 @@ class TestDenseCap:
         with pytest.raises(ArgumentError, match="dense cap"):
             JointTable(tuple(Variable(f"V{i}", 2) for i in range(24)), np.zeros(1))
 
-    def test_uniform_and_product_tables_check_cap_before_filling(self):
-        # 2**48 cells: filling them would raise MemoryError or exhaust the memory
-        with pytest.raises(ArgumentError, match="dense cap"):
-            uniform_table(tuple(Variable(f"V{i}", 2) for i in range(48)))
-        factors = [JointTable((Variable(f"V{i}", 2),), np.array([0.5, 0.5])) for i in range(24)]
-        tracemalloc.start()
-        try:
-            with pytest.raises(ArgumentError, match="dense cap"):
-                product_table(*factors)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
 
 def add_at_chi2(batch: SampleBatch, a: str, b: str) -> tuple[float, float]:
     """Reference: the former chi-squared, which scattered the weights with np.add.at."""
@@ -476,7 +461,7 @@ class TestChi2:
         assert p < 1e-10
 
     def test_independent_uniform_columns(self):
-        t = uniform_table((Y, Z))
+        t = JointTable((Y, Z), np.full((2, 2), 0.25))
         batch = sample(t, 10_000, seed=21)
         _, p = chi2_independence(batch, "Y", "Z")
         assert p > 0.001
