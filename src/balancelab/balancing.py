@@ -214,18 +214,16 @@ def balance_batch(batch: SampleBatch, spec: BalanceSpec) -> SampleBatch:
             raise NumericsError("a balanced weight is not finite: the batch's weights lie too near the float range's edge or too far apart")
         return _trusted_batch(batch.variables, batch.rows, balanced)
 
+    # every cell to m rows: a larger cell draws m without replacement, a smaller one pads with replacement
     gen = spawn(spec.seed, 17)
+    m = int(counts.min() if spec.mechanism is Mechanism.SUBSAMPLE_MAJORITY else counts.max())
     picked: list[np.ndarray] = []
-    if spec.mechanism is Mechanism.SUBSAMPLE_MAJORITY:
-        m = int(counts.min())
-        for cell in range(ncells):
-            idx = np.flatnonzero(codes == cell)
-            picked.append(gen.choice(idx, size=m, replace=False) if len(idx) > m else idx)
-    else:  # upsample: originals plus replacement draws up to the max count
-        m = int(counts.max())
-        for cell in range(ncells):
-            idx = np.flatnonzero(codes == cell)
-            extra = m - len(idx)
-            picked.append(np.concatenate([idx, gen.choice(idx, size=extra, replace=True)]) if extra else idx)
+    for cell in range(ncells):
+        idx = np.flatnonzero(codes == cell)
+        if len(idx) > m:
+            idx = gen.choice(idx, size=m, replace=False)
+        elif len(idx) < m:
+            idx = np.concatenate([idx, gen.choice(idx, size=m - len(idx), replace=True)])
+        picked.append(idx)
     sel = np.concatenate(picked)
-    return batch.with_rows(np.take(batch.rows, sel, axis=0), batch.weights.take(sel))
+    return _trusted_batch(batch.variables, np.take(batch.rows, sel, axis=0), batch.weights.take(sel))

@@ -84,10 +84,6 @@ class Dag:
         object.__setattr__(self, "topo_order", tuple(order))
         object.__setattr__(self, "_bits", (bit, par, kids, anc))
 
-    @property
-    def edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple((p, c) for c in self.nodes for p in self.parents[c])
-
     def ancestors(self, targets: Iterable[str]) -> set[str]:
         """Targets plus all their ancestors."""
         mask = _union(self._bits[3], self._mask(targets))

@@ -235,9 +235,6 @@ class ShiftFamily:
             raise ArgumentError(f"member index must be an integer in [0, {len(self.grid)}), got {i!r}")
         return reweight_marginal(self.base, ("Y", "Z"), self.laws[i])
 
-    def members(self) -> Iterable[JointTable]:
-        return (self.member(i) for i in range(len(self.grid)))
-
 
 def correlation_grid(n_points: int = 7, lo: float = 0.05, hi: float = 0.95) -> tuple[np.ndarray, ...]:
     """Binary-group confounder-strength sweep.

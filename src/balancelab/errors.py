@@ -62,10 +62,6 @@ class CounterexampleNotFound(BalanceLabError):
     """No factorization violation was found within the retry budget."""
 
 
-class SampleSizeError(BalanceLabError, ValueError):
-    """A sample is too small for the requested estimator."""
-
-
 class NumericsError(BalanceLabError, FloatingPointError):
     """A numeric quantity became non-finite, or an optimization failed to converge."""
 

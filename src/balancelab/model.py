@@ -22,12 +22,7 @@ from functools import reduce
 import numpy as np
 
 from .datagen import Dataset
-from .errors import (
-    ArgumentError,
-    DegenerateTarget,
-    NumericsError,
-    SampleSizeError,
-)
+from .errors import ArgumentError, DegenerateTarget, NumericsError
 from .rng import is_int, is_real, spawn
 
 _STREAM_INIT = 4  # not datagen's 0: one seed for data and model must not draw rows and weights alike
@@ -175,25 +170,6 @@ class TrainSpec:
             raise ArgumentError("epochs/batch_size >= 1, hidden_dim/seed >= 0 required")
         if self.mmd is not None and self.mmd.on_representation and self.hidden_dim == 0:
             raise ArgumentError("a representation penalty needs hidden_dim > 0")
-
-
-def mmd2(sample_a: np.ndarray, sample_b: np.ndarray, bandwidth: float) -> float:
-    """Unbiased squared-MMD estimate with an RBF kernel.
-
-    Accepts score vectors or representation rows.  The U-statistic excludes
-    diagonal terms, so small negative values are possible.  Pooled samples
-    that ``_checked_sample`` rejects raise ArgumentError.
-    """
-    a, b = (np.atleast_2d(np.asarray(s, dtype=float).T).T for s in (sample_a, sample_b))
-    if a.shape[1:] != b.shape[1:]:
-        raise ArgumentError(f"samples must have rows of one width, got {a.shape} and {b.shape}")
-    pooled = _checked_sample(np.vstack([a, b]), "samples")
-    if a.shape[0] < 2 or b.shape[0] < 2:
-        raise SampleSizeError("both samples need at least 2 rows for the unbiased estimate")
-    side = np.repeat([0, 1], [a.shape[0], b.shape[0]])
-    with np.errstate(over="ignore"):  # exp(-inf) = 0 is the kernel's limit for far-apart pairs
-        value, _, _ = _mmd_penalty(pooled, _strata(side, side, "marginal", len(side))[0], bandwidth)
-    return value
 
 
 def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -345,11 +345,6 @@ class SampleBatch(_Named):
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.axis(name)]
 
-    def with_rows(self, rows: np.ndarray, weights: np.ndarray) -> "SampleBatch":
-        """A batch of ``rows`` taken from this validated batch, kept as they
-        are (no copy, no range check), with new ``weights``, which are checked."""
-        return _trusted_batch(self.variables, rows, _checked_weights(weights, rows.shape[0]))
-
     def empirical_table(self) -> JointTable:
         """Weighted empirical frequencies as an exact table."""
         if len(self) == 0:

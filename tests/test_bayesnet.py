@@ -27,13 +27,7 @@ from balancelab.bayesnet import (
     sample_cbn,
 )
 from balancelab.balancing import BalanceSpec, JointTarget, balance_exact
-from balancelab.checks import (
-    _COUNTEREXAMPLE_IDS,
-    _COUNTEREXAMPLES,
-    _counterexample_cpts,
-    anticausal_control,
-    find_nonfactorizing_balance,
-)
+from balancelab.checks import anticausal_control, find_nonfactorizing_balance
 from balancelab.errors import ArgumentError, CycleError, EdgeError, UnknownVariableError
 from balancelab.rng import spawn
 from balancelab.tables import JointTable, SampleBatch, Variable, is_independent, marginalize
@@ -52,6 +46,11 @@ def collider_net() -> Cbn:
             "Y": np.array([[[0.9, 0.1], [0.6, 0.4]], [[0.3, 0.7], [0.2, 0.8]]]),
         },
     )
+
+
+def edges(dag: Dag) -> tuple[tuple[str, str], ...]:
+    """Each (parent, child) pair of ``dag``, children in node order."""
+    return tuple((p, c) for c in dag.nodes for p in dag.parents[c])
 
 
 def random_net(seed: int, n_nodes: int) -> Cbn:
@@ -408,8 +407,8 @@ class TestMutilate:
         net = graph_template("C").net
         dag = observed_dag(net, ("T", "U", "V"))
         assert dag.nodes == ("Y", "Z", "X_core", "X_aux", "X_v")
-        assert dag.edges == (("Z", "X_aux"),)
-        assert observed_dag(net, ("T", "U", "V"), [("Z", "X_aux")]).edges == ()
+        assert edges(dag) == (("Z", "X_aux"),)
+        assert edges(observed_dag(net, ("T", "U", "V"), [("Z", "X_aux")])) == ()
         assert observed_dag(net, ()).parents == net.parents
 
     def test_observed_dag_rejects_an_unknown_latent(self):
@@ -424,7 +423,7 @@ class TestMutilate:
         net = graph_template("A").net
         with pytest.raises(EdgeError, match=f"{edge[0]!r} -> {edge[1]!r}"):
             observed_dag(net, ["U"], [edge])
-        assert observed_dag(net, ["U"], [("Z", "X_aux")]).edges == (("Y", "X_core"),)
+        assert edges(observed_dag(net, ["U"], [("Z", "X_aux")])) == (("Y", "X_core"),)
 
 
 class TestFactorization:

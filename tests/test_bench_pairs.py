@@ -171,7 +171,8 @@ def test_main_prints_attempted_counts_under_the_table(monkeypatch, capsys, tmp_p
     assert lines[3] == "set-up, median in-process / replica: parent 0.3 / 0.255 s, change 0.2 / 0.16 s"
     assert lines[4] == "src/balancelab lines: parent 30, change 28 (-2)"
     assert lines[5] == "src/balancelab settable values: parent 0, change 0 (+0)"
-    assert lines[6:] == ["no quality means to compare"]
+    assert lines[6:9] == ["src/balancelab unreferenced public names: parent 1, change 1 (+0)", "  parent: a.x", "  change: a.x"]
+    assert lines[9:] == ["no quality means to compare"]
 
 
 def test_setup_medians_per_side_split_in_process_from_replicas():
@@ -234,6 +235,50 @@ def test_settable_values_count_defaults_of_the_public_api(tmp_path):
     assert bench_pairs.settable_values(change) == 9
     line = bench_pairs.settable_line(11, 9)
     assert line == "src/balancelab settable values: parent 11, change 9 (-2)"
+
+
+PUBLIC = """
+\"\"\"Module docstring naming unused and Table.spare in prose.\"\"\"
+LIMIT = 3
+_HIDDEN = 4
+
+
+def used(): ...
+def unused(): ...
+def traced(): ...
+
+
+class Table:
+    def read(self): ...
+    def spare(self): ...
+    @property
+    def size(self): ...
+    def _private(self): ...
+
+
+class _Private:
+    def orphan(self): ...
+"""
+
+
+def test_unreferenced_public_names_are_read_nowhere_in_src_or_bench(tmp_path):
+    files = {"a.py": PUBLIC, "b.py": "from .a import used\nused()\ndel _Private\n\n\ndef _f():\n    LIMIT = Table().read\n"}
+    change = checkout(tmp_path / "change", files)
+    bench = tmp_path / "change" / "bench"
+    (bench / "tests").mkdir(parents=True)
+    (bench / "run.py").write_text('TARGETS = ("a.traced", "Table.size", "not a name: spare")\n')
+    (bench / "tests" / "test_run.py").write_text("unused()\nTable().spare()\n")
+    # a definition and an assignment are not reads; nor is prose, nor anything in bench/tests
+    assert bench_pairs.unreferenced_names(change) == ["a.LIMIT", "a.Table.spare", "a.unused"]
+    parent = checkout(tmp_path / "parent", files | {"c.py": "def spare(): ...\n"})  # and no bench/
+    assert bench_pairs.unreferenced_names(parent) == ["a.LIMIT", "a.Table.size", "a.Table.spare", "a.traced", "a.unused", "c.spare"]
+    lines = bench_pairs.unreferenced_lines(bench_pairs.unreferenced_names(parent), bench_pairs.unreferenced_names(change))
+    assert lines == [
+        "src/balancelab unreferenced public names: parent 6, change 3 (-3)",
+        "  parent: a.LIMIT, a.Table.size, a.Table.spare, a.traced, a.unused, c.spare",
+        "  change: a.LIMIT, a.Table.spare, a.unused",
+    ]
+    assert bench_pairs.unreferenced_lines([], [])[1:] == ["  parent: none", "  change: none"]
 
 
 def test_checkout_without_the_package_fails_before_any_run(monkeypatch, tmp_path):

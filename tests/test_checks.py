@@ -409,7 +409,8 @@ class TestShiftFamily:
         fam = ShiftFamily(q, grid)
         py = marginal_probs(q, ("Y", "Z")).sum(axis=1, keepdims=True)
         assert fam.laws.shape == (4, 2, 2) and not fam.laws.flags.writeable
-        for k, member in enumerate(fam.members()):
+        for k in range(len(grid)):
+            member = fam.member(k)
             assert fam.laws[k].tobytes() == (py * grid[k]).tobytes()
             assert member.variables == q.variables
             assert member.probs.tobytes() == reweight_marginal(q, ("Y", "Z"), fam.laws[k]).probs.tobytes()
@@ -492,7 +493,7 @@ def loop_risk_invariance_gap(predictor, family, loss):
     cov_names = tuple(n for n in family.base.names if n not in ("Y", "Z"))
     input_pos = tuple(cov_names.index(n) for n in predictor.inputs)
     risks = []
-    for member in family.members():
+    for member in map(family.member, range(len(family.grid))):
         flat, cards = loop_flat(member, cov_names, "Y")
         risk = 0.0
         for idx, row in enumerate(flat):
@@ -520,7 +521,7 @@ def loop_epsilon(fitted, family, core):
     input_pos = tuple(cov_names.index(n) for n in fitted.inputs)
     core_pos = tuple(cov_names.index(n) for n in core)
     half_eps = 0.0
-    for member in family.members():
+    for member in map(family.member, range(len(family.grid))):
         flat, cards = loop_flat(member, cov_names, "Y")
         masses = flat.sum(axis=1)
         reachable = np.flatnonzero(masses > 0)

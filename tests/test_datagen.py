@@ -502,7 +502,7 @@ class TestCoupledShifts:
         quiet = {"noise_core": 0.0, "noise_aux": 0.0} | ({"noise_v": 0.0} if gid == "C" else {})
         spec, n = GenSpec(graph=gid, n=100, seed=46, **quiet), 40_000
         family = ShiftFamily(datagen._key_table(spec.law.net), correlation_grid(3))
-        for member, ds in zip(family.members(), shift_testsets(spec, family.grid, n, seed=47)):
+        for member, ds in zip(map(family.member, range(len(family.grid))), shift_testsets(spec, family.grid, n, seed=47)):
             cols = {"Y": ds.y, "Z": ds.z, "V": ds.v}
             for name, (start, stop) in ds.channel_slices.items():
                 high = datagen._block_means(stop - start, getattr(spec, f"sep_{'aux' if name == 'ent' else name}"))[1]

@@ -542,7 +542,7 @@ class TestFloatEdges:
         gen = spawn(seed, 8)
         rows = np.column_stack([gen.integers(0, 2, len(weights)), gen.integers(0, 3, len(weights))])
         batch = SampleBatch((Y, Variable("W", 3)), rows, weights)
-        equal = batch.with_rows(rows, np.full(len(weights), weights[0]))
+        equal = SampleBatch(batch.variables, rows, np.full(len(weights), weights[0]))
         chi2 = finite_or_rejected(lambda: chi2_independence(batch, "Y", "W"))
         assert chi2 is None or (chi2[0] >= 0.0 and 0.0 <= chi2[1] <= 1.0)
         finite_or_rejected(lambda: batch.empirical_table().probs)
@@ -557,7 +557,7 @@ class TestFloatEdges:
         gen = spawn(seed, 9)
         rows = np.column_stack([gen.integers(0, 2, 60), gen.integers(0, 3, 60)])
         batch = SampleBatch((Y, Variable("W", 3)), rows, gen.uniform(0.5, 2.0, 60))
-        scaled = batch.with_rows(rows, np.ldexp(batch.weights, k))
+        scaled = SampleBatch(batch.variables, rows, np.ldexp(batch.weights, k))
         assert chi2_independence(scaled, "Y", "W")[0] == np.ldexp(chi2_independence(batch, "Y", "W")[0], k)
         assert scaled.empirical_table().probs.tobytes() == batch.empirical_table().probs.tobytes()
         spec = BalanceSpec(JointTarget("Y", "W"), Mechanism.IMPORTANCE_WEIGHTS)

@@ -28,7 +28,12 @@ Then it gives each checkout's line count of the package source,
 ``src/balancelab``, and under it the package's count of settable values,
 each with the change in it.  A settable value is a parameter with a default
 of a public function or method, or an ``__init__`` field with a default or
-``default_factory`` of a public dataclass.
+``default_factory`` of a public dataclass.  Under those it gives each side's
+public names in the package that no module reads, with the change in their
+count: a function, class, constant or public method of a public class whose
+name appears nowhere in ``src/`` or in ``bench/`` outside ``bench/tests``,
+as a name, an attribute or a part of a dotted string constant (the tracer
+names its targets by such strings); its own definition does not count.
 
 Each run's ``{"record": ...}`` line also carries the means of the
 workload's quality outputs over its first pass.  For every seed the summary
@@ -203,24 +208,33 @@ def setup_line(samples: list[tuple[list[float] | None, list[float] | None]]) -> 
     return "set-up, median in-process / replica: " + ", ".join(parts)
 
 
-def _package_texts(checkout: str) -> list[str]:
-    """The text of every ``.py`` file under the checkout's ``src/balancelab``."""
+def _py_texts(top: str, skip: str | None = None) -> dict[str, str]:
+    """The text of every ``.py`` file under ``top``, by its path relative to
+    ``top``, leaving out the directory ``skip`` (relative to ``top``)."""
+    texts = {}
+    for root, dirs, files in os.walk(top):
+        dirs[:] = [d for d in dirs if os.path.relpath(os.path.join(root, d), top) != skip]
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as f:
+                    texts[os.path.relpath(path, top)] = f.read()
+    return texts
+
+
+def _package_texts(checkout: str) -> dict[str, str]:
+    """The text of every ``.py`` file under the checkout's ``src/balancelab``,
+    by its path relative to it."""
     package = os.path.join(checkout, SOURCE)
     if not os.path.isdir(package):
         raise FileNotFoundError(f"{checkout}: no {SOURCE} directory")
-    texts = []
-    for root, _, files in os.walk(package):
-        for name in files:
-            if name.endswith(".py"):
-                with open(os.path.join(root, name), encoding="utf-8") as f:
-                    texts.append(f.read())
-    return texts
+    return _py_texts(package)
 
 
 def source_lines(checkout: str) -> int:
     """The newline count of every ``.py`` file under the checkout's
     ``src/balancelab``, as ``wc -l`` counts them."""
-    return sum(text.count("\n") for text in _package_texts(checkout))
+    return sum(text.count("\n") for text in _package_texts(checkout).values())
 
 
 def lines_line(parent: int, change: int) -> str:
@@ -260,7 +274,7 @@ def settable_values(checkout: str) -> int:
     methods of public classes, and defaulted ``__init__`` fields of public
     dataclasses."""
     count = 0
-    for text in _package_texts(checkout):
+    for text in _package_texts(checkout).values():
         for node in ast.parse(text).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
                 count += _defaults(node)
@@ -275,6 +289,71 @@ def settable_values(checkout: str) -> int:
 def settable_line(parent: int, change: int) -> str:
     """Each side's count of settable values and the change in it."""
     return f"{SOURCE} settable values: parent {parent}, change {change} ({change - parent:+d})"
+
+
+def _public_names(checkout: str) -> dict[str, str]:
+    """The public names that the checkout's ``src/balancelab`` defines, each
+    as its dotted path in the package -> the name: module-level functions,
+    classes and assigned constants, and the methods (properties included) of
+    public classes, each public when it does not start with ``_``."""
+    names = {}
+    for path, text in _package_texts(checkout).items():
+        module = os.path.splitext(path)[0].replace(os.sep, ".")
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            else:
+                continue
+            for name in defined:
+                if not name.startswith("_"):
+                    names[f"{module}.{name}"] = name
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for method in node.body:
+                    if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and not method.name.startswith("_"):
+                        names[f"{module}.{node.name}.{method.name}"] = method.name
+    return names
+
+
+def _references(checkout: str) -> set[str]:
+    """Every name that the checkout's ``src/`` and ``bench/`` (but not
+    ``bench/tests``) read: each loaded or deleted name and attribute, and
+    each part of a string constant that is a dotted name, as the tracer
+    names its targets."""
+    texts = list(_py_texts(os.path.join(checkout, "src")).values())
+    texts += _py_texts(os.path.join(checkout, "bench"), skip="tests").values()
+    seen = set()
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                seen.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                if all(part.isidentifier() for part in parts):
+                    seen.update(parts)
+    return seen
+
+
+def unreferenced_names(checkout: str) -> list[str]:
+    """The dotted paths of the checkout's public names (``_public_names``)
+    that no module in ``_references`` reads, sorted; a name counts as read
+    wherever it appears, whatever object it is read from."""
+    seen = _references(checkout)
+    return sorted(path for path, name in _public_names(checkout).items() if name not in seen)
+
+
+def unreferenced_lines(parent: list[str], change: list[str]) -> list[str]:
+    """Each side's count of unreferenced public names and the change in it,
+    then each side's names."""
+    lines = [f"{SOURCE} unreferenced public names: parent {len(parent)}, change {len(change)} ({len(change) - len(parent):+d})"]
+    for side, names in (("parent", parent), ("change", change)):
+        lines.append(f"  {side}: {', '.join(names) or 'none'}")
+    return lines
 
 
 def parse_run(stdout: str) -> tuple[dict[str, float], dict[str, float], list[float] | None, dict]:
@@ -331,6 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     # a wrong checkout fails before any run
     lines = lines_line(source_lines(args.parent), source_lines(args.change))
     settable = settable_line(settable_values(args.parent), settable_values(args.change))
+    unreferenced = unreferenced_lines(unreferenced_names(args.parent), unreferenced_names(args.change))
 
     pairs, qualities, attempted, setups = [], [], [], []
     for i, seed in enumerate(args.seeds):
@@ -348,6 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     print(setup_line(setups))
     print(lines)
     print(settable)
+    print("\n".join(unreferenced))
     print("\n".join(same_quality(args.seeds, qualities)))
     return 0
 
