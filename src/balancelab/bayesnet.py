@@ -207,12 +207,6 @@ class Cbn:
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.nodes)
 
-    def variable(self, name: str) -> Variable:
-        for v in self.nodes:
-            if v.name == name:
-                return v
-        raise UnknownVariableError(f"unknown node {name!r}")
-
 
 def _rows_sum_to_one(flat: np.ndarray, starts: Sequence[int]) -> bool:
     """Whether the rows of ``flat`` that begin at ``starts`` each sum to 1 within ``PROB_TOL``."""

@@ -179,7 +179,7 @@ class GenSpec:
             raise SpecError(f"unknown GenSpec fields {sorted(unknown)}")
         data = dict(data)
         for name in ("confounding", "v_flip"):
-            if data.get(name) is not None:
+            if isinstance(data.get(name), list):  # JSON's form of a pair; any other value meets the pair check
                 data[name] = tuple(data[name])
         return cls(**data)
 
@@ -226,13 +226,13 @@ class Dataset:
         v = None if self.v is None else _int_column(self.v, "v")
         if v is not None and v.shape != (n,):
             raise ArgumentError("v column length disagrees")
+        for name, pair in self.channel_slices.items():
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(is_int, pair)) and pair[0] <= pair[1]):
+                raise ArgumentError(f"channel {name!r} slice must be a tuple (start, stop) of integers with start <= stop, got {pair!r}")
         covered = sorted(self.channel_slices.values())
         edges = [0] + [stop for _, stop in covered]
-        starts = [start for start, _ in covered]
-        if starts != edges[:-1] or edges[-1] != x.shape[1]:
-            raise ArgumentError(
-                f"channel slices {self.channel_slices} do not partition {x.shape[1]} columns"
-            )
+        if [start for start, _ in covered] != edges[:-1] or edges[-1] != x.shape[1]:
+            raise ArgumentError(f"channel slices {self.channel_slices} do not partition {x.shape[1]} columns")
         for name, arr in {"y": y, "z": z, "x": x, "weights": w, "v": v}.items():
             if arr is not None:
                 arr = _frozen(arr)
@@ -241,10 +241,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.y.shape[0]
-
-    def channel(self, name: str) -> np.ndarray:
-        start, stop = self.channel_slices[name]
-        return self.x[:, start:stop]
 
     def take(self, idx: np.ndarray, weights: np.ndarray | None = None) -> "Dataset":
         """The rows ``idx`` (a 1-D index array or slice) of this validated

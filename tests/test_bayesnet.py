@@ -762,8 +762,8 @@ def loop_sample_cbn(net: Cbn, n: int, seed: int) -> np.ndarray:
     pos = {v.name: i for i, v in enumerate(net.nodes)}
     rows = np.zeros((n, len(net.nodes)), dtype=np.int64)
     for name in net.dag.topo_order:
-        card = net.variable(name).cardinality
         cpt = net.cpts[name]
+        card = cpt.shape[-1]
         ps = net.parents[name]
         if ps:
             parent_cols = tuple(rows[:, pos[p]] for p in ps)

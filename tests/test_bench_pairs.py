@@ -146,13 +146,14 @@ def test_attempted_medians_per_side():
     assert bench_pairs.attempted_line([(0, 3)]).endswith("(-)")
 
 
-def checkout(root, files: dict[str, str]) -> str:
-    """A checkout directory at ``root`` whose src/balancelab holds ``files``."""
-    package = root / "src" / "balancelab"
-    package.mkdir(parents=True)
-    for name, text in files.items():
-        (package / name).parent.mkdir(parents=True, exist_ok=True)
-        (package / name).write_text(text, encoding="utf-8")
+def checkout(root, files: dict[str, str], suite: dict[str, str] | None = None) -> str:
+    """A checkout directory at ``root`` whose src/balancelab holds ``files``
+    and whose tests hold ``suite``."""
+    (root / "src" / "balancelab").mkdir(parents=True)
+    for top, texts in ((root / "src" / "balancelab", files), (root / "tests", suite or {})):
+        for name, text in texts.items():
+            (top / name).parent.mkdir(parents=True, exist_ok=True)
+            (top / name).write_text(text, encoding="utf-8")
     return str(root)
 
 
@@ -170,9 +171,10 @@ def test_main_prints_attempted_counts_under_the_table(monkeypatch, capsys, tmp_p
     assert lines[2] == "attempted tasks, median: parent 27000, change 33000 (+22.2%)"
     assert lines[3] == "set-up, median in-process / replica: parent 0.3 / 0.255 s, change 0.2 / 0.16 s"
     assert lines[4] == "src/balancelab lines: parent 30, change 28 (-2)"
-    assert lines[5] == "src/balancelab settable values: parent 0, change 0 (+0)"
-    assert lines[6:9] == ["src/balancelab unreferenced public names: parent 1, change 1 (+0)", "  parent: a.x", "  change: a.x"]
-    assert lines[9:] == ["no quality means to compare"]
+    assert lines[5] == "tests lines: parent 0, change 0 (+0)"
+    assert lines[6] == "src/balancelab settable values: parent 0, change 0 (+0)"
+    assert lines[7:10] == ["src/balancelab unreferenced public names: parent 1, change 1 (+0)", "  parent: a.x", "  change: a.x"]
+    assert lines[10:] == ["no quality means to compare"]
 
 
 def test_setup_medians_per_side_split_in_process_from_replicas():
@@ -191,6 +193,17 @@ def test_source_lines_count_every_package_file_as_wc_does(tmp_path):
     assert bench_pairs.source_lines(change) == 3
     assert bench_pairs.lines_line(4, 3) == "src/balancelab lines: parent 4, change 3 (-1)"
     assert bench_pairs.lines_line(3, 3).endswith("(+0)")
+
+
+def test_suite_lines_show_both_sides_of_a_move_into_the_tests(tmp_path):
+    helper = "def channel(ds, name):\n    start, stop = ds.channel_slices[name]\n    return ds.x[:, start:stop]\n"
+    parent_suite = {"test_a.py": "a\n" * 5, "sub/test_b.py": "b\n", "notes.txt": "c\n"}
+    parent = checkout(tmp_path / "parent", {"datagen.py": "x = 1\n" + helper}, parent_suite)
+    change = checkout(tmp_path / "change", {"datagen.py": "x = 1\n"}, {"test_a.py": "a\n" * 5 + helper})
+    assert (bench_pairs.source_lines(parent), bench_pairs.source_lines(change)) == (4, 1)
+    assert (bench_pairs.suite_lines(parent), bench_pairs.suite_lines(change)) == (6, 8)  # .py files only, at any depth
+    assert bench_pairs.suite_lines(str(tmp_path)) == 0  # no tests directory
+    assert bench_pairs.lines_line(6, 8, bench_pairs.TESTS) == "tests lines: parent 6, change 8 (+2)"
 
 
 SETTABLE = """

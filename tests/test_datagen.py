@@ -54,6 +54,12 @@ def three_se(p: float, n: int) -> float:
     return 3.0 * np.sqrt(max(p * (1 - p), 1e-6) / n)
 
 
+def channel(ds: Dataset, name: str) -> np.ndarray:
+    """The feature columns of ``ds``'s channel ``name``."""
+    start, stop = ds.channel_slices[name]
+    return ds.x[:, start:stop]
+
+
 class TestGenSpec:
     def test_unknown_graph(self):
         with pytest.raises(SpecError):
@@ -243,6 +249,11 @@ class TestGenSpec:
             spec = GenSpec(graph=gid, n=100, seed=4)
             assert GenSpec.from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize("name, message", [("confounding", "two entries in"), ("v_flip", "two finite reals")])
+    def test_from_dict_rejects_a_scalar_pair_field(self, name, message):
+        with pytest.raises(SpecError, match=f"{name} must be {message}"):
+            GenSpec.from_dict(GenSpec(graph="A" if name == "confounding" else "C", n=10).to_dict() | {name: 0.5})
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(SpecError, match="unknown_knob"):
             GenSpec.from_dict(GenSpec(graph="B", n=10).to_dict() | {"unknown_knob": 0.8})
@@ -339,7 +350,7 @@ class TestGenerate:
             graph="A", n=500, seed=4, label_noise=0.0, noise_core=1e-9, noise_aux=1e-9
         )
         ds = generate(spec)
-        core = ds.channel("core")
+        core = channel(ds, "core")
         decoded = core[:, spec.dim_core // 2 :].sum(axis=1) > core[:, : spec.dim_core // 2].sum(axis=1)
         assert np.array_equal(decoded.astype(int), ds.y)
 
@@ -348,7 +359,7 @@ class TestGenerate:
         for gid in ("A", "D"):
             spec = GenSpec(graph=gid, n=40_000, seed=5)
             ds = generate(spec)
-            core = ds.channel("core")
+            core = channel(ds, "core")
             for y_value in (0, 1):
                 rows = ds.y == y_value
                 m0 = core[rows & (ds.z == 0)].mean(axis=0)
@@ -359,7 +370,7 @@ class TestGenerate:
     def test_entangled_channel_depends_on_group_within_label(self):
         spec = GenSpec(graph="D", n=40_000, seed=6)
         ds = generate(spec)
-        ent = ds.channel("ent")
+        ent = channel(ds, "ent")
         rows = ds.y == 0  # OR(0, z) = z, so the channel must split by z
         m0 = ent[rows & (ds.z == 0)].mean(axis=0)
         m1 = ent[rows & (ds.z == 1)].mean(axis=0)
@@ -394,7 +405,7 @@ class TestIdeal:
     def test_graph_d_second_channel_is_noise(self):
         spec = GenSpec(graph="D", n=1000, seed=12)
         ideal = ideal_testset(spec, 20_000, seed=13)
-        ent = ideal.channel("ent")
+        ent = channel(ideal, "ent")
         for cond in (ideal.y == 1, ideal.z == 1):
             assert np.abs(ent[cond].mean(axis=0) - ent[~cond].mean(axis=0)).max() < 0.08
 
@@ -506,7 +517,7 @@ class TestCoupledShifts:
             cols = {"Y": ds.y, "Z": ds.z, "V": ds.v}
             for name, (start, stop) in ds.channel_slices.items():
                 high = datagen._block_means(stop - start, getattr(spec, f"sep_{'aux' if name == 'ent' else name}"))[1]
-                cols[datagen._CHANNEL_KEYS[name]] = np.all(ds.channel(name) == high, axis=1).astype(np.int64)
+                cols[datagen._CHANNEL_KEYS[name]] = np.all(channel(ds, name) == high, axis=1).astype(np.int64)
             cells = np.ravel_multi_index([cols[name] for name in member.names], member.shape)
             freq = np.bincount(cells, minlength=member.probs.size) / n
             want = member.probs.ravel()
@@ -557,6 +568,20 @@ class TestDataset:
         # train would divide by sqrt(0) drawing the first layer's weights
         with pytest.raises(ArgumentError, match="features x need at least one column"):
             Dataset(np.zeros(3), np.zeros(3), np.empty((3, 0)), np.ones(3), {})
+
+    @pytest.mark.parametrize(
+        "slices",
+        [{"a": (0, 3), "b": (3, 2)}, {"a": (0, 1, 2)}, {"a": (0.0, 2)}, {"a": [0, 2]}],
+        ids=["reversed", "three-entries", "float", "list"],
+    )
+    def test_rejects_a_channel_slice_that_is_not_an_ordered_integer_pair(self, slices):
+        with pytest.raises(ArgumentError, match="slice must be a tuple"):
+            Dataset(np.zeros(3), np.zeros(3), np.zeros((3, 2)), np.ones(3), slices)
+
+    @pytest.mark.parametrize("slices", [{"a": (0, 1)}, {"a": (0, 1), "b": (2, 3)}, {"a": (0, 2), "b": (1, 2)}, {"a": (1, 2)}])
+    def test_rejects_channel_slices_that_do_not_partition_the_columns(self, slices):
+        with pytest.raises(ArgumentError, match="do not partition 2 columns"):
+            Dataset(np.zeros(3), np.zeros(3), np.zeros((3, 2)), np.ones(3), slices)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_rejects_bad_weight(self, bad):

@@ -1,9 +1,10 @@
 """No path through the package loads SciPy.
 
 Importing SciPy costs more than the rest of the package's start-up, and on
-the sampled path it was the largest part of the set-up: the chi-squared
-p-value now comes from ``math`` alone (``tables._chi2_sf``).  The test
-process has SciPy loaded already, so each check runs in a fresh interpreter.
+the sampled path it was the largest part of the set-up: the chi-squared test
+returns its statistic and degrees of freedom, and a caller that wants the
+p-value imports SciPy itself.  The test process has SciPy loaded already, so
+each check runs in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -57,5 +58,5 @@ def test_importing_every_module_loads_no_scipy():
 
 def test_sampled_balancing_path_loads_no_scipy():
     seen = probe(SAMPLED_PROBE)
-    assert len(seen["tests"]) == 3 and all(0.0 <= p <= 1.0 for _, p in seen["tests"])
+    assert len(seen["tests"]) == 3 and all(dof == 1 for _, dof in seen["tests"])
     assert seen["scipy"] == []

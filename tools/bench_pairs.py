@@ -25,8 +25,10 @@ set-up, read from the record's ``setup_samples_s`` (the run's own set-up
 first, then those of its ``--setup-only`` replicas), since ``setup_s`` is
 the median of both kinds and they can disagree.
 Then it gives each checkout's line count of the package source,
-``src/balancelab``, and under it the package's count of settable values,
-each with the change in it.  A settable value is a parameter with a default
+``src/balancelab``, and of its tests, ``tests`` (so a change that moves
+code from the package into the tests shows both sides of the move), and
+under them the package's count of settable values, each with the change in
+it.  A settable value is a parameter with a default
 of a public function or method, or an ``__init__`` field with a default or
 ``default_factory`` of a public dataclass.  Under those it gives each side's
 public names in the package that no module reads, with the change in their
@@ -60,6 +62,7 @@ MIN_PAIRS = 10  # a claimed gain needs at least this many pairs
 WIN_SHARE = 0.9  # and the change to win this share of them
 STDERR_TAIL = 20  # lines of a failed run's stderr that the error quotes
 SOURCE = "src/balancelab"  # the package whose lines each checkout reports
+TESTS = "tests"  # and its tests, whose lines are reported under it
 
 
 @dataclass(frozen=True)
@@ -231,15 +234,25 @@ def _package_texts(checkout: str) -> dict[str, str]:
     return _py_texts(package)
 
 
+def _newlines(texts: dict[str, str]) -> int:
+    """The newline count of ``texts``, as ``wc -l`` counts them."""
+    return sum(text.count("\n") for text in texts.values())
+
+
 def source_lines(checkout: str) -> int:
-    """The newline count of every ``.py`` file under the checkout's
-    ``src/balancelab``, as ``wc -l`` counts them."""
-    return sum(text.count("\n") for text in _package_texts(checkout).values())
+    """The line count of every ``.py`` file under the checkout's ``src/balancelab``."""
+    return _newlines(_package_texts(checkout))
 
 
-def lines_line(parent: int, change: int) -> str:
-    """Each side's package line count and the change in it."""
-    return f"{SOURCE} lines: parent {parent}, change {change} ({change - parent:+d})"
+def suite_lines(checkout: str) -> int:
+    """The line count of every ``.py`` file under the checkout's ``tests``;
+    0 if it has none."""
+    return _newlines(_py_texts(os.path.join(checkout, TESTS)))
+
+
+def lines_line(parent: int, change: int, top: str = SOURCE) -> str:
+    """Each side's line count of ``top`` and the change in it."""
+    return f"{top} lines: parent {parent}, change {change} ({change - parent:+d})"
 
 
 def _named(node: ast.expr, name: str) -> bool:
@@ -409,6 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # a wrong checkout fails before any run
     lines = lines_line(source_lines(args.parent), source_lines(args.change))
+    tests = lines_line(suite_lines(args.parent), suite_lines(args.change), TESTS)
     settable = settable_line(settable_values(args.parent), settable_values(args.change))
     unreferenced = unreferenced_lines(unreferenced_names(args.parent), unreferenced_names(args.change))
 
@@ -427,6 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     print(attempted_line(attempted))
     print(setup_line(setups))
     print(lines)
+    print(tests)
     print(settable)
     print("\n".join(unreferenced))
     print("\n".join(same_quality(args.seeds, qualities)))
